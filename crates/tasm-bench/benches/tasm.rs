@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tasm_core::{
-    prb_pruning_stats, tasm_batch_with_workspace, tasm_dynamic, tasm_naive, tasm_parallel,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace,
+    prb_pruning_stats, tasm_batch, tasm_batch_with_workspace, tasm_dynamic, tasm_naive,
+    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace, Deadline,
     TasmOptions, TasmWorkspace,
 };
 use tasm_data::{dblp_tree, random_query, xmark_tree, DblpConfig, XMarkConfig};
@@ -184,8 +184,9 @@ fn bench_batch_widths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded parallel scans at 1/2/4 worker threads (t1 falls back to the
-/// sequential engine path).
+/// The sharded streaming scan of a materialized tree (through a
+/// [`TreeQueue`]) at 1/2/4 worker threads (t1 runs the inline shared
+/// scan).
 fn bench_parallel_threads(c: &mut Criterion) {
     let mut dict = LabelDict::new();
     let doc = dblp_tree(&mut dict, &DblpConfig::new(1, 20_000));
@@ -194,7 +195,22 @@ fn bench_parallel_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("tasm/parallel_threads");
     for &threads in &[1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| tasm_parallel(&query, &doc, k, &UnitCost, 1, TasmOptions::default(), t));
+            let queries = [BatchQuery { query: &query, k }];
+            let mut ws = BatchWorkspace::new();
+            b.iter(|| {
+                tasm_batch(
+                    &queries,
+                    &mut TreeQueue::new(&doc),
+                    &UnitCost,
+                    1,
+                    TasmOptions::default(),
+                    t,
+                    &mut ws,
+                    None,
+                    &Deadline::none(),
+                )
+                .expect("complete stream")
+            });
         });
     }
     group.finish();

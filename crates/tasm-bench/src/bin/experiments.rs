@@ -21,7 +21,7 @@ usage: experiments [fig9a|fig9b|fig9c|fig10|fig11|fig12|ablation-tau|ablation-bu
 
 `bench` times the tasm_postorder hot path (candidates/s, ns/candidate,
 peak heap, cascade prune rate); `scaling` times multi-query batching
-(one shared scan vs N independent scans) and sharded parallel scans
+(one shared scan vs N independent scans) and sharded streaming scans
 (1/2/4 threads); `index` compares .pqi index-driven candidate
 generation against the full scan (nodes examined, identical rankings);
 `corpus` times multi-shard corpus queries (healthy and degraded)

@@ -13,10 +13,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use tasm_core::{
-    prb_pruning_stats, simple_pruning, tasm_batch_parallel, tasm_batch_parallel_stream,
-    tasm_batch_with_workspace, tasm_dynamic, tasm_indexed_with_stats, tasm_parallel,
-    tasm_parallel_stream, tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery,
-    BatchWorkspace, TasmOptions, TasmWorkspace,
+    prb_pruning_stats, simple_pruning, tasm_batch, tasm_dynamic, tasm_indexed_batch,
+    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchOutput, BatchQuery,
+    BatchWorkspace, Deadline, Match, ScanStats, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_query, xmark_tree, DblpConfig, PsdConfig, XMarkConfig,
@@ -678,16 +677,61 @@ pub fn bench_summary(
     records
 }
 
+/// `queries` over the materialized `doc` through the stream/tree driver
+/// ([`tasm_batch`] over a [`TreeQueue`]) at `threads`, no deadline.
+fn batch_over_tree(
+    queries: &[BatchQuery<'_>],
+    doc: &Tree,
+    threads: usize,
+    ws: &mut BatchWorkspace,
+) -> BatchOutput {
+    tasm_batch(
+        queries,
+        &mut TreeQueue::new(doc),
+        &UnitCost,
+        1,
+        TasmOptions::default(),
+        threads,
+        ws,
+        None,
+        &Deadline::none(),
+    )
+    .expect("an in-memory tree is a complete stream")
+}
+
+/// One query against `idx` through the indexed driver at one thread.
+fn indexed_one(
+    query: &Tree,
+    dict: &LabelDict,
+    idx: &IndexedDocument,
+    k: usize,
+) -> (Vec<Match>, ScanStats) {
+    let mut out = tasm_indexed_batch(
+        &[BatchQuery { query, k }],
+        dict,
+        idx,
+        &UnitCost,
+        1,
+        TasmOptions::default(),
+        1,
+        None,
+        &Deadline::none(),
+    )
+    .expect("Deadline::none() never expires");
+    (out.rankings.pop().expect("one lane"), out.scan)
+}
+
 /// Scan-engine scaling snapshot: multi-query batching (one shared scan
-/// vs N independent sequential scans) and sharded parallel scans
+/// vs N independent sequential scans) and the sharded streaming scan
 /// (1/2/4 worker threads), on a DBLP-shaped document.
 ///
 /// Batch records are named `batch xN …` with the matching independent
 /// baseline `seq xN …`; `candidates` counts candidate *evaluations*
 /// (scan candidates × batch width) so candidates/s is directly
-/// comparable between the two. Parallel records are `parallel tN …`
-/// (t1 = the sequential engine path). With `json_out` set, the records
-/// are appended to the [`crate::report::BENCH_JSON`] trajectory.
+/// comparable between the two. Sharded records are `stream tN …` (one
+/// query) and `batchpar-stream x4 tN …` (four query lanes); t1 is the
+/// inline shared scan. With `json_out` set, the records are appended to
+/// the [`crate::report::BENCH_JSON`] trajectory.
 pub fn scaling_summary(
     ctx: &Ctx,
     measure: &dyn Fn(&mut dyn FnMut()) -> usize,
@@ -699,7 +743,7 @@ pub fn scaling_summary(
     let (qsize, k) = (8u32, 5usize);
     let mut dict = LabelDict::new();
     let doc = dblp_tree(&mut dict, &DblpConfig::new(7, nodes));
-    println!("\n=== scaling: batch + parallel scan engine ({nodes}-node DBLP document) ===");
+    println!("\n=== scaling: batch + sharded scan engine ({nodes}-node DBLP document) ===");
     println!(
         "{:>16} {:>9} {:>6} {:>10} {:>14} {:>14} {:>12}",
         "config", "nodes", "k", "seconds", "evaluations", "ns/candidate", "peak(KiB)"
@@ -766,27 +810,19 @@ pub fn scaling_summary(
         let seq_peak = measure(&mut run_seq);
 
         let mut bws = BatchWorkspace::new();
+        let mut batch_scan = ScanStats::default();
         let mut run_batch = || {
             let batch: Vec<BatchQuery<'_>> = queries
                 .iter()
                 .map(|query| BatchQuery { query, k })
                 .collect();
-            let mut q = TreeQueue::new(&doc);
-            let r = tasm_batch_with_workspace(
-                &batch,
-                &mut q,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                &mut bws,
-                None,
-            );
-            std::hint::black_box(r.len());
+            let out = batch_over_tree(&batch, &doc, 1, &mut bws);
+            batch_scan = out.scan;
+            std::hint::black_box(out.rankings.len());
         };
         let batch_seconds = time3(&mut run_batch);
         let batch_peak = measure(&mut run_batch);
 
-        let batch_scan = bws.last_scan_stats();
         for (name, seconds, peak, scan) in [
             (format!("seq x{width}"), seq_seconds, seq_peak, None),
             (
@@ -814,56 +850,19 @@ pub fn scaling_summary(
         }
     }
 
-    // --- Sharded parallel scans.
+    // --- Sharded streaming scans: candidate segments handed off to the
+    // workers, document never materialized.
     let (query, _) = random_query(&doc, qsize, 0x5CA1E);
     let tau = threshold(query.len() as u64, 1, 1, k as u64);
     let mut q = TreeQueue::new(&doc);
     let candidates =
         prb_pruning_stats(&mut q, u32::try_from(tau).unwrap_or(u32::MAX), None).candidates;
+    let solo = [BatchQuery { query: &query, k }];
+    let mut bws = BatchWorkspace::new();
     for &threads in &[1usize, 2, 4] {
         let mut run = || {
-            let m = tasm_parallel(
-                &query,
-                &doc,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            );
-            std::hint::black_box(m.len());
-        };
-        let seconds = time3(&mut run);
-        let peak = measure(&mut run);
-        push(
-            &mut records,
-            BenchRecord {
-                name: format!("parallel t{threads} dblp q{qsize} k{k}"),
-                nodes: doc.len(),
-                query_size: qsize as usize,
-                k,
-                tau,
-                candidates,
-                seconds,
-                peak_heap_bytes: peak,
-                ..Default::default()
-            },
-        );
-        // Streaming shard hand-off: the same sharded scan fed from a
-        // postorder stream, document never materialized (parity with
-        // `parallel tN` expected; flat on 1-core containers).
-        let mut run = || {
-            let mut q = TreeQueue::new(&doc);
-            let m = tasm_parallel_stream(
-                &query,
-                &mut q,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            );
-            std::hint::black_box(m.expect("complete stream").len());
+            let out = batch_over_tree(&solo, &doc, threads, &mut bws);
+            std::hint::black_box(out.rankings[0].len());
         };
         let seconds = time3(&mut run);
         let peak = measure(&mut run);
@@ -883,8 +882,8 @@ pub fn scaling_summary(
         );
     }
 
-    // --- Batch×parallel composition: 4 query lanes × T threads, both
-    // over the materialized spans and over the postorder stream.
+    // --- Batch×parallel composition: 4 query lanes × T threads over the
+    // postorder stream.
     let lane_queries: Vec<Tree> = (0..4)
         .map(|i| random_query(&doc, qsize, 0x5CA1E + i as u64).0)
         .collect();
@@ -897,51 +896,14 @@ pub fn scaling_summary(
     let lane_candidates =
         prb_pruning_stats(&mut q, u32::try_from(lane_tau).unwrap_or(u32::MAX), None).candidates;
     let lane_evaluations = lane_candidates * lane_queries.len();
+    let batch: Vec<BatchQuery<'_>> = lane_queries
+        .iter()
+        .map(|query| BatchQuery { query, k })
+        .collect();
     for &threads in &[1usize, 2, 4] {
-        let batch: Vec<BatchQuery<'_>> = lane_queries
-            .iter()
-            .map(|query| BatchQuery { query, k })
-            .collect();
         let mut run = || {
-            let r = tasm_batch_parallel(
-                &batch,
-                &doc,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            std::hint::black_box(r.len());
-        };
-        let seconds = time3(&mut run);
-        let peak = measure(&mut run);
-        push(
-            &mut records,
-            BenchRecord {
-                name: format!("batchpar x4 t{threads} dblp q{qsize} k{k}"),
-                nodes: doc.len(),
-                query_size: qsize as usize,
-                k,
-                tau: lane_tau,
-                candidates: lane_evaluations,
-                seconds,
-                peak_heap_bytes: peak,
-                ..Default::default()
-            },
-        );
-        let mut run = || {
-            let mut q = TreeQueue::new(&doc);
-            let r = tasm_batch_parallel_stream(
-                &batch,
-                &mut q,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            std::hint::black_box(r.expect("complete stream").len());
+            let out = batch_over_tree(&batch, &doc, threads, &mut bws);
+            std::hint::black_box(out.rankings.len());
         };
         let seconds = time3(&mut run);
         let peak = measure(&mut run);
@@ -1056,17 +1018,7 @@ pub fn index_summary(
                 None,
             )
         };
-        let (indexed_ranking, _) = tasm_indexed_with_stats(
-            &query,
-            &dict,
-            &idx,
-            k,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-        );
+        let (indexed_ranking, _) = indexed_one(&query, &dict, &idx, k);
         assert_eq!(
             scan_ranking, indexed_ranking,
             "{dataset}: indexed ranking diverged from the scan"
@@ -1096,17 +1048,7 @@ pub fn index_summary(
             &mut records,
             format!("indexed {dataset} q{} k{k}", query.len()),
             &mut || {
-                let (m, scan) = tasm_indexed_with_stats(
-                    &query,
-                    &dict,
-                    &idx,
-                    k,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    1,
-                    None,
-                );
+                let (m, scan) = indexed_one(&query, &dict, &idx, k);
                 std::hint::black_box(m.len());
                 scan
             },
@@ -1130,7 +1072,7 @@ pub fn corpus_summary(
     label: &str,
 ) -> Vec<crate::report::BenchRecord> {
     use crate::report::BenchRecord;
-    use tasm_core::tasm_corpus;
+    use tasm_core::tasm_corpus_batch;
     use tasm_index::Corpus;
 
     let shards = 4usize;
@@ -1166,17 +1108,7 @@ pub fn corpus_summary(
     let reference = |corpus: &Corpus| {
         let mut merged = Vec::new();
         for (shard, _, doc) in corpus.healthy() {
-            let (hits, _) = tasm_indexed_with_stats(
-                &query,
-                &dict,
-                doc,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                1,
-                None,
-            );
+            let (hits, _) = indexed_one(&query, &dict, doc, k);
             merged.extend(
                 hits.into_iter()
                     .map(|h| (h.distance, shard, h.root.post(), h.size)),
@@ -1191,16 +1123,22 @@ pub fn corpus_summary(
     let run_one =
         |records: &mut Vec<BenchRecord>, name: String, corpus: &Corpus, threads: usize| {
             let want = reference(corpus);
-            let (matches, status) = tasm_corpus(
-                &query,
-                &dict,
-                corpus,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            );
+            let run = || {
+                tasm_corpus_batch(
+                    &[BatchQuery { query: &query, k }],
+                    &dict,
+                    corpus,
+                    &UnitCost,
+                    1,
+                    TasmOptions::default(),
+                    threads,
+                    None,
+                    &Deadline::none(),
+                )
+                .expect("Deadline::none() never expires")
+            };
+            let out = run();
+            let (matches, status) = (&out.rankings[0], out.status);
             let got: Vec<_> = matches
                 .iter()
                 .map(|m| (m.hit.distance, m.shard, m.hit.root.post(), m.hit.size))
@@ -1209,16 +1147,7 @@ pub fn corpus_summary(
             let seconds = (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    std::hint::black_box(tasm_corpus(
-                        &query,
-                        &dict,
-                        corpus,
-                        k,
-                        &UnitCost,
-                        1,
-                        TasmOptions::default(),
-                        threads,
-                    ));
+                    std::hint::black_box(run());
                     t0.elapsed().as_secs_f64()
                 })
                 .fold(f64::INFINITY, f64::min);
@@ -1489,10 +1418,9 @@ mod tests {
             None,
             "test",
         );
-        // 3 batch widths × (seq + batch) + 3 thread counts × (span-
-        // sharded + streaming) + 3 thread counts × (batch×parallel
-        // materialized + streaming).
-        assert_eq!(records.len(), 18);
+        // 3 batch widths × (seq + batch) + 3 thread counts × (one query
+        // + four query lanes) over the sharded stream.
+        assert_eq!(records.len(), 12);
         for width in [1usize, 4, 16] {
             let seq = records
                 .iter()
@@ -1506,24 +1434,18 @@ mod tests {
             assert_eq!(seq.candidates, batch.candidates);
             assert!(seq.candidates > 0);
         }
-        assert!(records.iter().any(|r| r.name.starts_with("parallel t2 ")));
-        assert!(records.iter().any(|r| r.name.starts_with("stream t2 ")));
         for threads in [1usize, 2, 4] {
-            // Streaming and materialized variants time the same work, so
-            // their records must be directly comparable.
             let get = |prefix: String| {
                 records
                     .iter()
                     .find(|r| r.name.starts_with(&prefix))
                     .unwrap_or_else(|| panic!("missing record {prefix}"))
             };
-            let span = get(format!("parallel t{threads} "));
             let stream = get(format!("stream t{threads} "));
-            assert_eq!(span.candidates, stream.candidates);
-            let bp = get(format!("batchpar x4 t{threads} "));
             let bps = get(format!("batchpar-stream x4 t{threads} "));
-            assert_eq!(bp.candidates, bps.candidates);
-            assert!(bp.candidates > 0);
+            assert!(stream.candidates > 0);
+            // Four lanes evaluate every scan candidate once each.
+            assert!(bps.candidates > 0 && bps.candidates % 4 == 0);
         }
         std::fs::remove_dir_all(&ctx.out_dir).ok();
     }

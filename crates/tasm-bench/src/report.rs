@@ -90,7 +90,7 @@ impl BenchRecord {
         }
     }
 
-    /// Copies the pruning-funnel counters out of a scan's [`ScanStats`].
+    /// Copies the pruning-funnel counters out of a scan's [`ScanStats`](tasm_core::ScanStats).
     pub fn with_scan_stats(mut self, scan: &tasm_core::ScanStats) -> Self {
         self.nodes_examined = u64::from(scan.nodes_seen);
         self.pruned_size = scan.pruned_size;

@@ -11,7 +11,7 @@
 //! diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{tasm_batch_parallel_stream, BatchQuery, TasmOptions};
+use tasm_core::{tasm_batch, BatchQuery, BatchWorkspace, Deadline, TasmOptions};
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
@@ -52,8 +52,19 @@ fn streaming_sharded_scan_allocations_are_document_independent() {
     let run = |doc: &Tree| -> usize {
         let mut q = TreeQueue::new(doc);
         let before = alloc_count();
-        let r = tasm_batch_parallel_stream(&batch, &mut q, &UnitCost, 1, opts, threads, None)
-            .expect("complete stream");
+        let r = tasm_batch(
+            &batch,
+            &mut q,
+            &UnitCost,
+            1,
+            opts,
+            threads,
+            &mut BatchWorkspace::new(),
+            None,
+            &Deadline::none(),
+        )
+        .expect("complete stream")
+        .rankings;
         assert_eq!(r.len(), batch.len());
         assert!(r.iter().all(|lane| lane.len() == 2));
         alloc_count() - before

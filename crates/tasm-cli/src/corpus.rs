@@ -22,7 +22,7 @@ use std::time::Instant;
 use crate::args::Args;
 use crate::errors::{CliError, UsageExt};
 use crate::{load_xml, output, print_scan_stats};
-use tasm_core::{tasm_corpus_batch_with_stats, BatchQuery, TasmOptions};
+use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions};
 use tasm_index::Corpus;
 use tasm_ted::{TedKernel, TedStats, UnitCost};
 use tasm_tree::{LabelDict, Tree};
@@ -176,7 +176,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             "missing required option --query <file> (or --query-str '<xml>')".into(),
         ));
     }
-    let k: usize = args.get_num("k", 5).usage()?;
+    let k = crate::ranking_size(args)?;
     let threads: usize = args.get_num("threads", 1).usage()?;
     let kernel: TedKernel = args
         .get("kernel")
@@ -206,8 +206,18 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         .map(|query| BatchQuery { query, k })
         .collect();
     let t0 = Instant::now();
-    let result =
-        tasm_corpus_batch_with_stats(&bqs, &dict, &corpus, &UnitCost, 1, opts, threads, sink);
+    let result = tasm_corpus_batch(
+        &bqs,
+        &dict,
+        &corpus,
+        &UnitCost,
+        1,
+        opts,
+        threads,
+        sink,
+        &Deadline::none(),
+    )
+    .expect("Deadline::none() never expires");
     let elapsed = t0.elapsed();
     let (rankings, status, scan, lanes, shard_stats) = (
         result.rankings,

@@ -35,10 +35,9 @@ use std::time::Instant;
 use args::Args;
 use errors::{CliError, RuntimeExt, UsageExt};
 use tasm_core::{
-    prb_pruning_stats, simple_pruning, tasm_batch_parallel_stream_with_stats, tasm_dynamic,
-    tasm_indexed_batch_with_stats, tasm_naive, tasm_parallel_stream_with_stats,
-    tasm_postorder_with_workspace, threshold_for_query, BatchQuery, ScanStats, TasmOptions,
-    TasmWorkspace,
+    prb_pruning_stats, simple_pruning, tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive,
+    tasm_postorder_with_workspace, threshold_for_query, BatchQuery, BatchWorkspace, Deadline,
+    ScanStats, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_tree, xmark_tree, DblpConfig, PsdConfig, RandomTreeConfig,
@@ -345,6 +344,18 @@ fn run_over_doc_stream<T>(
     }
 }
 
+/// Reads `--k` (default 5), rejecting 0: a top-0 ranking is empty by
+/// definition, and the engines would otherwise clamp it to 1.
+fn ranking_size(args: &Args) -> Result<usize, CliError> {
+    let k: usize = args.get_num("k", 5).usage()?;
+    if k == 0 {
+        return Err(CliError::Usage(
+            "--k must be >= 1: a top-0 ranking is empty by definition".into(),
+        ));
+    }
+    Ok(k)
+}
+
 fn cmd_query(args: &Args) -> Result<(), CliError> {
     let mut dict = LabelDict::new();
     // Collect queries in command-line order, even when --query files and
@@ -367,7 +378,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         ));
     }
     let index_path = args.get("index");
-    let k: usize = args.get_num("k", 5).usage()?;
+    let k = ranking_size(args)?;
     let threads: usize = args.get_num("threads", 1).usage()?;
     let algorithm = args.get("algorithm").unwrap_or("postorder");
     let kernel: TedKernel = args
@@ -421,46 +432,52 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             .iter()
             .map(|query| BatchQuery { query, k })
             .collect();
-        let (r, scan, lanes) =
-            tasm_indexed_batch_with_stats(&bqs, &dict, &idx, &UnitCost, 1, opts, threads, sink);
-        scan_stats = Some(scan);
-        if batch {
-            lane_stats = Some(lanes);
-        }
+        let out = tasm_indexed_batch(
+            &bqs,
+            &dict,
+            &idx,
+            &UnitCost,
+            1,
+            opts,
+            threads,
+            sink,
+            &Deadline::none(),
+        )
+        .expect("Deadline::none() never expires");
+        scan_stats = Some(out.scan);
+        lane_stats = Some(out.lanes);
         // Matched node ids (and kept subtrees) live in the index's
         // frequency-ordered label space.
         dict = idx.dict().clone();
-        r
-    } else if batch {
+        out.rankings
+    } else if batch || parallel {
         // All queries share ONE streaming scan; with --threads > 1 the
         // candidate segments are sharded across workers and each worker
-        // fans them out to every query lane (batch×parallel).
+        // fans them out to every query lane (batch×parallel). The
+        // document is never materialized.
         let doc_path = args.require("doc").usage()?;
-        let (r, scan, lanes) = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
+        let out = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
             let bqs: Vec<BatchQuery<'_>> = qs.iter().map(|query| BatchQuery { query, k }).collect();
-            tasm_batch_parallel_stream_with_stats(&bqs, queue, &UnitCost, 1, opts, threads, sink)
+            tasm_batch(
+                &bqs,
+                queue,
+                &UnitCost,
+                1,
+                opts,
+                threads,
+                &mut BatchWorkspace::new(),
+                sink,
+                &Deadline::none(),
+            )
         })?
         .map_err(|e| format!("{doc_path}: {e}"))
         .runtime()?;
-        scan_stats = Some(scan);
-        lane_stats = Some(lanes);
-        r
+        scan_stats = Some(out.scan);
+        lane_stats = Some(out.lanes);
+        out.rankings
     } else {
         let doc_path = args.require("doc").usage()?;
         let matches = match algorithm {
-            "postorder" if parallel => {
-                // Sharded streaming scan: candidate segments hand off to
-                // the workers; the document is never materialized.
-                let (m, st) = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
-                    tasm_parallel_stream_with_stats(
-                        &qs[0], queue, k, &UnitCost, 1, opts, threads, sink,
-                    )
-                })?
-                .map_err(|e| format!("{doc_path}: {e}"))
-                .runtime()?;
-                scan_stats = Some(st);
-                m
-            }
             "postorder" => {
                 let m = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
                     tasm_postorder_with_workspace(

@@ -423,6 +423,102 @@ fn threads_flag_matches_sequential_output() {
 }
 
 #[test]
+fn k_zero_is_a_usage_error() {
+    let doc = tmp("k_zero.xml");
+    std::fs::write(&doc, "<r><a/><a/></r>").unwrap();
+    let doc_s = doc.to_str().unwrap();
+    // Every path rejects it up front — sequential, batch, sharded and
+    // indexed — instead of printing `k = 0` above a clamped 1-row table.
+    for extra in [&[][..], &["--query-str", "<b/>"], &["--threads", "2"]] {
+        let mut args = vec!["query", "--query-str", "<a/>", "--doc", doc_s, "--k", "0"];
+        args.extend_from_slice(extra);
+        let out = tasm(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: no table on a usage error");
+        assert!(String::from_utf8(out.stderr)
+            .unwrap()
+            .contains("--k must be >= 1"));
+    }
+    std::fs::remove_file(&doc).ok();
+}
+
+#[test]
+fn huge_k_ranks_every_subtree_instead_of_aborting() {
+    // `--k 99999999999999` used to abort on an impossible up-front
+    // allocation (exit 134). Every path must instead rank all subtrees.
+    let doc = tmp("huge_k.xml");
+    std::fs::write(&doc, "<r><a><b/></a><a/><c/></r>").unwrap();
+    let doc_s = doc.to_str().unwrap();
+    let pqi = tmp("huge_k.pqi");
+    let pqi_s = pqi.to_str().unwrap();
+    assert!(tasm(&["index", "--doc", doc_s, "--out", pqi_s])
+        .status
+        .success());
+    let huge = "99999999999999";
+    for args in [
+        vec!["query", "--query-str", "<a/>", "--doc", doc_s, "--k", huge],
+        vec![
+            "query",
+            "--query-str",
+            "<a/>",
+            "--doc",
+            doc_s,
+            "--k",
+            huge,
+            "--threads",
+            "2",
+        ],
+        vec![
+            "query",
+            "--query-str",
+            "<a/>",
+            "--query-str",
+            "<c/>",
+            "--doc",
+            doc_s,
+            "--k",
+            huge,
+        ],
+        vec![
+            "query",
+            "--query-str",
+            "<a/>",
+            "--index",
+            pqi_s,
+            "--k",
+            huge,
+        ],
+        vec![
+            "query",
+            "--query-str",
+            "<a/>",
+            "--doc",
+            doc_s,
+            "--k",
+            huge,
+            "--algorithm",
+            "dynamic",
+        ],
+    ] {
+        let out = tasm(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // All 5 subtrees of the document are ranked.
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            text.lines().any(|l| l.starts_with("5 ")),
+            "{args:?}: {text}"
+        );
+    }
+    std::fs::remove_file(&doc).ok();
+    std::fs::remove_file(&pqi).ok();
+}
+
+#[test]
 fn threads_misuse_is_rejected() {
     let doc = tmp("threads_misuse.xml");
     std::fs::write(&doc, "<r><a/></r>").unwrap();

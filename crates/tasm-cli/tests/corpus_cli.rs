@@ -193,6 +193,52 @@ fn corpus_lifecycle_build_corrupt_degrade_repair() {
 }
 
 #[test]
+fn corpus_query_rejects_k_zero_and_survives_huge_k() {
+    let a = gen_doc("k-a.xml", "300", "31");
+    let dir = tmp("corp-k");
+    let _ = fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    let out = tasm(&[
+        "corpus",
+        "build",
+        "--dir",
+        dir_s,
+        "--doc",
+        &format!("a={}", a.display()),
+    ]);
+    assert!(out.status.success());
+    let query = |k: &str| {
+        tasm(&[
+            "corpus",
+            "query",
+            "--dir",
+            dir_s,
+            "--query-str",
+            "<article/>",
+            "--k",
+            k,
+        ])
+    };
+    // A top-0 ranking is a usage error, as in `tasm query`.
+    let out = query("0");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--k must be >= 1"));
+    // A huge k ranks every subtree instead of aborting on an up-front
+    // allocation.
+    let out = query("99999999999999");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout(&out).lines().any(|l| l.starts_with("300 ")));
+
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_file(&a);
+}
+
+#[test]
 fn corpus_add_extends_an_existing_corpus() {
     let a = gen_doc("add-a.xml", "300", "21");
     let b = gen_doc("add-b.xml", "300", "22");

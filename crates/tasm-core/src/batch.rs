@@ -20,11 +20,18 @@
 //! [`BatchWorkspace`] a scan performs O(#queries) allocations total,
 //! regardless of the document's length (regression-tested with the
 //! counting allocator in `tasm-bench`).
+//!
+//! [`tasm_batch`] is the one driver for every document that arrives as
+//! a postorder queue — a stream, or a materialized tree replayed
+//! through [`TreeQueue`](tasm_tree::TreeQueue). At one thread it runs
+//! the shared scan inline; above one it hands the candidates to the
+//! streaming shard workers, which fan them out to the same lanes.
 
+use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, EvalLane};
+use crate::lane::{build_lanes, fan_out, reserve_lanes, resolve_threads, EvalLane};
 use crate::ranking::Match;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
+use crate::stream_shard::sharded_scan;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
 use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
@@ -39,10 +46,25 @@ pub struct BatchQuery<'a> {
     pub k: usize,
 }
 
-/// Reusable scratch state for [`tasm_batch_with_workspace`]: the shared
-/// scan engine plus one distance workspace per lane. All buffers grow
-/// but never shrink; reuse across streams for an allocation profile of
-/// O(#queries) per scan.
+/// What a batch driver ([`tasm_batch`],
+/// [`tasm_indexed_batch`](crate::tasm_indexed_batch)) returns.
+#[derive(Debug, Clone, Default)]
+pub struct BatchOutput {
+    /// One ranking per query, in query order.
+    pub rankings: Vec<Vec<Match>>,
+    /// Scan-layer counters of the pass plus the pruning funnel summed
+    /// over every query lane.
+    pub scan: ScanStats,
+    /// Per-lane statistics in query order: the pass's scan-layer
+    /// counters plus that lane's own pruning funnel.
+    pub lanes: Vec<ScanStats>,
+}
+
+/// Reusable scratch state for the inline shared scan of [`tasm_batch`]:
+/// the scan engine plus one distance workspace per lane. All buffers
+/// grow but never shrink; reuse across streams for an allocation
+/// profile of O(#queries) per scan. The sharded path leaves it
+/// untouched — each worker owns its state by design.
 #[derive(Debug)]
 pub struct BatchWorkspace {
     engine: ScanEngine,
@@ -51,12 +73,6 @@ pub struct BatchWorkspace {
     lb: CascadeScratch,
     /// One distance workspace per lane; grown to the batch width.
     lanes: Vec<TedWorkspace>,
-    /// Scan + pruning-funnel statistics of the most recent run
-    /// (aggregated over all lanes).
-    last_scan: ScanStats,
-    /// Per-lane statistics of the most recent run: the shared
-    /// scan-layer counters plus each lane's own pruning funnel.
-    last_lanes: Vec<ScanStats>,
 }
 
 impl Default for BatchWorkspace {
@@ -72,23 +88,68 @@ impl BatchWorkspace {
             engine: ScanEngine::new(1),
             lb: CascadeScratch::new(),
             lanes: Vec::new(),
-            last_scan: ScanStats::default(),
-            last_lanes: Vec::new(),
         }
     }
+}
 
-    /// The scan and pruning-funnel statistics of the most recent
-    /// [`tasm_batch_with_workspace`] run: one shared scan, with the
-    /// funnel counters aggregated over every query lane.
-    pub fn last_scan_stats(&self) -> ScanStats {
-        self.last_scan
+/// The postorder stream ended abnormally: the scan consumed the whole
+/// queue, but the queue reports the document is incomplete (truncated
+/// `.pq`/`.pqi` file, malformed XML, an I/O error mid-stream, …).
+///
+/// [`tasm_batch`] refuses to return a ranking built from a partial
+/// document — silently accepting one would report top-k answers that
+/// may miss better subtrees in the lost suffix. The message comes from
+/// [`PostorderQueue::integrity_error`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamIntegrityError(pub(crate) String);
+
+impl StreamIntegrityError {
+    /// The queue's description of the abnormal end.
+    pub fn message(&self) -> &str {
+        &self.0
     }
+}
 
-    /// Per-lane statistics of the most recent run, in query order: each
-    /// record carries the shared scan-layer counters (every lane saw
-    /// the same candidates) and that lane's own pruning funnel.
-    pub fn last_lane_stats(&self) -> &[ScanStats] {
-        &self.last_lanes
+impl std::fmt::Display for StreamIntegrityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "incomplete document stream: {}", self.0)
+    }
+}
+
+impl std::error::Error for StreamIntegrityError {}
+
+/// Failure of a [`tasm_batch`] scan: either the stream ended abnormally
+/// ([`StreamIntegrityError`]) or the request's cooperative
+/// [`Deadline`] expired mid-pass ([`DeadlineExceeded`]). Both refuse to
+/// return a partial ranking.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StreamScanError {
+    /// The postorder stream ended abnormally.
+    Integrity(StreamIntegrityError),
+    /// The request's deadline expired before the scan completed.
+    Deadline(DeadlineExceeded),
+}
+
+impl std::fmt::Display for StreamScanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamScanError::Integrity(e) => e.fmt(f),
+            StreamScanError::Deadline(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for StreamScanError {}
+
+impl From<StreamIntegrityError> for StreamScanError {
+    fn from(e: StreamIntegrityError) -> Self {
+        StreamScanError::Integrity(e)
+    }
+}
+
+impl From<DeadlineExceeded> for StreamScanError {
+    fn from(e: DeadlineExceeded) -> Self {
+        StreamScanError::Deadline(e)
     }
 }
 
@@ -116,22 +177,50 @@ impl CandidateSink for MultiQuerySink<'_> {
     }
 }
 
-/// Answers every query of `queries` over **one** pass of `queue`,
-/// returning one ranking per query, in input order.
+/// Answers every query of `queries` over **one** pass of `queue` — any
+/// postorder stream, or a materialized tree through
+/// [`TreeQueue`](tasm_tree::TreeQueue) — returning one ranking per
+/// query, in input order, plus the pass's statistics.
 ///
 /// Each ranking is exactly what the sequential
 /// [`tasm_postorder`](crate::tasm_postorder) returns for that query
-/// alone; the shared scan only amortizes the per-candidate stream work
-/// across the batch. `c_t` is the maximum document node cost under
-/// `model`, as for the sequential entry point. `stats` (if any)
-/// aggregates the evaluation work of **all** lanes.
+/// alone. `c_t` is the maximum document node cost under `model`, as for
+/// the sequential entry point; `stats` (if any) aggregates the
+/// evaluation work of **all** lanes.
+///
+/// `threads` picks the topology (`0` = one per available core):
+///
+/// * resolved to 1, the scan runs inline on the calling thread and
+///   every candidate is offered to one evaluation lane per query,
+///   reusing the buffers of `ws` — with a warm workspace a whole scan
+///   costs O(#queries) heap allocations, independent of the document's
+///   length;
+/// * above 1, the calling thread runs the `O(τ_scan)` ring-buffer scan
+///   and hands candidate segments to `threads` workers through a
+///   bounded, recycling pipe; each worker fans its candidates out to
+///   its own query lanes and the per-lane heaps merge at the end. The
+///   document is never materialized, so memory stays
+///   `O(threads · τ + Σ m_i²)`. `ws` is not used.
+///
+/// The whole batch shares one scan, so one `deadline` bounds it (the
+/// `tasm serve` daemon passes the *earliest* member deadline and
+/// retries survivors solo when a batch is cancelled). An empty batch
+/// returns at once without touching `queue`.
+///
+/// # Errors
+///
+/// [`StreamScanError::Deadline`] if the deadline expires mid-scan,
+/// [`StreamScanError::Integrity`] if the queue reports an abnormal end
+/// after the scan drained it (truncated postorder file, malformed XML,
+/// …). In both cases no partial rankings are returned: a top-k over a
+/// prefix of the candidate stream could miss better subtrees.
 ///
 /// # Examples
 ///
 /// ```
 /// use tasm_tree::{bracket, LabelDict, TreeQueue};
 /// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_batch, BatchQuery, TasmOptions};
+/// use tasm_core::{tasm_batch, BatchQuery, BatchWorkspace, Deadline, TasmOptions};
 ///
 /// let mut dict = LabelDict::new();
 /// let q1 = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
@@ -141,27 +230,48 @@ impl CandidateSink for MultiQuerySink<'_> {
 ///     BatchQuery { query: &q1, k: 2 },
 ///     BatchQuery { query: &q2, k: 1 },
 /// ];
-/// let mut queue = TreeQueue::new(&doc);
-/// let rankings =
-///     tasm_batch(&queries, &mut queue, &UnitCost, 1, TasmOptions::default(), None);
-/// assert_eq!(rankings.len(), 2);
-/// assert_eq!(rankings[0][0].root.post(), 6); // exact match for q1
+/// let mut ws = BatchWorkspace::new();
+/// for threads in [1, 2] {
+///     let mut queue = TreeQueue::new(&doc); // any postorder queue works
+///     let out = tasm_batch(&queries, &mut queue, &UnitCost, 1, TasmOptions::default(),
+///                          threads, &mut ws, None, &Deadline::none()).unwrap();
+///     assert_eq!(out.rankings.len(), 2);
+///     assert_eq!(out.rankings[0][0].root.post(), 6); // exact match for q1
+/// }
 /// ```
+#[allow(clippy::too_many_arguments)]
 pub fn tasm_batch<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
-    model: &dyn CostModel,
+    model: &(dyn CostModel + Sync),
     c_t: u64,
     opts: TasmOptions,
+    threads: usize,
+    ws: &mut BatchWorkspace,
     stats: Option<&mut TedStats>,
-) -> Vec<Vec<Match>> {
-    let mut ws = BatchWorkspace::new();
-    tasm_batch_with_workspace(queries, queue, model, c_t, opts, &mut ws, stats)
+    deadline: &Deadline,
+) -> Result<BatchOutput, StreamScanError> {
+    if queries.is_empty() {
+        return Ok(BatchOutput::default());
+    }
+    let threads = resolve_threads(threads);
+    if threads > 1 {
+        return sharded_scan(queries, queue, model, c_t, opts, threads, stats, deadline);
+    }
+    // One worker would only add hand-off copies: the shared scan is the
+    // same streaming work inline.
+    let out = shared_scan(queries, queue, model, c_t, opts, ws, stats, deadline)?;
+    match queue.integrity_error() {
+        Some(msg) => Err(StreamIntegrityError(msg).into()),
+        None => Ok(out),
+    }
 }
 
-/// As [`tasm_batch`], but reusing the caller's [`BatchWorkspace`]: with
-/// warm buffers a whole scan costs O(#queries) heap allocations,
-/// independent of the document's length.
+/// [`tasm_batch`] at one thread without a deadline, returning only the
+/// rankings. Kept with this exact signature because the end-to-end
+/// benchmark helper (`perfbench/`) times the daemon's batch call
+/// through it; unlike the driver it accepts a non-`Sync` cost model and
+/// does not check the queue's integrity.
 pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
@@ -171,7 +281,7 @@ pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
     ws: &mut BatchWorkspace,
     stats: Option<&mut TedStats>,
 ) -> Vec<Vec<Match>> {
-    match tasm_batch_deadline_with_workspace(
+    match shared_scan(
         queries,
         queue,
         model,
@@ -181,24 +291,16 @@ pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
         stats,
         &Deadline::none(),
     ) {
-        Ok(rankings) => rankings,
+        Ok(out) => out.rankings,
         Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
     }
 }
 
-/// As [`tasm_batch_with_workspace`], but cooperatively cancellable: the
-/// whole batch shares one scan, so one `deadline` bounds it (the
-/// `tasm serve` daemon passes the *earliest* member deadline and
-/// retries survivors solo when a batch is cancelled).
-///
-/// # Errors
-///
-/// [`DeadlineExceeded`] if the deadline expires before the scan
-/// completes — no partial rankings are returned (a top-k over a prefix
-/// of the candidate stream could miss better subtrees), and the
-/// workspace's last-run statistics are left untouched.
+/// The inline shared scan: one [`ScanEngine`] pass at
+/// `τ_scan = max_i τ_i`, every candidate fanned out to one lane per
+/// query, all buffers borrowed from `ws`.
 #[allow(clippy::too_many_arguments)]
-pub fn tasm_batch_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
+fn shared_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
     model: &dyn CostModel,
@@ -207,9 +309,9 @@ pub fn tasm_batch_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
     ws: &mut BatchWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<Vec<Vec<Match>>, DeadlineExceeded> {
+) -> Result<BatchOutput, DeadlineExceeded> {
     if queries.is_empty() {
-        return Ok(Vec::new());
+        return Ok(BatchOutput::default());
     }
     if ws.lanes.len() < queries.len() {
         ws.lanes.resize_with(queries.len(), TedWorkspace::new);
@@ -239,18 +341,21 @@ pub fn tasm_batch_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
 
     // Stats: every lane saw the one shared pass; the aggregate sums the
     // per-lane funnels on top of it.
-    let mut aggregate = shared;
-    ws.last_lanes.clear();
+    let mut scan = shared;
+    let mut lane_stats = Vec::with_capacity(lanes.len());
     for lane in &mut lanes {
         lane.stats.adopt_scan_layer(&shared);
-        aggregate.merge_funnel(&lane.stats);
-        ws.last_lanes.push(lane.stats);
+        scan.merge_funnel(&lane.stats);
+        lane_stats.push(lane.stats);
     }
-    ws.last_scan = aggregate;
-    Ok(lanes
-        .into_iter()
-        .map(|lane| lane.heap.into_sorted())
-        .collect())
+    Ok(BatchOutput {
+        rankings: lanes
+            .into_iter()
+            .map(|lane| lane.heap.into_sorted())
+            .collect(),
+        scan,
+        lanes: lane_stats,
+    })
 }
 
 #[cfg(test)]
@@ -266,6 +371,28 @@ mod tests {
              {article{auth{Peter}}{title{X3}}}{article{auth{Mike}}{title{X4}}}}\
              {book{title{X2}}}}",
             dict,
+        )
+        .unwrap()
+    }
+
+    /// The inline driver at one thread over `queue`.
+    fn run<Q: PostorderQueue + ?Sized>(
+        queries: &[BatchQuery<'_>],
+        queue: &mut Q,
+        opts: TasmOptions,
+        ws: &mut BatchWorkspace,
+        stats: Option<&mut TedStats>,
+    ) -> BatchOutput {
+        tasm_batch(
+            queries,
+            queue,
+            &UnitCost,
+            1,
+            opts,
+            1,
+            ws,
+            stats,
+            &Deadline::none(),
         )
         .unwrap()
     }
@@ -287,9 +414,10 @@ mod tests {
             BatchQuery { query: &q3, k: 22 },
         ];
         let mut queue = TreeQueue::new(&doc);
-        let batch = tasm_batch(&queries, &mut queue, &UnitCost, 1, opts, None);
-        assert_eq!(batch.len(), 3);
-        for (bq, got) in queries.iter().zip(&batch) {
+        let batch = run(&queries, &mut queue, opts, &mut BatchWorkspace::new(), None);
+        assert_eq!(batch.rankings.len(), 3);
+        assert_eq!(batch.lanes.len(), 3);
+        for (bq, got) in queries.iter().zip(&batch.rankings) {
             let mut q = TreeQueue::new(&doc);
             let want = tasm_postorder(bq.query, &mut q, bq.k, &UnitCost, 1, opts, None);
             assert_eq!(got, &want);
@@ -301,8 +429,21 @@ mod tests {
         let mut dict = LabelDict::new();
         let doc = example_d(&mut dict);
         let mut queue = TreeQueue::new(&doc);
-        let out = tasm_batch(&[], &mut queue, &UnitCost, 1, TasmOptions::default(), None);
-        assert!(out.is_empty());
+        for threads in [1, 4] {
+            let out = tasm_batch(
+                &[],
+                &mut queue,
+                &UnitCost,
+                1,
+                TasmOptions::default(),
+                threads,
+                &mut BatchWorkspace::new(),
+                None,
+                &Deadline::none(),
+            )
+            .unwrap();
+            assert!(out.rankings.is_empty() && out.lanes.is_empty());
+        }
         // The queue was not touched: a full sequential run still works.
         let q = bracket::parse("{book{title{X2}}}", &mut dict).unwrap();
         let top = tasm_postorder(
@@ -328,7 +469,7 @@ mod tests {
             BatchQuery { query: &q2, k: 2 },
         ];
         let mut ws = BatchWorkspace::new();
-        let run = |ws: &mut BatchWorkspace| {
+        let run_pinned = |ws: &mut BatchWorkspace| {
             let mut queue = TreeQueue::new(&doc);
             tasm_batch_with_workspace(
                 &queries,
@@ -340,19 +481,18 @@ mod tests {
                 None,
             )
         };
-        let first = run(&mut ws);
-        let second = run(&mut ws);
+        let first = run_pinned(&mut ws);
+        let second = run_pinned(&mut ws);
         assert_eq!(first, second);
         let mut queue = TreeQueue::new(&doc);
-        let fresh = tasm_batch(
+        let fresh = run(
             &queries,
             &mut queue,
-            &UnitCost,
-            1,
             TasmOptions::default(),
+            &mut BatchWorkspace::new(),
             None,
         );
-        assert_eq!(first, fresh);
+        assert_eq!(first, fresh.rankings);
     }
 
     #[test]
@@ -378,14 +518,15 @@ mod tests {
             BatchQuery { query: &q2, k: 1 },
         ];
         let mut q = TreeQueue::new(&doc);
-        tasm_batch(
+        let out = run(
             &queries,
             &mut q,
-            &UnitCost,
-            1,
             TasmOptions::default(),
+            &mut BatchWorkspace::new(),
             Some(&mut both),
         );
         assert!(both.ted_calls >= solo1.ted_calls);
+        let funnel_sum: u64 = out.lanes.iter().map(|l| l.evaluated).sum();
+        assert_eq!(funnel_sum, out.scan.evaluated);
     }
 }

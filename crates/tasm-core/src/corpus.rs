@@ -36,8 +36,8 @@
 //! keys of the union — so the merged ranking is independent of shard
 //! evaluation order, worker count and inner lane count, and
 //! byte-identical to concatenating per-document
-//! [`tasm_indexed`](crate::tasm_indexed) runs and sorting (pinned by
-//! `tests/corpus_differential.rs`).
+//! [`tasm_indexed_batch`](crate::tasm_indexed_batch) runs and sorting
+//! (pinned by `tests/corpus_differential.rs`).
 //!
 //! Merging is **bounded**: each worker folds every shard run into its
 //! per-lane accumulator with a sorted two-way merge truncated to `k`,
@@ -46,16 +46,16 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::batch::BatchQuery;
+use crate::batch::{BatchOutput, BatchQuery};
+use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::ScanStats;
-use crate::indexed::tasm_indexed_batch_deadline_with_stats;
-use crate::parallel::resolve_threads;
+use crate::indexed::tasm_indexed_batch;
+use crate::lane::resolve_threads;
 use crate::ranking::Match;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
 use crate::tasm_dynamic::TasmOptions;
 use tasm_index::{Corpus, IndexedDocument};
 use tasm_ted::{Cost, CostModel, TedStats};
-use tasm_tree::{LabelDict, Tree};
+use tasm_tree::LabelDict;
 
 /// One corpus-level match: a [`Match`] plus which document it came from.
 #[derive(Debug, Clone)]
@@ -113,8 +113,8 @@ impl CorpusShardStats {
     }
 }
 
-/// Full result of a stats-carrying corpus batch: per-query rankings,
-/// corpus health, the merged [`ScanStats`] funnel, the per-query
+/// What [`tasm_corpus_batch`] returns: per-query rankings, corpus
+/// health, the merged [`ScanStats`] funnel, the per-query
 /// funnels in query order, and the per-shard timing breakdown.
 #[derive(Debug, Clone)]
 pub struct CorpusBatchOutput {
@@ -225,7 +225,7 @@ fn run_worker(
         }
         let (shard, name, doc) = shards[idx];
         let started = Instant::now();
-        let run = tasm_indexed_batch_deadline_with_stats(
+        let run = tasm_indexed_batch(
             queries,
             src_dict,
             doc,
@@ -236,7 +236,11 @@ fn run_worker(
             out.ted.as_mut(),
             &deadline,
         );
-        let (rankings, shard_scan, shard_lanes) = match run {
+        let BatchOutput {
+            rankings,
+            scan: shard_scan,
+            lanes: shard_lanes,
+        } = match run {
             Ok(r) => r,
             Err(e) => {
                 cancelled.store(true, Ordering::Relaxed);
@@ -267,86 +271,51 @@ fn run_worker(
     }
 }
 
-/// Corpus-wide top-`k` for one query: every healthy shard of `corpus`
-/// answers via the `.pqi` index, merged on the deterministic corpus
-/// rank key. See the module docs for the degraded-mode contract.
+/// Corpus-wide top-`k` for every query of `queries`: every healthy
+/// shard of `corpus` answers the whole batch via the `.pqi` index
+/// ([`tasm_indexed_batch`]), sharing each shard's candidate pass across
+/// the batch, and the per-shard rankings merge on the deterministic
+/// corpus rank key. See the module docs for the scheduler and the
+/// degraded-mode contract.
 ///
-/// `src_dict` is the dictionary `query` was parsed with (any dictionary
-/// works — each shard re-encodes the query into its own label space).
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus(
-    query: &Tree,
-    src_dict: &LabelDict,
-    corpus: &Corpus,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> (Vec<CorpusMatch>, CorpusStatus) {
-    let queries = [BatchQuery { query, k }];
-    let out =
-        tasm_corpus_batch_with_stats(&queries, src_dict, corpus, model, c_t, opts, threads, None);
-    let mut rankings = out.rankings;
-    (rankings.pop().expect("one lane"), out.status)
-}
-
-/// Batch composition of [`tasm_corpus`]: every query of `queries` is
-/// answered over every healthy shard, sharing each shard's candidate
-/// pass across the whole batch.
+/// `src_dict` is the dictionary the queries were parsed with (any
+/// dictionary works — each shard re-encodes the queries into its own
+/// label space). `threads` (`0` = one per available core) is split
+/// across shards first, then inside them.
+///
+/// # Errors
+///
+/// [`DeadlineExceeded`] if a corpus query cannot finish in time. The
+/// deadline is polled *inside* each shard at candidate-region
+/// granularity, so even a single large shard cannot overrun the budget
+/// by its whole evaluation time. Once any worker trips the deadline,
+/// the batch is cancelled: the remaining workers stop at their next
+/// shard pull and no partial ranking is returned.
+///
+/// # Examples
+///
+/// ```
+/// use tasm_tree::{bracket, LabelDict};
+/// use tasm_ted::UnitCost;
+/// use tasm_index::Corpus;
+/// use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions};
+///
+/// let dir = std::env::temp_dir().join(format!("tasm-doc-corpus-{}", std::process::id()));
+/// let mut corpus = Corpus::create(&dir).unwrap();
+/// let mut dict = LabelDict::new();
+/// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
+/// corpus.add("d", &doc, &dict, None).unwrap();
+/// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
+/// let queries = [BatchQuery { query: &q, k: 1 }];
+/// let out = tasm_corpus_batch(&queries, &dict, &corpus, &UnitCost, 1,
+///     TasmOptions::default(), 1, None, &Deadline::none()).unwrap();
+/// assert_eq!(out.status.marker(), "1/1");
+/// assert_eq!(out.rankings[0][0].doc, "d");
+/// assert_eq!(out.rankings[0][0].hit.root.post(), 6);
+/// std::fs::remove_dir_all(&dir).unwrap();
+/// ```
 #[allow(clippy::too_many_arguments)]
 pub fn tasm_corpus_batch(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    corpus: &Corpus,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> (Vec<Vec<CorpusMatch>>, CorpusStatus) {
-    let out =
-        tasm_corpus_batch_with_stats(queries, src_dict, corpus, model, c_t, opts, threads, None);
-    (out.rankings, out.status)
-}
-
-/// As [`tasm_corpus_batch`], but also returning the merged [`ScanStats`]
-/// funnel (summed over shards) and the per-query funnels in query order.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus_batch_with_stats(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    corpus: &Corpus,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> CorpusBatchOutput {
-    tasm_corpus_batch_deadline_with_stats(
-        queries,
-        src_dict,
-        corpus,
-        model,
-        c_t,
-        opts,
-        threads,
-        stats,
-        &Deadline::none(),
-    )
-    .expect("no deadline to exceed")
-}
-
-/// As [`tasm_corpus_batch_with_stats`], under a cooperative `deadline`:
-/// a corpus query that cannot finish in time fails with
-/// [`DeadlineExceeded`] instead of stalling the caller. The deadline is
-/// polled *inside* each shard at candidate-region granularity (see
-/// [`tasm_indexed_batch_deadline_with_stats`]), so even a single large
-/// shard cannot overrun the budget by its whole evaluation time. Once
-/// any worker trips the deadline, the batch is cancelled: the remaining
-/// workers stop at their next shard pull and no partial ranking is
-/// returned.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus_batch_deadline_with_stats(
     queries: &[BatchQuery<'_>],
     src_dict: &LabelDict,
     corpus: &Corpus,
@@ -452,14 +421,97 @@ pub fn tasm_corpus_batch_deadline_with_stats(
     })
 }
 
+/// [`tasm_corpus_batch`] without a deadline. Kept with this exact
+/// signature because the end-to-end benchmark helper (`perfbench/`)
+/// times the corpus scheduler through it.
+#[allow(clippy::too_many_arguments)]
+pub fn tasm_corpus_batch_with_stats(
+    queries: &[BatchQuery<'_>],
+    src_dict: &LabelDict,
+    corpus: &Corpus,
+    model: &(dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    threads: usize,
+    stats: Option<&mut TedStats>,
+) -> CorpusBatchOutput {
+    tasm_corpus_batch(
+        queries,
+        src_dict,
+        corpus,
+        model,
+        c_t,
+        opts,
+        threads,
+        stats,
+        &Deadline::none(),
+    )
+    .expect("Deadline::none() never expires")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexed::tasm_indexed;
     use std::fs;
     use std::path::PathBuf;
     use tasm_ted::UnitCost;
-    use tasm_tree::bracket;
+    use tasm_tree::{bracket, Tree};
+
+    /// The driver over `queries` at `threads` under `deadline`.
+    fn run(
+        queries: &[BatchQuery<'_>],
+        qdict: &LabelDict,
+        corpus: &Corpus,
+        threads: usize,
+        deadline: &Deadline,
+    ) -> Result<CorpusBatchOutput, DeadlineExceeded> {
+        tasm_corpus_batch(
+            queries,
+            qdict,
+            corpus,
+            &UnitCost,
+            1,
+            TasmOptions::default(),
+            threads,
+            None,
+            deadline,
+        )
+    }
+
+    /// One query, one thread, no deadline.
+    fn solo(
+        q: &Tree,
+        qdict: &LabelDict,
+        corpus: &Corpus,
+        k: usize,
+    ) -> (Vec<CorpusMatch>, CorpusStatus) {
+        let out = run(
+            &[BatchQuery { query: q, k }],
+            qdict,
+            corpus,
+            1,
+            &Deadline::none(),
+        )
+        .unwrap();
+        (out.rankings.into_iter().next().unwrap(), out.status)
+    }
+
+    /// One query over one shard through the indexed driver.
+    fn indexed(q: &Tree, qdict: &LabelDict, doc: &IndexedDocument, k: usize) -> Vec<Match> {
+        let out = tasm_indexed_batch(
+            &[BatchQuery { query: q, k }],
+            qdict,
+            doc,
+            &UnitCost,
+            1,
+            TasmOptions::default(),
+            1,
+            None,
+            &Deadline::none(),
+        )
+        .unwrap();
+        out.rankings.into_iter().next().unwrap()
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -509,25 +561,16 @@ mod tests {
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut qdict).unwrap();
         let k = 4;
-        let (got, status) = tasm_corpus(
-            &q,
-            &qdict,
-            &corpus,
-            k,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-        );
+        let (got, status) = solo(&q, &qdict, &corpus, k);
         assert!(!status.is_degraded());
         assert_eq!(status.marker(), "3/3");
         assert_eq!(got.len(), k);
 
-        // Reference: per-document tasm_indexed runs, concatenated and
+        // Reference: per-document indexed runs, concatenated and
         // sorted on the corpus rank key.
         let mut want: Vec<CorpusMatch> = Vec::new();
         for (shard, name, doc) in corpus.healthy() {
-            let hits = tasm_indexed(&q, &qdict, doc, k, &UnitCost, 1, TasmOptions::default(), 1);
+            let hits = indexed(&q, &qdict, doc, k);
             want.extend(hits.into_iter().map(|hit| CorpusMatch {
                 doc: name.to_string(),
                 shard,
@@ -557,21 +600,12 @@ mod tests {
         bytes[mid] ^= 0x10;
         fs::write(&shard, &bytes).unwrap();
         let corpus = Corpus::open(&dir).unwrap();
-        let (got, status) = tasm_corpus(
-            &q,
-            &qdict,
-            &corpus,
-            6,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-        );
+        let (got, status) = solo(&q, &qdict, &corpus, 6);
         assert!(status.is_degraded());
         assert_eq!(status.marker(), "2/3");
         let mut want: Vec<CorpusMatch> = Vec::new();
         for (shard, name, doc) in corpus.healthy() {
-            let hits = tasm_indexed(&q, &qdict, doc, 6, &UnitCost, 1, TasmOptions::default(), 1);
+            let hits = indexed(&q, &qdict, doc, 6);
             want.extend(hits.into_iter().map(|hit| CorpusMatch {
                 doc: name.to_string(),
                 shard,
@@ -592,16 +626,7 @@ mod tests {
         let corpus = Corpus::create(&dir).unwrap();
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{a{b}}", &mut qdict).unwrap();
-        let (got, status) = tasm_corpus(
-            &q,
-            &qdict,
-            &corpus,
-            3,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-        );
+        let (got, status) = solo(&q, &qdict, &corpus, 3);
         assert!(got.is_empty());
         assert_eq!(status.marker(), "0/0");
         assert!(!status.is_degraded());
@@ -670,33 +695,13 @@ mod tests {
         let queries = [BatchQuery { query: &q, k: 5 }];
 
         // Sanity: without a deadline the single-shard corpus answers.
-        let ok = tasm_corpus_batch_deadline_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &Deadline::none(),
-        );
+        let ok = run(&queries, &qdict, &corpus, 1, &Deadline::none());
         assert!(ok.is_ok());
 
         // A deadline far shorter than the shard's evaluation time must
         // abort mid-shard — there is no between-shards poll to save it.
         let deadline = Deadline::after(std::time::Duration::from_micros(100));
-        let got = tasm_corpus_batch_deadline_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &deadline,
-        );
+        let got = run(&queries, &qdict, &corpus, 1, &deadline);
         assert_eq!(got.unwrap_err(), DeadlineExceeded);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -708,27 +713,9 @@ mod tests {
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut qdict).unwrap();
         let queries = [BatchQuery { query: &q, k: 4 }];
-        let sequential = tasm_corpus_batch_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-        );
+        let sequential = run(&queries, &qdict, &corpus, 1, &Deadline::none()).unwrap();
         for threads in [2, 4, 7] {
-            let scheduled = tasm_corpus_batch_with_stats(
-                &queries,
-                &qdict,
-                &corpus,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
+            let scheduled = run(&queries, &qdict, &corpus, threads, &Deadline::none()).unwrap();
             assert_eq!(key(&scheduled.rankings[0]), key(&sequential.rankings[0]));
             // With inner == 1 lane (threads ≤ shards) each shard is
             // evaluated exactly as in the sequential run, so the whole
@@ -769,17 +756,7 @@ mod tests {
         let queries = [BatchQuery { query: &q, k: 2 }];
         let deadline = Deadline::after(std::time::Duration::from_millis(0));
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let got = tasm_corpus_batch_deadline_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &deadline,
-        );
+        let got = run(&queries, &qdict, &corpus, 1, &deadline);
         assert!(got.is_err());
         fs::remove_dir_all(&dir).unwrap();
     }

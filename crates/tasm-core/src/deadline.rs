@@ -67,7 +67,7 @@ impl Deadline {
         self.at
     }
 
-    /// Strided check: reads the clock every [`POLL_STRIDE`]th call and
+    /// Strided check: reads the clock every `POLL_STRIDE`th call (8) and
     /// returns `true` once the deadline has passed. Sticky: after the
     /// first `true`, every later call answers `true` without a clock
     /// read.

@@ -12,17 +12,20 @@
 //! * the single-query sink behind [`tasm_postorder`](crate::tasm_postorder);
 //! * the multi-query sink behind [`tasm_batch`](crate::tasm_batch),
 //!   which amortizes ring-buffer maintenance and candidate
-//!   materialization across N queries in one pass;
-//! * the per-shard sinks of [`tasm_parallel`](crate::tasm_parallel),
-//!   where each worker runs its own engine over a contiguous slice of
-//!   the candidate stream.
+//!   materialization across N queries in one pass — or, with more than
+//!   one thread, copies the candidates into segments for the shard
+//!   workers;
+//! * the per-shard sinks of
+//!   [`tasm_indexed_batch`](crate::tasm_indexed_batch), where each
+//!   worker runs its own engine over a contiguous slice of the
+//!   surviving candidate regions.
 //!
 //! The engine preserves the zero-allocation steady state of PR 2: the
 //! scratch tree grows but never shrinks, so once its capacity covers τ
 //! the scan emits candidates without heap allocation.
 
+use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::ring_buffer::PrefixRingBuffer;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
 use tasm_tree::{LabelId, NodeId, PostorderQueue, Tree};
 
 /// A consumer of candidate subtrees emitted by a [`ScanEngine`] pass.
@@ -80,7 +83,7 @@ pub struct ScanStats {
 
 impl ScanStats {
     /// Sums another pass's counters into this one (used by the batch
-    /// lanes sharing a scan and by `tasm_parallel` merging per-shard
+    /// lanes sharing a scan and by the sharded drivers merging per-shard
     /// stats; `peak_buffered` takes the maximum).
     pub fn merge(&mut self, other: &ScanStats) {
         self.candidates += other.candidates;
@@ -205,8 +208,8 @@ impl ScanEngine {
     ///
     /// The queue may encode a single tree or a forest of complete
     /// subtrees (every prefix a valid forest) — the latter is how
-    /// [`tasm_parallel`](crate::tasm_parallel) shards one document
-    /// across engines.
+    /// [`tasm_indexed_batch`](crate::tasm_indexed_batch) shards the
+    /// candidate regions of one document across engines.
     pub fn scan<Q: PostorderQueue + ?Sized>(
         &mut self,
         queue: &mut Q,

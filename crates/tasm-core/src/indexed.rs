@@ -27,28 +27,160 @@
 //! order, so the ranking is independent of evaluation order. Evaluated
 //! regions flow through the unchanged lane machinery
 //! ([`fan_out`](crate::lane::fan_out) into the cascade, heaps and
-//! [`ScanStats`] funnel), so `tasm_indexed` returns **identical**
-//! rankings to [`tasm_postorder`](crate::tasm_postorder) /
-//! [`tasm_naive`](crate::tasm_naive) (pinned by `tests/differential.rs`).
+//! [`ScanStats`] funnel), so [`tasm_indexed_batch`] returns
+//! **identical** rankings to [`tasm_postorder`](crate::tasm_postorder)
+//! / [`tasm_naive`](crate::tasm_naive) (pinned by
+//! `tests/differential.rs`).
+//!
+//! With more than one thread, the regions that survive the seed pass
+//! are split into node-balanced contiguous shards ([`shard_spans`]),
+//! each replayed by a worker through a [`SpanQueue`] into its own scan
+//! engine and lanes.
 
-use crate::batch::BatchQuery;
-use crate::engine::{ScanEngine, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, scan_tau_of, EvalLane};
-use crate::parallel::{
-    merge_shard_results, resolve_threads, shard_spans, ShardResult, ShardSink, SpanQueue,
+use crate::batch::{BatchOutput, BatchQuery};
+use crate::deadline::{Deadline, DeadlineExceeded};
+use crate::engine::{CandidateSink, ScanEngine, ScanStats};
+use crate::lane::{
+    build_lanes, fan_out, merge_shard_results, reserve_lanes, resolve_threads, scan_tau_of,
+    EvalLane, ShardResult,
 };
-use crate::ranking::Match;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
 use tasm_index::IndexedDocument;
 use tasm_ted::{CascadeScratch, Cost, CostModel, TedStats, TedWorkspace};
-use tasm_tree::{LabelDict, LabelId, NodeId, Tree};
+use tasm_tree::{LabelDict, LabelId, NodeId, PostorderEntry, PostorderQueue, Tree};
 
 /// Once every lane's heap is full, how many further seed regions the
 /// parallel driver evaluates before freezing the cutoffs and handing
 /// the filtered remainder to the shard workers.
 const SEED_EXTRA: usize = 16;
+
+/// A postorder queue replaying selected `(lml, root)` spans of an
+/// in-memory document — each span a complete subtree, so every prefix of
+/// the stream is a valid forest (what the ring buffer requires).
+struct SpanQueue<'a> {
+    doc: &'a Tree,
+    spans: &'a [(u32, u32)],
+    /// Index of the span currently being replayed.
+    span_idx: usize,
+    /// Next document postorder number within the current span (0 = start
+    /// of the span not yet entered).
+    pos: u32,
+}
+
+impl<'a> SpanQueue<'a> {
+    fn new(doc: &'a Tree, spans: &'a [(u32, u32)]) -> Self {
+        SpanQueue {
+            doc,
+            spans,
+            span_idx: 0,
+            pos: 0,
+        }
+    }
+}
+
+impl PostorderQueue for SpanQueue<'_> {
+    fn dequeue(&mut self) -> Option<PostorderEntry> {
+        loop {
+            let &(lo, hi) = self.spans.get(self.span_idx)?;
+            if self.pos == 0 {
+                self.pos = lo;
+            }
+            if self.pos > hi {
+                self.span_idx += 1;
+                self.pos = 0;
+                continue;
+            }
+            let id = NodeId::new(self.pos);
+            self.pos += 1;
+            // Subtree sizes are invariant under the renumbering of a span
+            // to local postorder, so the arena values stream unchanged.
+            return Some(PostorderEntry {
+                label: self.doc.label(id),
+                size: self.doc.size(id),
+            });
+        }
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        Some(
+            self.spans
+                .iter()
+                .map(|&(lo, hi)| (hi - lo + 1) as usize)
+                .sum(),
+        )
+    }
+}
+
+/// Splits `spans` into at most `shards` contiguous groups of roughly
+/// equal **node** weight (candidate counts can be wildly uneven in
+/// size); every group is non-empty.
+fn shard_spans(spans: &[(u32, u32)], shards: usize) -> Vec<&[(u32, u32)]> {
+    let span_weight = |&(lo, hi): &(u32, u32)| u64::from(hi - lo + 1);
+    if spans.is_empty() {
+        return Vec::new();
+    }
+    let shards = shards.clamp(1, spans.len());
+    let mut out = Vec::with_capacity(shards);
+    let mut start = 0usize;
+    let mut remaining_weight: u64 = spans.iter().map(span_weight).sum();
+    for s in 0..shards {
+        if s + 1 == shards {
+            out.push(&spans[start..]);
+            break;
+        }
+        // Fill this shard up to its fair share of the remaining weight,
+        // but leave at least one span for each remaining shard. Since
+        // `shards <= spans.len()`, the cap always leaves this shard at
+        // least one span as well.
+        let target = remaining_weight / (shards - s) as u64;
+        let cap = spans.len() - (shards - s - 1);
+        let mut weight = 0u64;
+        let mut end = start;
+        while end < cap && (end == start || weight + span_weight(&spans[end]) <= target) {
+            weight += span_weight(&spans[end]);
+            end += 1;
+        }
+        out.push(&spans[start..end]);
+        remaining_weight -= weight;
+        start = end;
+    }
+    out
+}
+
+/// Shard-side sink: maps each emitted candidate back to its document
+/// span (the scan re-derives candidates 1:1 with the shard's spans, in
+/// order) and fans it out to every query lane of the shard.
+struct ShardSink<'a> {
+    lanes: Vec<EvalLane<'a>>,
+    teds: Vec<TedWorkspace>,
+    lb: CascadeScratch,
+    opts: TasmOptions,
+    spans: &'a [(u32, u32)],
+    next: usize,
+    stats: Option<TedStats>,
+}
+
+impl CandidateSink for ShardSink<'_> {
+    fn consume(&mut self, cand: &Tree, _local_root: NodeId, _scan: &mut ScanStats) {
+        let (lml, root) = self.spans[self.next];
+        self.next += 1;
+        debug_assert_eq!(
+            cand.len() as u32,
+            root - lml + 1,
+            "shard scan must re-derive exactly the sharded candidate"
+        );
+        fan_out(
+            &mut self.lanes,
+            &mut self.teds,
+            &mut self.lb,
+            cand,
+            lml - 1,
+            self.opts,
+            self.stats.as_mut(),
+        );
+    }
+}
 
 /// The admissible per-region lower bound: each of the `m` query nodes
 /// without an equal-label partner in the region costs at least one
@@ -106,11 +238,17 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
     }
 }
 
-/// Top-`k` ranking of `query` against an indexed document, identical to
-/// [`tasm_postorder`](crate::tasm_postorder) but generated from the
-/// `.pqi` index instead of a full scan.
+/// Answers every query of `queries` from one candidate-region pass over
+/// an indexed document, with the rankings of
+/// [`tasm_postorder`](crate::tasm_postorder) but candidates generated
+/// from the `.pqi` index instead of a full scan. The region filter keeps
+/// a region alive as long as **any** lane still wants it; region skips
+/// count into each lane's histogram tier. `nodes_seen` counts the nodes
+/// the index actually examined (candidate-frontier walk plus evaluated
+/// regions) — compare it against the document size to see what the
+/// index saved.
 ///
-/// `src_dict` is the dictionary `query` was parsed with; the query is
+/// `src_dict` is the dictionary the queries were parsed with; they are
 /// re-encoded into the index's frequency-ordered label space
 /// internally. Label-dependent [`CostModel`]s must therefore be defined
 /// over the **index** label space (resolve names through
@@ -118,62 +256,36 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
 /// [`UnitCost`](tasm_ted::UnitCost) need no care. Matched subtrees
 /// (`keep_trees`) carry index-space labels.
 ///
+/// `threads` (`0` = one per available core) shards the regions that
+/// survive the seed pass across worker threads. `deadline` is polled
+/// per region in the promise-ordered loop (strided — see
+/// [`Deadline::poll`]) and per candidate in the shard workers, so one
+/// large document cannot overrun a request deadline by more than a
+/// single region evaluation.
+///
+/// # Errors
+///
+/// [`DeadlineExceeded`] if the deadline expires anywhere; no partial
+/// ranking is returned.
+///
 /// # Examples
 ///
 /// ```
 /// use tasm_tree::{bracket, LabelDict};
 /// use tasm_ted::UnitCost;
 /// use tasm_index::IndexedDocument;
-/// use tasm_core::{tasm_indexed, TasmOptions};
+/// use tasm_core::{tasm_indexed_batch, BatchQuery, Deadline, TasmOptions};
 ///
 /// let mut dict = LabelDict::new();
 /// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
 /// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
 /// let idx = IndexedDocument::build(&doc, &dict);
-/// let top2 = tasm_indexed(&q, &dict, &idx, 2, &UnitCost, 1, TasmOptions::default(), 1);
-/// assert_eq!(top2[0].root.post(), 6);
-/// assert_eq!(top2[1].root.post(), 3);
+/// let queries = [BatchQuery { query: &q, k: 2 }];
+/// let out = tasm_indexed_batch(&queries, &dict, &idx, &UnitCost, 1,
+///     TasmOptions::default(), 1, None, &Deadline::none()).unwrap();
+/// assert_eq!(out.rankings[0][0].root.post(), 6);
+/// assert_eq!(out.rankings[0][1].root.post(), 3);
 /// ```
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed(
-    query: &Tree,
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> Vec<Match> {
-    tasm_indexed_with_stats(query, src_dict, idx, k, model, c_t, opts, threads, None).0
-}
-
-/// As [`tasm_indexed`], but also returning the [`ScanStats`] of the
-/// index-driven pass. `nodes_seen` counts the nodes the index actually
-/// examined (candidate-frontier walk plus evaluated regions) — compare
-/// it against the document size to see what the index saved.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_with_stats(
-    query: &Tree,
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> (Vec<Match>, ScanStats) {
-    let queries = [BatchQuery { query, k }];
-    let (mut rankings, scan, _) =
-        tasm_indexed_batch_with_stats(&queries, src_dict, idx, model, c_t, opts, threads, stats);
-    (rankings.pop().expect("one lane"), scan)
-}
-
-/// Batch composition over an indexed document: answers every query of
-/// `queries` from one candidate-region pass over the index, with the
-/// region filter keeping a region alive as long as **any** lane still
-/// wants it. See [`tasm_indexed`] for the label-space contract.
 #[allow(clippy::too_many_arguments)]
 pub fn tasm_indexed_batch(
     queries: &[BatchQuery<'_>],
@@ -184,64 +296,10 @@ pub fn tasm_indexed_batch(
     opts: TasmOptions,
     threads: usize,
     stats: Option<&mut TedStats>,
-) -> Vec<Vec<Match>> {
-    tasm_indexed_batch_with_stats(queries, src_dict, idx, model, c_t, opts, threads, stats).0
-}
-
-/// What a stats-carrying indexed batch returns: per-query rankings,
-/// the aggregated [`ScanStats`], and the per-lane funnels in query
-/// order.
-pub type IndexedBatchOutput = (Vec<Vec<Match>>, ScanStats, Vec<ScanStats>);
-
-/// As [`tasm_indexed_batch`], but also returning the aggregated
-/// [`ScanStats`] and the per-lane statistics in query order (region
-/// skips count into each lane's histogram tier).
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_batch_with_stats(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> IndexedBatchOutput {
-    tasm_indexed_batch_deadline_with_stats(
-        queries,
-        src_dict,
-        idx,
-        model,
-        c_t,
-        opts,
-        threads,
-        stats,
-        &Deadline::none(),
-    )
-    .expect("no deadline to exceed")
-}
-
-/// As [`tasm_indexed_batch_with_stats`], cooperatively cancellable at
-/// **region** granularity: the promise-ordered region loop polls
-/// `deadline` per region (strided — see [`Deadline::poll`]) and the
-/// shard workers poll per candidate, so one large document cannot
-/// overrun a request deadline by more than a single region evaluation.
-/// Expiry anywhere aborts the whole call with [`DeadlineExceeded`] —
-/// no partial ranking is returned.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_batch_deadline_with_stats(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<IndexedBatchOutput, DeadlineExceeded> {
+) -> Result<BatchOutput, DeadlineExceeded> {
     if queries.is_empty() {
-        return Ok((Vec::new(), ScanStats::default(), Vec::new()));
+        return Ok(BatchOutput::default());
     }
     if deadline.expired_now() {
         return Err(DeadlineExceeded);
@@ -428,6 +486,7 @@ pub fn tasm_indexed_batch_deadline_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::Match;
     use crate::tasm_postorder::tasm_postorder;
     use tasm_ted::UnitCost;
     use tasm_tree::{bracket, TreeQueue};
@@ -452,6 +511,27 @@ mod tests {
             .collect()
     }
 
+    /// The driver with no deadline.
+    fn run(
+        queries: &[BatchQuery<'_>],
+        dict: &LabelDict,
+        idx: &IndexedDocument,
+        threads: usize,
+    ) -> BatchOutput {
+        tasm_indexed_batch(
+            queries,
+            dict,
+            idx,
+            &UnitCost,
+            1,
+            TasmOptions::default(),
+            threads,
+            None,
+            &Deadline::none(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn indexed_matches_sequential_ranking() {
         let mut dict = LabelDict::new();
@@ -470,17 +550,12 @@ mod tests {
                 None,
             );
             for threads in [1, 3] {
-                let got = tasm_indexed(
-                    &q,
-                    &dict,
-                    &idx,
-                    k,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    threads,
+                let out = run(&[BatchQuery { query: &q, k }], &dict, &idx, threads);
+                assert_eq!(
+                    key(&out.rankings[0]),
+                    key(&want),
+                    "k = {k}, threads = {threads}"
                 );
-                assert_eq!(key(&got), key(&want), "k = {k}, threads = {threads}");
             }
         }
     }
@@ -491,18 +566,9 @@ mod tests {
         let doc = wide_doc(&mut dict, 200);
         let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut dict).unwrap();
         let idx = IndexedDocument::build(&doc, &dict);
-        let (ranking, scan) = tasm_indexed_with_stats(
-            &q,
-            &dict,
-            &idx,
-            1,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-        );
-        assert_eq!(ranking[0].distance, Cost::ZERO); // exact matches exist
+        let out = run(&[BatchQuery { query: &q, k: 1 }], &dict, &idx, 1);
+        let scan = out.scan;
+        assert_eq!(out.rankings[0][0].distance, Cost::ZERO); // exact matches exist
         assert!(
             u64::from(scan.nodes_seen) < doc.len() as u64,
             "index examined {} of {} nodes",
@@ -521,7 +587,7 @@ mod tests {
         let queries = [BatchQuery { query: &q, k: 3 }];
         let deadline = Deadline::after(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let got = tasm_indexed_batch_deadline_with_stats(
+        let got = tasm_indexed_batch(
             &queries,
             &dict,
             &idx,
@@ -536,59 +602,31 @@ mod tests {
     }
 
     #[test]
-    fn no_deadline_matches_the_plain_entry_point() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 40);
-        let q = bracket::parse("{article{auth{Mike}}{title{X3}}}", &mut dict).unwrap();
-        let idx = IndexedDocument::build(&doc, &dict);
-        let queries = [BatchQuery { query: &q, k: 5 }];
-        for threads in [1, 3] {
-            let (want, _, _) = tasm_indexed_batch_with_stats(
-                &queries,
-                &dict,
-                &idx,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            let (got, _, _) = tasm_indexed_batch_deadline_with_stats(
-                &queries,
-                &dict,
-                &idx,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
-            assert_eq!(
-                got.iter().map(|l| key(l)).collect::<Vec<_>>(),
-                want.iter().map(|l| key(l)).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_batch_is_empty() {
         let mut dict = LabelDict::new();
         let doc = wide_doc(&mut dict, 4);
         let idx = IndexedDocument::build(&doc, &dict);
-        let (rankings, scan, lanes) = tasm_indexed_batch_with_stats(
-            &[],
-            &dict,
-            &idx,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            2,
-            None,
-        );
-        assert!(rankings.is_empty() && lanes.is_empty());
-        assert_eq!(scan, ScanStats::default());
+        let out = run(&[], &dict, &idx, 2);
+        assert!(out.rankings.is_empty() && out.lanes.is_empty());
+        assert_eq!(out.scan, ScanStats::default());
+    }
+
+    #[test]
+    fn shard_spans_cover_everything_contiguously() {
+        let mut dict = LabelDict::new();
+        let doc = wide_doc(&mut dict, 50);
+        let (spans, _) = IndexedDocument::build(&doc, &dict).candidate_spans(5);
+        for shards in 1..=8 {
+            let groups = shard_spans(&spans, shards);
+            assert!(!groups.is_empty() && groups.len() <= shards);
+            assert!(groups.iter().all(|g| !g.is_empty()));
+            let flat: Vec<_> = groups.iter().flat_map(|g| g.iter().copied()).collect();
+            assert_eq!(flat, spans, "shards = {shards}");
+        }
+    }
+
+    #[test]
+    fn shard_spans_handles_empty_input() {
+        assert_eq!(shard_spans(&[], 4).len(), 0);
     }
 }

@@ -4,23 +4,22 @@
 //! A *lane* is everything one query needs to evaluate candidates: its
 //! [`QueryContext`], its admissible [`LowerBoundCascade`], its own
 //! Theorem 3 bound τ_i, its [`TopKHeap`] and its pruning-funnel
-//! counters. The scan axes compose by instantiating lanes in different
-//! places:
+//! counters. The drivers compose the scan axes by instantiating lanes
+//! in different places:
 //!
 //! * [`tasm_batch`](crate::tasm_batch) — N lanes behind **one** shared
-//!   scan;
-//! * [`tasm_batch_parallel`](crate::tasm_batch_parallel) — N lanes
-//!   inside **each** span shard (batch×parallel, materialized);
-//! * [`tasm_batch_parallel_stream`](crate::tasm_batch_parallel_stream)
-//!   — N lanes inside each streaming shard worker (batch×parallel over
-//!   a postorder stream, no materialized tree).
+//!   scan, or N lanes inside each streaming shard worker when the
+//!   candidate stream is sharded across threads;
+//! * [`tasm_indexed_batch`](crate::tasm_indexed_batch) — N lanes over
+//!   the candidate regions of a `.pqi` index, inside the seed pass and
+//!   each region-shard worker.
 //!
 //! Per-lane heaps of the sharded paths merge with
-//! [`TopKHeap::merge`]; the rank key is a total order, so any
-//! composition returns exactly the sequential per-query rankings
-//! (pinned by `tests/differential.rs`).
+//! [`TopKHeap::merge`] ([`merge_shard_results`]); the rank key is a
+//! total order, so any composition returns exactly the sequential
+//! per-query rankings (pinned by `tests/differential.rs`).
 
-use crate::batch::BatchQuery;
+use crate::batch::{BatchOutput, BatchQuery};
 use crate::engine::ScanStats;
 use crate::ranking::TopKHeap;
 use crate::tasm_dynamic::TasmOptions;
@@ -165,5 +164,69 @@ pub(crate) fn fan_out(
             &mut lane.stats,
             ted_stats.as_deref_mut(),
         );
+    }
+}
+
+/// Resolves a `threads` argument: `0` means "one per available core".
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
+/// The result one shard worker hands back: per-lane heaps and funnels
+/// plus the shard's scan-layer counters and (optional) distance stats.
+pub(crate) struct ShardResult {
+    pub(crate) heaps: Vec<TopKHeap>,
+    pub(crate) lane_funnels: Vec<ScanStats>,
+    pub(crate) scan: ScanStats,
+    pub(crate) ted_stats: Option<TedStats>,
+}
+
+/// Merges per-shard results into one ranking per lane plus the
+/// aggregated statistics, preserving lane (query) order. Scan-layer
+/// counters sum across shards (each scanned disjoint candidates);
+/// per-lane funnels sum; the aggregate adds all lane funnels on top.
+pub(crate) fn merge_shard_results(
+    n_lanes: usize,
+    results: Vec<ShardResult>,
+    mut stats: Option<&mut TedStats>,
+) -> BatchOutput {
+    let mut merged: Vec<Option<TopKHeap>> = (0..n_lanes).map(|_| None).collect();
+    let mut lanes = vec![ScanStats::default(); n_lanes];
+    let mut scan = ScanStats::default();
+    for shard in results {
+        scan.merge(&shard.scan);
+        if let (Some(out), Some(ts)) = (stats.as_deref_mut(), shard.ted_stats.as_ref()) {
+            out.merge(ts);
+        }
+        for (i, (heap, funnel)) in shard.heaps.into_iter().zip(shard.lane_funnels).enumerate() {
+            lanes[i].merge(&funnel);
+            merged[i] = Some(match merged[i].take() {
+                None => heap,
+                Some(mut acc) => {
+                    acc.merge(heap);
+                    acc
+                }
+            });
+        }
+    }
+    let mut aggregate = scan;
+    for ls in &mut lanes {
+        ls.adopt_scan_layer(&scan);
+        aggregate.merge_funnel(ls);
+    }
+    let rankings = merged
+        .into_iter()
+        .map(|h| h.expect("every lane ran on every shard").into_sorted())
+        .collect();
+    BatchOutput {
+        rankings,
+        scan: aggregate,
+        lanes,
     }
 }

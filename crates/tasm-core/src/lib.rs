@@ -15,28 +15,32 @@
 //!   [`tasm_naive`] — the ground-truth oracle;
 //! * [`simple_pruning`] — the O(n)-buffer pruning baseline of Sec. V-B;
 //! * [`ScanEngine`] / [`CandidateSink`] — the streaming scan layer the
-//!   algorithms above are built on, reusable for custom evaluations;
-//! * [`tasm_batch`] — N queries answered in **one** shared document scan;
-//! * [`tasm_parallel`] — the candidate stream sharded across worker
-//!   threads, merged with [`TopKHeap::merge`];
-//! * [`tasm_batch_parallel`] — the two axes composed: N query lanes
-//!   inside each of T span shards of a materialized document;
-//! * [`tasm_parallel_stream`] / [`tasm_batch_parallel_stream`] — the
-//!   sharded scans over a pure postorder **stream**: candidates travel
-//!   to the workers as pooled postorder segments, so the document is
-//!   never materialized and memory stays `O(threads · τ + Σ m_i²)`;
-//! * [`tasm_indexed`] / [`tasm_indexed_batch`] — scan-free candidate
-//!   generation from a persistent `.pqi` label index
+//!   algorithms above are built on, reusable for custom evaluations.
+//!
+//! Around the paper's algorithms sit three **drivers**, one per kind of
+//! document source. Each answers a batch of queries, takes a thread
+//! count (`0` = one per available core) and a cooperative
+//! [`Deadline`], and returns rankings plus statistics:
+//!
+//! * [`tasm_batch`] — a postorder **queue**: an XML or `.pq` stream, or
+//!   a materialized tree through [`TreeQueue`](tasm_tree::TreeQueue). At
+//!   one thread the N queries share **one** inline scan; above one, the
+//!   scan hands candidate segments to worker threads, so the document
+//!   is never materialized and memory stays `O(threads · τ + Σ m_i²)`;
+//! * [`tasm_indexed_batch`] — a persistent `.pqi` label **index**
 //!   ([`IndexedDocument`](tasm_index::IndexedDocument)): candidate
 //!   regions come from the subtree-size column and the label postings
 //!   bound each region before it is ever materialized;
-//! * [`tasm_corpus`] / [`tasm_corpus_batch`] — cross-document top-k
-//!   over a crash-safe corpus store ([`Corpus`](tasm_index::Corpus)):
-//!   every healthy shard answers via the index path and the per-shard
-//!   rankings merge on a deterministic corpus rank key, with
-//!   quarantined shards surfaced as an explicit `healthy/total`
-//!   degraded marker ([`CorpusStatus`]).
+//! * [`tasm_corpus_batch`] — a crash-safe multi-shard **corpus**
+//!   ([`Corpus`](tasm_index::Corpus)): every healthy shard answers via
+//!   the index path and the per-shard rankings merge on a
+//!   deterministic corpus rank key, with quarantined shards surfaced as
+//!   an explicit `healthy/total` degraded marker ([`CorpusStatus`]).
 //!
+//! Every driver returns, per query, exactly the ranking of
+//! [`tasm_postorder`] (pinned against [`tasm_naive`] by the
+//! differential matrix in `tests/differential.rs`).
+
 //! Between the scan and every evaluation sits the admissible
 //! lower-bound **pruning cascade**
 //! ([`LowerBoundCascade`](tasm_ted::LowerBoundCascade)): once the top-k
@@ -72,11 +76,11 @@
 
 mod batch;
 mod corpus;
+mod deadline;
 mod engine;
 mod indexed;
 mod lane;
 mod naive;
-mod parallel;
 mod ranking;
 mod ring_buffer;
 mod server;
@@ -88,36 +92,24 @@ mod threshold;
 mod workspace;
 
 pub use batch::{
-    tasm_batch, tasm_batch_deadline_with_workspace, tasm_batch_with_workspace, BatchQuery,
-    BatchWorkspace,
+    tasm_batch, tasm_batch_with_workspace, BatchOutput, BatchQuery, BatchWorkspace,
+    StreamIntegrityError, StreamScanError,
 };
 pub use corpus::{
-    tasm_corpus, tasm_corpus_batch, tasm_corpus_batch_deadline_with_stats,
-    tasm_corpus_batch_with_stats, CorpusBatchOutput, CorpusMatch, CorpusShardStats, CorpusStatus,
+    tasm_corpus_batch, tasm_corpus_batch_with_stats, CorpusBatchOutput, CorpusMatch,
+    CorpusShardStats, CorpusStatus,
 };
+pub use deadline::{Deadline, DeadlineExceeded};
 pub use engine::{CandidateSink, ScanEngine, ScanStats};
-pub use indexed::{
-    tasm_indexed, tasm_indexed_batch, tasm_indexed_batch_deadline_with_stats,
-    tasm_indexed_batch_with_stats, tasm_indexed_with_stats, IndexedBatchOutput,
-};
+pub use indexed::tasm_indexed_batch;
 pub use naive::tasm_naive;
-pub use parallel::{
-    tasm_batch_parallel, tasm_batch_parallel_with_stats, tasm_parallel, tasm_parallel_with_stats,
-};
 pub use ranking::{Match, TopKHeap};
 pub use ring_buffer::{
     candidate_set_reference, prb_pruning, prb_pruning_stats, Candidate, PrefixRingBuffer,
     PruningStats,
 };
-pub use server::deadline::{Deadline, DeadlineExceeded};
 pub use server::{Doc, DocStore, QueryParser, Server, ServerConfig};
 pub use simple_pruning::simple_pruning;
-pub use stream_shard::{
-    tasm_batch_parallel_stream, tasm_batch_parallel_stream_deadline_with_workspace,
-    tasm_batch_parallel_stream_with_stats, tasm_batch_parallel_stream_with_workspace,
-    tasm_parallel_stream, tasm_parallel_stream_with_stats, BatchStreamOutput, StreamIntegrityError,
-    StreamScanError,
-};
 pub use tasm_dynamic::{tasm_dynamic, tasm_dynamic_with_workspace, TasmOptions};
 pub use tasm_postorder::{process_candidate, tasm_postorder, tasm_postorder_with_workspace};
 pub use tasm_ted::TedKernel;

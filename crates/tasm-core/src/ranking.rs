@@ -50,6 +50,13 @@ impl PartialOrd for Entry {
     }
 }
 
+/// Most entries [`TopKHeap::new`] reserves up front. It covers every `k`
+/// the `tasm serve` daemon accepts (`max_k = 10_000`), so the candidate
+/// loop never grows the heap there; a larger `k` grows on demand
+/// instead of reserving `O(k)` memory for a ranking the document may
+/// never fill.
+const HEAP_RESERVE_CAP: usize = 1 << 14;
+
 /// A max-heap keeping the `k` smallest matches seen so far.
 #[derive(Debug, Clone)]
 pub struct TopKHeap {
@@ -67,7 +74,7 @@ impl TopKHeap {
         assert!(k > 0, "k must be at least 1");
         TopKHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(HEAP_RESERVE_CAP) + 1),
         }
     }
 
@@ -126,12 +133,11 @@ impl TopKHeap {
     /// by popping back down to `k`).
     ///
     /// The result keeps **this** heap's `k`; `other`'s `k` only bounded
-    /// how many entries it contributes. Because the rank key
-    /// ([`Match::rank_key`]: distance, then document postorder number,
-    /// then size) is a total order, the merged content is the unique
-    /// top-`k` of the union and does not depend on merge order — the
-    /// guarantee `tasm_parallel` relies on when combining per-shard
-    /// heaps.
+    /// how many entries it contributes. Because the rank key (distance,
+    /// then document postorder number, then size) is a total order, the
+    /// merged content is the unique top-`k` of the union and does not
+    /// depend on merge order — the guarantee the sharded drivers rely on
+    /// when combining per-shard heaps.
     pub fn merge(&mut self, other: TopKHeap) {
         for e in other.heap {
             self.offer(e.0);
@@ -254,6 +260,25 @@ mod tests {
             .map(|x| (x.distance.floor_natural(), x.root.post()))
             .collect();
         assert_eq!(keys, vec![(1, 5), (2, 2), (2, 4), (2, 8)]);
+    }
+
+    #[test]
+    fn huge_k_reserves_a_bounded_heap_and_grows_on_demand() {
+        // `with_capacity(k + 1)` here used to abort the process on an
+        // impossible allocation; the reservation is capped instead.
+        let mut h = TopKHeap::new(99_999_999_999_999);
+        assert_eq!(h.k(), 99_999_999_999_999);
+        assert!(h.heap.capacity() <= HEAP_RESERVE_CAP + 1);
+        let n = HEAP_RESERVE_CAP as u32 + 10;
+        for i in 0..n {
+            assert!(h.offer(m(u64::from(i % 7), i + 1)));
+        }
+        assert_eq!(h.len(), n as usize);
+        assert!(!h.is_full());
+        let sorted = h.into_sorted();
+        assert!(sorted
+            .windows(2)
+            .all(|w| w[0].rank_key() <= w[1].rank_key()));
     }
 
     #[test]

@@ -60,7 +60,8 @@ impl Candidate {
 #[derive(Debug)]
 pub struct PrefixRingBuffer<'q, Q: PostorderQueue + ?Sized> {
     queue: &'q mut Q,
-    /// Ring capacity `b = τ + 1`.
+    /// Current ring capacity: starts at `min(τ + 1, RING_RESERVE_CAP)`
+    /// and doubles on demand up to `τ + 1`.
     b: usize,
     tau: u32,
     lbl: Vec<LabelId>,
@@ -90,7 +91,7 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
     pub fn new(queue: &'q mut Q, tau: u32) -> Self {
         debug_assert!(tau >= 1, "PrefixRingBuffer requires tau >= 1, got {tau}");
         let tau = tau.max(1);
-        let b = tau as usize + 1;
+        let b = (tau as usize + 1).min(RING_RESERVE_CAP);
         PrefixRingBuffer {
             queue,
             b,
@@ -172,7 +173,7 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
         loop {
             // Step 1: fill the ring from the queue.
             let mut queue_empty = false;
-            while !self.is_full() {
+            while !self.is_full() || self.grow() {
                 match self.queue.dequeue() {
                     Some(entry) => self.append(entry.label, entry.size),
                     None => {
@@ -198,6 +199,38 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
                 self.s = (self.s + 1) % self.b;
             }
         }
+    }
+
+    /// Grows a full ring that is still below its `τ + 1` slots; returns
+    /// whether it grew.
+    #[inline]
+    fn grow(&mut self) -> bool {
+        if self.b > self.tau as usize {
+            return false;
+        }
+        self.regrow();
+        true
+    }
+
+    /// Doubles the ring (at most to `τ + 1` slots), re-laying the
+    /// buffered nodes out for the new modulus. Node ids (and thus the
+    /// prefix pointers) are layout-independent, so only the slots move.
+    #[cold]
+    fn regrow(&mut self) {
+        let new_b = self.b.saturating_mul(2).min(self.tau as usize + 1);
+        let (lo, n) = (self.leftmost_id(), self.buffered());
+        let mut lbl = vec![LabelId(0); new_b];
+        let mut pfx = vec![0; new_b];
+        for id in lo..=self.c {
+            let (old, new) = (self.slot(id), (id - 1) as usize % new_b);
+            lbl[new] = self.lbl[old];
+            pfx[new] = self.pfx[old];
+        }
+        self.lbl = lbl;
+        self.pfx = pfx;
+        self.b = new_b;
+        self.s = (lo - 1) as usize % new_b;
+        self.e = (self.s + n) % new_b;
     }
 
     /// Removes an emitted candidate from the ring: jump past its root.
@@ -263,6 +296,12 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
         (self.lbl[slot], size)
     }
 }
+
+/// Initial ring capacity cap: a saturated τ (u32::MAX, e.g. from a huge
+/// `k`) must not allocate `O(τ)` slots up front — the ring doubles on
+/// demand instead, bounded by the nodes actually buffered. Every τ below
+/// it gets its full `τ + 1` ring at once, so the common scan never grows.
+const RING_RESERVE_CAP: usize = 1 << 16;
 
 /// Cap on speculative accumulator reservations derived from τ, so a
 /// saturated τ (u32::MAX = "no pruning") cannot demand a huge up-front
@@ -392,6 +431,38 @@ mod tests {
         let (t, _) = example_d();
         let mut q = TreeQueue::new(&t);
         let _ = PrefixRingBuffer::new(&mut q, 0);
+    }
+
+    #[test]
+    fn ring_grows_past_its_initial_cap_and_matches_the_reference() {
+        // Records wider than the initial ring: a τ above the cap must grow
+        // the ring mid-scan (re-laying out wrapped slots) and still emit
+        // exactly cand(T, τ); a saturated τ yields the whole document.
+        let mut dict = LabelDict::new();
+        let mut src = String::from("{r");
+        for (i, width) in [30_000usize, 50_000, 20_000, 45_000]
+            .into_iter()
+            .enumerate()
+        {
+            src.push_str(if i % 2 == 0 { "{a" } else { "{b" });
+            for _ in 0..width {
+                src.push_str("{x}");
+            }
+            src.push('}');
+        }
+        src.push('}');
+        let t = bracket::parse(&src, &mut dict).unwrap();
+        for tau in [RING_RESERVE_CAP as u32 + 4_000, 80_000, u32::MAX] {
+            let got = prb_pruning(&mut TreeQueue::new(&t), tau);
+            let want = candidate_set_reference(&t, tau);
+            let spans = |cs: &[Candidate]| -> Vec<(u32, usize)> {
+                cs.iter().map(|c| (c.root.post(), c.tree.len())).collect()
+            };
+            assert_eq!(spans(&got), spans(&want), "τ = {tau}");
+            if tau == u32::MAX {
+                assert_eq!(spans(&got), vec![(t.len() as u32, t.len())]);
+            }
+        }
     }
 
     #[test]

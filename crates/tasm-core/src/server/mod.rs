@@ -11,7 +11,7 @@
 //!
 //! The robustness contract, layer by layer:
 //!
-//! * **Deadlines** ([`deadline`]): every request carries an absolute
+//! * **Deadlines** ([`Deadline`](crate::Deadline)): every request carries an absolute
 //!   expiry; the scan loop polls it per candidate and aborts with a
 //!   structured `ERR timeout` — no partial rankings, no wedged workers.
 //! * **Admission control** ([`admission`]): a bounded queue sheds
@@ -31,7 +31,6 @@
 
 pub(crate) mod admission;
 pub(crate) mod conn;
-pub mod deadline;
 pub(crate) mod fault;
 
 use std::io;
@@ -44,11 +43,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::batch::{tasm_batch_deadline_with_workspace, BatchQuery, BatchWorkspace};
-use crate::corpus::tasm_corpus_batch_deadline_with_stats;
+use crate::batch::{tasm_batch, BatchQuery, BatchWorkspace};
+use crate::corpus::tasm_corpus_batch;
+use crate::deadline::Deadline;
 use crate::server::admission::{Admission, PendingRequest};
 use crate::server::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
-use crate::server::deadline::Deadline;
 use crate::tasm_dynamic::TasmOptions;
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
@@ -509,33 +508,34 @@ fn evaluate_tree_batch(
         })
         .collect();
     let mut queue = TreeQueue::new(tree);
-    let shared = tasm_batch_deadline_with_workspace(
+    // One thread per worker: the daemon's parallelism is its worker
+    // pool, so every batch runs the inline shared scan.
+    let shared = tasm_batch(
         &queries,
         &mut queue,
         &UnitCost,
         1,
         TasmOptions::default(),
+        1,
         ws,
         None,
         &deadline,
     );
     match shared {
-        Ok(rankings) => {
-            let lanes = ws.last_lane_stats().to_vec();
-            rankings
-                .into_iter()
-                .zip(batch)
-                .enumerate()
-                .map(|(i, (ranking, req))| Response::Ranking {
-                    rows: rows(ranking),
-                    degraded: None,
-                    stats: req.stats.then(|| WireStats {
-                        scan: lanes[i],
-                        shards: None,
-                    }),
-                })
-                .collect()
-        }
+        Ok(out) => out
+            .rankings
+            .into_iter()
+            .zip(out.lanes)
+            .zip(batch)
+            .map(|((ranking, lane), req)| Response::Ranking {
+                rows: rows(ranking),
+                degraded: None,
+                stats: req.stats.then_some(WireStats {
+                    scan: lane,
+                    shards: None,
+                }),
+            })
+            .collect(),
         Err(_) => {
             // The shared scan died at the earliest member's deadline.
             // That member is out of time; the others still have budget,
@@ -554,21 +554,22 @@ fn evaluate_tree_batch(
                     }];
                     let d = Deadline::at(req.deadline_at);
                     let mut queue = TreeQueue::new(tree);
-                    match tasm_batch_deadline_with_workspace(
+                    match tasm_batch(
                         &solo,
                         &mut queue,
                         &UnitCost,
                         1,
                         TasmOptions::default(),
+                        1,
                         ws,
                         None,
                         &d,
                     ) {
-                        Ok(mut rankings) => Response::Ranking {
-                            rows: rows(rankings.pop().expect("one lane")),
+                        Ok(mut out) => Response::Ranking {
+                            rows: rows(out.rankings.pop().expect("one lane")),
                             degraded: None,
                             stats: req.stats.then(|| WireStats {
-                                scan: ws.last_lane_stats()[0],
+                                scan: out.lanes[0],
                                 shards: None,
                             }),
                         },
@@ -595,7 +596,7 @@ fn evaluate_corpus_request(
         query: &req.query,
         k: req.k,
     }];
-    match tasm_corpus_batch_deadline_with_stats(
+    match tasm_corpus_batch(
         &queries,
         &req.dict,
         corpus,

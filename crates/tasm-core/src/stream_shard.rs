@@ -1,21 +1,22 @@
-//! Streaming shard hand-off: parallel (and batch×parallel) TASM over a
-//! postorder **stream** — the document never resides in memory.
+//! Streaming shard hand-off: the multi-threaded topology of
+//! [`tasm_batch`](crate::tasm_batch) — batch×parallel TASM over a
+//! postorder **stream**, the document never resident in memory.
 //!
-//! [`tasm_parallel`](crate::tasm_parallel) shards the candidate *spans*
-//! of a materialized tree, which costs `O(n)` memory for the tree
-//! itself. This module removes that requirement: one [`ScanEngine`]
-//! pass over the stream (the same `O(τ)` prefix ring buffer as the
-//! sequential path) derives the candidates, and instead of evaluating
-//! them inline it copies each candidate's postorder entries into a
-//! **segment** — a flat `(label, size)` buffer holding a run of
-//! complete candidate subtrees plus their document root numbers — and
-//! hands full segments to worker threads over a bounded pipe.
+//! One [`ScanEngine`] pass over the stream (the same `O(τ)` prefix ring
+//! buffer as the sequential path) derives the candidates, and instead
+//! of evaluating them inline it copies each candidate's postorder
+//! entries into a **segment** — a flat `(label, size)` buffer holding a
+//! run of complete candidate subtrees plus their document root numbers
+//! — and hands full segments to worker threads over a bounded pipe. A
+//! materialized tree is just another queue
+//! ([`TreeQueue`](tasm_tree::TreeQueue)), so this is the only sharded
+//! driver for documents.
 //!
 //! Each worker replays its segments' candidates into a scratch tree
 //! (subtree sizes are invariant under renumbering, so the entries are
 //! the candidate's local postorder as-is) and fans every candidate out
-//! to N per-query evaluation lanes, exactly as the batch and
-//! span-sharded paths do. Per-lane heaps merge with
+//! to N per-query evaluation lanes, exactly as the inline shared scan
+//! does. Per-lane heaps merge with
 //! [`TopKHeap::merge`](crate::TopKHeap::merge); the rank key is a total
 //! order, so the rankings are **identical** to the sequential ones no
 //! matter how candidates land on workers (pinned by
@@ -44,77 +45,16 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use crate::batch::{tasm_batch_deadline_with_workspace, BatchQuery, BatchWorkspace};
+use crate::batch::{BatchOutput, BatchQuery, StreamIntegrityError, StreamScanError};
+use crate::deadline::Deadline;
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, scan_tau_of};
-use crate::parallel::{merge_shard_results, resolve_threads, ShardResult};
-use crate::ranking::Match;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
+use crate::lane::{
+    build_lanes, fan_out, merge_shard_results, reserve_lanes, scan_tau_of, ShardResult,
+};
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
 use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
 use tasm_tree::{LabelId, NodeId, PostorderEntry, PostorderQueue, Tree};
-
-/// The postorder stream ended abnormally: the scan consumed the whole
-/// queue, but the queue reports the document is incomplete (truncated
-/// `.pq`/`.pqi` file, malformed XML, an I/O error mid-stream, …).
-///
-/// The streaming entry points refuse to return a ranking built from a
-/// partial document — silently accepting one would report top-k answers
-/// that may miss better subtrees in the lost suffix. The message comes
-/// from [`PostorderQueue::integrity_error`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamIntegrityError(String);
-
-impl StreamIntegrityError {
-    /// The queue's description of the abnormal end.
-    pub fn message(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::fmt::Display for StreamIntegrityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "incomplete document stream: {}", self.0)
-    }
-}
-
-impl std::error::Error for StreamIntegrityError {}
-
-/// Failure of a deadline-aware streaming scan: either the stream ended
-/// abnormally ([`StreamIntegrityError`]) or the request's cooperative
-/// [`Deadline`] expired mid-pass ([`DeadlineExceeded`]). Both refuse to
-/// return a partial ranking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamScanError {
-    /// The postorder stream ended abnormally.
-    Integrity(StreamIntegrityError),
-    /// The request's deadline expired before the scan completed.
-    Deadline(DeadlineExceeded),
-}
-
-impl std::fmt::Display for StreamScanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamScanError::Integrity(e) => e.fmt(f),
-            StreamScanError::Deadline(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for StreamScanError {}
-
-impl From<StreamIntegrityError> for StreamScanError {
-    fn from(e: StreamIntegrityError) -> Self {
-        StreamScanError::Integrity(e)
-    }
-}
-
-impl From<DeadlineExceeded> for StreamScanError {
-    fn from(e: DeadlineExceeded) -> Self {
-        StreamScanError::Deadline(e)
-    }
-}
 
 /// Locks `mutex`, recovering the guard if a peer poisoned it while
 /// unwinding: the pipe's abort flag — not poisoning — is the signal
@@ -381,162 +321,28 @@ fn stream_worker(
     }
 }
 
-/// Batch×parallel composition over a postorder **stream**: answers
-/// every query of `queries` across `threads` worker threads in one
-/// pass of `queue`, without ever materializing the document.
+/// The sharded topology of [`tasm_batch`](crate::tasm_batch) for
+/// `threads > 1` (already resolved): the calling thread runs the
+/// `O(τ_scan)` ring-buffer scan and hands candidate segments to
+/// `threads` workers through a bounded, recycling pipe (see the
+/// [module docs](self) for the memory bound).
 ///
-/// The calling thread runs the `O(τ_scan)` ring-buffer scan and hands
-/// candidate segments to the workers through a bounded, recycling pipe
-/// (see the [module docs](self) for the memory bound). Every ranking is
-/// **exactly** what the sequential
-/// [`tasm_postorder`](crate::tasm_postorder) returns for that query
-/// alone, for any `threads` (`0` = one per available core; `<= 1`
-/// falls back to the shared-scan [`tasm_batch`](crate::tasm_batch)
-/// without spawning threads). `c_t` is the maximum document node cost
-/// under `model`, as for the sequential entry points.
-///
-/// # Errors
-///
-/// [`StreamIntegrityError`] if the queue reports an abnormal end after
-/// the scan drained it (truncated postorder file, malformed XML, …):
-/// a ranking over a partial document could silently miss better
-/// subtrees, so none is returned.
-///
-/// # Examples
-///
-/// ```
-/// use tasm_tree::{bracket, LabelDict, TreeQueue};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_batch_parallel_stream, BatchQuery, TasmOptions};
-///
-/// let mut dict = LabelDict::new();
-/// let q1 = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-/// let q2 = bracket::parse("{a{b}}", &mut dict).unwrap();
-/// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
-/// let queries = [
-///     BatchQuery { query: &q1, k: 1 },
-///     BatchQuery { query: &q2, k: 1 },
-/// ];
-/// // Any postorder queue works — an XML stream included.
-/// let mut queue = TreeQueue::new(&doc);
-/// let rankings = tasm_batch_parallel_stream(
-///     &queries, &mut queue, &UnitCost, 1, TasmOptions::default(), 2, None).unwrap();
-/// assert_eq!(rankings[0][0].root.post(), 6); // exact match for q1
-/// ```
-pub fn tasm_batch_parallel_stream<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Result<Vec<Vec<Match>>, StreamIntegrityError> {
-    tasm_batch_parallel_stream_with_stats(queries, queue, model, c_t, opts, threads, stats)
-        .map(|out| out.0)
-}
-
-/// Successful output of the stats-reporting batch streaming entry
-/// points: per-query rankings, the aggregated [`ScanStats`] (one scan;
-/// funnel summed over all lanes), and the per-lane statistics in query
-/// order.
-pub type BatchStreamOutput = (Vec<Vec<Match>>, ScanStats, Vec<ScanStats>);
-
-/// As [`tasm_batch_parallel_stream`], but also returning the aggregated
-/// [`ScanStats`] (one scan; funnel summed over all lanes) and the
-/// per-lane statistics in query order.
-pub fn tasm_batch_parallel_stream_with_stats<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Result<BatchStreamOutput, StreamIntegrityError> {
-    let mut ws = BatchWorkspace::new();
-    tasm_batch_parallel_stream_with_workspace(
-        queries, queue, model, c_t, opts, threads, &mut ws, stats,
-    )
-}
-
-/// As [`tasm_batch_parallel_stream_with_stats`], but reusing the
-/// caller's [`BatchWorkspace`] for the single-threaded fallback: when
-/// `threads` resolves to `<= 1` the scan runs through the shared-scan
-/// batch path with the caller's warm buffers, preserving the
-/// O(#queries)-allocations-per-scan reuse contract. The sharded path
-/// leaves `ws` untouched — each worker owns its state by design.
+/// The producer — the one thread running the unbounded per-candidate
+/// scan loop — polls `deadline` and aborts the whole pass when it
+/// expires. Workers drain the already-published segments and exit;
+/// their partial heaps are discarded. A worker's panic reaches the
+/// caller with its original payload.
 #[allow(clippy::too_many_arguments)]
-pub fn tasm_batch_parallel_stream_with_workspace<Q: PostorderQueue + ?Sized>(
+pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
     model: &(dyn CostModel + Sync),
     c_t: u64,
     opts: TasmOptions,
     threads: usize,
-    ws: &mut BatchWorkspace,
-    stats: Option<&mut TedStats>,
-) -> Result<BatchStreamOutput, StreamIntegrityError> {
-    match tasm_batch_parallel_stream_deadline_with_workspace(
-        queries,
-        queue,
-        model,
-        c_t,
-        opts,
-        threads,
-        ws,
-        stats,
-        &Deadline::none(),
-    ) {
-        Ok(out) => Ok(out),
-        Err(StreamScanError::Integrity(e)) => Err(e),
-        Err(StreamScanError::Deadline(_)) => unreachable!("Deadline::none() never expires"),
-    }
-}
-
-/// As [`tasm_batch_parallel_stream_with_workspace`], but cooperatively
-/// cancellable: the producer — the one thread running the unbounded
-/// per-candidate scan loop — polls `deadline` and aborts the whole pass
-/// when it expires. Workers drain the already-published segments and
-/// exit; their partial heaps are discarded.
-///
-/// # Errors
-///
-/// [`StreamScanError::Deadline`] if the deadline expires mid-scan,
-/// [`StreamScanError::Integrity`] if the stream ends abnormally. In
-/// both cases no partial rankings are returned.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_batch_parallel_stream_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    ws: &mut BatchWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<BatchStreamOutput, StreamScanError> {
-    if queries.is_empty() {
-        return Ok((Vec::new(), ScanStats::default(), Vec::new()));
-    }
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        // One worker would only add hand-off copies: the shared-scan
-        // batch path is the same streaming work inline.
-        let rankings = tasm_batch_deadline_with_workspace(
-            queries, queue, model, c_t, opts, ws, stats, deadline,
-        )?;
-        if let Some(msg) = queue.integrity_error() {
-            return Err(StreamIntegrityError(msg).into());
-        }
-        return Ok((
-            rankings,
-            ws.last_scan_stats(),
-            ws.last_lane_stats().to_vec(),
-        ));
-    }
-
+) -> Result<BatchOutput, StreamScanError> {
     // The scan must cover the widest lane threshold; the workers build
     // their own lanes, so only the thresholds are computed here.
     let scan_tau = scan_tau_of(queries, model, c_t);
@@ -641,86 +447,47 @@ pub fn tasm_batch_parallel_stream_deadline_with_workspace<Q: PostorderQueue + ?S
         producer_scan.candidates,
         "every candidate must be evaluated by exactly one worker"
     );
-    let (rankings, mut aggregate, mut lane_stats) =
-        merge_shard_results(queries.len(), results, stats);
+    let mut out = merge_shard_results(queries.len(), results, stats);
     // Scan-layer truth comes from the producer's single pass.
-    aggregate.adopt_scan_layer(&producer_scan);
-    for ls in &mut lane_stats {
+    out.scan.adopt_scan_layer(&producer_scan);
+    for ls in &mut out.lanes {
         ls.adopt_scan_layer(&producer_scan);
     }
-    Ok((rankings, aggregate, lane_stats))
-}
-
-/// Computes the top-`k` ranking of `query` against a postorder
-/// **stream**, sharding candidate evaluation across `threads` worker
-/// threads — the streaming counterpart of
-/// [`tasm_parallel`](crate::tasm_parallel), with no materialized
-/// document and `O(threads · τ + m²)` memory.
-///
-/// Returns **exactly** the sequential
-/// [`tasm_postorder`](crate::tasm_postorder) ranking for any `threads`
-/// (`0` = one per available core).
-///
-/// # Errors
-///
-/// [`StreamIntegrityError`] if the queue ends abnormally (truncated
-/// file, malformed XML, …) — see [`tasm_batch_parallel_stream`].
-///
-/// # Examples
-///
-/// ```
-/// use tasm_tree::{bracket, LabelDict, TreeQueue};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_parallel_stream, TasmOptions};
-///
-/// let mut dict = LabelDict::new();
-/// let g = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-/// let h = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
-/// let mut queue = TreeQueue::new(&h);
-/// let top2 =
-///     tasm_parallel_stream(&g, &mut queue, 2, &UnitCost, 1, TasmOptions::default(), 2).unwrap();
-/// assert_eq!(top2[0].root.post(), 6);
-/// assert_eq!(top2[1].root.post(), 3);
-/// ```
-pub fn tasm_parallel_stream<Q: PostorderQueue + ?Sized>(
-    query: &Tree,
-    queue: &mut Q,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> Result<Vec<Match>, StreamIntegrityError> {
-    tasm_parallel_stream_with_stats(query, queue, k, model, c_t, opts, threads, None)
-        .map(|out| out.0)
-}
-
-/// As [`tasm_parallel_stream`], but also returning the pass's
-/// [`ScanStats`] and, if `stats` is given, merging every worker's
-/// [`TedStats`] into it.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_parallel_stream_with_stats<Q: PostorderQueue + ?Sized>(
-    query: &Tree,
-    queue: &mut Q,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Result<(Vec<Match>, ScanStats), StreamIntegrityError> {
-    let queries = [BatchQuery { query, k }];
-    let (mut rankings, scan, _) =
-        tasm_batch_parallel_stream_with_stats(&queries, queue, model, c_t, opts, threads, stats)?;
-    Ok((rankings.pop().expect("one lane"), scan))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{tasm_batch, BatchWorkspace};
+    use crate::ranking::Match;
     use crate::tasm_postorder::tasm_postorder;
     use tasm_ted::UnitCost;
     use tasm_tree::{bracket, LabelDict, TreeQueue};
+
+    /// One query through the driver at `threads` (`<= 1` runs inline).
+    fn solo<Q: PostorderQueue + ?Sized>(
+        query: &Tree,
+        queue: &mut Q,
+        k: usize,
+        model: &(dyn CostModel + Sync),
+        opts: TasmOptions,
+        threads: usize,
+    ) -> Result<Vec<Match>, StreamScanError> {
+        let queries = [BatchQuery { query, k }];
+        let out = tasm_batch(
+            &queries,
+            queue,
+            model,
+            1,
+            opts,
+            threads,
+            &mut BatchWorkspace::new(),
+            None,
+            &Deadline::none(),
+        )?;
+        Ok(out.rankings.into_iter().next().expect("one lane"))
+    }
 
     fn wide_doc(dict: &mut LabelDict, records: usize) -> Tree {
         let mut s = String::from("{dblp");
@@ -749,8 +516,7 @@ mod tests {
             let want = tasm_postorder(&query, &mut q, k, &UnitCost, 1, opts, None);
             for threads in [1usize, 2, 3, 4, 7] {
                 let mut q = TreeQueue::new(&doc);
-                let got =
-                    tasm_parallel_stream(&query, &mut q, k, &UnitCost, 1, opts, threads).unwrap();
+                let got = solo(&query, &mut q, k, &UnitCost, opts, threads).unwrap();
                 assert_eq!(got, want, "k = {k}, threads = {threads}");
             }
         }
@@ -771,8 +537,19 @@ mod tests {
         let opts = TasmOptions::default();
         for threads in [2usize, 4, 7] {
             let mut q = TreeQueue::new(&doc);
-            let (rankings, agg, lanes) = tasm_batch_parallel_stream_with_stats(
-                &queries, &mut q, &UnitCost, 1, opts, threads, None,
+            let BatchOutput {
+                rankings,
+                scan: agg,
+                lanes,
+            } = sharded_scan(
+                &queries,
+                &mut q,
+                &UnitCost,
+                1,
+                opts,
+                threads,
+                None,
+                &Deadline::none(),
             )
             .unwrap();
             assert_eq!(rankings.len(), 3);
@@ -799,19 +576,23 @@ mod tests {
         let query = bracket::parse("{book{t}}", &mut dict).unwrap();
         let mut ted = TedStats::new();
         let mut q = TreeQueue::new(&doc);
-        let (m, scan) = tasm_parallel_stream_with_stats(
-            &query,
+        let queries = [BatchQuery {
+            query: &query,
+            k: 2,
+        }];
+        let out = sharded_scan(
+            &queries,
             &mut q,
-            2,
             &UnitCost,
             1,
             TasmOptions::default(),
             3,
             Some(&mut ted),
+            &Deadline::none(),
         )
         .unwrap();
-        assert_eq!(m.len(), 2);
-        assert!(scan.candidates > 0);
+        assert_eq!(out.rankings[0].len(), 2);
+        assert!(out.scan.candidates > 0);
         assert!(ted.ted_calls > 0);
     }
 
@@ -832,12 +613,11 @@ mod tests {
         );
         for threads in [0usize, 1] {
             let mut q = TreeQueue::new(&doc);
-            let got = tasm_parallel_stream(
+            let got = solo(
                 &query,
                 &mut q,
                 2,
                 &UnitCost,
-                1,
                 TasmOptions::default(),
                 threads,
             )
@@ -852,8 +632,7 @@ mod tests {
         let doc = bracket::parse("{a}", &mut dict).unwrap();
         let query = bracket::parse("{a}", &mut dict).unwrap();
         let mut q = TreeQueue::new(&doc);
-        let got = tasm_parallel_stream(&query, &mut q, 1, &UnitCost, 1, TasmOptions::default(), 4)
-            .unwrap();
+        let got = solo(&query, &mut q, 1, &UnitCost, TasmOptions::default(), 4).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].distance, tasm_ted::Cost::ZERO);
     }
@@ -875,27 +654,14 @@ mod tests {
         }
         let mut dict = LabelDict::new();
         let query = bracket::parse("{a}", &mut dict).unwrap();
-        let _ = tasm_parallel_stream(
+        let _ = solo(
             &query,
             &mut PanicQueue(0),
             1,
             &UnitCost,
-            1,
             TasmOptions::default(),
             4,
         );
-    }
-
-    #[test]
-    fn empty_query_list_consumes_nothing() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 5);
-        let mut q = TreeQueue::new(&doc);
-        let out =
-            tasm_batch_parallel_stream(&[], &mut q, &UnitCost, 1, TasmOptions::default(), 4, None)
-                .unwrap();
-        assert!(out.is_empty());
-        assert!(q.dequeue().is_some(), "queue untouched");
     }
 
     /// A queue that serves a fixed prefix of a larger document, then
@@ -938,12 +704,11 @@ mod tests {
                 next: 0,
                 missing: doc.len() - cut,
             };
-            let err = tasm_parallel_stream(
+            let err = solo(
                 &query,
                 &mut q,
                 3,
                 &UnitCost,
-                1,
                 TasmOptions::default(),
                 threads,
             )
@@ -978,7 +743,7 @@ mod tests {
         let boom = BoomCost(dict.get("book").unwrap());
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut q = TreeQueue::new(&doc);
-            let _ = tasm_parallel_stream(&query, &mut q, 2, &boom, 1, TasmOptions::default(), 4);
+            let _ = solo(&query, &mut q, 2, &boom, TasmOptions::default(), 4);
         }))
         .unwrap_err();
         let msg = payload

@@ -200,7 +200,7 @@ pub fn process_candidate(
 
 /// [`process_candidate`] with the workspace split into fields, so
 /// internal callers (the single-query sink, the batch lanes, the
-/// parallel shard sinks) can borrow the candidate from elsewhere while
+/// shard workers) can borrow the candidate from elsewhere while
 /// the evaluation scratch stays mutable.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_candidate_parts(

@@ -1,6 +1,6 @@
 //! Differential tests pinning the corpus query path to its reference
-//! semantics: `tasm_corpus` over N shards must return exactly the
-//! concatenation of per-document `tasm_indexed` runs, sorted on the
+//! semantics: `tasm_corpus_batch` over N shards must return exactly the
+//! concatenation of per-document `tasm_indexed_batch` runs, sorted on the
 //! corpus rank key `(distance, shard, postorder, size)` and truncated
 //! to `k` — under every combination of thread count, pruning cascade,
 //! and TED kernel, and with shards quarantined mid-corpus.
@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use tasm_core::{
-    tasm_corpus_batch, tasm_corpus_batch_with_stats, tasm_indexed, BatchQuery, CorpusMatch,
+    tasm_corpus_batch, tasm_indexed_batch, BatchQuery, CorpusBatchOutput, CorpusMatch, Deadline,
     ScanStats, TasmOptions, TedKernel,
 };
 use tasm_index::Corpus;
@@ -87,7 +87,7 @@ fn key(ms: &[CorpusMatch]) -> Vec<(String, u32, u64, u32)> {
         .collect()
 }
 
-/// Per-document `tasm_indexed` runs over the healthy shards, merged on
+/// Per-document `tasm_indexed_batch` runs over the healthy shards, merged on
 /// the corpus rank key — the semantics every axis must reproduce.
 fn reference(
     corpus: &Corpus,
@@ -100,7 +100,19 @@ fn reference(
         .map(|q| {
             let mut lane: Vec<CorpusMatch> = Vec::new();
             for (shard, name, doc) in corpus.healthy() {
-                let hits = tasm_indexed(q, qdict, doc, k, &UnitCost, 1, TasmOptions::default(), 1);
+                let out = tasm_indexed_batch(
+                    &[BatchQuery { query: q, k }],
+                    qdict,
+                    doc,
+                    &UnitCost,
+                    1,
+                    TasmOptions::default(),
+                    1,
+                    None,
+                    &Deadline::none(),
+                )
+                .expect("no deadline");
+                let hits = out.rankings.into_iter().next().expect("one lane");
                 lane.extend(hits.into_iter().map(|hit| CorpusMatch {
                     doc: name.to_string(),
                     shard,
@@ -112,6 +124,28 @@ fn reference(
             lane
         })
         .collect()
+}
+
+/// The corpus driver with unit costs and no deadline.
+fn corpus_batch(
+    bqs: &[BatchQuery<'_>],
+    qdict: &LabelDict,
+    corpus: &Corpus,
+    opts: TasmOptions,
+    threads: usize,
+) -> CorpusBatchOutput {
+    tasm_corpus_batch(
+        bqs,
+        qdict,
+        corpus,
+        &UnitCost,
+        1,
+        opts,
+        threads,
+        None,
+        &Deadline::none(),
+    )
+    .expect("no deadline")
 }
 
 /// Runs the full axis matrix against `corpus` and compares every combo
@@ -140,8 +174,11 @@ fn assert_matrix(corpus: &Corpus, tag: &str) {
                     kernel,
                     ..Default::default()
                 };
-                let (got, status) =
-                    tasm_corpus_batch(&bqs, &qdict, corpus, &UnitCost, 1, opts, threads);
+                let CorpusBatchOutput {
+                    rankings: got,
+                    status,
+                    ..
+                } = corpus_batch(&bqs, &qdict, corpus, opts, threads);
                 assert_eq!(status.total, corpus.total_shards());
                 assert_eq!(status.healthy, corpus.healthy_count());
                 for (lane, (got_lane, want_lane)) in got.iter().zip(&want).enumerate() {
@@ -181,16 +218,14 @@ fn assert_scheduled_stats(corpus: &Corpus, tag: &str) {
         .map(|query| BatchQuery { query, k })
         .collect();
     let opts = TasmOptions::default();
-    let sequential =
-        tasm_corpus_batch_with_stats(&bqs, &qdict, corpus, &UnitCost, 1, opts, 1, None);
+    let sequential = corpus_batch(&bqs, &qdict, corpus, opts, 1);
     let healthy_shards: Vec<usize> = corpus.healthy().map(|(i, _, _)| i).collect();
     let healthy_names: Vec<String> = corpus
         .healthy()
         .map(|(_, name, _)| name.to_string())
         .collect();
     for threads in [2usize, 4, 7] {
-        let scheduled =
-            tasm_corpus_batch_with_stats(&bqs, &qdict, corpus, &UnitCost, 1, opts, threads, None);
+        let scheduled = corpus_batch(&bqs, &qdict, corpus, opts, threads);
         for (lane, (got, want)) in scheduled
             .rankings
             .iter()

@@ -1,20 +1,26 @@
 //! The differential matrix: **one** generator, every algorithm variant,
 //! exact ranking equality down to subtree ids.
 //!
-//! Five algorithms now claim identical rankings — naive, dynamic,
-//! postorder, batch and parallel — across two document
-//! representations (materialized tree vs postorder stream), any thread
-//! count and with the pruning cascade on or off. Instead of scattered
+//! Every algorithm and driver claims identical rankings — naive,
+//! dynamic, postorder, the stream/tree batch driver at any thread count
+//! and the indexed driver — across two document representations
+//! (materialized tree through `TreeQueue` vs postorder stream) and with
+//! the pruning cascade on or off. Instead of scattered
 //! pairwise proptests, this harness pins the whole matrix against a
 //! single oracle (`tasm_naive`):
 //!
 //! ```text
-//! {naive, dynamic, postorder, batch, parallel, batch×parallel}
-//!   × {materialized Tree, streaming postorder queue}
+//! {naive, dynamic, postorder, tasm_batch, tasm_indexed_batch}
+//!   × {materialized Tree (TreeQueue), streaming postorder queue}
 //!   × threads ∈ {1, 2, 4, 7}
 //!   × cascade ∈ {on, off}
 //!   × kernel ∈ {zs, strategy, auto}
 //! ```
+//!
+//! The cell names keep their historical axes: `batch/…` is
+//! `tasm_batch` at one thread, `parallel/…/tN` and
+//! `batch×parallel/…/tN` are `tasm_batch` at `N` threads over one or
+//! several queries.
 //!
 //! Equality is on `(root id, distance, size)` — not just the distance
 //! sequence — so tie-breaking must agree everywhere too. A second
@@ -30,13 +36,12 @@
 
 use proptest::prelude::*;
 use tasm_core::{
-    tasm_batch, tasm_batch_parallel, tasm_batch_parallel_stream, tasm_dynamic, tasm_indexed,
-    tasm_indexed_batch, tasm_naive, tasm_parallel, tasm_parallel_stream, tasm_postorder,
-    BatchQuery, Match, TasmOptions, TedKernel,
+    tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive, tasm_postorder, BatchQuery,
+    BatchWorkspace, Deadline, Match, TasmOptions, TedKernel,
 };
 use tasm_index::IndexedDocument;
-use tasm_ted::UnitCost;
-use tasm_tree::{LabelDict, LabelId, Tree, TreeBuilder, TreeQueue, VecQueue};
+use tasm_ted::{CostModel, UnitCost};
+use tasm_tree::{LabelDict, LabelId, PostorderQueue, Tree, TreeBuilder, TreeQueue, VecQueue};
 
 /// Thread counts of the parallel axes.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
@@ -111,6 +116,57 @@ fn index_of(doc: &Tree, q_labels: &[LabelId]) -> (IndexedDocument, LabelDict) {
     (idx, dict)
 }
 
+/// The stream/tree driver at `threads`, no deadline: `tasm_batch` over
+/// any queue (a `TreeQueue` for the materialized cells).
+fn batch<Q: PostorderQueue + ?Sized>(
+    bqs: &[BatchQuery<'_>],
+    queue: &mut Q,
+    model: &(dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    threads: usize,
+) -> Vec<Vec<Match>> {
+    tasm_batch(
+        bqs,
+        queue,
+        model,
+        c_t,
+        opts,
+        threads,
+        &mut BatchWorkspace::new(),
+        None,
+        &Deadline::none(),
+    )
+    .expect("complete stream")
+    .rankings
+}
+
+/// The indexed driver at `threads`, no deadline.
+#[allow(clippy::too_many_arguments)]
+fn indexed(
+    bqs: &[BatchQuery<'_>],
+    dict: &LabelDict,
+    idx: &IndexedDocument,
+    model: &(dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    threads: usize,
+) -> Vec<Vec<Match>> {
+    tasm_indexed_batch(
+        bqs,
+        dict,
+        idx,
+        model,
+        c_t,
+        opts,
+        threads,
+        None,
+        &Deadline::none(),
+    )
+    .expect("no deadline")
+    .rankings
+}
+
 /// Runs every single-query variant of the matrix against the oracle.
 fn check_single_query_matrix(q: &Tree, doc: &Tree, k: usize) -> Result<(), String> {
     let oracle = key(&tasm_naive(
@@ -155,25 +211,24 @@ fn check_single_query_matrix(q: &Tree, doc: &Tree, k: usize) -> Result<(), Strin
         let bq = [BatchQuery { query: q, k }];
         check(
             format!("batch/materialized/{tag}"),
-            tasm_batch(&bq, &mut TreeQueue::new(doc), &UnitCost, 1, opts, None).remove(0),
+            batch(&bq, &mut TreeQueue::new(doc), &UnitCost, 1, opts, 1).remove(0),
         )?;
         check(
             format!("batch/streaming/{tag}"),
-            tasm_batch(&bq, &mut stream(doc), &UnitCost, 1, opts, None).remove(0),
+            batch(&bq, &mut stream(doc), &UnitCost, 1, opts, 1).remove(0),
         )?;
         for threads in THREADS {
             check(
                 format!("parallel/materialized/t{threads}/{tag}"),
-                tasm_parallel(q, doc, k, &UnitCost, 1, opts, threads),
+                batch(&bq, &mut TreeQueue::new(doc), &UnitCost, 1, opts, threads).remove(0),
             )?;
             check(
                 format!("parallel/streaming/t{threads}/{tag}"),
-                tasm_parallel_stream(q, &mut stream(doc), k, &UnitCost, 1, opts, threads)
-                    .expect("complete stream"),
+                batch(&bq, &mut stream(doc), &UnitCost, 1, opts, threads).remove(0),
             )?;
             check(
                 format!("indexed/t{threads}/{tag}"),
-                tasm_indexed(q, &dict, &idx, k, &UnitCost, 1, opts, threads),
+                indexed(&bq, &dict, &idx, &UnitCost, 1, opts, threads).remove(0),
             )?;
         }
     }
@@ -229,33 +284,24 @@ fn check_multi_query_matrix(queries: &[(Tree, usize)], doc: &Tree) -> Result<(),
         );
         check(
             format!("batch/materialized/{tag}"),
-            tasm_batch(&bqs, &mut TreeQueue::new(doc), &UnitCost, 1, opts, None),
+            batch(&bqs, &mut TreeQueue::new(doc), &UnitCost, 1, opts, 1),
         )?;
         check(
             format!("batch/streaming/{tag}"),
-            tasm_batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, None),
+            batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, 1),
         )?;
         for threads in THREADS {
             check(
                 format!("batch×parallel/materialized/t{threads}/{tag}"),
-                tasm_batch_parallel(&bqs, doc, &UnitCost, 1, opts, threads, None),
+                batch(&bqs, &mut TreeQueue::new(doc), &UnitCost, 1, opts, threads),
             )?;
             check(
                 format!("batch×parallel/streaming/t{threads}/{tag}"),
-                tasm_batch_parallel_stream(
-                    &bqs,
-                    &mut stream(doc),
-                    &UnitCost,
-                    1,
-                    opts,
-                    threads,
-                    None,
-                )
-                .expect("complete stream"),
+                batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, threads),
             )?;
             check(
                 format!("indexed×batch/t{threads}/{tag}"),
-                tasm_indexed_batch(&bqs, &dict, &idx, &UnitCost, 1, opts, threads, None),
+                indexed(&bqs, &dict, &idx, &UnitCost, 1, opts, threads),
             )?;
         }
     }
@@ -376,18 +422,16 @@ fn xml_stream_matches_materialized_dynamic_down_to_ids() {
         for threads in THREADS {
             // Fresh queue per run: the parser streams, nothing is kept.
             let mut queue = XmlPostorderQueue::new(xml.as_bytes(), &mut dict);
-            let got = tasm_parallel_stream(
-                &query,
+            let got = batch(
+                &[BatchQuery { query: &query, k }],
                 &mut queue,
-                k,
                 &UnitCost,
                 1,
                 TasmOptions::default(),
                 threads,
-            )
-            .expect("complete stream");
+            );
             assert!(queue.is_ok());
-            assert_eq!(key(&got), want, "k = {k}, threads = {threads}");
+            assert_eq!(key(&got[0]), want, "k = {k}, threads = {threads}");
         }
     }
 
@@ -417,16 +461,14 @@ fn xml_stream_matches_materialized_dynamic_down_to_ids() {
         .collect();
     for threads in THREADS {
         let mut queue = XmlPostorderQueue::new(xml.as_bytes(), &mut dict);
-        let got = tasm_batch_parallel_stream(
+        let got = batch(
             &bqs,
             &mut queue,
             &UnitCost,
             1,
             TasmOptions::default(),
             threads,
-            None,
-        )
-        .expect("complete stream");
+        );
         assert!(queue.is_ok());
         for (lane, (g, want)) in got.iter().zip(&wants).enumerate() {
             assert_eq!(&key(g), want, "lane {lane}, threads = {threads}");
@@ -474,13 +516,11 @@ proptest! {
             ));
             prop_assert_eq!(&kp, &want, "postorder kernel {}", kernel);
         }
+        let bq = [BatchQuery { query: &q, k }];
         for threads in [2usize, 7] {
-            let par = key(&tasm_parallel(&q, &doc, k, &model, c_t, opts, threads));
+            let par = key(&batch(&bq, &mut TreeQueue::new(&doc), &model, c_t, opts, threads)[0]);
             prop_assert_eq!(&par, &want);
-            let par_stream = key(&tasm_parallel_stream(
-                &q, &mut stream(&doc), k, &model, c_t, opts, threads,
-            )
-            .expect("complete stream"));
+            let par_stream = key(&batch(&bq, &mut stream(&doc), &model, c_t, opts, threads)[0]);
             prop_assert_eq!(&par_stream, &want);
         }
         // The indexed path re-encodes labels by corpus frequency, so a
@@ -494,7 +534,7 @@ proptest! {
             }
         }
         for threads in [1usize, 3] {
-            let idxed = key(&tasm_indexed(&q, &dict, &idx, k, &imodel, c_t, opts, threads));
+            let idxed = key(&indexed(&bq, &dict, &idx, &imodel, c_t, opts, threads)[0]);
             prop_assert_eq!(&idxed, &want, "indexed, threads = {}", threads);
         }
     }

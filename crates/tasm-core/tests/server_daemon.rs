@@ -17,7 +17,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasm_core::{tasm_corpus, tasm_postorder, Doc, DocStore, Server, ServerConfig, TasmOptions};
+use tasm_core::{
+    tasm_corpus_batch, tasm_postorder, BatchQuery, Deadline, Doc, DocStore, Server, ServerConfig,
+    TasmOptions,
+};
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, TreeQueue};
@@ -266,17 +269,23 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
     let corpus = Corpus::open(&dir).unwrap();
     let mut qdict = corpus.global_dict().clone();
     let query = bracket::parse(query_text, &mut qdict).unwrap();
-    let (expect, status) = tasm_corpus(
-        &query,
+    let out = tasm_corpus_batch(
+        &[BatchQuery {
+            query: &query,
+            k: 3,
+        }],
         &qdict,
         &corpus,
-        3,
         &UnitCost,
         1,
         TasmOptions::default(),
         1,
-    );
-    assert!(!status.is_degraded());
+        None,
+        &Deadline::none(),
+    )
+    .unwrap();
+    assert!(!out.status.is_degraded());
+    let expect = &out.rankings[0];
     for (i, m) in expect.iter().enumerate() {
         assert_eq!(
             resp[1 + i],

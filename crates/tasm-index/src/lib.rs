@@ -47,8 +47,8 @@
 //! derives the candidate set `cand(T, τ)` (Def. 9) from the size column
 //! alone — examining only the nodes *above* the candidates instead of
 //! all `n` — and [`IndexedDocument::region_common`] scores every span's
-//! label overlap with a query from the postings. The `tasm_indexed`
-//! entry points in `tasm-core` combine the two with the admissible
+//! label overlap with a query from the postings. The
+//! `tasm_indexed_batch` driver in `tasm-core` combines the two with the admissible
 //! label-histogram lower bound (`tasm-ted`'s filter cascade) to skip
 //! whole regions that provably cannot beat the top-k heap cutoff.
 //!

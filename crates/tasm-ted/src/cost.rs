@@ -137,7 +137,7 @@ impl CostModel for UnitCost {
     }
 }
 
-/// The fanout-weighted cost model of Augsten et al. [21] (cited in
+/// The fanout-weighted cost model of Augsten et al. \[21\] (cited in
 /// Sec. IV-D): structure-changing operations (insert/delete of high-fanout
 /// internal nodes) are more expensive. `cst(x) = base + weight · fanout(x)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,11 +4,11 @@
 //!
 //! * [`label_histogram_lower_bound`] — an `O(n)` lower bound on the unit
 //!   tree edit distance from the label multiset difference;
-//! * [`binary_branch_distance`] — Yang, Kalnis & Tung (SIGMOD'05) [20]:
+//! * [`binary_branch_distance`] — Yang, Kalnis & Tung (SIGMOD'05) \[20\]:
 //!   an `O(n log n)` vector distance with
 //!   `δ_bb(T1, T2) ≤ 5 · δ_unit(T1, T2)`, so `δ_bb / 5` lower-bounds the
 //!   unit edit distance;
-//! * [`pq_gram_distance`] — Augsten, Böhlen & Gamper (TODS) [21]: the
+//! * [`pq_gram_distance`] — Augsten, Böhlen & Gamper (TODS) \[21\]: the
 //!   pq-gram pseudo-distance that approximates the fanout-weighted edit
 //!   distance; 0 for equal trees, cheap, and effective at ranking.
 //!
@@ -20,7 +20,7 @@
 //! pq-gram tier would silently turn the exact top-k ranking into an
 //! approximate one.
 //!
-//! For the streaming hot path, the cascade in [`crate::cascade`] uses
+//! For the streaming hot path, the cascade in [`LowerBoundCascade`](crate::LowerBoundCascade) uses
 //! allocation-free variants of these ideas; the pair-wise entry points
 //! here are for join-style pipelines and tests.
 
@@ -133,7 +133,7 @@ pub fn label_histogram_lower_bound_with(
 /// transform of the tree; `None` encodes the ε padding.
 type BinaryBranch = (LabelId, Option<LabelId>, Option<LabelId>);
 
-/// Computes the **binary branch vector** of Yang et al. [20]: the multiset
+/// Computes the **binary branch vector** of Yang et al. \[20\]: the multiset
 /// of `(label, first_child_label, next_sibling_label)` triples over the
 /// first-child/next-sibling encoding of the tree.
 pub fn binary_branches(tree: &Tree) -> HashMap<BinaryBranch, i64> {
@@ -181,7 +181,7 @@ pub fn binary_branch_lower_bound(t1: &Tree, t2: &Tree) -> Cost {
     Cost::from_natural(binary_branch_distance(t1, t2).div_ceil(5))
 }
 
-/// The pq-gram profile of a tree [21]: the multiset of all `p + q` label
+/// The pq-gram profile of a tree \[21\]: the multiset of all `p + q` label
 /// windows over the tree extended with dummy (`None`) nodes — `p − 1`
 /// ancestors above the root and `q − 1` children around every node.
 /// Each pq-gram is `p` stem labels followed by `q` base labels.
@@ -236,7 +236,7 @@ pub fn pq_gram_profile(tree: &Tree, p: usize, q: usize) -> HashMap<Vec<Option<La
     profile
 }
 
-/// The (non-normalized) **pq-gram distance** [21]: the size of the
+/// The (non-normalized) **pq-gram distance** \[21\]: the size of the
 /// symmetric difference of the two pq-gram profiles (as bags). Zero for
 /// identical trees; a pseudo-metric that approximates the fanout-weighted
 /// tree edit distance and is computable in `O(n log n)`.

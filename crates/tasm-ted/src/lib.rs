@@ -2,7 +2,7 @@
 //!
 //! The distance substrate of the TASM reproduction (Augsten, Böhlen,
 //! Barbosa, Palpanas — ICDE 2010): the canonical **tree edit distance**
-//! (Tai [8]; Zhang & Shasha [9]) with the paper's cost model (Def. 4),
+//! (Tai \[8\]; Zhang & Shasha \[9\]) with the paper's cost model (Def. 4),
 //! computed by the Zhang–Shasha dynamic program the paper builds on
 //! (Sec. IV-E), including the full *tree distance matrix* whose last row
 //! drives TASM-dynamic.

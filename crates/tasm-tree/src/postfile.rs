@@ -3,7 +3,7 @@
 //!
 //! Sec. VIII argues the postorder queue "can be implemented by any XML
 //! processing or storage system that allows an efficient postorder
-//! traversal", citing interval-encoded stores [24]. This module is such a
+//! traversal", citing interval-encoded stores \[24\]. This module is such a
 //! store: parse a document once, persist it as a compact postorder file,
 //! and afterwards stream TASM queries straight from disk without
 //! re-parsing XML (typically several times smaller and faster to scan).

@@ -97,7 +97,7 @@ impl<W: Write> XmlWriter<W> {
 
 /// Serializes a tree produced by the XML node mapping back to XML.
 ///
-/// Inverts [`crate::stream`]'s mapping: a node whose label starts with `@`
+/// Inverts the mapping of [`XmlPostorderQueue`](crate::XmlPostorderQueue): a node whose label starts with `@`
 /// and has at most one leaf child becomes an attribute; a leaf that is not
 /// an attribute becomes text when its parent is an element; other nodes
 /// become elements. Round-trips trees that came from XML; for arbitrary

@@ -68,11 +68,10 @@ use std::path::Path;
 /// Everything needed for typical use, in one import.
 pub mod prelude {
     pub use crate::core::{
-        prb_pruning, tasm_batch, tasm_batch_parallel, tasm_batch_parallel_stream,
-        tasm_batch_with_workspace, tasm_dynamic, tasm_dynamic_with_workspace, tasm_indexed,
-        tasm_indexed_batch, tasm_naive, tasm_parallel, tasm_parallel_stream, tasm_postorder,
-        tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace, CandidateSink, Match,
-        PrefixRingBuffer, ScanEngine, ScanStats, StreamIntegrityError, TasmOptions, TasmWorkspace,
+        prb_pruning, tasm_batch, tasm_corpus_batch, tasm_dynamic, tasm_dynamic_with_workspace,
+        tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_postorder_with_workspace, threshold,
+        BatchOutput, BatchQuery, BatchWorkspace, CandidateSink, Deadline, Match, PrefixRingBuffer,
+        ScanEngine, ScanStats, StreamIntegrityError, StreamScanError, TasmOptions, TasmWorkspace,
         TopKHeap,
     };
     pub use crate::index::IndexedDocument;
@@ -176,7 +175,7 @@ pub struct TasmQuery {
     /// Evaluation workspace reused across runs: repeated streaming
     /// evaluations are allocation-free in steady state.
     workspace: core::TasmWorkspace,
-    /// Merged per-shard stats of the most recent parallel run (`None`
+    /// Stats of the most recent sharded or indexed driver run (`None`
     /// when the last run went through the workspace).
     parallel_scan: Option<ScanStats>,
 }
@@ -227,13 +226,14 @@ impl TasmQuery {
     /// Sets the number of worker threads for sharded evaluation
     /// (default 1 = sequential; 0 = one per available core).
     ///
-    /// The streaming entry points (`run_xml_str` / `run_xml_file` /
-    /// `run_reader`) keep streaming: candidate segments are handed off
-    /// to the workers ([`core::tasm_parallel_stream`]) with
-    /// `O(threads · τ)` memory and **no** materialized document.
-    /// [`TasmQuery::run_tree`] shards the candidate spans of the
-    /// already-materialized tree instead ([`core::tasm_parallel`]).
-    /// Results are identical to the sequential pass either way.
+    /// Above one thread, every run goes through the
+    /// [`core::tasm_batch`] driver: the document keeps streaming and
+    /// candidate segments are handed off to the workers with
+    /// `O(threads · τ)` memory. [`TasmQuery::run_tree`] replays the
+    /// already-materialized tree through a [`tree::TreeQueue`] into the
+    /// same driver. Index runs shard the surviving candidate regions
+    /// ([`core::tasm_indexed_batch`]). Results are identical to the
+    /// sequential pass either way.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -274,22 +274,13 @@ impl TasmQuery {
     ///
     /// With [`TasmQuery::threads`] above 1 the document **still
     /// streams**: the scan hands candidate segments to the worker
-    /// threads ([`core::tasm_parallel_stream`]) and no document tree is
-    /// ever materialized.
+    /// threads ([`core::tasm_batch`]) and no document tree is ever
+    /// materialized.
     pub fn run_reader<R: std::io::BufRead>(&mut self, reader: R) -> Result<Vec<Match>, TasmError> {
         self.parallel_scan = None;
+        let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
         if self.threads != 1 {
-            let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
-            let result = core::tasm_parallel_stream_with_stats(
-                &self.query,
-                &mut queue,
-                self.k,
-                &UnitCost,
-                1,
-                self.options,
-                self.threads,
-                None,
-            );
+            let result = run_driver(&self.query, self.k, self.options, self.threads, &mut queue);
             // Prefer the parser's own error: it carries the byte offset
             // and reason, while the stream error only records that the
             // document ended early.
@@ -300,7 +291,6 @@ impl TasmQuery {
             self.parallel_scan = Some(scan);
             return Ok(matches);
         }
-        let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
         let matches = core::tasm_postorder_with_workspace(
             &self.query,
             &mut queue,
@@ -322,22 +312,15 @@ impl TasmQuery {
     /// sharding the scan across [`TasmQuery::threads`] workers when more
     /// than one is configured.
     pub fn run_tree(&mut self, doc: &Tree) -> Vec<Match> {
+        let mut queue = tree::TreeQueue::new(doc);
         if self.threads != 1 {
-            let (matches, scan) = core::tasm_parallel_with_stats(
-                &self.query,
-                doc,
-                self.k,
-                &UnitCost,
-                1,
-                self.options,
-                self.threads,
-                None,
-            );
+            let (matches, scan) =
+                run_driver(&self.query, self.k, self.options, self.threads, &mut queue)
+                    .expect("an in-memory tree is a complete stream");
             self.parallel_scan = Some(scan);
             return matches;
         }
         self.parallel_scan = None;
-        let mut queue = tree::TreeQueue::new(doc);
         core::tasm_postorder_with_workspace(
             &self.query,
             &mut queue,
@@ -372,19 +355,25 @@ impl TasmQuery {
     /// so [`TasmQuery::match_to_xml`] works exactly as after a
     /// streamed run.
     pub fn run_index(&mut self, idx: &IndexedDocument) -> Vec<Match> {
-        let (matches, scan) = core::tasm_indexed_with_stats(
-            &self.query,
+        let queries = [core::BatchQuery {
+            query: &self.query,
+            k: self.k,
+        }];
+        let mut out = core::tasm_indexed_batch(
+            &queries,
             &self.dict,
             idx,
-            self.k,
             &UnitCost,
             1,
             self.options,
             self.threads,
             None,
-        );
+            &core::Deadline::none(),
+        )
+        .expect("Deadline::none() never expires");
+        let matches = out.rankings.pop().expect("one lane");
         let matches = adopt_match_trees(matches, idx.dict(), &mut self.dict);
-        self.parallel_scan = Some(scan);
+        self.parallel_scan = Some(out.scan);
         matches
     }
 
@@ -401,6 +390,33 @@ impl TasmQuery {
     /// Renders a match's subtree back to XML (requires `keep_trees`).
     pub fn match_to_xml(&self, m: &Match) -> Option<String> {
         m.tree.as_ref().map(|t| xml::tree_to_xml(t, &self.dict))
+    }
+}
+
+/// One query through the [`core::tasm_batch`] driver at `threads`, with
+/// the unit cost model and no deadline.
+fn run_driver<Q: tree::PostorderQueue + ?Sized>(
+    query: &Tree,
+    k: usize,
+    options: TasmOptions,
+    threads: usize,
+    queue: &mut Q,
+) -> Result<(Vec<Match>, ScanStats), StreamIntegrityError> {
+    let queries = [core::BatchQuery { query, k }];
+    match core::tasm_batch(
+        &queries,
+        queue,
+        &UnitCost,
+        1,
+        options,
+        threads,
+        &mut core::BatchWorkspace::new(),
+        None,
+        &core::Deadline::none(),
+    ) {
+        Ok(mut out) => Ok((out.rankings.pop().expect("one lane"), out.scan)),
+        Err(core::StreamScanError::Integrity(e)) => Err(e),
+        Err(core::StreamScanError::Deadline(_)) => unreachable!("Deadline::none() never expires"),
     }
 }
 
@@ -442,9 +458,10 @@ pub struct TasmBatch {
     threads: usize,
     /// Scan + per-lane workspaces reused across runs.
     workspace: core::BatchWorkspace,
-    /// Aggregate + per-lane stats of the most recent sharded run
-    /// (`None` when the last run used the shared sequential scan).
-    parallel_scan: Option<(ScanStats, Vec<ScanStats>)>,
+    /// Aggregate stats of the most recent run.
+    last_scan: ScanStats,
+    /// Per-lane stats of the most recent run, in query order.
+    last_lanes: Vec<ScanStats>,
 }
 
 impl TasmBatch {
@@ -466,7 +483,8 @@ impl TasmBatch {
             },
             threads: 1,
             workspace: core::BatchWorkspace::new(),
-            parallel_scan: None,
+            last_scan: ScanStats::default(),
+            last_lanes: Vec::new(),
         })
     }
 
@@ -482,8 +500,8 @@ impl TasmBatch {
     /// With more than one thread the batch runs **batch×parallel**: the
     /// document still streams once, candidate segments are handed off
     /// to the workers, and every worker fans each candidate out to all
-    /// query lanes ([`core::tasm_batch_parallel_stream`]). Each ranking
-    /// is identical to the sequential shared-scan result.
+    /// query lanes ([`core::tasm_batch`]). Each ranking is identical to
+    /// the sequential shared-scan result.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -536,45 +554,33 @@ impl TasmBatch {
             .map(|query| core::BatchQuery { query, k: self.k })
             .collect();
         let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
-        self.parallel_scan = None;
-        let rankings = if self.threads != 1 {
-            // The workspace is threaded through so a thread count that
-            // resolves to 1 (e.g. `threads(0)` on a single core) keeps
-            // the warm-buffer reuse of the shared sequential scan.
-            let result = core::tasm_batch_parallel_stream_with_workspace(
-                &batch,
-                &mut queue,
-                &UnitCost,
-                1,
-                self.options,
-                self.threads,
-                &mut self.workspace,
-                None,
-            );
-            // Prefer the parser's own error: it carries the byte offset
-            // and reason, while the stream error only records that the
-            // document ended early.
-            if let Some(err) = queue.take_error() {
-                return Err(err.into());
-            }
-            let (rankings, scan, lanes) = result?;
-            self.parallel_scan = Some((scan, lanes));
-            rankings
-        } else {
-            core::tasm_batch_with_workspace(
-                &batch,
-                &mut queue,
-                &UnitCost,
-                1,
-                self.options,
-                &mut self.workspace,
-                None,
-            )
-        };
+        let result = core::tasm_batch(
+            &batch,
+            &mut queue,
+            &UnitCost,
+            1,
+            self.options,
+            self.threads,
+            &mut self.workspace,
+            None,
+            &core::Deadline::none(),
+        );
+        // Prefer the parser's own error: it carries the byte offset and
+        // reason, while the stream error only records that the document
+        // ended early.
         if let Some(err) = queue.take_error() {
             return Err(err.into());
         }
-        Ok(rankings)
+        let out = match result {
+            Ok(out) => out,
+            Err(core::StreamScanError::Integrity(e)) => return Err(e.into()),
+            Err(core::StreamScanError::Deadline(_)) => {
+                unreachable!("Deadline::none() never expires")
+            }
+        };
+        self.last_scan = out.scan;
+        self.last_lanes = out.lanes;
+        Ok(out.rankings)
     }
 
     /// Answers the whole batch from a prebuilt `.pqi` index file: one
@@ -594,7 +600,7 @@ impl TasmBatch {
             .iter()
             .map(|query| core::BatchQuery { query, k: self.k })
             .collect();
-        let (rankings, scan, lanes) = core::tasm_indexed_batch_with_stats(
+        let out = core::tasm_indexed_batch(
             &batch,
             &self.dict,
             idx,
@@ -603,12 +609,16 @@ impl TasmBatch {
             self.options,
             self.threads,
             None,
-        );
-        let rankings = rankings
+            &core::Deadline::none(),
+        )
+        .expect("Deadline::none() never expires");
+        let rankings = out
+            .rankings
             .into_iter()
             .map(|matches| adopt_match_trees(matches, idx.dict(), &mut self.dict))
             .collect();
-        self.parallel_scan = Some((scan, lanes));
+        self.last_scan = out.scan;
+        self.last_lanes = out.lanes;
         rankings
     }
 
@@ -621,20 +631,14 @@ impl TasmBatch {
     /// recent run — shared sequential scan or sharded streaming scan —
     /// aggregated over all query lanes.
     pub fn last_scan_stats(&self) -> ScanStats {
-        match &self.parallel_scan {
-            Some((scan, _)) => *scan,
-            None => self.workspace.last_scan_stats(),
-        }
+        self.last_scan
     }
 
     /// Per-lane statistics of the most recent run, in query order: the
     /// scan-layer counters of the (single) pass plus each query lane's
     /// own pruning funnel.
     pub fn last_lane_stats(&self) -> Vec<ScanStats> {
-        match &self.parallel_scan {
-            Some((_, lanes)) => lanes.clone(),
-            None => self.workspace.last_lane_stats().to_vec(),
-        }
+        self.last_lanes.clone()
     }
 }
 
