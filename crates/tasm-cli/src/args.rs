@@ -92,6 +92,19 @@ impl Args {
     pub fn flag(&self, name: &str) -> bool {
         self.get(name).is_some()
     }
+
+    /// Fails on the first option not in `known`, so a misspelled or
+    /// retired flag is an error instead of being silently ignored.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .options
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            Some((k, _)) => Err(format!("unknown option --{k}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -151,8 +151,6 @@ COMMANDS:
                   --corpus-threads <n>   shard-scheduler threads per
                                          corpus request (0=cores) [1]
                   --queue <n>            admission queue bound  [64]
-                  --max-batch <n>        max shared-scan batch  [16]
-                  --batch-window-ms <n>  batch gather window    [1]
                   --default-timeout-ms <n>  deadline when a request
                                          names none             [2000]
                   --max-timeout-ms <n>   cap on client deadlines [30000]

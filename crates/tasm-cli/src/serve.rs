@@ -11,9 +11,27 @@ use std::time::Duration;
 use crate::args::Args;
 use crate::errors::{CliError, UsageExt};
 use crate::output::Out;
-use tasm_core::{Doc, DocStore, QueryParser, Server, ServerConfig};
 use tasm_index::Corpus;
+use tasm_serve::{busy_retry_after_ms, is_multiline, Doc, DocStore, Server, ServerConfig};
 use tasm_tree::LabelDict;
+
+/// Every option `serve` reads; anything else is a usage error.
+const SERVE_OPTIONS: &[&str] = &[
+    "socket",
+    "tcp",
+    "doc",
+    "corpus",
+    "workers",
+    "corpus-threads",
+    "queue",
+    "default-timeout-ms",
+    "max-timeout-ms",
+    "drain-timeout-ms",
+    "read-timeout-ms",
+];
+
+/// Every option `client` reads; anything else is a usage error.
+const CLIENT_OPTIONS: &[&str] = &["socket", "tcp", "send", "retries", "max-backoff-ms"];
 
 /// Derives the document alias from `--doc <name=path>` (or the file
 /// stem when no `name=` is given). Shared with `corpus build/add`.
@@ -35,11 +53,6 @@ fn build_config(args: &Args) -> Result<ServerConfig, CliError> {
     Ok(ServerConfig {
         workers: args.get_num("workers", defaults.workers).usage()?,
         queue_capacity: args.get_num("queue", defaults.queue_capacity).usage()?,
-        max_batch: args.get_num("max-batch", defaults.max_batch).usage()?,
-        batch_window: Duration::from_millis(
-            args.get_num("batch-window-ms", defaults.batch_window.as_millis() as u64)
-                .usage()?,
-        ),
         default_deadline: Duration::from_millis(
             args.get_num(
                 "default-timeout-ms",
@@ -75,6 +88,7 @@ fn build_config(args: &Args) -> Result<ServerConfig, CliError> {
 /// Exit code 0 means every admitted request's response reached its
 /// socket before the drain deadline; a dirty drain exits 2.
 pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(SERVE_OPTIONS).usage()?;
     let mut store = DocStore::new();
     for (name, value) in &args.options {
         match name.as_str() {
@@ -117,11 +131,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
         ));
     }
     let cfg = build_config(args)?;
-    // Queries arrive over the wire as XML; parse them with the same
-    // parser the one-shot CLI uses so rankings are identical.
-    let parser: QueryParser =
-        Arc::new(|text, dict| tasm_xml::parse_tree_str(text, dict).map_err(|e| e.to_string()));
-    let server = Server::new(cfg, store, Some(parser));
+    let server = Server::new(cfg, store);
     let stop = crate::signal::install_term_flag();
 
     let socket = args.get("socket");
@@ -199,6 +209,7 @@ fn finish(clean: bool) -> Result<(), CliError> {
 /// server's hint (capped by `--max-backoff-ms`). Exhausted retries
 /// surface the final `BUSY` line verbatim — still exit 0.
 pub fn cmd_client(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(CLIENT_OPTIONS).usage()?;
     let sends: Vec<&str> = args.get_all("send");
     let retries: u32 = args.get_num("retries", 0).usage()?;
     let max_backoff_ms: u64 = args.get_num("max-backoff-ms", 2000).usage()?;
@@ -263,15 +274,6 @@ fn read_line<S: Read>(stream: &mut BufReader<S>) -> Result<String, CliError> {
     Ok(line)
 }
 
-/// Whether a response head opens a multi-line body (`OK <n>` / `DOCS
-/// <n>` rows up to `END`). `OK draining` and every `ERR`/`BUSY`/`PONG`
-/// is a single line.
-fn is_multiline(head: &str) -> bool {
-    let mut toks = head.split_whitespace();
-    matches!(toks.next(), Some("OK") | Some("DOCS"))
-        && toks.next().is_some_and(|n| n.parse::<u64>().is_ok())
-}
-
 /// The server's `retry-after-ms=<t>` hint, scaled exponentially by the
 /// attempt number, capped, and jittered into `[cap/2, cap]` so a burst
 /// of shed clients does not reconverge on the same instant.
@@ -309,13 +311,8 @@ fn run_client_framed<S: Read + Write>(
                 .and_then(|()| stream.get_mut().flush())
                 .map_err(|e| CliError::Runtime(format!("send: {e}")))?;
             let head = read_line(&mut stream)?;
-            if let Some(rest) = head.strip_prefix("BUSY") {
+            if let Some(retry_after) = busy_retry_after_ms(&head) {
                 if attempt < retries {
-                    let retry_after = rest
-                        .split_whitespace()
-                        .find_map(|tok| tok.strip_prefix("retry-after-ms="))
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .unwrap_or(100);
                     let delay = backoff_ms(retry_after, attempt, max_backoff_ms, &mut rng);
                     attempt += 1;
                     eprintln!("tasm client: BUSY, retry {attempt}/{retries} in {delay}ms");
@@ -392,17 +389,6 @@ mod tests {
             ("corpus".into(), "/data/corpus.xml")
         );
         assert_eq!(doc_alias("plain.pq"), ("plain".into(), "plain.pq"));
-    }
-
-    #[test]
-    fn framing_distinguishes_single_and_multi_line_heads() {
-        assert!(is_multiline("OK 3"));
-        assert!(is_multiline("OK 0 degraded=1/2"));
-        assert!(is_multiline("DOCS 2"));
-        assert!(!is_multiline("OK draining"));
-        assert!(!is_multiline("PONG"));
-        assert!(!is_multiline("ERR doc unknown document"));
-        assert!(!is_multiline("BUSY retry-after-ms=100"));
     }
 
     #[test]

@@ -48,6 +48,35 @@ fn usage_errors_exit_1() {
 }
 
 #[test]
+fn serve_and_client_reject_options_they_do_not_read() {
+    // Neither the doc nor the socket exists: were the option accepted,
+    // the command would fail at run time with exit 2, not exit 1.
+    let serve = [
+        "serve",
+        "--socket",
+        "unused.sock",
+        "--doc",
+        "d=/no/such/doc.xml",
+    ];
+    let client = ["client", "--socket", "unused.sock", "--send", "PING"];
+    for (base, extra) in [
+        (&serve, ["--batch-window-ms", "1"]),   // removed
+        (&serve, ["--max-batch", "4"]),         // removed
+        (&serve, ["--drain-deadline-ms", "1"]), // misspelled --drain-timeout-ms
+        (&client, ["--retry", "3"]),            // misspelled --retries
+    ] {
+        let args: Vec<&str> = base.iter().chain(&extra).copied().collect();
+        let out = tasm(&args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {}", extra[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn runtime_errors_exit_2() {
     // Unreadable input file.
     let out = tasm(&[

@@ -83,7 +83,6 @@ mod lane;
 mod naive;
 mod ranking;
 mod ring_buffer;
-mod server;
 mod simple_pruning;
 mod stream_shard;
 mod tasm_dynamic;
@@ -108,7 +107,6 @@ pub use ring_buffer::{
     candidate_set_reference, prb_pruning, prb_pruning_stats, Candidate, PrefixRingBuffer,
     PruningStats,
 };
-pub use server::{Doc, DocStore, QueryParser, Server, ServerConfig};
 pub use simple_pruning::simple_pruning;
 pub use tasm_dynamic::{tasm_dynamic, tasm_dynamic_with_workspace, TasmOptions};
 pub use tasm_postorder::{process_candidate, tasm_postorder, tasm_postorder_with_workspace};

@@ -112,7 +112,7 @@ fn index_of(doc: &Tree, q_labels: &[LabelId]) -> (IndexedDocument, LabelDict) {
     IndexedDocument::build(doc, &dict)
         .write_to(&mut bytes)
         .expect("write .pqi");
-    let idx = IndexedDocument::from_reader(bytes.as_slice()).expect("read .pqi back");
+    let idx = IndexedDocument::open_bytes(&bytes).expect("read .pqi back");
     (idx, dict)
 }
 

@@ -2,12 +2,12 @@
 //! index (frequency-ordered dictionary, per-label postings, checksummed
 //! postings section). See the crate docs for the file format.
 
-use std::io::{self, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
-use tasm_tree::crc::{crc32_update, Crc32Reader};
-use tasm_tree::postfile::{PostFileError, PostFileReader, MAGIC_V2};
-use tasm_tree::{LabelDict, LabelId, NodeId, PostorderQueue, Tree};
+use tasm_tree::crc::crc32_update;
+use tasm_tree::postfile::{PostFileError, MAGIC_V2};
+use tasm_tree::{LabelDict, LabelId, NodeId, Tree};
 
 /// A document materialized together with its label index, as stored in
 /// a `.pqi` file.
@@ -75,96 +75,15 @@ impl IndexedDocument {
         Self::open_bytes(&bytes)
     }
 
-    /// Reads an index from any byte source, validating it fully: the
-    /// entry section must be complete (a truncated file is an error,
-    /// never a silently smaller document) and the postings must agree
-    /// with the entry section label by label.
-    pub fn from_reader(input: impl Read) -> Result<Self, PostFileError> {
-        let mut reader = PostFileReader::new(input)?;
-        if reader.version() != 2 {
-            return Err(PostFileError::Format(
-                "not an indexed file: version 1 has no postings (run `tasm index`)".into(),
-            ));
-        }
-        let total = reader.total_nodes();
-        let mut entries = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
-        while let Some(e) = reader.dequeue() {
-            entries.push((e.label, e.size));
-        }
-        if let Some(msg) = reader.integrity_error() {
-            return Err(PostFileError::Format(msg));
-        }
-        let tree = Tree::from_postorder(entries)
-            .map_err(|e| PostFileError::Format(format!("invalid postorder entries: {e}")))?;
-        let (input, dict) = reader.into_inner();
-        // Hash the postings section as it streams by; the trailing
-        // checksum is compared after the last list.
-        let mut input = Crc32Reader::new(input);
-
-        let n = tree.len() as u64;
-        let n_labels = dict.len();
-        let mut freq = vec![0u32; n_labels];
-        for l in tree.labels() {
-            freq[l.index()] += 1;
-        }
-        let mut postings: Vec<Vec<u32>> = Vec::with_capacity(n_labels);
-        let mut covered = 0u64;
-        for (label, &expected) in freq.iter().enumerate() {
-            let len = read_u32(&mut input).map_err(|e| truncation(e, "postings length"))?;
-            if u64::from(len) > n || len != expected {
-                return Err(PostFileError::Format(format!(
-                    "postings of label {label} list {len} nodes, entries have {expected}"
-                )));
-            }
-            let mut list = Vec::with_capacity(len as usize);
-            let mut prev = 0u32;
-            for _ in 0..len {
-                let pos = read_u32(&mut input).map_err(|e| truncation(e, "postings entry"))?;
-                if pos <= prev || u64::from(pos) > n {
-                    return Err(PostFileError::Format(format!(
-                        "postings of label {label} are not ascending positions in 1..={n}"
-                    )));
-                }
-                if tree.label(NodeId::new(pos)).index() != label {
-                    return Err(PostFileError::Format(format!(
-                        "postings of label {label} point at a node labeled differently"
-                    )));
-                }
-                prev = pos;
-                list.push(pos);
-            }
-            covered += u64::from(len);
-            postings.push(list);
-        }
-        if covered != n {
-            return Err(PostFileError::Format(format!(
-                "postings cover {covered} of {n} nodes"
-            )));
-        }
-        let computed = input.crc();
-        let mut input = input.into_inner();
-        let stored = read_u32(&mut input).map_err(|e| truncation(e, "postings checksum"))?;
-        if stored != computed {
-            return Err(PostFileError::Corrupt(format!(
-                "postings checksum mismatch (stored {stored:08x}, computed {computed:08x}): \
-                 torn or bit-rotted index write — rebuild with `tasm index`"
-            )));
-        }
-        Ok(IndexedDocument {
-            tree,
-            dict,
-            postings,
-        })
-    }
-
     /// Decodes an index from one in-memory buffer through a borrowed
     /// [`PqiView`]: bulk slice decoding instead of per-field reader
     /// calls, with the postings checksum computed in **one** pass over
-    /// the postings slice. Validation is identical to
-    /// [`from_reader`](Self::from_reader) — every truncation,
-    /// structural inconsistency and checksum mismatch is the same
-    /// error, never a silent misparse (pinned by the corruption tests,
-    /// which run both paths).
+    /// the postings slice. The file is validated fully: the entry
+    /// section must be complete (a truncated file is an error, never a
+    /// silently smaller document) and the postings must agree with the
+    /// entry section label by label. Every truncation, structural
+    /// inconsistency and checksum mismatch is an error, never a silent
+    /// misparse (pinned by the corruption tests).
     pub fn open_bytes(bytes: &[u8]) -> Result<Self, PostFileError> {
         Self::from_view(&PqiView::parse(bytes)?)
     }
@@ -471,8 +390,8 @@ pub struct PqiView<'a> {
 
 impl<'a> PqiView<'a> {
     /// Parses the header and section bounds of a version-2 buffer.
-    /// Version-1 files are rejected with the same guidance as
-    /// [`IndexedDocument::from_reader`] (they carry no postings).
+    /// Version-1 files are rejected with guidance to run `tasm index`
+    /// (they carry no postings).
     pub fn parse(bytes: &'a [u8]) -> Result<Self, PostFileError> {
         use tasm_tree::postfile::MAGIC_V1;
         let mut cur = SliceCursor { buf: bytes, pos: 0 };
@@ -560,24 +479,12 @@ impl<'a> SliceCursor<'a> {
     }
 }
 
-fn truncation(e: io::Error, what: &str) -> PostFileError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        PostFileError::Format(format!("indexed file truncated while reading {what}"))
-    } else {
-        PostFileError::Io(e)
-    }
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tasm_tree::bracket;
+    use tasm_tree::postfile::PostFileReader;
+    use tasm_tree::PostorderQueue;
 
     fn sample() -> (Tree, LabelDict) {
         let mut dict = LabelDict::new();
@@ -663,28 +570,17 @@ mod tests {
         assert_eq!(covered, t.len());
     }
 
-    /// Both decode paths — the streaming reader and the zero-copy
-    /// slice path — must accept and reject exactly the same inputs.
-    fn both_paths(bytes: &[u8]) -> [Result<IndexedDocument, PostFileError>; 2] {
-        [
-            IndexedDocument::from_reader(bytes),
-            IndexedDocument::open_bytes(bytes),
-        ]
-    }
-
     #[test]
     fn file_round_trip() {
         let (t, dict) = sample();
         let idx = IndexedDocument::build(&t, &dict);
         let mut bytes = Vec::new();
         idx.write_to(&mut bytes).unwrap();
-        for back in both_paths(&bytes) {
-            let back = back.unwrap();
-            assert_eq!(back.tree(), idx.tree());
-            assert_eq!(back.postings, idx.postings);
-            for (id, name) in idx.dict().iter() {
-                assert_eq!(back.dict().resolve(id), name);
-            }
+        let back = IndexedDocument::open_bytes(&bytes).unwrap();
+        assert_eq!(back.tree(), idx.tree());
+        assert_eq!(back.postings, idx.postings);
+        for (id, name) in idx.dict().iter() {
+            assert_eq!(back.dict().resolve(id), name);
         }
     }
 
@@ -728,10 +624,8 @@ mod tests {
         // of the entries = postings size; chop past it.
         let postings_bytes: usize = idx.postings.iter().map(|p| 4 + 4 * p.len()).sum();
         bytes.truncate(bytes.len() - postings_bytes - 4);
-        for got in both_paths(&bytes) {
-            let msg = got.unwrap_err().to_string();
-            assert!(msg.contains("truncated"), "{msg}");
-        }
+        let msg = IndexedDocument::open_bytes(&bytes).unwrap_err().to_string();
+        assert!(msg.contains("truncated"), "{msg}");
     }
 
     #[test]
@@ -741,10 +635,8 @@ mod tests {
         let mut bytes = Vec::new();
         idx.write_to(&mut bytes).unwrap();
         bytes.truncate(bytes.len() - 2);
-        for got in both_paths(&bytes) {
-            let err = got.unwrap_err();
-            assert!(err.to_string().contains("truncated"), "{err}");
-        }
+        let err = IndexedDocument::open_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
@@ -761,13 +653,12 @@ mod tests {
         for at in postings_start..bytes.len() {
             let mut broken = bytes.clone();
             broken[at] ^= 0x20;
-            for got in both_paths(&broken) {
-                let err = got.expect_err(&format!("byte {at} flipped"));
-                assert!(
-                    matches!(err, PostFileError::Corrupt(_) | PostFileError::Format(_)),
-                    "byte {at}: {err}"
-                );
-            }
+            let err =
+                IndexedDocument::open_bytes(&broken).expect_err(&format!("byte {at} flipped"));
+            assert!(
+                matches!(err, PostFileError::Corrupt(_) | PostFileError::Format(_)),
+                "byte {at}: {err}"
+            );
         }
         // At least the length byte of the first list slips past the
         // structural checks only when semantically plausible; verify the
@@ -775,11 +666,9 @@ mod tests {
         let mut broken = bytes.clone();
         let last = broken.len() - 1;
         broken[last] ^= 0x01;
-        for got in both_paths(&broken) {
-            let err = got.unwrap_err();
-            assert!(matches!(err, PostFileError::Corrupt(_)), "{err}");
-            assert!(err.to_string().contains("checksum"), "{err}");
-        }
+        let err = IndexedDocument::open_bytes(&broken).unwrap_err();
+        assert!(matches!(err, PostFileError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]
@@ -789,10 +678,8 @@ mod tests {
         let mut bytes = Vec::new();
         idx.write_to(&mut bytes).unwrap();
         bytes.truncate(bytes.len() - 4); // drop the whole trailer
-        for got in both_paths(&bytes) {
-            let err = got.unwrap_err();
-            assert!(err.to_string().contains("truncated"), "{err}");
-        }
+        let err = IndexedDocument::open_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
@@ -814,10 +701,8 @@ mod tests {
         let mut bytes = Vec::new();
         let mut q = tasm_tree::TreeQueue::new(&t);
         tasm_tree::postfile::write_postfile(&mut bytes, &dict, &mut q, t.len() as u64).unwrap();
-        for got in both_paths(&bytes) {
-            let err = got.unwrap_err();
-            assert!(err.to_string().contains("tasm index"), "{err}");
-        }
+        let err = IndexedDocument::open_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("tasm index"), "{err}");
     }
 
     #[test]
@@ -940,17 +825,9 @@ mod tests {
             let idx = IndexedDocument::build(&t, &dict);
             let mut bytes = Vec::new();
             idx.write_to(&mut bytes).expect("write");
-            let back = IndexedDocument::from_reader(bytes.as_slice()).expect("read");
+            let back = IndexedDocument::open_bytes(&bytes).expect("read");
             proptest::prop_assert_eq!(
                 canonical(back.tree(), back.dict()),
-                canonical(&t, &dict)
-            );
-            // The zero-copy slice path decodes the identical document.
-            let sliced = IndexedDocument::open_bytes(&bytes).expect("slice read");
-            proptest::prop_assert_eq!(sliced.tree(), back.tree());
-            proptest::prop_assert_eq!(&sliced.postings, &back.postings);
-            proptest::prop_assert_eq!(
-                canonical(sliced.tree(), sliced.dict()),
                 canonical(&t, &dict)
             );
             for label in 0..back.dict().len() as u32 {

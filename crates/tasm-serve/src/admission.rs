@@ -6,10 +6,13 @@
 //! immediate `BUSY` instead of being buffered without bound — bounded
 //! latency for everyone beats unbounded queues for no one. Admitted
 //! requests are grouped into **shared-scan batches**: a worker that
-//! picks up a request briefly holds the door open (the batching window)
-//! for compatible requests — same parsed document — and evaluates the
-//! group in ONE scan through the batch engine, the scheduling story the
-//! lane layer was built for.
+//! picks up a request on a tree document also takes the requests
+//! *already queued* on that same document (up to [`MAX_BATCH`]) and
+//! evaluates the group in ONE scan through the batch engine. Nothing
+//! waits for company: batches form only when a backlog does, so an
+//! idle daemon adds no latency. Corpus requests are never grouped —
+//! each carries its own extended dictionary and is evaluated alone, so
+//! grouping them would only serialize them on one worker.
 //!
 //! Drain correctness hangs on one counter: `outstanding` is incremented
 //! at submit and decremented only after the connection thread has
@@ -22,9 +25,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use super::conn::ResponseSlot;
-use super::Doc;
+use crate::conn::ResponseSlot;
+use crate::Doc;
 use tasm_tree::{LabelDict, Tree};
+
+/// Most requests one worker evaluates under a single shared scan.
+const MAX_BATCH: usize = 16;
 
 /// One admitted query waiting for (or undergoing) evaluation.
 pub(crate) struct PendingRequest {
@@ -90,14 +96,12 @@ pub(crate) struct Admission {
     /// `drain` waits here for `outstanding == 0`.
     idle_cv: Condvar,
     capacity: usize,
-    batch_window: Duration,
-    max_batch: usize,
     /// Requests refused with `BUSY` (overload visibility).
     shed: AtomicUsize,
 }
 
 impl Admission {
-    pub(crate) fn new(capacity: usize, batch_window: Duration, max_batch: usize) -> Arc<Self> {
+    pub(crate) fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Admission {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -107,8 +111,6 @@ impl Admission {
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             capacity: capacity.max(1),
-            batch_window,
-            max_batch: max_batch.max(1),
             shed: AtomicUsize::new(0),
         })
     }
@@ -137,41 +139,26 @@ impl Admission {
         })
     }
 
-    /// Worker entry: blocks for the next batch of compatible requests
-    /// (same document, grouped under the batching window), or `None`
-    /// once the daemon drains and the queue is empty — the worker's
-    /// signal to exit.
+    /// Worker entry: blocks for the next batch — the oldest request
+    /// plus the requests already queued on the same tree document —
+    /// or `None` once the daemon drains and the queue is empty, the
+    /// worker's signal to exit.
     pub(crate) fn next_batch(&self) -> Option<Vec<PendingRequest>> {
         let mut st = self.lock_state();
         loop {
             if let Some(first) = st.queue.pop_front() {
+                let doc = first.doc.clone();
                 let mut batch = vec![first];
-                let window_end = Instant::now() + self.batch_window;
-                loop {
-                    // Absorb every compatible request already queued.
+                if doc.tree().is_some() {
                     let mut i = 0;
-                    while i < st.queue.len() && batch.len() < self.max_batch {
-                        if Arc::ptr_eq(&st.queue[i].doc, &batch[0].doc) {
+                    while i < st.queue.len() && batch.len() < MAX_BATCH {
+                        if Arc::ptr_eq(&st.queue[i].doc, &doc) {
                             let req = st.queue.remove(i).expect("index in bounds");
                             batch.push(req);
                         } else {
                             i += 1;
                         }
                     }
-                    if batch.len() >= self.max_batch || st.draining {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= window_end {
-                        break;
-                    }
-                    // Hold the door open for the rest of the window: a
-                    // compatible arrival shares this batch's scan.
-                    let (s, _) = self
-                        .work_cv
-                        .wait_timeout(st, window_end - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st = s;
                 }
                 return Some(batch);
             }
@@ -220,7 +207,8 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tasm_tree::{bracket, LabelDict};
+    use tasm_index::Corpus;
+    use tasm_tree::bracket;
 
     fn doc() -> Arc<Doc> {
         let mut dict = LabelDict::new();
@@ -240,14 +228,14 @@ mod tests {
             deadline_at: Instant::now() + Duration::from_secs(1),
             stats: false,
             root_label: "a".into(),
-            raw: "QUERY doc=d k=1 q={a}".into(),
+            raw: "QUERY doc=d k=1 q=<a/>".into(),
             slot: ResponseSlot::new(),
         }
     }
 
     #[test]
     fn overflow_is_shed_with_busy() {
-        let adm = Admission::new(2, Duration::ZERO, 4);
+        let adm = Admission::new(2);
         let d = doc();
         let _t1 = adm.submit(request(&d)).unwrap();
         let _t2 = adm.submit(request(&d)).unwrap();
@@ -257,7 +245,7 @@ mod tests {
 
     #[test]
     fn draining_sheds_everything_and_wakes_workers() {
-        let adm = Admission::new(8, Duration::ZERO, 4);
+        let adm = Admission::new(8);
         adm.begin_drain();
         assert!(adm.submit(request(&doc())).is_err());
         assert_eq!(adm.next_batch().map(|b| b.len()), None);
@@ -265,7 +253,7 @@ mod tests {
 
     #[test]
     fn compatible_requests_batch_under_one_scan() {
-        let adm = Admission::new(8, Duration::from_millis(5), 4);
+        let adm = Admission::new(8);
         let d = doc();
         let other = doc(); // different Arc: incompatible by identity
         let _t: Vec<_> = (0..3).map(|_| adm.submit(request(&d)).unwrap()).collect();
@@ -279,17 +267,43 @@ mod tests {
 
     #[test]
     fn max_batch_caps_the_group() {
-        let adm = Admission::new(16, Duration::from_millis(5), 2);
+        let adm = Admission::new(64);
         let d = doc();
-        let _t: Vec<_> = (0..5).map(|_| adm.submit(request(&d)).unwrap()).collect();
-        assert_eq!(adm.next_batch().unwrap().len(), 2);
-        assert_eq!(adm.next_batch().unwrap().len(), 2);
+        let _t: Vec<_> = (0..MAX_BATCH + 3)
+            .map(|_| adm.submit(request(&d)).unwrap())
+            .collect();
+        assert_eq!(adm.next_batch().unwrap().len(), MAX_BATCH);
+        assert_eq!(adm.next_batch().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn corpus_requests_are_never_grouped() {
+        let dir = std::env::temp_dir().join(format!(
+            "tasm-serve-admission-corpus-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = Corpus::create(&dir).unwrap();
+        let c = Arc::new(Doc::new_corpus("c", Arc::new(corpus)));
+        let d = doc();
+        let adm = Admission::new(8);
+        let _t: Vec<_> = (0..3)
+            .flat_map(|_| [adm.submit(request(&c)), adm.submit(request(&d))])
+            .map(Result::unwrap)
+            .collect();
+        // Corpus requests are evaluated one by one, so each is its own
+        // batch and another worker can take the next; the interleaved
+        // tree requests still share one scan.
         assert_eq!(adm.next_batch().unwrap().len(), 1);
+        assert_eq!(adm.next_batch().unwrap().len(), 3);
+        assert_eq!(adm.next_batch().unwrap().len(), 1);
+        assert_eq!(adm.next_batch().unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wait_idle_tracks_the_outstanding_tokens() {
-        let adm = Admission::new(8, Duration::ZERO, 4);
+        let adm = Admission::new(8);
         let d = doc();
         let t1 = adm.submit(request(&d)).unwrap();
         adm.begin_drain();

@@ -11,7 +11,7 @@
 //! ```text
 //! PING
 //! DOCS
-//! QUERY doc=<name> [k=<n>] [timeout=<ms>] [stats=1] q=<query to end of line>
+//! QUERY doc=<name> [k=<n>] [timeout=<ms>] [stats=1] q=<XML query to end of line>
 //! SHUTDOWN
 //! ```
 //!
@@ -37,9 +37,11 @@
 //! Failure discipline: a malformed line gets `ERR proto` and the
 //! connection keeps serving (one bad request must not cost the client
 //! its session); a connection that closes mid-line gets `ERR proto
-//! truncated request` back (best effort) and is dropped; a read that
-//! times out idles out with `ERR timeout`; an in-request panic surfaces
-//! as `ERR internal` with the daemon alive.
+//! truncated request` back (best effort) and is dropped; so does a
+//! line longer than [`MAX_REQUEST_LINE`] bytes, which is refused before
+//! the daemon buffers more of it; a read that times out idles out with
+//! `ERR timeout`; an in-request panic surfaces as `ERR internal` with
+//! the daemon alive.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -49,10 +51,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use super::admission::{Admission, PendingRequest};
-use super::{DocStore, QueryParser, ServerConfig};
-use crate::engine::ScanStats;
+use crate::admission::{Admission, PendingRequest};
+use crate::{DocStore, ServerConfig};
+use tasm_core::ScanStats;
 use tasm_ted::Cost;
+
+/// Longest request line the daemon reads, newline excluded. Queries
+/// are small trees, so a longer line is refused rather than buffered:
+/// without the bound, one client streaming an unterminated line grows
+/// the daemon's memory without limit.
+pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// The head of the overload answer; the server's retry hint (in
+/// milliseconds) follows it.
+const BUSY_HEAD: &str = "BUSY retry-after-ms=";
 
 /// A duplex byte stream the daemon can serve: cloneable into separate
 /// read/write halves, with an idle read timeout.
@@ -202,7 +214,6 @@ impl ResponseSlot {
 #[derive(Clone)]
 pub(crate) struct ConnCtx {
     pub(crate) store: Arc<DocStore>,
-    pub(crate) parser: QueryParser,
     pub(crate) admission: Arc<Admission>,
     pub(crate) cfg: ServerConfig,
     /// Flipped by `SHUTDOWN` (and the host's signal handler); the
@@ -297,6 +308,21 @@ fn send(writer: &mut impl Write, line: &str) -> io::Result<()> {
     writer.flush()
 }
 
+/// Whether a response head opens a multi-line body (`OK <n>` / `DOCS
+/// <n>` rows up to `END`). `OK draining` and every `ERR`/`BUSY`/`PONG`
+/// is a single line.
+pub fn is_multiline(head: &str) -> bool {
+    let mut toks = head.split_whitespace();
+    matches!(toks.next(), Some("OK") | Some("DOCS"))
+        && toks.next().is_some_and(|n| n.parse::<u64>().is_ok())
+}
+
+/// The retry hint of a `BUSY retry-after-ms=<n>` head, in milliseconds;
+/// `None` for every other response.
+pub fn busy_retry_after_ms(head: &str) -> Option<u64> {
+    head.strip_prefix(BUSY_HEAD)?.trim().parse().ok()
+}
+
 fn write_response(writer: &mut impl Write, resp: Response) -> io::Result<()> {
     match resp {
         Response::Ranking {
@@ -351,19 +377,25 @@ pub(crate) fn handle_conn<S: ConnStream>(stream: S, ctx: ConnCtx) {
 /// The protocol loop, generic over the halves so tests can drive it
 /// with in-memory pipes.
 pub(crate) fn serve_lines<R: BufRead, W: Write>(mut reader: R, mut writer: W, ctx: ConnCtx) {
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        // One byte past the limit tells an oversized line from one that
+        // fits exactly.
+        let limit = (MAX_REQUEST_LINE + 1) as u64;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
             Ok(0) => return, // clean EOF
-            Ok(_) if !line.ends_with('\n') => {
-                // The stream ended mid-line: the request record was cut
-                // off. Best-effort diagnosis, then drop the connection —
-                // there is no way to resynchronize.
-                let _ = send(
-                    &mut writer,
-                    "ERR proto truncated request (stream ended mid-line)",
-                );
+            Ok(_) if buf.last() != Some(&b'\n') => {
+                // Either the line outgrew the limit, or the stream ended
+                // mid-line and the request record was cut off. Best-effort
+                // diagnosis, then drop the connection — there is no way
+                // to resynchronize.
+                let msg = if buf.len() > MAX_REQUEST_LINE {
+                    format!("ERR proto request line exceeds {MAX_REQUEST_LINE} bytes")
+                } else {
+                    "ERR proto truncated request (stream ended mid-line)".to_string()
+                };
+                let _ = send(&mut writer, &msg);
                 return;
             }
             Ok(_) => {}
@@ -374,13 +406,13 @@ pub(crate) fn serve_lines<R: BufRead, W: Write>(mut reader: R, mut writer: W, ct
                 );
                 return;
             }
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                // Non-UTF-8 request bytes: corruption on the wire.
-                let _ = send(&mut writer, "ERR proto request is not valid UTF-8");
-                return;
-            }
             Err(_) => return,
         }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            // Non-UTF-8 request bytes: corruption on the wire.
+            let _ = send(&mut writer, "ERR proto request is not valid UTF-8");
+            return;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -474,9 +506,9 @@ fn handle_query(
     // Parse into a copy of the document's label space so query labels
     // and document labels share one id universe.
     let mut dict = doc.dict().clone();
-    let query = match (ctx.parser)(q, &mut dict) {
+    let query = match tasm_xml::parse_tree_str(q, &mut dict) {
         Ok(tree) => tree,
-        Err(msg) => return send(writer, &format!("ERR parse {msg}")),
+        Err(e) => return send(writer, &format!("ERR parse {e}")),
     };
     let root_label = dict.resolve(query.label(query.root())).to_string();
     let dur = timeout_ms
@@ -500,7 +532,7 @@ fn handle_query(
     match ctx.admission.submit(req) {
         Err(_) => send(
             writer,
-            &format!("BUSY retry-after-ms={}", ctx.cfg.retry_after.as_millis()),
+            &format!("{BUSY_HEAD}{}", ctx.cfg.retry_after.as_millis()),
         ),
         Ok(token) => {
             // Generous upper bound: the request deadline plus slack for
@@ -539,7 +571,7 @@ mod tests {
                 q: "<a><b/></a>".into(),
             }
         );
-        let q = parse_request("QUERY doc=dblp stats=1 q={a}").unwrap();
+        let q = parse_request("QUERY doc=dblp stats=1 q=<a/>").unwrap();
         match q {
             Request::Query { stats, .. } => assert!(stats),
             other => panic!("{other:?}"),
@@ -561,14 +593,33 @@ mod tests {
     #[test]
     fn q_param_is_found_at_token_boundaries_only() {
         // "doc=myq=weird" must not be mistaken for the query parameter.
-        let q = parse_request("QUERY doc=myq=weird q={a}").unwrap();
+        let q = parse_request("QUERY doc=myq=weird q=<a/>").unwrap();
         match q {
             Request::Query { doc, q, .. } => {
                 assert_eq!(doc, "myq=weird");
-                assert_eq!(q, "{a}");
+                assert_eq!(q, "<a/>");
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn framing_distinguishes_single_and_multi_line_heads() {
+        assert!(is_multiline("OK 3"));
+        assert!(is_multiline("OK 0 degraded=1/2"));
+        assert!(is_multiline("DOCS 2"));
+        assert!(!is_multiline("OK draining"));
+        assert!(!is_multiline("PONG"));
+        assert!(!is_multiline("ERR doc unknown document"));
+        assert!(!is_multiline("BUSY retry-after-ms=100"));
+    }
+
+    #[test]
+    fn busy_hint_parses_only_from_busy_heads() {
+        assert_eq!(busy_retry_after_ms("BUSY retry-after-ms=50"), Some(50));
+        assert_eq!(busy_retry_after_ms("BUSY retry-after-ms=soon"), None);
+        assert_eq!(busy_retry_after_ms("OK 1"), None);
+        assert_eq!(busy_retry_after_ms("ERR proto BUSY retry-after-ms=5"), None);
     }
 
     #[test]
@@ -577,11 +628,11 @@ mod tests {
             ("NOPE", "unknown command"),
             ("QUERY doc=d", "q=<query>"),
             ("QUERY doc=d q=", "non-empty query"),
-            ("QUERY q={a}", "doc=<name>"),
-            ("QUERY doc=d k=zero q={a}", "positive integer"),
-            ("QUERY doc=d timeout=soon q={a}", "milliseconds"),
-            ("QUERY doc=d stats=yes q={a}", "stats must be 0 or 1"),
-            ("QUERY doc=d frob=1 q={a}", "unknown QUERY parameter"),
+            ("QUERY q=<a/>", "doc=<name>"),
+            ("QUERY doc=d k=zero q=<a/>", "positive integer"),
+            ("QUERY doc=d timeout=soon q=<a/>", "milliseconds"),
+            ("QUERY doc=d stats=yes q=<a/>", "stats must be 0 or 1"),
+            ("QUERY doc=d frob=1 q=<a/>", "unknown QUERY parameter"),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");

@@ -1,23 +1,27 @@
-//! A resident TASM query daemon: parsed documents stay warm, requests
-//! multiplex onto the batch engine, and failures stay *contained*.
+//! `tasm-serve` — a resident TASM query daemon: parsed documents stay
+//! warm, requests multiplex onto the batch engine, and failures stay
+//! *contained*.
 //!
 //! One-shot CLI runs re-parse the document and rebuild every workspace
-//! per query — fine for a benchmark, wasteful for a workload. `serve`
-//! keeps [`Doc`]s (parsed tree + label dictionary) resident behind a
-//! newline-delimited socket protocol (see [`conn`]) and drives each
-//! request through the same `tasm_batch` evaluation path the CLI uses,
-//! so a ranking from the daemon is byte-for-byte the ranking the
-//! one-shot CLI prints (differential-tested).
+//! per query — fine for a benchmark, wasteful for a workload. The
+//! daemon keeps [`Doc`]s (parsed tree + label dictionary) resident
+//! behind a newline-delimited socket protocol (the `conn` module),
+//! parses each query with the same XML parser the one-shot CLI uses,
+//! and drives it through the same `tasm_batch` evaluation path, so a
+//! ranking from the daemon is byte-for-byte the ranking the one-shot
+//! CLI prints (differential-tested).
 //!
 //! The robustness contract, layer by layer:
 //!
-//! * **Deadlines** ([`Deadline`](crate::Deadline)): every request carries an absolute
+//! * **Deadlines** ([`Deadline`]): every request carries an absolute
 //!   expiry; the scan loop polls it per candidate and aborts with a
 //!   structured `ERR timeout` — no partial rankings, no wedged workers.
-//! * **Admission control** ([`admission`]): a bounded queue sheds
-//!   overload with an immediate `BUSY retry-after-ms=…`; compatible
-//!   queries (same document) arriving within the batching window share
-//!   one scan.
+//! * **Admission control** (the `admission` module): a bounded queue
+//!   sheds overload with an immediate `BUSY retry-after-ms=…`; requests
+//!   already queued on the same tree document share one scan.
+//! * **Bounded input**: a request line longer than 1 MiB is refused
+//!   with `ERR proto` and the connection dropped, so one client cannot
+//!   make the daemon buffer without bound.
 //! * **Panic isolation**: workers evaluate under `catch_unwind`; a
 //!   panicking request gets `ERR internal`, its workspace is discarded
 //!   and rebuilt (never reused poisoned), the payload is logged, and
@@ -25,9 +29,16 @@
 //! * **Graceful drain**: [`Server::drain`] stops admission, waits for
 //!   in-flight responses to reach their sockets under a drain deadline,
 //!   and reports whether the drain was clean.
-//! * **Fault injection** ([`fault`]): test-only levers (behind the
-//!   `fault-inject` feature) that make the above paths reachable from
-//!   integration tests.
+//! * **Fault injection** (the `fault` module): test-only levers
+//!   (behind the `fault-inject` feature) that make the above paths
+//!   reachable from integration tests.
+//!
+//! The crate owns the whole wire protocol, clients included:
+//! [`is_multiline`] and [`busy_retry_after_ms`] are the framing facts a
+//! client needs to read one response at a time.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 pub(crate) mod admission;
 pub(crate) mod conn;
@@ -43,15 +54,16 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::batch::{tasm_batch, BatchQuery, BatchWorkspace};
-use crate::corpus::tasm_corpus_batch;
-use crate::deadline::Deadline;
-use crate::server::admission::{Admission, PendingRequest};
-use crate::server::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
-use crate::tasm_dynamic::TasmOptions;
+use crate::admission::{Admission, PendingRequest};
+use crate::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
+use tasm_core::{
+    tasm_batch, tasm_corpus_batch, BatchQuery, BatchWorkspace, Deadline, Match, TasmOptions,
+};
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
-use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
+use tasm_tree::{LabelDict, Tree, TreeQueue};
+
+pub use crate::conn::{busy_retry_after_ms, is_multiline};
 
 /// What a resident document holds: one parsed tree, or a whole corpus
 /// of indexed shards.
@@ -177,14 +189,6 @@ impl DocStore {
     }
 }
 
-/// Parses a client's query text into the document's label space.
-///
-/// Injected so the server core stays below the XML layer: the CLI
-/// passes `tasm-xml`'s parser; the default understands the bracket
-/// notation (`{a{b}{c}}`). Errors surface to the client as
-/// `ERR parse <message>`.
-pub type QueryParser = Arc<dyn Fn(&str, &mut LabelDict) -> Result<Tree, String> + Send + Sync>;
-
 /// Tuning knobs for a [`Server`]. Start from [`ServerConfig::default`]
 /// and override what the deployment needs.
 #[derive(Debug, Clone)]
@@ -194,10 +198,6 @@ pub struct ServerConfig {
     /// Bound on queued (admitted, not yet picked up) requests; beyond
     /// it requests are shed with `BUSY`.
     pub queue_capacity: usize,
-    /// Most requests one worker evaluates under a single shared scan.
-    pub max_batch: usize,
-    /// How long a worker holds the batch open for compatible arrivals.
-    pub batch_window: Duration,
     /// Deadline applied when a request names none.
     pub default_deadline: Duration,
     /// Hard cap on any client-requested deadline.
@@ -223,8 +223,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             queue_capacity: 64,
-            max_batch: 16,
-            batch_window: Duration::from_millis(1),
             default_deadline: Duration::from_secs(2),
             max_deadline: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(5),
@@ -234,11 +232,6 @@ impl Default for ServerConfig {
             corpus_threads: 1,
         }
     }
-}
-
-/// The bracket-notation query parser used when the host injects none.
-fn default_parser() -> QueryParser {
-    Arc::new(|text, dict| bracket::parse(text, dict).map_err(|e| e.to_string()))
 }
 
 /// Something the accept loop can poll for new connections.
@@ -283,18 +276,15 @@ impl Acceptor for UnixListener {
 pub struct Server {
     cfg: ServerConfig,
     store: Arc<DocStore>,
-    parser: QueryParser,
     admission: Arc<Admission>,
     stop: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Builds the daemon and spawns its evaluation workers. Pass
-    /// `parser: None` for the bracket-notation default; the CLI injects
-    /// the XML parser here.
-    pub fn new(cfg: ServerConfig, store: DocStore, parser: Option<QueryParser>) -> Server {
-        let admission = Admission::new(cfg.queue_capacity, cfg.batch_window, cfg.max_batch);
+    /// Builds the daemon and spawns its evaluation workers.
+    pub fn new(cfg: ServerConfig, store: DocStore) -> Server {
+        let admission = Admission::new(cfg.queue_capacity);
         let corpus_threads = cfg.corpus_threads;
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -308,17 +298,10 @@ impl Server {
         Server {
             cfg,
             store: Arc::new(store),
-            parser: parser.unwrap_or_else(default_parser),
             admission,
             stop: Arc::new(AtomicBool::new(false)),
             workers,
         }
-    }
-
-    /// True once `SHUTDOWN` (or the host via `external_stop`) asked the
-    /// daemon to stop accepting.
-    pub fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
     }
 
     /// Requests shed with `BUSY` so far (overload visibility for the
@@ -330,7 +313,6 @@ impl Server {
     fn conn_ctx(&self) -> ConnCtx {
         ConnCtx {
             store: self.store.clone(),
-            parser: self.parser.clone(),
             admission: self.admission.clone(),
             cfg: self.cfg.clone(),
             stop: self.stop.clone(),
@@ -452,7 +434,7 @@ fn worker_loop(admission: &Admission, corpus_threads: usize) {
     }
 }
 
-fn rows(matches: Vec<crate::ranking::Match>) -> Vec<Row> {
+fn rows(matches: Vec<Match>) -> Vec<Row> {
     matches
         .into_iter()
         .map(|m| Row {
@@ -499,8 +481,39 @@ fn evaluate_tree_batch(
         .map(|r| r.deadline_at)
         .min()
         .expect("batches are non-empty");
-    let deadline = Deadline::at(earliest);
-    let queries: Vec<BatchQuery<'_>> = batch
+    if let Some(responses) = scan_tree(ws, batch, tree, &Deadline::at(earliest)) {
+        return responses;
+    }
+    // The shared scan died at the earliest member's deadline. That
+    // member is out of time; the others still have budget, so each gets
+    // a solo retry under its own deadline.
+    batch
+        .iter()
+        .map(|req| {
+            let solo = std::slice::from_ref(req);
+            let deadline = Deadline::at(req.deadline_at);
+            if Instant::now() < req.deadline_at {
+                if let Some(mut answer) = scan_tree(ws, solo, tree, &deadline) {
+                    return answer.pop().expect("one lane");
+                }
+            }
+            Response::Timeout {
+                limit_ms: req.timeout_ms,
+            }
+        })
+        .collect()
+}
+
+/// One inline shared scan of `tree` answering every request in `reqs`,
+/// or `None` when `deadline` expires first. One thread per worker: the
+/// daemon's parallelism is its worker pool.
+fn scan_tree(
+    ws: &mut BatchWorkspace,
+    reqs: &[PendingRequest],
+    tree: &Tree,
+    deadline: &Deadline,
+) -> Option<Vec<Response>> {
+    let queries: Vec<BatchQuery<'_>> = reqs
         .iter()
         .map(|r| BatchQuery {
             query: &r.query,
@@ -508,9 +521,7 @@ fn evaluate_tree_batch(
         })
         .collect();
     let mut queue = TreeQueue::new(tree);
-    // One thread per worker: the daemon's parallelism is its worker
-    // pool, so every batch runs the inline shared scan.
-    let shared = tasm_batch(
+    let out = tasm_batch(
         &queries,
         &mut queue,
         &UnitCost,
@@ -519,68 +530,24 @@ fn evaluate_tree_batch(
         1,
         ws,
         None,
-        &deadline,
-    );
-    match shared {
-        Ok(out) => out
-            .rankings
-            .into_iter()
-            .zip(out.lanes)
-            .zip(batch)
-            .map(|((ranking, lane), req)| Response::Ranking {
-                rows: rows(ranking),
-                degraded: None,
-                stats: req.stats.then_some(WireStats {
-                    scan: lane,
-                    shards: None,
-                }),
-            })
-            .collect(),
-        Err(_) => {
-            // The shared scan died at the earliest member's deadline.
-            // That member is out of time; the others still have budget,
-            // so each gets a solo retry under its own deadline.
-            batch
-                .iter()
-                .map(|req| {
-                    if Instant::now() >= req.deadline_at {
-                        return Response::Timeout {
-                            limit_ms: req.timeout_ms,
-                        };
-                    }
-                    let solo = [BatchQuery {
-                        query: &req.query,
-                        k: req.k,
-                    }];
-                    let d = Deadline::at(req.deadline_at);
-                    let mut queue = TreeQueue::new(tree);
-                    match tasm_batch(
-                        &solo,
-                        &mut queue,
-                        &UnitCost,
-                        1,
-                        TasmOptions::default(),
-                        1,
-                        ws,
-                        None,
-                        &d,
-                    ) {
-                        Ok(mut out) => Response::Ranking {
-                            rows: rows(out.rankings.pop().expect("one lane")),
-                            degraded: None,
-                            stats: req.stats.then(|| WireStats {
-                                scan: out.lanes[0],
-                                shards: None,
-                            }),
-                        },
-                        Err(_) => Response::Timeout {
-                            limit_ms: req.timeout_ms,
-                        },
-                    }
-                })
-                .collect()
-        }
-    }
+        deadline,
+    )
+    .ok()?;
+    let responses = out
+        .rankings
+        .into_iter()
+        .zip(out.lanes)
+        .zip(reqs)
+        .map(|((ranking, lane), req)| Response::Ranking {
+            rows: rows(ranking),
+            degraded: None,
+            stats: req.stats.then_some(WireStats {
+                scan: lane,
+                shards: None,
+            }),
+        })
+        .collect();
+    Some(responses)
 }
 
 /// The corpus path: cross-document top-k over the healthy shards under

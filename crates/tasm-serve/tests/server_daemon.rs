@@ -17,13 +17,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasm_core::{
-    tasm_corpus_batch, tasm_postorder, BatchQuery, Deadline, Doc, DocStore, Server, ServerConfig,
-    TasmOptions,
-};
+use tasm_core::{tasm_corpus_batch, tasm_postorder, BatchQuery, Deadline, TasmOptions};
 use tasm_index::Corpus;
+use tasm_serve::{is_multiline, Doc, DocStore, Server, ServerConfig};
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, TreeQueue};
+use tasm_xml::parse_tree_str;
 
 const DOC: &str =
     "{dblp{article{auth{John}}{title{X1}}}{article{auth{Mary}}{title{X2}}}{book{title{X3}}}}";
@@ -51,12 +50,12 @@ impl Daemon {
 
     fn start_with_store(name: &str, cfg: ServerConfig, store: DocStore) -> Daemon {
         let path = std::env::temp_dir().join(format!(
-            "tasm-core-daemon-{}-{name}.sock",
+            "tasm-serve-daemon-{}-{name}.sock",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path).unwrap();
-        let server = Server::new(cfg, store, None);
+        let server = Server::new(cfg, store);
         let handle = std::thread::spawn(move || {
             server.serve_unix(&listener, None).unwrap();
             server.drain()
@@ -93,7 +92,7 @@ fn roundtrip(rd: &mut BufReader<UnixStream>, wr: &mut UnixStream, req: &str) -> 
     wr.write_all(b"\n").unwrap();
     let head = read_line(rd);
     let mut out = vec![head.clone()];
-    if head.starts_with("OK ") && head != "OK draining" || head.starts_with("DOCS ") {
+    if is_multiline(&head) {
         loop {
             let row = read_line(rd);
             let done = row == "END";
@@ -118,14 +117,14 @@ fn ping_docs_query_match_the_oneshot_engine() {
     assert!(docs[1].starts_with("dblp "), "{docs:?}");
 
     // Differential: the daemon's ranking is the one-shot engine's.
-    let query_text = "{article{auth}{title}}";
+    let query_text = "<article><auth/><title/></article>";
     let resp = roundtrip(
         &mut rd,
         &mut wr,
         &format!("QUERY doc=dblp k=3 q={query_text}"),
     );
     let (_, mut dict) = store();
-    let query = bracket::parse(query_text, &mut dict).unwrap();
+    let query = parse_tree_str(query_text, &mut dict).unwrap();
     let doc = bracket::parse(DOC, &mut dict).unwrap();
     let mut queue = TreeQueue::new(&doc);
     let expect = tasm_postorder(
@@ -159,19 +158,19 @@ fn protocol_errors_are_structured_and_survivable() {
     assert!(resp[0].starts_with("ERR proto "), "{resp:?}");
     assert_eq!(roundtrip(&mut rd, &mut wr, "PING"), ["PONG"]);
 
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=nope k=1 q={a}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=nope k=1 q=<a/>");
     assert!(resp[0].starts_with("ERR doc "), "{resp:?}");
 
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=0 q={a}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=0 q=<a/>");
     assert!(resp[0].starts_with("ERR parse "), "{resp:?}");
 
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=999999999 q={a}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=999999999 q=<a/>");
     assert!(
         resp[0].starts_with("ERR parse ") && resp[0].contains("server limit"),
         "{resp:?}"
     );
 
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q={unclosed");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<unclosed>");
     assert!(resp[0].starts_with("ERR parse "), "{resp:?}");
 
     assert!(daemon.shutdown());
@@ -183,7 +182,7 @@ fn truncated_request_is_diagnosed_and_dropped() {
     let (mut rd, wr) = daemon.connect();
 
     // A request cut off mid-line (no trailing newline, then EOF).
-    (&wr).write_all(b"QUERY doc=dblp k=1 q={a").unwrap();
+    (&wr).write_all(b"QUERY doc=dblp k=1 q=<a").unwrap();
     wr.shutdown(Shutdown::Write).unwrap();
     let resp = read_line(&mut rd);
     assert!(
@@ -198,18 +197,41 @@ fn truncated_request_is_diagnosed_and_dropped() {
 }
 
 #[test]
+fn an_oversized_request_line_is_refused_and_dropped() {
+    let daemon = Daemon::start("oversized", ServerConfig::default());
+    let (mut rd, mut wr) = daemon.connect();
+
+    // One byte past the 1 MiB limit, with no newline: the daemon
+    // refuses the line instead of buffering it.
+    wr.write_all(&vec![b'x'; (1 << 20) + 1]).unwrap();
+    let resp = read_line(&mut rd);
+    assert_eq!(resp, "ERR proto request line exceeds 1048576 bytes");
+    // There is no way to resynchronize, so the connection is dropped;
+    // a fresh one works.
+    assert_eq!(read_line(&mut rd), "", "connection closed");
+    let (mut rd2, mut wr2) = daemon.connect();
+    assert_eq!(roundtrip(&mut rd2, &mut wr2, "PING"), ["PONG"]);
+
+    assert!(daemon.shutdown());
+}
+
+#[test]
 fn an_already_expired_deadline_times_out_with_no_partial_ranking() {
     let daemon = Daemon::start("deadline", ServerConfig::default());
     let (mut rd, mut wr) = daemon.connect();
 
     // timeout=0: the deadline has passed before the scan starts; the
     // forced pre-scan check refuses the request.
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=2 timeout=0 q={article}");
+    let resp = roundtrip(
+        &mut rd,
+        &mut wr,
+        "QUERY doc=dblp k=2 timeout=0 q=<article/>",
+    );
     assert!(resp[0].starts_with("ERR timeout "), "{resp:?}");
     assert!(resp[0].contains("no partial ranking"), "{resp:?}");
 
     // The worker is fine afterwards.
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q={article}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<article/>");
     assert!(resp[0].starts_with("OK "), "{resp:?}");
 
     assert!(daemon.shutdown());
@@ -256,7 +278,7 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
     assert_eq!(docs[0], "DOCS 1");
     assert!(docs[1].starts_with("corp "), "{docs:?}");
 
-    let query_text = "{article{auth{John}}{title{X1}}}";
+    let query_text = "<article><auth>John</auth><title>X1</title></article>";
     let resp = roundtrip(
         &mut rd,
         &mut wr,
@@ -268,7 +290,7 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
     // Differential: identical to the direct corpus engine call.
     let corpus = Corpus::open(&dir).unwrap();
     let mut qdict = corpus.global_dict().clone();
-    let query = bracket::parse(query_text, &mut qdict).unwrap();
+    let query = parse_tree_str(query_text, &mut qdict).unwrap();
     let out = tasm_corpus_batch(
         &[BatchQuery {
             query: &query,
@@ -335,7 +357,7 @@ fn degraded_corpus_answers_with_an_explicit_marker() {
     let resp = roundtrip(
         &mut rd,
         &mut wr,
-        "QUERY doc=corp k=2 stats=1 q={article{auth{John}}{title{X1}}}",
+        "QUERY doc=corp k=2 stats=1 q=<article><auth>John</auth><title>X1</title></article>",
     );
     assert!(resp[0].starts_with("OK 2 degraded=1/2"), "{resp:?}");
     for row in &resp[1..resp.len() - 2] {
@@ -359,7 +381,7 @@ fn fully_quarantined_corpus_refuses_queries_but_keeps_serving() {
     }
     let daemon = Daemon::start_with_store("dead", ServerConfig::default(), corpus_store(&dir));
     let (mut rd, mut wr) = daemon.connect();
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=corp k=1 q={article}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=corp k=1 q=<article/>");
     assert!(resp[0].starts_with("ERR doc "), "{resp:?}");
     assert!(resp[0].contains("quarantined"), "{resp:?}");
     // The daemon itself is healthy: the refusal is per-document.
@@ -379,7 +401,7 @@ fn queries_after_shutdown_are_shed_with_busy() {
     // …and race the request against it: once draining, admission sheds.
     let mut saw_busy = false;
     for _ in 0..10 {
-        let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q={a}");
+        let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<a/>");
         if resp[0].starts_with("BUSY retry-after-ms=") {
             saw_busy = true;
             break;

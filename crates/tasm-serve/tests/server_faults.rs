@@ -18,8 +18,11 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasm_core::{Doc, DocStore, Server, ServerConfig};
-use tasm_tree::{bracket, LabelDict};
+use tasm_core::{tasm_postorder, TasmOptions};
+use tasm_serve::{is_multiline, Doc, DocStore, Server, ServerConfig};
+use tasm_ted::UnitCost;
+use tasm_tree::{bracket, LabelDict, TreeQueue};
+use tasm_xml::parse_tree_str;
 
 const DOC: &str = "{dblp{article{auth{John}}{title{X1}}}{book{title{X2}}}}";
 
@@ -31,7 +34,7 @@ struct Daemon {
 impl Daemon {
     fn start(name: &str, cfg: ServerConfig) -> Daemon {
         let path = std::env::temp_dir().join(format!(
-            "tasm-core-faults-{}-{name}.sock",
+            "tasm-serve-faults-{}-{name}.sock",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
@@ -40,7 +43,7 @@ impl Daemon {
         let tree = bracket::parse(DOC, &mut dict).unwrap();
         let mut store = DocStore::new();
         store.insert(Doc::new("dblp", tree, dict));
-        let server = Server::new(cfg, store, None);
+        let server = Server::new(cfg, store);
         let handle = std::thread::spawn(move || {
             server.serve_unix(&listener, None).unwrap();
             server.drain()
@@ -74,7 +77,7 @@ fn roundtrip(rd: &mut BufReader<UnixStream>, wr: &mut UnixStream, req: &str) -> 
     wr.write_all(b"\n").unwrap();
     let head = read_line(rd);
     let mut out = vec![head.clone()];
-    if head.starts_with("OK ") && head != "OK draining" {
+    if is_multiline(&head) {
         loop {
             let row = read_line(rd);
             let done = row == "END";
@@ -92,12 +95,16 @@ fn in_request_panic_is_isolated_and_the_daemon_keeps_serving() {
     let daemon = Daemon::start("panic", ServerConfig::default());
     let (mut rd, mut wr) = daemon.connect();
 
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q={__fault_panic__}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<__fault_panic__/>");
     assert!(resp[0].starts_with("ERR internal "), "{resp:?}");
 
     // Same daemon, same connection: the poisoned workspace was
     // discarded, a fresh one answers correctly.
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=2 q={article{auth}}");
+    let resp = roundtrip(
+        &mut rd,
+        &mut wr,
+        "QUERY doc=dblp k=2 q=<article><auth/></article>",
+    );
     assert!(resp[0].starts_with("OK "), "{resp:?}");
     assert_eq!(resp.last().unwrap(), "END");
 
@@ -114,12 +121,12 @@ fn a_stalled_request_times_out_while_later_requests_still_answer() {
     let resp = roundtrip(
         &mut rd,
         &mut wr,
-        "QUERY doc=dblp k=1 timeout=30 q={__fault_sleep_200__}",
+        "QUERY doc=dblp k=1 timeout=30 q=<__fault_sleep_200__/>",
     );
     assert!(resp[0].starts_with("ERR timeout "), "{resp:?}");
     assert!(resp[0].contains("30 ms"), "{resp:?}");
 
-    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q={article}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<article/>");
     assert!(resp[0].starts_with("OK "), "{resp:?}");
 
     assert!(daemon.shutdown());
@@ -130,14 +137,13 @@ fn overload_burst_is_shed_with_busy_not_queued_without_bound() {
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 2,
-        batch_window: Duration::ZERO,
         ..ServerConfig::default()
     };
     let daemon = Daemon::start("burst", cfg);
 
     // Wedge the single worker for 400 ms…
     let (mut wrd, mut wwr) = daemon.connect();
-    wwr.write_all(b"QUERY doc=dblp k=1 timeout=2000 q={__fault_sleep_400__}\n")
+    wwr.write_all(b"QUERY doc=dblp k=1 timeout=2000 q=<__fault_sleep_400__/>\n")
         .unwrap();
     std::thread::sleep(Duration::from_millis(60)); // worker holds it now
 
@@ -149,7 +155,7 @@ fn overload_burst_is_shed_with_busy_not_queued_without_bound() {
                 roundtrip(
                     &mut rd,
                     &mut wr,
-                    "QUERY doc=dblp k=1 timeout=2000 q={article}",
+                    "QUERY doc=dblp k=1 timeout=2000 q=<article/>",
                 )[0]
                 .clone()
             })
@@ -183,7 +189,7 @@ fn drain_waits_for_the_in_flight_request() {
 
     // A request that will still be running when SHUTDOWN lands.
     let (mut rd, mut wr) = daemon.connect();
-    wr.write_all(b"QUERY doc=dblp k=1 timeout=2000 q={__fault_sleep_150__}\n")
+    wr.write_all(b"QUERY doc=dblp k=1 timeout=2000 q=<__fault_sleep_150__/>\n")
         .unwrap();
     std::thread::sleep(Duration::from_millis(40)); // worker holds it
 
@@ -193,4 +199,66 @@ fn drain_waits_for_the_in_flight_request() {
     // The in-flight request completed with a real answer, not an error.
     let head = read_line(&mut rd);
     assert!(head.starts_with("OK "), "in-flight answer was: {head}");
+}
+
+#[test]
+fn a_backlog_shares_one_scan_and_each_answer_matches_the_engine() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let daemon = Daemon::start("backlog", cfg);
+
+    // Stall the only worker so the next requests queue up behind it…
+    let (mut wrd, mut wwr) = daemon.connect();
+    wwr.write_all(b"QUERY doc=dblp k=1 timeout=5000 q=<__fault_sleep_300__/>\n")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(60)); // worker holds it now
+
+    // …then queue three different queries on the same tree document:
+    // the worker takes them as one batch once the stall ends.
+    let queries = [
+        ("<article><auth/><title/></article>", 3),
+        ("<book><title>X2</title></book>", 2),
+        ("<auth>John</auth>", 4),
+    ];
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|&(q, k)| {
+            let (mut rd, mut wr) = daemon.connect();
+            let req = format!("QUERY doc=dblp k={k} timeout=5000 q={q}");
+            std::thread::spawn(move || roundtrip(&mut rd, &mut wr, &req))
+        })
+        .collect();
+    let answers: Vec<Vec<String>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(read_line(&mut wrd).starts_with("OK "), "stall answer");
+
+    for ((q, k), resp) in queries.iter().zip(&answers) {
+        let mut dict = LabelDict::new();
+        let doc = bracket::parse(DOC, &mut dict).unwrap();
+        let query = parse_tree_str(q, &mut dict).unwrap();
+        let expect = tasm_postorder(
+            &query,
+            &mut TreeQueue::new(&doc),
+            *k,
+            &UnitCost,
+            1,
+            TasmOptions::default(),
+            None,
+        );
+        let mut want = vec![format!("OK {}", expect.len())];
+        for (i, m) in expect.iter().enumerate() {
+            want.push(format!(
+                "{} {} {} {}",
+                i + 1,
+                m.root.post(),
+                m.distance,
+                m.size
+            ));
+        }
+        want.push("END".to_string());
+        assert_eq!(resp, &want, "query {q}");
+    }
+
+    assert!(daemon.shutdown());
 }

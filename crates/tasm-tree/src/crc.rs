@@ -7,8 +7,6 @@
 //! `crc32_update(0, bytes)` equals the standard one-shot `crc32(bytes)`;
 //! chain calls to hash a stream incrementally.
 
-use std::io::{self, Read};
-
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0usize;
@@ -42,41 +40,6 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     !c
 }
 
-/// [`Read`] adapter hashing every byte it delivers with CRC-32 — wrap a
-/// reader before a checksummed section, compare [`Crc32Reader::crc`]
-/// against the stored trailer after it.
-#[derive(Debug)]
-pub struct Crc32Reader<R> {
-    inner: R,
-    crc: u32,
-}
-
-impl<R> Crc32Reader<R> {
-    /// Wraps `inner` with a fresh (zero) running CRC.
-    pub fn new(inner: R) -> Self {
-        Crc32Reader { inner, crc: 0 }
-    }
-
-    /// The CRC-32 of every byte read so far.
-    pub fn crc(&self) -> u32 {
-        self.crc
-    }
-
-    /// Unwraps the adapter, returning the inner reader positioned after
-    /// the last byte read.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Read> Read for Crc32Reader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc = crc32_update(self.crc, &buf[..n]);
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,15 +52,5 @@ mod tests {
         let chained = crc32_update(crc32_update(0, b"12345"), b"6789");
         assert_eq!(chained, 0xCBF4_3926);
         assert_eq!(crc32_update(0, b""), 0);
-    }
-
-    #[test]
-    fn reader_hashes_exactly_the_bytes_it_delivers() {
-        let mut r = Crc32Reader::new(&b"123456789xx"[..]);
-        let mut buf = [0u8; 9];
-        r.read_exact(&mut buf).unwrap();
-        assert_eq!(r.crc(), 0xCBF4_3926);
-        let inner = r.into_inner();
-        assert_eq!(inner, b"xx");
     }
 }
