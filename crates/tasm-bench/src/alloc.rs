@@ -7,11 +7,24 @@
 //! machine" measurements.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Bytes requested by this thread. Const-initialized and free of
+    /// destructors, so touching it inside the allocator never allocates.
+    static THREAD_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Adds `bytes` to the calling thread's tally (a no-op while the thread
+/// is being torn down).
+fn count_thread_bytes(bytes: usize) {
+    let _ = THREAD_BYTES.try_with(|b| b.set(b.get().wrapping_add(bytes)));
+}
 
 /// Counting wrapper around the system allocator.
 pub struct CountingAlloc;
@@ -23,6 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count_thread_bytes(layout.size());
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
         }
@@ -38,6 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count_thread_bytes(new_size);
             if new_size >= layout.size() {
                 let live = LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
                     - layout.size();
@@ -61,6 +76,15 @@ pub fn live_bytes() -> usize {
 /// test is built on this.
 pub fn alloc_count() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Total bytes the calling thread has requested since it started
+/// (every allocation's size, and the new size of every reallocation).
+/// Monotonic per thread; diff two snapshots taken on one thread to
+/// measure what a code region allocated, undisturbed by other threads
+/// (such as concurrently running tests).
+pub fn thread_allocated_bytes() -> usize {
+    THREAD_BYTES.with(Cell::get)
 }
 
 /// High-water mark since the last [`reset_peak`].

@@ -46,7 +46,7 @@ use tasm_data::{
 use tasm_index::IndexedDocument;
 use tasm_ted::{ted, TedKernel, TedStats, UnitCost};
 use tasm_tree::postfile::{save_tree, PostFileReader};
-use tasm_tree::{LabelDict, PostorderQueue, Tree, TreeQueue};
+use tasm_tree::{LabelDict, LabelId, PostorderQueue, Tree, TreeQueue};
 use tasm_xml::{parse_tree, tree_to_xml, XmlPostorderQueue};
 
 const HELP: &str = "\
@@ -224,11 +224,22 @@ fn load_xml(path: &str, dict: &mut LabelDict) -> Result<Tree, CliError> {
     if path.ends_with(".pq") {
         let mut reader =
             PostFileReader::open(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
-        // Remap the file's label ids into the caller's dictionary.
-        let file_dict = reader.dict().clone();
+        // Remap the file's label ids into the caller's dictionary, one
+        // lookup per distinct label.
+        let remap: Vec<LabelId> = reader
+            .dict()
+            .iter()
+            .map(|(_, name)| dict.intern(name))
+            .collect();
         let mut entries = Vec::new();
         while let Some(e) = reader.dequeue() {
-            entries.push((dict.intern(file_dict.resolve(e.label)), e.size));
+            let label = remap.get(e.label.index()).copied().ok_or_else(|| {
+                CliError::Runtime(format!(
+                    "{path}: node label {} is not in the file's dictionary",
+                    e.label.0
+                ))
+            })?;
+            entries.push((label, e.size));
         }
         // A short read ends the stream silently; a truncated file must
         // not pass as a smaller document even when the surviving prefix
@@ -275,16 +286,6 @@ fn cmd_index(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Re-interns a query's labels into a postorder file's dictionary so it
-/// can be matched against the file's label ids.
-fn reencode_query(query: &Tree, dict: &LabelDict, file_dict: &mut LabelDict) -> Tree {
-    let entries: Vec<_> = query
-        .postorder()
-        .map(|(l, s)| (file_dict.intern(dict.resolve(l)), s))
-        .collect();
-    Tree::from_postorder(entries).expect("query re-encoding is valid")
-}
-
 /// Fails a `.pq` scan that ended before the header-promised node count —
 /// a truncated file must not silently pass as a smaller document.
 fn check_pq_complete<R: std::io::Read>(
@@ -308,8 +309,8 @@ fn check_pq_complete<R: std::io::Read>(
 
 /// Opens `doc_path` as a postorder stream and runs `f` over it,
 /// centralizing the `.pq` vs XML differences for every streaming query
-/// path: `.pq` files get the queries re-encoded into the file's
-/// dictionary (which then replaces `dict`, since the results refer to
+/// path: `.pq` files get the queries encoded into the file's read-only
+/// dictionary (which then replaces `dict`, since matched subtrees carry
 /// its ids) and a truncation check after the scan; XML streams surface
 /// mid-stream parse errors.
 fn run_over_doc_stream<T>(
@@ -321,14 +322,13 @@ fn run_over_doc_stream<T>(
     if doc_path.ends_with(".pq") {
         let mut reader = PostFileReader::open(doc_path)
             .map_err(|e| CliError::Runtime(format!("{doc_path}: {e}")))?;
-        let mut file_dict = reader.dict().clone();
-        let reencoded: Vec<Tree> = queries
+        let encoded: Vec<Tree> = queries
             .iter()
-            .map(|q| reencode_query(q, dict, &mut file_dict))
+            .map(|q| reader.dict().encode_tree(q, dict))
             .collect();
-        let out = f(&reencoded, &mut reader);
+        let out = f(&encoded, &mut reader);
         check_pq_complete(&reader, doc_path)?;
-        *dict = file_dict;
+        *dict = reader.into_dict();
         Ok(out)
     } else {
         let file = File::open(doc_path)
@@ -417,6 +417,9 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
     let mut scan_stats: Option<ScanStats> = None;
     // Per-query-lane stats of a batch run (sequential or sharded).
     let mut lane_stats: Option<Vec<ScanStats>> = None;
+    // The opened index of an `--index` run: its dictionary names the
+    // labels of the matched subtrees.
+    let mut index: Option<IndexedDocument> = None;
 
     let t0 = Instant::now();
     let rankings: Vec<Vec<tasm_core::Match>> = if let Some(ipath) = index_path {
@@ -424,8 +427,9 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         // candidate regions come from the subtree-size column, bounded
         // per query by the label postings, and only surviving regions
         // are materialized and evaluated.
-        let idx =
-            IndexedDocument::open(ipath).map_err(|e| CliError::Runtime(format!("{ipath}: {e}")))?;
+        let idx = index.insert(
+            IndexedDocument::open(ipath).map_err(|e| CliError::Runtime(format!("{ipath}: {e}")))?,
+        );
         let bqs: Vec<BatchQuery<'_>> = queries
             .iter()
             .map(|query| BatchQuery { query, k })
@@ -433,7 +437,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         let out = tasm_indexed_batch(
             &bqs,
             &dict,
-            &idx,
+            idx,
             &UnitCost,
             1,
             opts,
@@ -444,9 +448,6 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         .expect("Deadline::none() never expires");
         scan_stats = Some(out.scan);
         lane_stats = Some(out.lanes);
-        // Matched node ids (and kept subtrees) live in the index's
-        // frequency-ordered label space.
-        dict = idx.dict().clone();
         out.rankings
     } else if batch || parallel {
         // All queries share ONE streaming scan; with --threads > 1 the
@@ -499,6 +500,9 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         vec![matches]
     };
     let elapsed = t0.elapsed();
+    // Kept subtrees of an indexed run live in the index's
+    // frequency-ordered label space.
+    let dict = index.as_ref().map_or(&dict, IndexedDocument::dict);
 
     let mut out = output::stdout();
     for (qi, (query, matches)) in queries.iter().zip(&rankings).enumerate() {
@@ -544,7 +548,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
                 m.size
             )?;
             if let Some(tree) = &m.tree {
-                wln!(out, "       {}", tree_to_xml(tree, &dict))?;
+                wln!(out, "       {}", tree_to_xml(tree, dict))?;
             }
         }
     }

@@ -123,6 +123,17 @@ fn runtime_errors_exit_2() {
     let out = tasm(&["stats", "--doc", pq.to_str().unwrap()]);
     assert_eq!(code(&out), 2);
 
+    // A well-formed .pq whose node names a label id past its own
+    // dictionary is refused, not a panic.
+    let mut dict = tasm_tree::LabelDict::new();
+    let known = dict.intern("a");
+    let tree = tasm_tree::Tree::from_postorder([(tasm_tree::LabelId(5), 1), (known, 2)]).unwrap();
+    tasm_tree::postfile::save_tree(&pq, &tree, &dict).unwrap();
+    let out = tasm(&["stats", "--doc", pq.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not in the file's dictionary"), "{stderr}");
+
     let _ = std::fs::remove_file(&bad);
     let _ = std::fs::remove_file(&doc);
     let _ = std::fs::remove_file(&pq);

@@ -249,12 +249,15 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
 /// index saved.
 ///
 /// `src_dict` is the dictionary the queries were parsed with; they are
-/// re-encoded into the index's frequency-ordered label space
-/// internally. Label-dependent [`CostModel`]s must therefore be defined
-/// over the **index** label space (resolve names through
-/// [`IndexedDocument::dict`]); label-agnostic models like
-/// [`UnitCost`](tasm_ted::UnitCost) need no care. Matched subtrees
-/// (`keep_trees`) carry index-space labels.
+/// encoded into the index's frequency-ordered label space internally
+/// ([`IndexedDocument::encode_queries`]), without copying or changing
+/// the index's dictionary. Query labels the document lacks get fresh
+/// ids past that dictionary. Label-dependent [`CostModel`]s must
+/// therefore be defined over the **index** label space (resolve names
+/// through [`IndexedDocument::dict`]) and give a fresh id their default
+/// cost; label-agnostic models like [`UnitCost`](tasm_ted::UnitCost)
+/// need no care. Matched subtrees (`keep_trees`) are cut from the
+/// document, so they carry index-space labels only.
 ///
 /// `threads` (`0` = one per available core) shards the regions that
 /// survive the seed pass across worker threads. `deadline` is polled
@@ -306,7 +309,7 @@ pub fn tasm_indexed_batch(
     }
     let threads = resolve_threads(threads);
     let trees: Vec<&Tree> = queries.iter().map(|bq| bq.query).collect();
-    let (encoded, _work_dict) = idx.encode_queries(&trees, src_dict);
+    let encoded = idx.encode_queries(&trees, src_dict);
     let equeries: Vec<BatchQuery<'_>> = encoded
         .iter()
         .zip(queries)

@@ -563,3 +563,236 @@ fn differential_matrix_corner_shapes() {
         }
     }
 }
+
+/// Rewrites every label of `t` through `f`, keeping the shape.
+fn relabel(t: &Tree, f: impl Fn(LabelId) -> LabelId) -> Tree {
+    Tree::from_postorder_unchecked(
+        t.labels().iter().map(|&l| f(l)).collect(),
+        t.sizes().to_vec(),
+    )
+}
+
+/// A random tree of `labels.len()` nodes whose postorder labels are
+/// exactly `labels`: a new shape over the same label multiset.
+fn reshaped(seed: u64, labels: &[LabelId]) -> Tree {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = labels.len();
+    // Random attachment in preorder, then postorder positions take the
+    // labels in order.
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in 1..n {
+        children[rng.gen_range(0..i)].push(i);
+    }
+    fn rec(node: usize, children: &[Vec<usize>], out: &mut Vec<u32>) -> u32 {
+        let size = 1 + children[node]
+            .iter()
+            .map(|&c| rec(c, children, out))
+            .sum::<u32>();
+        out.push(size);
+        size
+    }
+    let mut sizes = Vec::with_capacity(n);
+    rec(0, &children, &mut sizes);
+    Tree::from_postorder(labels.iter().copied().zip(sizes)).expect("a valid postorder")
+}
+
+/// Query labels the document lacks: every driver encodes a query parsed
+/// with its own dictionary into the document's read-only label space,
+/// where each absent label gets a fresh id past that dictionary. The
+/// rankings must equal the naive oracle's, byte for byte, on the scan,
+/// indexed and corpus drivers, under unit costs and under a label-keyed
+/// cost table whose default cost the fresh ids must get.
+#[test]
+fn query_labels_absent_from_the_document_rank_like_the_oracle() {
+    use tasm_core::tasm_corpus_batch;
+    use tasm_index::Corpus;
+    use tasm_ted::PerLabelCost;
+
+    // The oracle universe: label `i` is named `L{i}`. Documents use
+    // L0..L3; queries also use L4..L6, which no document contains.
+    const DOC_LABELS: u32 = 4;
+    const QUERY_LABELS: u32 = 7;
+    const WEIGHTS: [u64; 4] = [2, 3, 1, 5];
+    const DEFAULT_COST: u64 = 4;
+    let name = |l: LabelId| format!("L{}", l.0);
+    // A cost table keyed by whatever ids `id_of` gives the document's
+    // names; every other id, fresh ones included, costs DEFAULT_COST.
+    let table = |id_of: &dyn Fn(&str) -> Option<LabelId>| {
+        let mut m = PerLabelCost::new(DEFAULT_COST);
+        for (i, w) in WEIGHTS.into_iter().enumerate() {
+            if let Some(id) = id_of(&format!("L{i}")) {
+                m = m.with(id, w);
+            }
+        }
+        m
+    };
+    let c_t = 5; // the table's maximum, an upper bound on document costs
+
+    let dir = std::env::temp_dir().join(format!("tasm-diff-absent-{}", std::process::id()));
+    for round in 0..10u64 {
+        let s = 0xAB5E_u64
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(round);
+        let doc_u = random_tree(s, 15 + (s % 60) as usize, DOC_LABELS);
+        // Two queries; each root is an absent label, so every query has one.
+        let queries_u: Vec<Tree> = (0..2u64)
+            .map(|j| {
+                let q = random_tree(s ^ (0x51 + j), 1 + ((s >> j) % 8) as usize, QUERY_LABELS);
+                let mut labels = q.labels().to_vec();
+                *labels.last_mut().expect("non-empty") = LabelId(DOC_LABELS + ((s + j) % 3) as u32);
+                Tree::from_postorder_unchecked(labels, q.sizes().to_vec())
+            })
+            .collect();
+        let k = 1 + (s % 5) as usize;
+
+        // The document's own dictionary interns its names in reverse;
+        // the queries' source dictionary in a rotated order.
+        let mut doc_dict = LabelDict::new();
+        for i in (0..DOC_LABELS).rev() {
+            doc_dict.intern(&format!("L{i}"));
+        }
+        let mut src = LabelDict::new();
+        for i in 0..QUERY_LABELS {
+            src.intern(&format!("L{}", (i * 3 + round as u32) % QUERY_LABELS));
+        }
+        let doc = relabel(&doc_u, |l| doc_dict.get(&name(l)).unwrap());
+        let queries: Vec<Tree> = queries_u
+            .iter()
+            .map(|q| relabel(q, |l| src.get(&name(l)).unwrap()))
+            .collect();
+        let bqs: Vec<BatchQuery<'_>> = queries
+            .iter()
+            .map(|query| BatchQuery { query, k })
+            .collect();
+
+        // Corpus: three shards over the same label multiset in different
+        // shapes, so every shard's frequency-ordered dictionary is the
+        // same and one index-space cost table serves them all.
+        let shard_docs_u: Vec<Tree> = (0..3u64)
+            .map(|j| {
+                if j == 0 {
+                    doc_u.clone()
+                } else {
+                    reshaped(s ^ j, doc_u.labels())
+                }
+            })
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut corpus = Corpus::create(&dir).unwrap();
+        for (j, t) in shard_docs_u.iter().enumerate() {
+            let t = relabel(t, |l| doc_dict.get(&name(l)).unwrap());
+            corpus
+                .add(&format!("shard-{j}"), &t, &doc_dict, None)
+                .unwrap();
+        }
+        let idx = corpus.healthy().next().unwrap().2;
+        for (_, _, shard) in corpus.healthy() {
+            let names: Vec<&str> = shard.dict().iter().map(|(_, n)| n).collect();
+            let first: Vec<&str> = idx.dict().iter().map(|(_, n)| n).collect();
+            assert_eq!(names, first, "shards share one index label space");
+        }
+
+        let unit = UnitCost;
+        let u_table = table(&|n: &str| n[1..].parse().ok().map(LabelId));
+        let d_table = table(&|n: &str| doc_dict.get(n));
+        let i_table = table(&|n: &str| idx.dict().get(n));
+        // (name, oracle-space model, document-space, index-space, c_t)
+        type Model<'a> = &'a (dyn CostModel + Sync);
+        let models: [(&str, Model<'_>, Model<'_>, Model<'_>, u64); 2] = [
+            ("unit", &unit, &unit, &unit, 1),
+            ("per-label", &u_table, &d_table, &i_table, c_t),
+        ];
+        for (tag, oracle_model, doc_model, idx_model, c_t) in models {
+            let opts = TasmOptions::default();
+            let ctx = |driver: &str| format!("round {round}, {tag} costs, {driver}");
+            let oracles: Vec<Vec<(u32, u64, u32)>> = queries_u
+                .iter()
+                .map(|q| key(&tasm_naive(q, &doc_u, k, oracle_model, opts, None)))
+                .collect();
+
+            // Scan driver: queries encoded into the document dictionary.
+            let encoded: Vec<Tree> = queries
+                .iter()
+                .map(|q| doc_dict.encode_tree(q, &src))
+                .collect();
+            let ebqs: Vec<BatchQuery<'_>> = encoded
+                .iter()
+                .map(|query| BatchQuery { query, k })
+                .collect();
+            for (q, want) in encoded.iter().zip(&oracles) {
+                let got =
+                    tasm_postorder(q, &mut TreeQueue::new(&doc), k, doc_model, c_t, opts, None);
+                assert_eq!(&key(&got), want, "{}", ctx("postorder"));
+            }
+            for threads in [1usize, 3] {
+                let got = batch(&ebqs, &mut stream(&doc), doc_model, c_t, opts, threads);
+                for (lane, want) in got.iter().zip(&oracles) {
+                    assert_eq!(&key(lane), want, "{}", ctx(&format!("batch t{threads}")));
+                }
+            }
+
+            // Indexed driver: the shard's index, queries in `src` ids.
+            for threads in [1usize, 3] {
+                let got = indexed(&bqs, &src, idx, idx_model, c_t, opts, threads);
+                for (lane, want) in got.iter().zip(&oracles) {
+                    assert_eq!(&key(lane), want, "{}", ctx(&format!("indexed t{threads}")));
+                }
+            }
+
+            // Corpus driver: per-shard oracle rankings merged on the
+            // corpus rank key (distance, shard, root, size), truncated to k.
+            for threads in [1usize, 2] {
+                let out = tasm_corpus_batch(
+                    &bqs,
+                    &src,
+                    &corpus,
+                    idx_model,
+                    c_t,
+                    opts,
+                    threads,
+                    None,
+                    &Deadline::none(),
+                )
+                .expect("no deadline");
+                for (qi, (q, lane)) in queries_u.iter().zip(&out.rankings).enumerate() {
+                    let mut want: Vec<(u64, usize, u32, u32, String)> = Vec::new();
+                    for (shard, shard_name, _) in corpus.healthy() {
+                        let doc_u = &shard_docs_u[shard];
+                        for m in tasm_naive(q, doc_u, k, oracle_model, opts, None) {
+                            want.push((
+                                m.distance.halves(),
+                                shard,
+                                m.root.post(),
+                                m.size,
+                                shard_name.to_string(),
+                            ));
+                        }
+                    }
+                    want.sort();
+                    want.truncate(k);
+                    let got: Vec<_> = lane
+                        .iter()
+                        .map(|m| {
+                            (
+                                m.hit.distance.halves(),
+                                m.shard,
+                                m.hit.root.post(),
+                                m.hit.size,
+                                m.doc.clone(),
+                            )
+                        })
+                        .collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} lane {qi}",
+                        ctx(&format!("corpus t{threads}"))
+                    );
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

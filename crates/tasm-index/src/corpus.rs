@@ -529,8 +529,9 @@ impl Corpus {
     }
 
     /// The corpus-wide frequency-ordered label dictionary from the
-    /// manifest. Queries parsed against it translate to any shard via
-    /// [`IndexedDocument::encode_query`].
+    /// manifest. Queries parsed against it, or against any other
+    /// dictionary, translate to any shard via
+    /// [`IndexedDocument::encode_queries`].
     pub fn global_dict(&self) -> &LabelDict {
         &self.dict
     }

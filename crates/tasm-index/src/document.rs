@@ -15,7 +15,7 @@ use tasm_tree::{LabelDict, LabelId, NodeId, Tree};
 /// Label ids are **index-local**: dense, frequency-ordered ids minted by
 /// [`build`](IndexedDocument::build) (or read back from the file), not
 /// the ids of the dictionary the document was first parsed with. Encode
-/// queries with [`encode_query`](IndexedDocument::encode_query) before
+/// queries with [`encode_queries`](IndexedDocument::encode_queries) before
 /// matching against the indexed tree.
 #[derive(Debug, Clone)]
 pub struct IndexedDocument {
@@ -226,7 +226,8 @@ impl IndexedDocument {
     }
 
     /// Document frequency of a label (0 for ids outside the dictionary,
-    /// e.g. query-only labels interned by `encode_query`).
+    /// e.g. the fresh ids [`encode_queries`](Self::encode_queries) gives
+    /// query labels the document lacks).
     pub fn frequency(&self, label: LabelId) -> u32 {
         self.postings
             .get(label.index())
@@ -234,40 +235,38 @@ impl IndexedDocument {
     }
 
     /// Ascending postorder positions of the nodes labeled `label`
-    /// (empty for ids outside the dictionary).
+    /// (empty for ids outside the dictionary, such as the fresh ids of
+    /// query-only labels).
     pub fn postings(&self, label: LabelId) -> &[u32] {
         self.postings.get(label.index()).map_or(&[], |p| p)
     }
 
-    /// Re-encodes a query parsed with a different dictionary into this
-    /// index's label space. Labels the document does not contain are
-    /// interned into the returned working dictionary (their postings
-    /// are empty), so the encoded query remains fully resolvable.
+    /// Encodes one query into this index's label space, as
+    /// [`encode_queries`](Self::encode_queries) does for a batch.
+    ///
+    /// The returned dictionary is a copy of the index's own
+    /// [`dict`](Self::dict). It does **not** resolve the fresh ids of
+    /// labels the document lacks; those resolve through `src_dict` (see
+    /// [`LabelDict::encode_tree`]). The copy costs O(labels), so query
+    /// paths call `encode_queries` instead; only the end-to-end
+    /// benchmark (`perfbench/`) still calls this form, and it discards
+    /// the dictionary.
     pub fn encode_query(&self, query: &Tree, src_dict: &LabelDict) -> (Tree, LabelDict) {
-        let (mut trees, dict) = self.encode_queries(&[query], src_dict);
-        (trees.pop().expect("one query in, one out"), dict)
+        (self.dict.encode_tree(query, src_dict), self.dict.clone())
     }
 
-    /// As [`encode_query`](Self::encode_query) for a batch, sharing one
-    /// working dictionary.
-    pub fn encode_queries(
-        &self,
-        queries: &[&Tree],
-        src_dict: &LabelDict,
-    ) -> (Vec<Tree>, LabelDict) {
-        let mut dict = self.dict.clone();
-        let trees = queries
+    /// Encodes queries parsed with any dictionary `src_dict` into this
+    /// index's label space through [`LabelDict::encode_tree`], leaving
+    /// the index untouched. Labels the document contains map to their
+    /// index ids; each label it lacks gets a fresh id past the
+    /// dictionary (empty postings, zero frequency), the same one for
+    /// every query of the batch. O(Σ|Q|), independent of the number of
+    /// labels in the index.
+    pub fn encode_queries(&self, queries: &[&Tree], src_dict: &LabelDict) -> Vec<Tree> {
+        queries
             .iter()
-            .map(|q| {
-                let labels: Vec<LabelId> = q
-                    .labels()
-                    .iter()
-                    .map(|l| dict.intern(src_dict.resolve(*l)))
-                    .collect();
-                Tree::from_postorder_unchecked(labels, q.sizes().to_vec())
-            })
-            .collect();
-        (trees, dict)
+            .map(|q| self.dict.encode_tree(q, src_dict))
+            .collect()
     }
 
     /// Computes the candidate set `cand(T, τ)` (Def. 9) — the maximal
@@ -318,7 +317,7 @@ impl IndexedDocument {
     /// subtree `S` inside the span.
     ///
     /// `query` must be encoded in this index's label space (see
-    /// [`encode_query`](Self::encode_query)). The walk touches only the
+    /// [`encode_queries`](Self::encode_queries)). The walk touches only the
     /// postings of the query's labels, rarest label first — `O(Σ_l
     /// |postings(l)| + |spans|)` per distinct query label, independent
     /// of the document size.
@@ -729,7 +728,7 @@ mod tests {
         let idx = IndexedDocument::build(&t, &dict);
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{article{auth{John}}{title{X9}}}", &mut qdict).unwrap();
-        let (q, _) = idx.encode_query(&q, &qdict);
+        let q = idx.encode_queries(&[&q], &qdict).remove(0);
         for tau in 1..=22u32 {
             let (spans, _) = idx.candidate_spans(tau);
             let common = idx.region_common(&spans, &q);
@@ -744,15 +743,33 @@ mod tests {
     fn encode_query_handles_unknown_labels() {
         let (t, dict) = sample();
         let idx = IndexedDocument::build(&t, &dict);
+        let n_labels = idx.dict().len();
         let mut qdict = LabelDict::new();
-        let q = bracket::parse("{article{unseen_label}}", &mut qdict).unwrap();
-        let (eq, work) = idx.encode_query(&q, &qdict);
-        assert_eq!(work.resolve(eq.label(NodeId::new(1))), "unseen_label");
-        assert_eq!(idx.frequency(eq.label(NodeId::new(1))), 0);
-        assert_eq!(idx.postings(eq.label(NodeId::new(1))), &[] as &[u32]);
+        let q = bracket::parse("{article{unseen_label}{other_unseen}}", &mut qdict).unwrap();
+        let q2 = bracket::parse("{unseen_label{article}}", &mut qdict).unwrap();
+        let enc = idx.encode_queries(&[&q, &q2], &qdict);
+        assert_eq!(idx.dict().len(), n_labels, "the index is read-only");
+        let (unseen, other, article) = (
+            enc[0].label(NodeId::new(1)),
+            enc[0].label(NodeId::new(2)),
+            enc[0].label(NodeId::new(3)),
+        );
         // The known label keeps the index id.
-        assert_eq!(work.resolve(eq.label(NodeId::new(2))), "article");
-        assert!(idx.frequency(eq.label(NodeId::new(2))) > 0);
+        assert_eq!(article, idx.dict().get("article").unwrap());
+        assert!(idx.frequency(article) > 0);
+        // Unknown labels get fresh ids past the dictionary: len + source id.
+        for (id, name) in [(unseen, "unseen_label"), (other, "other_unseen")] {
+            assert_eq!(id.index(), n_labels + qdict.get(name).unwrap().index());
+            assert!(idx.dict().try_resolve(id).is_none());
+            assert_eq!(idx.frequency(id), 0);
+            assert_eq!(idx.postings(id), &[] as &[u32]);
+        }
+        assert_ne!(unseen, other);
+        // One label space across the batch.
+        assert_eq!(enc[1].label(NodeId::new(2)), unseen);
+        assert_eq!(enc[1].label(NodeId::new(1)), article);
+        // The single-query form encodes identically.
+        assert_eq!(idx.encode_query(&q, &qdict).0, enc[0]);
     }
 
     /// Name-resolved canonical form of a tree: the id remapping between

@@ -11,8 +11,8 @@
 //! evaluates the group in ONE scan through the batch engine. Nothing
 //! waits for company: batches form only when a backlog does, so an
 //! idle daemon adds no latency. Corpus requests are never grouped —
-//! each carries its own extended dictionary and is evaluated alone, so
-//! grouping them would only serialize them on one worker.
+//! each carries its own request-local dictionary and is evaluated
+//! alone, so grouping them would only serialize them on one worker.
 //!
 //! Drain correctness hangs on one counter: `outstanding` is incremented
 //! at submit and decremented only after the connection thread has
@@ -37,12 +37,13 @@ pub(crate) struct PendingRequest {
     /// The target document (shared with the store; batch compatibility
     /// is pointer identity on this Arc).
     pub(crate) doc: Arc<Doc>,
-    /// The query, parsed into the document's label space.
+    /// The query: encoded into a tree document's dictionary, or, for a
+    /// corpus, in the label space of `dict`.
     pub(crate) query: Tree,
-    /// The document dictionary extended with the query's own labels —
-    /// the label space `query` actually lives in (corpus evaluation
-    /// re-encodes per shard from here).
-    pub(crate) dict: LabelDict,
+    /// Corpus requests: the request-local dictionary `query` was parsed
+    /// into (each shard encodes from it). `None` for tree documents,
+    /// whose request carries only the encoded tree.
+    pub(crate) dict: Option<LabelDict>,
     /// Ranking size (validated `>= 1` at the connection layer).
     pub(crate) k: usize,
     /// The effective deadline duration, for error messages.
@@ -217,12 +218,12 @@ mod tests {
     }
 
     fn request(doc: &Arc<Doc>) -> PendingRequest {
-        let mut dict = doc.dict().clone();
+        let mut dict = LabelDict::new();
         let query = bracket::parse("{a}", &mut dict).unwrap();
         PendingRequest {
             doc: doc.clone(),
             query,
-            dict,
+            dict: doc.corpus().is_some().then_some(dict),
             k: 1,
             timeout_ms: 1000,
             deadline_at: Instant::now() + Duration::from_secs(1),

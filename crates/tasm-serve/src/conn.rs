@@ -52,9 +52,11 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::admission::{Admission, PendingRequest};
-use crate::{DocStore, ServerConfig};
+use crate::{Doc, DocStore, ServerConfig};
 use tasm_core::ScanStats;
 use tasm_ted::Cost;
+use tasm_tree::{LabelDict, Tree};
+use tasm_xml::XmlError;
 
 /// Longest request line the daemon reads, newline excluded. Queries
 /// are small trees, so a longer line is refused rather than buffered:
@@ -459,6 +461,36 @@ fn write_docs(writer: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
     send(writer, "END")
 }
 
+/// A query made ready for evaluation against its document.
+struct PreparedQuery {
+    /// Encoded into a tree document's dictionary, or in `dict`'s label
+    /// space for a corpus.
+    query: Tree,
+    /// The request-local dictionary, kept for corpus documents only.
+    dict: Option<LabelDict>,
+    /// The query root's label name (fault-injection hook + log line).
+    root_label: String,
+}
+
+/// Parses `q` into a request-local dictionary, then encodes it into a
+/// tree document's read-only dictionary, or keeps the local one for a
+/// corpus (whose shards encode from it). The cost depends on the query
+/// alone, never on the size of the document's vocabulary.
+fn prepare_query(doc: &Doc, q: &str) -> Result<PreparedQuery, XmlError> {
+    let mut local = LabelDict::new();
+    let parsed = tasm_xml::parse_tree_str(q, &mut local)?;
+    let root_label = local.resolve(parsed.label(parsed.root())).to_string();
+    let (query, dict) = match doc.dict() {
+        Some(target) => (target.encode_tree(&parsed, &local), None),
+        None => (parsed, Some(local)),
+    };
+    Ok(PreparedQuery {
+        query,
+        dict,
+        root_label,
+    })
+}
+
 #[allow(clippy::too_many_arguments)]
 fn handle_query(
     writer: &mut impl Write,
@@ -503,14 +535,14 @@ fn handle_query(
             ),
         );
     }
-    // Parse into a copy of the document's label space so query labels
-    // and document labels share one id universe.
-    let mut dict = doc.dict().clone();
-    let query = match tasm_xml::parse_tree_str(q, &mut dict) {
-        Ok(tree) => tree,
+    let PreparedQuery {
+        query,
+        dict,
+        root_label,
+    } = match prepare_query(doc, q) {
+        Ok(prepared) => prepared,
         Err(e) => return send(writer, &format!("ERR parse {e}")),
     };
-    let root_label = dict.resolve(query.label(query.root())).to_string();
     let dur = timeout_ms
         .map(Duration::from_millis)
         .unwrap_or(ctx.cfg.default_deadline)
@@ -554,6 +586,94 @@ fn handle_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tasm_bench::alloc::{thread_allocated_bytes, CountingAlloc};
+    use tasm_index::IndexedDocument;
+    use tasm_tree::{LabelId, NodeId};
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// A flat document over `n_labels` distinct labels: `l0` at the
+    /// root, one leaf per other label.
+    fn flat_doc(n_labels: usize) -> (Tree, LabelDict) {
+        let mut dict = LabelDict::with_capacity(n_labels);
+        let mut entries: Vec<(LabelId, u32)> = (1..n_labels)
+            .map(|i| (dict.intern(&format!("l{i}")), 1))
+            .collect();
+        entries.push((dict.intern("l0"), n_labels as u32));
+        (Tree::from_postorder(entries).unwrap(), dict)
+    }
+
+    /// Bytes the calling thread allocates while running `f`, whose
+    /// result is dropped inside the measurement.
+    fn bytes_allocated<T>(f: impl FnOnce() -> T) -> usize {
+        let before = thread_allocated_bytes();
+        drop(f());
+        thread_allocated_bytes() - before
+    }
+
+    /// Known labels, an attribute, text, and a label no document has.
+    const QUERY: &str = r#"<l0><l7 year="1999">l3</l7><nosuchlabel/></l0>"#;
+
+    #[test]
+    fn request_preparation_allocates_the_same_bytes_for_any_vocabulary() {
+        let mut prepared = Vec::new();
+        let mut encoded = Vec::new();
+        for n_labels in [1_000, 100_000] {
+            let (tree, dict) = flat_doc(n_labels);
+            let idx = IndexedDocument::build(&tree, &dict);
+            let doc = Doc::new("d", tree, dict);
+            let mut src = LabelDict::new();
+            let query = tasm_xml::parse_tree_str(QUERY, &mut src).unwrap();
+            // Warm up once, so lazily built per-thread state is not counted.
+            drop(prepare_query(&doc, QUERY).unwrap());
+            prepared.push(bytes_allocated(|| prepare_query(&doc, QUERY).unwrap()));
+            encoded.push(bytes_allocated(|| idx.encode_queries(&[&query], &src)));
+            assert_eq!(doc.dict().unwrap().len(), n_labels, "read-only dictionary");
+            assert_eq!(idx.dict().len(), n_labels, "read-only dictionary");
+        }
+        assert_eq!(
+            prepared[0], prepared[1],
+            "daemon parse + encode: {prepared:?}"
+        );
+        assert_eq!(encoded[0], encoded[1], "encode_queries: {encoded:?}");
+        // O(|Q|): far below even the smaller dictionary's size.
+        assert!(prepared[0] < 16 << 10, "{prepared:?}");
+        assert!(encoded[0] < 1 << 10, "{encoded:?}");
+    }
+
+    #[test]
+    fn tree_queries_are_encoded_and_corpus_queries_keep_their_dictionary() {
+        let (tree, dict) = flat_doc(10);
+        let l7 = dict.get("l7").unwrap();
+        let doc = Doc::new("d", tree, dict);
+        let p = prepare_query(&doc, "<l0><l7>l3</l7><nosuchlabel/></l0>").unwrap();
+        assert!(
+            p.dict.is_none(),
+            "a tree request carries only the encoded tree"
+        );
+        assert_eq!(p.root_label, "l0");
+        // Postorder: l3 text, l7, nosuchlabel, l0.
+        assert_eq!(p.query.label(NodeId::new(2)), l7);
+        let fresh = p.query.label(NodeId::new(3));
+        assert!(
+            fresh.index() >= 10,
+            "an unknown label matches no document label"
+        );
+
+        let dir = std::env::temp_dir().join(format!("tasm-serve-prepare-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = tasm_index::Corpus::create(&dir).unwrap();
+        let doc = Doc::new_corpus("c", Arc::new(corpus));
+        let p = prepare_query(&doc, "<__fault_panic__/>").unwrap();
+        let local = p.dict.expect("a corpus request keeps its local dictionary");
+        assert_eq!(
+            local.resolve(p.query.label(p.query.root())),
+            "__fault_panic__"
+        );
+        assert_eq!(p.root_label, "__fault_panic__");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn request_grammar_round_trips() {

@@ -65,22 +65,26 @@ use tasm_tree::{LabelDict, Tree, TreeQueue};
 
 pub use crate::conn::{busy_retry_after_ms, is_multiline};
 
-/// What a resident document holds: one parsed tree, or a whole corpus
-/// of indexed shards.
+/// What a resident document holds: one parsed tree with the label
+/// dictionary it was parsed with, or a whole corpus of indexed shards
+/// (each shard has its own dictionary).
 #[derive(Debug)]
 enum DocContent {
-    Tree(Tree),
+    Tree { tree: Tree, dict: LabelDict },
     Corpus(Arc<Corpus>),
 }
 
-/// A resident document: a parsed tree (or an opened [`Corpus`]) plus
-/// the label dictionary queries against it are parsed into, so both
-/// sides share one label-id universe.
+/// A resident document: a parsed tree and its label dictionary, or an
+/// opened [`Corpus`].
+///
+/// A query is parsed into a small request-local dictionary. For a tree
+/// document it is then encoded into the document's dictionary, which
+/// stays read-only ([`LabelDict::encode_tree`]); a corpus encodes it
+/// per shard. Either way no request copies a document's dictionary.
 #[derive(Debug)]
 pub struct Doc {
     name: String,
     content: DocContent,
-    dict: LabelDict,
 }
 
 impl Doc {
@@ -88,8 +92,7 @@ impl Doc {
     pub fn new(name: impl Into<String>, tree: Tree, dict: LabelDict) -> Self {
         Doc {
             name: name.into(),
-            content: DocContent::Tree(tree),
-            dict,
+            content: DocContent::Tree { tree, dict },
         }
     }
 
@@ -97,11 +100,9 @@ impl Doc {
     /// cross-document over every healthy shard, in explicit degraded
     /// mode when shards are quarantined.
     pub fn new_corpus(name: impl Into<String>, corpus: Arc<Corpus>) -> Self {
-        let dict = corpus.global_dict().clone();
         Doc {
             name: name.into(),
             content: DocContent::Corpus(corpus),
-            dict,
         }
     }
 
@@ -113,7 +114,7 @@ impl Doc {
     /// The parsed document tree (`None` for a corpus document).
     pub fn tree(&self) -> Option<&Tree> {
         match &self.content {
-            DocContent::Tree(tree) => Some(tree),
+            DocContent::Tree { tree, .. } => Some(tree),
             DocContent::Corpus(_) => None,
         }
     }
@@ -121,21 +122,26 @@ impl Doc {
     /// The opened corpus (`None` for a single-tree document).
     pub fn corpus(&self) -> Option<&Arc<Corpus>> {
         match &self.content {
-            DocContent::Tree(_) => None,
+            DocContent::Tree { .. } => None,
             DocContent::Corpus(corpus) => Some(corpus),
         }
     }
 
-    /// The label dictionary queries are parsed into.
-    pub fn dict(&self) -> &LabelDict {
-        &self.dict
+    /// The dictionary of a tree document, which queries are encoded
+    /// into (`None` for a corpus document: each shard encodes queries
+    /// into its own).
+    pub fn dict(&self) -> Option<&LabelDict> {
+        match &self.content {
+            DocContent::Tree { dict, .. } => Some(dict),
+            DocContent::Corpus(_) => None,
+        }
     }
 
     /// Node count reported by `DOCS`: the tree's size, or the summed
     /// size of the corpus's healthy shards.
     pub fn node_count(&self) -> u64 {
         match &self.content {
-            DocContent::Tree(tree) => tree.len() as u64,
+            DocContent::Tree { tree, .. } => tree.len() as u64,
             DocContent::Corpus(corpus) => corpus
                 .healthy()
                 .map(|(_, _, doc)| doc.tree().len() as u64)
@@ -450,7 +456,8 @@ fn rows(matches: Vec<Match>) -> Vec<Row> {
 /// document). Tree documents run under the earliest member deadline
 /// with solo retries on expiry; corpus documents evaluate per request
 /// under each member's own deadline (every request carries its own
-/// extended dictionary, so corpus queries cannot share one encoding).
+/// request-local dictionary, so corpus queries cannot share one
+/// encoding).
 fn evaluate_batch(
     ws: &mut BatchWorkspace,
     batch: &[PendingRequest],
@@ -461,7 +468,7 @@ fn evaluate_batch(
     }
     let doc = &batch[0].doc;
     match &doc.content {
-        DocContent::Tree(tree) => evaluate_tree_batch(ws, batch, tree),
+        DocContent::Tree { tree, .. } => evaluate_tree_batch(ws, batch, tree),
         DocContent::Corpus(corpus) => batch
             .iter()
             .map(|req| evaluate_corpus_request(req, corpus, corpus_threads))
@@ -563,9 +570,13 @@ fn evaluate_corpus_request(
         query: &req.query,
         k: req.k,
     }];
+    let dict = req
+        .dict
+        .as_ref()
+        .expect("corpus requests carry their request-local dictionary");
     match tasm_corpus_batch(
         &queries,
-        &req.dict,
+        dict,
         corpus,
         &UnitCost,
         1,

@@ -343,6 +343,98 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
 }
 
 #[test]
+fn queries_with_labels_the_document_lacks_match_the_engine() {
+    // `nosuchlabel` occurs in neither document: the daemon encodes it
+    // past the document's dictionary instead of adding it there, and
+    // the ranking must not notice.
+    let query_text = "<article><auth>John</auth><nosuchlabel/></article>";
+
+    // Tree document: the reference parses into a copy of the document's
+    // dictionary, the one-shot engine's way.
+    let daemon = Daemon::start("absent-label", ServerConfig::default());
+    let (mut rd, mut wr) = daemon.connect();
+    let resp = roundtrip(
+        &mut rd,
+        &mut wr,
+        &format!("QUERY doc=dblp k=4 q={query_text}"),
+    );
+    let (_, mut dict) = store();
+    let doc = bracket::parse(DOC, &mut dict).unwrap();
+    let query = parse_tree_str(query_text, &mut dict).unwrap();
+    let expect = tasm_postorder(
+        &query,
+        &mut TreeQueue::new(&doc),
+        4,
+        &UnitCost,
+        1,
+        TasmOptions::default(),
+        None,
+    );
+    let mut want = vec![format!("OK {}", expect.len())];
+    for (i, m) in expect.iter().enumerate() {
+        want.push(format!(
+            "{} {} {} {}",
+            i + 1,
+            m.root.post(),
+            m.distance,
+            m.size
+        ));
+    }
+    want.push("END".to_string());
+    assert_eq!(resp, want);
+    assert!(daemon.shutdown());
+
+    // Corpus document: the reference parses into a copy of the
+    // manifest's dictionary.
+    let dir = corpus_on_disk("absent-label");
+    let daemon = Daemon::start_with_store(
+        "absent-label-corpus",
+        ServerConfig::default(),
+        corpus_store(&dir),
+    );
+    let (mut rd, mut wr) = daemon.connect();
+    let resp = roundtrip(
+        &mut rd,
+        &mut wr,
+        &format!("QUERY doc=corp k=4 q={query_text}"),
+    );
+    let corpus = Corpus::open(&dir).unwrap();
+    let mut qdict = corpus.global_dict().clone();
+    let query = parse_tree_str(query_text, &mut qdict).unwrap();
+    let out = tasm_corpus_batch(
+        &[BatchQuery {
+            query: &query,
+            k: 4,
+        }],
+        &qdict,
+        &corpus,
+        &UnitCost,
+        1,
+        TasmOptions::default(),
+        1,
+        None,
+        &Deadline::none(),
+    )
+    .unwrap();
+    let expect = &out.rankings[0];
+    let mut want = vec![format!("OK {}", expect.len())];
+    for (i, m) in expect.iter().enumerate() {
+        want.push(format!(
+            "{} {} {} {} {}",
+            i + 1,
+            m.hit.root.post(),
+            m.hit.distance,
+            m.hit.size,
+            m.doc
+        ));
+    }
+    want.push("END".to_string());
+    assert_eq!(resp, want);
+    assert!(daemon.shutdown());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn degraded_corpus_answers_with_an_explicit_marker() {
     let dir = corpus_on_disk("degraded");
     // Corrupt beta's shard: the daemon must keep serving alpha.

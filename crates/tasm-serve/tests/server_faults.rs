@@ -4,21 +4,23 @@
 //! (`__fault_panic__`, `__fault_sleep_<ms>__`) inside the evaluation
 //! path.
 //!
-//! Matrix rows covered here: in-request panic, stall past deadline,
-//! overload burst, SIGTERM-style drain with a request in flight. The
-//! torn-bytes rows (short read, truncation, corruption) live against
-//! the file formats in `tasm-index`/`tasm-tree` and against the CLI in
-//! `tasm-cli`.
+//! Matrix rows covered here: in-request panic (on a tree and on a
+//! corpus document), stall past deadline, overload burst, SIGTERM-style
+//! drain with a request in flight. The torn-bytes rows (short read,
+//! truncation, corruption) live against the file formats in
+//! `tasm-index`/`tasm-tree` and against the CLI in `tasm-cli`.
 
 #![cfg(all(unix, feature = "fault-inject"))]
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tasm_core::{tasm_postorder, TasmOptions};
+use tasm_index::Corpus;
 use tasm_serve::{is_multiline, Doc, DocStore, Server, ServerConfig};
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, TreeQueue};
@@ -33,16 +35,20 @@ struct Daemon {
 
 impl Daemon {
     fn start(name: &str, cfg: ServerConfig) -> Daemon {
+        let mut dict = LabelDict::new();
+        let tree = bracket::parse(DOC, &mut dict).unwrap();
+        let mut store = DocStore::new();
+        store.insert(Doc::new("dblp", tree, dict));
+        Daemon::start_with_store(name, cfg, store)
+    }
+
+    fn start_with_store(name: &str, cfg: ServerConfig, store: DocStore) -> Daemon {
         let path = std::env::temp_dir().join(format!(
             "tasm-serve-faults-{}-{name}.sock",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path).unwrap();
-        let mut dict = LabelDict::new();
-        let tree = bracket::parse(DOC, &mut dict).unwrap();
-        let mut store = DocStore::new();
-        store.insert(Doc::new("dblp", tree, dict));
         let server = Server::new(cfg, store);
         let handle = std::thread::spawn(move || {
             server.serve_unix(&listener, None).unwrap();
@@ -109,6 +115,37 @@ fn in_request_panic_is_isolated_and_the_daemon_keeps_serving() {
     assert_eq!(resp.last().unwrap(), "END");
 
     assert!(daemon.shutdown(), "panic must not dirty the drain");
+}
+
+#[test]
+fn a_panic_on_a_corpus_document_is_isolated_too() {
+    // The fault lever reads the query root's name from the request-local
+    // dictionary, so it fires for corpus documents as for trees.
+    let dir = std::env::temp_dir().join(format!("tasm-serve-faults-corpus-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut corpus = Corpus::create(&dir).unwrap();
+    let mut dict = LabelDict::new();
+    let tree = bracket::parse(DOC, &mut dict).unwrap();
+    corpus.add("alpha", &tree, &dict, None).unwrap();
+    let mut store = DocStore::new();
+    store.insert(Doc::new_corpus("corp", Arc::new(corpus)));
+    let daemon = Daemon::start_with_store("corpus-panic", ServerConfig::default(), store);
+    let (mut rd, mut wr) = daemon.connect();
+
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=corp k=1 q=<__fault_panic__/>");
+    assert!(resp[0].starts_with("ERR internal "), "{resp:?}");
+
+    let resp = roundtrip(
+        &mut rd,
+        &mut wr,
+        "QUERY doc=corp k=2 q=<article><auth/></article>",
+    );
+    assert_eq!(resp[0], "OK 2", "{resp:?}");
+    assert!(resp[1].ends_with(" alpha"), "{resp:?}");
+    assert_eq!(resp.last().unwrap(), "END");
+
+    assert!(daemon.shutdown(), "panic must not dirty the drain");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::Tree;
+
 /// A dense integer identifier for a node label.
 ///
 /// Two nodes have equal labels iff their `LabelId`s are equal *within the
@@ -114,6 +116,51 @@ impl LabelDict {
             .iter()
             .enumerate()
             .map(|(i, s)| (LabelId(i as u32), &**s))
+    }
+
+    /// Encodes `query`, whose labels were interned in `src`, into this
+    /// dictionary's label space **without changing this dictionary**.
+    ///
+    /// A name this dictionary knows maps to its id here. A name it lacks
+    /// gets `self.len() + src_id`: past every id of this dictionary, so
+    /// it equals no label here, and distinct per name, because `src`
+    /// ids are. Every query of a batch encoded against the same `src`
+    /// therefore shares one consistent label space, and the cost is
+    /// O(|query|) whatever the size of either dictionary. The fresh ids
+    /// do not resolve here; resolve them through `src` at
+    /// `id - self.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a label of `query` was not minted by `src`, or if a
+    /// fresh id would not fit in a `u32`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tasm_tree::{bracket, LabelDict, LabelId, NodeId};
+    ///
+    /// let mut doc_dict = LabelDict::new();
+    /// let doc_a = doc_dict.intern("a");
+    /// let mut src = LabelDict::new();
+    /// let q = bracket::parse("{a{zzz}}", &mut src).unwrap(); // a = 0, zzz = 1
+    /// let enc = doc_dict.encode_tree(&q, &src);
+    /// assert_eq!(enc.label(NodeId::new(2)), doc_a);
+    /// assert_eq!(enc.label(NodeId::new(1)), LabelId(1 + 1)); // len + src id
+    /// assert_eq!(doc_dict.len(), 1); // unchanged
+    /// ```
+    pub fn encode_tree(&self, query: &Tree, src: &LabelDict) -> Tree {
+        let base = u32::try_from(self.names.len()).expect("more than u32::MAX labels");
+        let labels = query
+            .labels()
+            .iter()
+            .map(|&l| {
+                self.get(src.resolve(l)).unwrap_or_else(|| {
+                    LabelId(base.checked_add(l.0).expect("fresh label id overflows u32"))
+                })
+            })
+            .collect();
+        Tree::from_postorder_unchecked(labels, query.sizes().to_vec())
     }
 }
 
