@@ -6,8 +6,8 @@
 //! node-to-node comparisons". [`LabelDict`] is that dictionary: a
 //! bidirectional map between strings and dense [`LabelId`]s.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 use crate::Tree;
 
@@ -36,6 +36,11 @@ impl fmt::Display for LabelId {
 
 /// An interning dictionary mapping label strings to dense [`LabelId`]s.
 ///
+/// Each name is stored once: the names sit end to end in one string
+/// arena, and an open-addressing table of ids finds a name by its hash.
+/// The hasher is std's randomly keyed one, so names from untrusted input
+/// (request lines, documents) cannot be chosen to collide.
+///
 /// # Examples
 ///
 /// ```
@@ -49,11 +54,29 @@ impl fmt::Display for LabelId {
 /// assert_eq!(dict.resolve(a), "article");
 /// assert_eq!(dict.len(), 2);
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub struct LabelDict {
-    by_name: HashMap<Box<str>, LabelId>,
-    names: Vec<Box<str>>,
+    /// Every name, concatenated in interning order.
+    arena: String,
+    /// `ends[i]` is where name `i` ends in `arena`; it starts where name
+    /// `i - 1` ends.
+    ends: Vec<usize>,
+    /// Open-addressing table (linear probing, power-of-two length, at
+    /// most half full); a slot holds an id and the low bits of its hash.
+    slots: Vec<Slot>,
+    hasher: RandomState,
 }
+
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Low 32 bits of the name's hash; they also pick the home slot.
+    hash: u32,
+    /// The name's id, or [`EMPTY`].
+    id: u32,
+}
+
+/// The id of an unused slot; no label gets it.
+const EMPTY: u32 = u32::MAX;
 
 impl LabelDict {
     /// Creates an empty dictionary.
@@ -63,27 +86,77 @@ impl LabelDict {
 
     /// Creates an empty dictionary with capacity for `n` distinct labels.
     pub fn with_capacity(n: usize) -> Self {
-        Self {
-            by_name: HashMap::with_capacity(n),
-            names: Vec::with_capacity(n),
-        }
+        let mut dict = Self {
+            ends: Vec::with_capacity(n),
+            ..Self::default()
+        };
+        dict.resize_table(n.saturating_mul(2).next_power_of_two());
+        dict
     }
 
     /// Interns `name`, returning its id. Idempotent.
     pub fn intern(&mut self, name: &str) -> LabelId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        if self.slots.len() < 2 * (self.ends.len() + 1) {
+            self.resize_table((2 * self.slots.len()).max(16));
         }
-        let id = LabelId(u32::try_from(self.names.len()).expect("more than u32::MAX labels"));
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.by_name.insert(boxed, id);
-        id
+        let hash = self.hasher.hash_one(name) as u32;
+        match self.probe(name, hash) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = u32::try_from(self.ends.len())
+                    .ok()
+                    .filter(|&id| id != EMPTY)
+                    .expect("more than u32::MAX - 1 labels");
+                self.arena.push_str(name);
+                self.ends.push(self.arena.len());
+                self.slots[slot] = Slot { hash, id };
+                LabelId(id)
+            }
+        }
+    }
+
+    /// Finds `name`: its id, or the empty slot where it belongs.
+    fn probe(&self, name: &str, hash: u32) -> Result<LabelId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.id == EMPTY {
+                return Err(at);
+            }
+            if slot.hash == hash && self.name(slot.id as usize) == name {
+                return Ok(LabelId(slot.id));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Rebuilds the table with `len` slots (a power of two) from the
+    /// stored hashes; the names are not hashed again.
+    fn resize_table(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![Slot { hash: 0, id: EMPTY }; len]);
+        let mask = len - 1;
+        for slot in old.into_iter().filter(|s| s.id != EMPTY) {
+            let mut at = slot.hash as usize & mask;
+            while self.slots[at].id != EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+
+    /// The name of id `i < self.len()`.
+    fn name(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arena[start..self.ends[i]]
     }
 
     /// Returns the id of `name` if it has been interned.
     pub fn get(&self, name: &str) -> Option<LabelId> {
-        self.by_name.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(name, self.hasher.hash_one(name) as u32).ok()
     }
 
     /// Returns the string for `id`.
@@ -92,30 +165,28 @@ impl LabelDict {
     ///
     /// Panics if `id` was not minted by this dictionary.
     pub fn resolve(&self, id: LabelId) -> &str {
-        &self.names[id.index()]
+        self.try_resolve(id)
+            .unwrap_or_else(|| panic!("label {id} was not minted by this dictionary"))
     }
 
     /// Returns the string for `id`, or `None` if out of range.
     pub fn try_resolve(&self, id: LabelId) -> Option<&str> {
-        self.names.get(id.index()).map(|s| &**s)
+        (id.index() < self.len()).then(|| self.name(id.index()))
     }
 
     /// Number of distinct labels interned so far.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Whether no labels have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(id, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (LabelId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (LabelId(i as u32), &**s))
+        (0..self.len()).map(|i| (LabelId(i as u32), self.name(i)))
     }
 
     /// Encodes `query`, whose labels were interned in `src`, into this
@@ -150,7 +221,7 @@ impl LabelDict {
     /// assert_eq!(doc_dict.len(), 1); // unchanged
     /// ```
     pub fn encode_tree(&self, query: &Tree, src: &LabelDict) -> Tree {
-        let base = u32::try_from(self.names.len()).expect("more than u32::MAX labels");
+        let base = u32::try_from(self.len()).expect("more than u32::MAX labels");
         let labels = query
             .labels()
             .iter()
@@ -161,6 +232,14 @@ impl LabelDict {
             })
             .collect();
         Tree::from_postorder_unchecked(labels, query.sizes().to_vec())
+    }
+}
+
+impl fmt::Debug for LabelDict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.iter().map(|(_, name)| name))
+            .finish()
     }
 }
 

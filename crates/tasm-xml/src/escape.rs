@@ -5,6 +5,8 @@
 //! are passed through verbatim (lenient mode, appropriate for data-centric
 //! corpora like DBLP which use many Latin entities).
 
+use std::borrow::Cow;
+
 /// Escapes text content: `&`, `<`, `>`.
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -35,37 +37,38 @@ pub fn escape_attr(s: &str) -> String {
     out
 }
 
-/// Resolves entity and character references in `s`.
+/// Resolves entity and character references in `s`, copying only
+/// when it holds a `&`.
 ///
 /// Unknown named entities are kept verbatim (including the `&`/`;`), so no
 /// data is lost on real-world documents.
-pub fn unescape(s: &str) -> String {
+pub fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Copy one full UTF-8 character.
-            let len = utf8_len(bytes[i]);
-            out.push_str(&s[i..i + len]);
-            i += len;
-            continue;
-        }
+    unescape_into(s, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends `s` to `out` with its references resolved, as [`unescape`].
+pub(crate) fn unescape_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
         // Find the terminating ';' within a sane distance.
-        let end = s[i + 1..]
+        let end = rest[1..]
             .char_indices()
             .take(32)
             .find(|&(_, c)| c == ';')
-            .map(|(j, _)| i + 1 + j);
+            .map(|(j, _)| 1 + j);
         let Some(end) = end else {
             out.push('&');
-            i += 1;
+            rest = &rest[1..];
             continue;
         };
-        let entity = &s[i + 1..end];
+        let entity = &rest[1..end];
         let resolved: Option<char> = match entity {
             "lt" => Some('<'),
             "gt" => Some('>'),
@@ -83,28 +86,13 @@ pub fn unescape(s: &str) -> String {
             _ => None,
         };
         match resolved {
-            Some(c) => {
-                out.push(c);
-                i = end + 1;
-            }
-            None => {
-                // Unknown entity: keep verbatim.
-                out.push_str(&s[i..=end]);
-                i = end + 1;
-            }
+            Some(c) => out.push(c),
+            // Unknown entity: keep verbatim.
+            None => out.push_str(&rest[..=end]),
         }
+        rest = &rest[end + 1..];
     }
-    out
-}
-
-#[inline]
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+    out.push_str(rest);
 }
 
 #[cfg(test)]

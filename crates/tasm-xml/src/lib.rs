@@ -1,11 +1,13 @@
 //! Streaming XML substrate for TASM (Top-k Approximate Subtree Matching).
 //!
-//! Written from scratch for the ICDE 2010 reproduction: a pull parser
-//! ([`XmlParser`]), entity handling ([`escape`]), an event writer
+//! Written from scratch for the ICDE 2010 reproduction: a tokenizer that
+//! scans the reader's `fill_buf` windows in place and allocates nothing
+//! per token, entity handling ([`escape`]), an event writer
 //! ([`XmlWriter`]) and — most importantly — [`XmlPostorderQueue`], which
 //! turns an XML byte stream into the paper's *postorder queue* (Def. 2)
 //! with `O(depth)` memory, so `tasm_core::tasm_postorder` can query XML
-//! files that never fit in memory.
+//! files that never fit in memory. Labels are interned straight from the
+//! borrowed token bytes, and entities are decoded only where a `&` occurs.
 //!
 //! # Quick start
 //!
@@ -26,12 +28,11 @@
 
 mod error;
 pub mod escape;
-mod parser;
 mod stream;
+mod token;
 mod writer;
 
 pub use error::XmlError;
-pub use parser::{Attribute, XmlEvent, XmlParser};
 pub use stream::{
     parse_tree, parse_tree_str, parse_tree_with_config, XmlPostorderQueue, XmlTreeConfig,
 };

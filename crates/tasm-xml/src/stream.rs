@@ -1,6 +1,6 @@
 //! XML → postorder queue, streaming (the paper's document interface).
 //!
-//! [`XmlPostorderQueue`] drives the pull parser and emits `(label, size)`
+//! [`XmlPostorderQueue`] drives the window tokenizer and emits `(label, size)`
 //! postorder entries with `O(depth)` memory: a text node or attribute
 //! subtree is emitted as soon as it is seen, an element as soon as its end
 //! tag arrives — exactly postorder. Combined with `tasm_core::tasm_postorder`
@@ -14,14 +14,17 @@
 //! * element → node labeled with the tag, children = attributes then content;
 //! * attribute → node labeled `@name` with a single text-node child for the
 //!   value (just the `@name` leaf if the value is empty);
-//! * text → leaf labeled with the (entity-resolved) content.
+//! * text → leaf labeled with the (entity-resolved) content;
+//!   whitespace-only text between elements is skipped, CDATA is a text
+//!   node of its own.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
 
 use crate::error::XmlError;
-use crate::parser::{XmlEvent, XmlParser};
-use tasm_tree::{LabelDict, PostorderEntry, PostorderQueue, Tree};
+use crate::escape::unescape_into;
+use crate::token::{Token, Tokenizer};
+use tasm_tree::{LabelDict, LabelId, PostorderEntry, PostorderQueue, Tree};
 
 /// Configuration for the XML-to-tree node mapping.
 #[derive(Debug, Clone)]
@@ -52,15 +55,25 @@ impl Default for XmlTreeConfig {
 /// only `dequeue`).
 #[derive(Debug)]
 pub struct XmlPostorderQueue<'d, R: BufRead> {
-    parser: XmlParser<R>,
-    dict: &'d mut LabelDict,
-    config: XmlTreeConfig,
-    /// Nodes-emitted counters for each open element.
-    open: Vec<u32>,
-    /// Entries ready to be dequeued (attributes enqueue two at once).
-    ready: VecDeque<PostorderEntry>,
+    tokens: Tokenizer<R>,
+    nodes: NodeModel<'d>,
     error: Option<XmlError>,
     finished: bool,
+}
+
+/// The node model: turns tokens into postorder entries.
+#[derive(Debug)]
+struct NodeModel<'d> {
+    dict: &'d mut LabelDict,
+    config: XmlTreeConfig,
+    /// Open elements: the name and the nodes emitted inside it so far.
+    open: Vec<(LabelId, u32)>,
+    /// Entries ready to be dequeued (a start tag emits its attributes).
+    ready: VecDeque<PostorderEntry>,
+    /// Scratch for attribute labels and entity-decoded text.
+    scratch: String,
+    seen_root: bool,
+    root_closed: bool,
 }
 
 impl<'d, R: BufRead> XmlPostorderQueue<'d, R> {
@@ -72,11 +85,16 @@ impl<'d, R: BufRead> XmlPostorderQueue<'d, R> {
     /// Creates a streaming queue with a custom node mapping.
     pub fn with_config(reader: R, dict: &'d mut LabelDict, config: XmlTreeConfig) -> Self {
         XmlPostorderQueue {
-            parser: XmlParser::new(reader),
-            dict,
-            config,
-            open: Vec::new(),
-            ready: VecDeque::new(),
+            tokens: Tokenizer::new(reader),
+            nodes: NodeModel {
+                dict,
+                config,
+                open: Vec::new(),
+                ready: VecDeque::new(),
+                scratch: String::new(),
+                seen_root: false,
+                root_closed: false,
+            },
             error: None,
             finished: false,
         }
@@ -92,68 +110,221 @@ impl<'d, R: BufRead> XmlPostorderQueue<'d, R> {
         self.error.is_none()
     }
 
-    fn bump_parent(&mut self, emitted: u32) {
-        if let Some(top) = self.open.last_mut() {
-            *top += emitted;
-        }
-    }
-
-    /// Pulls parser events until at least one entry is ready or the stream
-    /// ends.
+    /// Reads tokens until at least one entry is ready or the stream ends.
     fn refill(&mut self) {
-        while self.ready.is_empty() && !self.finished {
-            match self.parser.next_event() {
-                Ok(None) => self.finished = true,
-                Ok(Some(XmlEvent::StartElement { name, attributes })) => {
-                    self.open.push(0);
-                    if self.config.include_attributes {
-                        for attr in attributes {
-                            let label = format!("{}{}", self.config.attribute_prefix, attr.name);
-                            let name_id = self.dict.intern(&label);
-                            if attr.value.is_empty() {
-                                self.ready.push_back(PostorderEntry::new(name_id, 1));
-                                self.bump_parent(1);
-                            } else {
-                                let value_id = self.dict.intern(&attr.value);
-                                self.ready.push_back(PostorderEntry::new(value_id, 1));
-                                self.ready.push_back(PostorderEntry::new(name_id, 2));
-                                self.bump_parent(2);
-                            }
-                        }
-                    }
-                    // Intern the element name now so ids reflect document
-                    // order even though the node is emitted at the end tag.
-                    self.dict.intern(&name);
-                }
-                Ok(Some(XmlEvent::Text(text))) => {
-                    if self.config.include_text {
-                        let id = self.dict.intern(&text);
-                        self.ready.push_back(PostorderEntry::new(id, 1));
-                        self.bump_parent(1);
-                    }
-                }
-                Ok(Some(XmlEvent::EndElement { name })) => {
-                    let inner = self.open.pop().expect("parser validates nesting");
-                    let id = self.dict.intern(&name);
-                    let size = inner + 1;
-                    self.ready.push_back(PostorderEntry::new(id, size));
-                    self.bump_parent(size);
-                }
-                Err(e) => {
-                    self.error = Some(e);
+        while self.nodes.ready.is_empty() && !self.finished {
+            let nodes = &mut self.nodes;
+            let step = match self.tokens.next(nodes.open.len(), |kind, bytes, offset| {
+                nodes.token(kind, bytes, offset)
+            }) {
+                Ok(true) => Ok(()),
+                Ok(false) => {
                     self.finished = true;
+                    self.nodes.end_of_input()
                 }
+                Err(e) => Err(e),
+            };
+            if let Err(e) = step {
+                self.error = Some(e);
+                self.finished = true;
             }
         }
     }
 }
 
+impl NodeModel<'_> {
+    fn token(&mut self, kind: Token, bytes: &[u8], offset: u64) -> Result<(), XmlError> {
+        match kind {
+            Token::Text => self.text(bytes, offset),
+            Token::Cdata => self.cdata(bytes, offset),
+            Token::Start => self.start(bytes, offset),
+            Token::End => self.end(bytes, offset),
+            Token::Skip => Ok(()),
+            Token::Malformed(message) => Err(XmlError::Syntax {
+                offset,
+                message: message.into(),
+            }),
+        }
+    }
+
+    fn text(&mut self, bytes: &[u8], offset: u64) -> Result<(), XmlError> {
+        if bytes.iter().all(u8::is_ascii_whitespace) {
+            return Ok(());
+        }
+        let text = utf8(bytes, offset)?;
+        if self.open.is_empty() {
+            return Err(XmlError::TrailingContent { offset });
+        }
+        if self.config.include_text {
+            let id = intern_decoded(self.dict, &mut self.scratch, text);
+            self.emit(id, 1);
+        }
+        Ok(())
+    }
+
+    fn cdata(&mut self, bytes: &[u8], offset: u64) -> Result<(), XmlError> {
+        if self.open.is_empty() {
+            return Err(XmlError::TrailingContent { offset });
+        }
+        if bytes.iter().all(u8::is_ascii_whitespace) {
+            return Ok(());
+        }
+        let text = utf8(bytes, offset)?;
+        if self.config.include_text {
+            let id = self.dict.intern(text);
+            self.emit(id, 1);
+        }
+        Ok(())
+    }
+
+    /// A start tag `name attr="v" attr2='w'` (with a trailing `/` if it
+    /// closes itself). Attribute labels get their ids before the element
+    /// name does; the golden digests pin that order.
+    fn start(&mut self, bytes: &[u8], offset: u64) -> Result<(), XmlError> {
+        let raw = utf8(bytes, offset)?;
+        let (raw, self_closing) = match raw.strip_suffix('/') {
+            Some(r) => (r, true),
+            None => (raw, false),
+        };
+        if self.root_closed {
+            return Err(XmlError::TrailingContent { offset });
+        }
+        let raw = raw.trim();
+        if raw.is_empty() {
+            return Err(XmlError::Syntax {
+                offset,
+                message: "empty tag".into(),
+            });
+        }
+        let name_end = raw.find(char::is_whitespace).unwrap_or(raw.len());
+        let (name, rest) = raw.split_at(name_end);
+        let bytes = rest.as_bytes();
+        let skip_space = |mut i: usize| {
+            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+                i += 1;
+            }
+            i
+        };
+        let syntax = |message: String| XmlError::Syntax { offset, message };
+        let mut inner = 0;
+        let mut i = skip_space(0);
+        while i < bytes.len() {
+            let start = i;
+            while i < bytes.len() && bytes[i] != b'=' && !bytes[i].is_ascii_whitespace() {
+                i += 1;
+            }
+            let attr = &rest[start..i];
+            i = skip_space(i);
+            let value = if i < bytes.len() && bytes[i] == b'=' {
+                i = skip_space(i + 1);
+                let quote = *bytes
+                    .get(i)
+                    .ok_or_else(|| syntax(format!("attribute {attr} has '=' but no value")))?;
+                if quote != b'"' && quote != b'\'' {
+                    return Err(syntax(format!("attribute {attr} value must be quoted")));
+                }
+                let len = bytes[i + 1..]
+                    .iter()
+                    .position(|&b| b == quote)
+                    .ok_or_else(|| syntax(format!("unterminated value for attribute {attr}")))?;
+                i += len + 2;
+                &rest[i - len - 1..i - 1]
+            } else {
+                "" // a valueless attribute (lenient)
+            };
+            if self.config.include_attributes {
+                self.scratch.clear();
+                self.scratch.push_str(&self.config.attribute_prefix);
+                self.scratch.push_str(attr);
+                let name_id = self.dict.intern(&self.scratch);
+                if value.is_empty() {
+                    self.ready.push_back(PostorderEntry::new(name_id, 1));
+                    inner += 1;
+                } else {
+                    let value_id = intern_decoded(self.dict, &mut self.scratch, value);
+                    self.ready.push_back(PostorderEntry::new(value_id, 1));
+                    self.ready.push_back(PostorderEntry::new(name_id, 2));
+                    inner += 2;
+                }
+            }
+            i = skip_space(i);
+        }
+        let id = self.dict.intern(name);
+        self.seen_root = true;
+        self.open.push((id, inner));
+        if self_closing {
+            self.close();
+        }
+        Ok(())
+    }
+
+    fn end(&mut self, bytes: &[u8], offset: u64) -> Result<(), XmlError> {
+        let name = utf8(bytes, offset)?.trim();
+        match self.open.last() {
+            Some(&(id, _)) if self.dict.resolve(id) == name => {
+                self.close();
+                Ok(())
+            }
+            Some(&(id, _)) => Err(XmlError::MismatchedTag {
+                offset,
+                expected: self.dict.resolve(id).to_string(),
+                found: name.to_string(),
+            }),
+            None => Err(XmlError::Syntax {
+                offset,
+                message: format!("close tag </{name}> with no open element"),
+            }),
+        }
+    }
+
+    /// Emits the innermost open element.
+    fn close(&mut self) {
+        let (id, inner) = self.open.pop().expect("close() follows a start tag");
+        self.emit(id, inner + 1);
+        self.root_closed = self.open.is_empty();
+    }
+
+    fn emit(&mut self, id: LabelId, size: u32) {
+        self.ready.push_back(PostorderEntry::new(id, size));
+        if let Some((_, inner)) = self.open.last_mut() {
+            *inner += size;
+        }
+    }
+
+    fn end_of_input(&self) -> Result<(), XmlError> {
+        if !self.open.is_empty() {
+            return Err(XmlError::UnexpectedEof {
+                open: self.open.len(),
+            });
+        }
+        if !self.seen_root {
+            return Err(XmlError::NoRootElement);
+        }
+        Ok(())
+    }
+}
+
+fn utf8(bytes: &[u8], offset: u64) -> Result<&str, XmlError> {
+    std::str::from_utf8(bytes).map_err(|_| XmlError::InvalidUtf8 { offset })
+}
+
+/// Interns `text` with its entities resolved, decoding through
+/// `scratch` only when it holds a `&`.
+fn intern_decoded(dict: &mut LabelDict, scratch: &mut String, text: &str) -> LabelId {
+    if !text.contains('&') {
+        return dict.intern(text);
+    }
+    scratch.clear();
+    unescape_into(text, scratch);
+    dict.intern(scratch)
+}
+
 impl<R: BufRead> PostorderQueue for XmlPostorderQueue<'_, R> {
     fn dequeue(&mut self) -> Option<PostorderEntry> {
-        if self.ready.is_empty() {
+        if self.nodes.ready.is_empty() {
             self.refill();
         }
-        self.ready.pop_front()
+        self.nodes.ready.pop_front()
     }
 
     fn integrity_error(&self) -> Option<String> {
@@ -176,14 +347,12 @@ pub fn parse_tree_with_config<R: BufRead>(
     config: XmlTreeConfig,
 ) -> Result<Tree, XmlError> {
     let mut queue = XmlPostorderQueue::with_config(reader, dict, config);
-    let mut entries = Vec::new();
-    while let Some(e) = queue.dequeue() {
-        entries.push((e.label, e.size));
-    }
+    let entries = std::iter::from_fn(|| queue.dequeue()).map(|e| (e.label, e.size));
+    let tree = Tree::from_postorder(entries);
     if let Some(err) = queue.take_error() {
         return Err(err);
     }
-    Tree::from_postorder(entries).map_err(|e| XmlError::Syntax {
+    tree.map_err(|e| XmlError::Syntax {
         offset: 0,
         message: format!("postorder assembly failed: {e}"),
     })

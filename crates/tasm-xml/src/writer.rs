@@ -97,11 +97,13 @@ impl<W: Write> XmlWriter<W> {
 
 /// Serializes a tree produced by the XML node mapping back to XML.
 ///
-/// Inverts the mapping of [`XmlPostorderQueue`](crate::XmlPostorderQueue): a node whose label starts with `@`
-/// and has at most one leaf child becomes an attribute; a leaf that is not
-/// an attribute becomes text when its parent is an element; other nodes
-/// become elements. Round-trips trees that came from XML; for arbitrary
-/// trees it is a best-effort rendering.
+/// Inverts the mapping of [`XmlPostorderQueue`](crate::XmlPostorderQueue):
+/// a node labeled `@name` with no child or one leaf child becomes an
+/// attribute while its parent's start tag is still open and `name` is an
+/// XML name; a leaf that is not an attribute becomes text when its parent
+/// is an element; other nodes become elements. Round-trips trees that came
+/// from XML; for arbitrary trees it is a best-effort rendering that never
+/// fails.
 pub fn tree_to_xml(tree: &Tree, dict: &LabelDict) -> String {
     let mut out = Vec::new();
     write_tree(tree, dict, &mut out).expect("Vec writer");
@@ -124,26 +126,36 @@ fn write_node<W: Write>(
     is_root: bool,
 ) -> io::Result<()> {
     let label = dict.resolve(tree.label(node));
-    if tree.is_leaf(node) && !is_root {
-        if let Some(attr) = label.strip_prefix('@') {
-            w.attr(attr, "")?;
-        } else {
-            w.text(label)?;
+    let attr = label.strip_prefix('@').filter(|name| is_xml_name(name));
+    if let Some(name) = attr.filter(|_| w.tag_open) {
+        if tree.is_leaf(node) {
+            return w.attr(name, "");
         }
-        return Ok(());
-    }
-    if let Some(attr) = label.strip_prefix('@') {
         let children = tree.children(node);
-        if children.len() == 1 && tree.is_leaf(children[0]) && !is_root {
-            w.attr(attr, dict.resolve(tree.label(children[0])))?;
-            return Ok(());
+        if children.len() == 1 && tree.is_leaf(children[0]) {
+            return w.attr(name, dict.resolve(tree.label(children[0])));
         }
+    }
+    // A root leaf stays an element, unless its label would read back as
+    // an element with attributes.
+    if tree.is_leaf(node) && (!is_root || label.starts_with('@') && attr.is_none()) {
+        return w.text(label);
     }
     w.start(label)?;
     for child in tree.children(node) {
         write_node(tree, dict, child, w, false)?;
     }
     w.end()
+}
+
+/// Whether `s` is an XML name: a letter, `_` or `:`, then letters,
+/// digits and `_:-.` (any non-ASCII letter or digit counts).
+fn is_xml_name(s: &str) -> bool {
+    let mut chars = s.chars();
+    chars
+        .next()
+        .is_some_and(|c| c.is_alphabetic() || c == '_' || c == ':')
+        && chars.all(|c| c.is_alphanumeric() || matches!(c, '_' | ':' | '-' | '.'))
 }
 
 #[cfg(test)]
@@ -219,6 +231,37 @@ mod tests {
         let mut dict2 = dict.clone();
         let t2 = parse_tree_str(&rendered, &mut dict2).unwrap();
         assert_eq!(t, t2, "rendered: {rendered}");
+    }
+
+    fn render(bracket: &str) -> String {
+        let mut dict = LabelDict::new();
+        let tree = tasm_tree::bracket::parse(bracket, &mut dict).unwrap();
+        tree_to_xml(&tree, &dict)
+    }
+
+    #[test]
+    fn at_text_after_a_child_is_text_not_an_attribute() {
+        // Matched subtree of `<r><a><b/>@x</a></r>`: the `@x` text leaf
+        // follows an element, so the start tag is already closed.
+        let xml = "<r><a><b/>@x</a></r>";
+        let mut dict = LabelDict::new();
+        let doc = parse_tree_str(xml, &mut dict).unwrap();
+        let a = doc.children(doc.root())[0];
+        // Leaves are text, so `b` reads back merged with `@x`: a
+        // best-effort rendering, but no panic.
+        assert_eq!(tree_to_xml(&doc.subtree(a), &dict), "<a>b@x</a>");
+        assert_eq!(render("{a{t}{@x}{@y{v}}}"), "<a>t@x<@y>v</@y></a>");
+    }
+
+    #[test]
+    fn at_labels_that_are_not_names_render_as_text() {
+        assert_eq!(render("{c{@p q}}"), "<c>@p q</c>");
+        assert_eq!(render("{@p q}"), "@p q");
+        assert_eq!(render("{c{@}{@1x}{@a<b}}"), "<c>@@1x@a&lt;b</c>");
+        // Names keep rendering as attributes, and root leaves as elements.
+        assert_eq!(render("{c{@a}{@x:y-z.1{v}}}"), r#"<c a="" x:y-z.1="v"/>"#);
+        assert_eq!(render("{@a}"), "<@a/>");
+        assert_eq!(render("{p q}"), "<p q/>");
     }
 
     #[test]

@@ -10,13 +10,21 @@
 //! generated document model (*not* via the parser), so the test is a
 //! real differential: parser + queue on one side, the Sec. VII node
 //! model rules on the other.
+//!
+//! The tokenizer scans the reader's buffer windows and carries a token
+//! over only when it crosses one, so the same documents must give the
+//! same entries through every buffer capacity. Arbitrary, truncated and
+//! byte-mutated inputs must end in entries or a structured error, never
+//! a panic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::BufReader;
+
 use tasm_tree::{LabelDict, PostorderQueue, Tree, TreeBuilder};
 use tasm_xml::escape::{escape_attr, escape_text};
-use tasm_xml::{XmlPostorderQueue, XmlTreeConfig};
+use tasm_xml::{parse_tree, XmlPostorderQueue, XmlTreeConfig};
 
 /// A generated XML node: the document model of `tasm_xml::stream`.
 #[derive(Debug, Clone)]
@@ -145,9 +153,8 @@ fn build_expected(node: &Node, cfg: &XmlTreeConfig, dict: &mut LabelDict, b: &mu
     }
 }
 
-/// Resolved `(label, size)` sequence of a queue (also checks it ends
-/// cleanly).
-fn drain(q: &mut XmlPostorderQueue<'_, &[u8]>) -> Vec<tasm_tree::PostorderEntry> {
+/// The entries of a queue, in order.
+fn drain<R: std::io::BufRead>(q: &mut XmlPostorderQueue<'_, R>) -> Vec<tasm_tree::PostorderEntry> {
     let mut out = Vec::new();
     while let Some(e) = q.dequeue() {
         out.push(e);
@@ -283,5 +290,99 @@ proptest! {
             "truncation cannot produce the whole document"
         );
         prop_assert_eq!(&emitted[..], &full[..emitted.len()], "cut at {}", cut);
+    }
+}
+
+/// Buffer capacities that make every token cross a window boundary at
+/// some capacity, plus the default.
+const CAPACITIES: [usize; 6] = [1, 2, 3, 7, 64, 8192];
+
+/// Drains `xml` through a queue over a `BufReader` of `capacity`: the
+/// resolved entries, the dictionary in interning order, and the error.
+fn drain_with_capacity(xml: &[u8], capacity: usize) -> (Vec<(String, u32)>, Vec<String>, bool) {
+    let mut dict = LabelDict::new();
+    let mut q = XmlPostorderQueue::new(BufReader::with_capacity(capacity, xml), &mut dict);
+    let entries = drain(&mut q);
+    let failed = q.take_error().is_some();
+    drop(q);
+    let names = dict.iter().map(|(_, name)| name.to_string()).collect();
+    (resolved(&entries, &dict), names, failed)
+}
+
+/// Bytes that steer a tokenizer into its markup states.
+const MARKUP_BYTES: &[u8] = b"<>/!?-[]\"'= &;#xCDATA\n\xff\xc3\xa9";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn every_buffer_capacity_gives_the_same_entries(
+        seed in any::<u64>(),
+        budget in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let doc = gen_elem(&mut rng, budget, 0);
+        let mut body = String::new();
+        render(&doc, &mut body);
+        // Skipped constructs and CDATA cross windows too.
+        let xml = format!(
+            "<?xml version=\"1.0\"?>\n<!DOCTYPE e0 [<!ENTITY x \"y\">]><!-- c -->{body}<!-- end -->\n"
+        );
+        let (want, want_names, failed) = drain_with_capacity(body.as_bytes(), 8192);
+        prop_assert!(!failed);
+        for capacity in CAPACITIES {
+            let got = drain_with_capacity(xml.as_bytes(), capacity);
+            prop_assert_eq!(&got.0, &want, "capacity {}\nxml: {}", capacity, xml);
+            prop_assert_eq!(&got.1, &want_names, "capacity {}", capacity);
+            prop_assert!(!got.2);
+        }
+        let cdata = format!("<r>a<![CDATA[{body}]]>b</r>");
+        for capacity in CAPACITIES {
+            let (got, _, failed) = drain_with_capacity(cdata.as_bytes(), capacity);
+            prop_assert!(!failed);
+            prop_assert_eq!(&got[1], &(body.clone(), 1), "capacity {}", capacity);
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        picks in prop::collection::vec(any::<usize>(), 0..200),
+        capacity in 1usize..9,
+    ) {
+        // Raw bytes, then bytes drawn from markup characters.
+        let markup: Vec<u8> = picks.iter().map(|p| MARKUP_BYTES[p % MARKUP_BYTES.len()]).collect();
+        for input in [&bytes, &markup] {
+            let mut dict = LabelDict::new();
+            let _ = parse_tree(BufReader::with_capacity(capacity, &input[..]), &mut dict);
+            let _ = drain_with_capacity(input, capacity);
+        }
+    }
+
+    #[test]
+    fn truncated_or_mutated_documents_never_panic(
+        seed in any::<u64>(),
+        budget in 1usize..40,
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        capacity in 1usize..9,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut xml = String::new();
+        render(&gen_elem(&mut rng, budget, 0), &mut xml);
+        let xml = format!("<!-- c --><r><![CDATA[x]]>{xml}<?p?></r>").into_bytes();
+        let mut mutated = xml.clone();
+        for &(at, byte) in &edits {
+            let at = at % mutated.len();
+            mutated[at] = if byte % 2 == 0 { MARKUP_BYTES[usize::from(byte) % MARKUP_BYTES.len()] } else { byte };
+        }
+        let cut = &xml[..edits[0].0 % xml.len()];
+        for input in [&mutated[..], cut] {
+            let mut dict = LabelDict::new();
+            let _ = parse_tree(BufReader::with_capacity(capacity, input), &mut dict);
+            let (_, _, failed) = drain_with_capacity(input, capacity);
+            if input.len() < xml.len() {
+                prop_assert!(failed, "a strict prefix cannot be a whole document");
+            }
+        }
     }
 }
