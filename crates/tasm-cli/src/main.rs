@@ -286,23 +286,23 @@ fn cmd_index(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Fails a `.pq` scan that ended before the header-promised node count —
-/// a truncated file must not silently pass as a smaller document.
+/// Fails a `.pq` scan that the reader reports as damaged (truncated,
+/// malformed entry, trailer mismatch) or that ended before the
+/// header-promised node count — a damaged file must not silently pass
+/// as a smaller document.
 fn check_pq_complete<R: std::io::Read>(
     reader: &PostFileReader<R>,
     doc_path: &str,
 ) -> Result<(), CliError> {
+    if let Some(msg) = reader.integrity_error() {
+        return Err(CliError::Runtime(format!("{doc_path}: {msg}")));
+    }
     if reader.remaining_nodes() > 0 {
         return Err(CliError::Runtime(format!(
             "{doc_path}: truncated postorder file ({} of {} nodes missing)",
             reader.remaining_nodes(),
             reader.total_nodes()
         )));
-    }
-    // Entry count intact but the trailer disagrees: bit rot inside the
-    // node stream (v1 CRC trailer, satellite of the corpus-store PR).
-    if let Some(msg) = reader.integrity_error() {
-        return Err(CliError::Runtime(format!("{doc_path}: {msg}")));
     }
     Ok(())
 }
@@ -426,7 +426,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         // Scan-free candidate generation from the prebuilt .pqi index:
         // candidate regions come from the subtree-size column, bounded
         // per query by the label postings, and only surviving regions
-        // are materialized and evaluated.
+        // are evaluated, in place in the index's document.
         let idx = index.insert(
             IndexedDocument::open(ipath).map_err(|e| CliError::Runtime(format!("{ipath}: {e}")))?,
         );

@@ -140,6 +140,26 @@ fn runtime_errors_exit_2() {
 }
 
 #[test]
+fn oversized_pq_label_count_exits_2() {
+    // A 24-byte header whose dictionary count no file could hold: the
+    // reader must fail on the short read, not abort on the allocation
+    // (exit 134) or panic on capacity overflow (exit 101).
+    for (name, n_labels) in [("labels_2e40.pq", 1u64 << 40), ("labels_max.pq", u64::MAX)] {
+        let pq = tmp(name);
+        let mut bytes = b"TASMPQ1\n".to_vec();
+        bytes.extend_from_slice(&10u64.to_le_bytes());
+        bytes.extend_from_slice(&n_labels.to_le_bytes());
+        std::fs::write(&pq, &bytes).unwrap();
+        let path = pq.to_str().unwrap();
+        let out = tasm(&["query", "--query-str", "<a/>", "--doc", path]);
+        assert_eq!(code(&out), 2, "n_labels = {n_labels}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(path), "{stderr}");
+        let _ = std::fs::remove_file(&pq);
+    }
+}
+
+#[test]
 fn closed_stdout_pipe_exits_0() {
     // `tasm gen | head` — the reader hangs up after a few bytes; the
     // generator must treat that as success, not an error.

@@ -169,7 +169,7 @@ impl CandidateSink for MultiQuerySink<'_> {
             &mut self.lanes,
             self.teds,
             self.lb,
-            cand,
+            cand.view(),
             offset,
             self.opts,
             self.stats.as_deref_mut(),

@@ -14,11 +14,7 @@
 //!   which amortizes ring-buffer maintenance and candidate
 //!   materialization across N queries in one pass — or, with more than
 //!   one thread, copies the candidates into segments for the shard
-//!   workers;
-//! * the per-shard sinks of
-//!   [`tasm_indexed_batch`](crate::tasm_indexed_batch), where each
-//!   worker runs its own engine over a contiguous slice of the
-//!   surviving candidate regions.
+//!   workers.
 //!
 //! The engine preserves the zero-allocation steady state of PR 2: the
 //! scratch tree grows but never shrinks, so once its capacity covers τ
@@ -204,12 +200,8 @@ impl ScanEngine {
 
     /// Runs one full pass: consumes `queue` through a fresh prefix ring
     /// buffer and feeds every candidate of `cand(T, τ)` to `sink`, in
-    /// stream order.
-    ///
-    /// The queue may encode a single tree or a forest of complete
-    /// subtrees (every prefix a valid forest) — the latter is how
-    /// [`tasm_indexed_batch`](crate::tasm_indexed_batch) shards the
-    /// candidate regions of one document across engines.
+    /// stream order. The queue may encode a single tree or a forest of
+    /// complete subtrees (every prefix a valid forest).
     pub fn scan<Q: PostorderQueue + ?Sized>(
         &mut self,
         queue: &mut Q,

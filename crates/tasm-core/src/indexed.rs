@@ -17,100 +17,41 @@
 //!    per-candidate to per-region);
 //! 3. regions are evaluated most-promising first, so the top-k heaps
 //!    tighten early and later regions whose bound exceeds every lane's
-//!    cutoff are skipped without ever materializing a candidate.
+//!    cutoff are skipped without ever being evaluated.
 //!
 //! Skipping is **exact**: a region is dropped only when every lane's
 //! heap is full and the bound *strictly* exceeds its cutoff — the same
 //! admissibility argument as
 //! [`LowerBoundCascade::decide`](tasm_ted::LowerBoundCascade::decide) —
 //! and the rank key (distance, document postorder, size) is a total
-//! order, so the ranking is independent of evaluation order. Evaluated
-//! regions flow through the unchanged lane machinery
-//! ([`fan_out`](crate::lane::fan_out) into the cascade, heaps and
-//! [`ScanStats`] funnel), so [`tasm_indexed_batch`] returns
-//! **identical** rankings to [`tasm_postorder`](crate::tasm_postorder)
-//! / [`tasm_naive`](crate::tasm_naive) (pinned by
-//! `tests/differential.rs`).
+//! order, so the ranking is independent of evaluation order.
+//!
+//! A region is the contiguous postorder interval `[lml, root]` of the
+//! resident document, so it is evaluated **in place**: its
+//! [`TreeView`](tasm_tree::TreeView) slice of the document arena goes
+//! straight into the unchanged lane machinery (the cascade, the heaps
+//! and the [`ScanStats`](crate::ScanStats) funnel), with no copy.
+//! [`tasm_indexed_batch`] therefore returns **identical** rankings to
+//! [`tasm_postorder`](crate::tasm_postorder) /
+//! [`tasm_naive`](crate::tasm_naive) (pinned by `tests/differential.rs`).
 //!
 //! With more than one thread, the regions that survive the seed pass
-//! are split into node-balanced contiguous shards ([`shard_spans`]),
-//! each replayed by a worker through a [`SpanQueue`] into its own scan
-//! engine and lanes.
+//! are split into node-balanced contiguous shards ([`shard_spans`]).
+//! Each worker evaluates its own slice of regions, one view at a time,
+//! through its own lane set.
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{
-    build_lanes, fan_out, merge_shard_results, reserve_lanes, resolve_threads, scan_tau_of,
-    EvalLane, ShardResult,
-};
+use crate::lane::{merge_shard_results, resolve_threads, scan_tau_of, EvalLane, LaneSet};
 use crate::tasm_dynamic::TasmOptions;
-use crate::workspace::scratch_fits_cap;
 use tasm_index::IndexedDocument;
-use tasm_ted::{CascadeScratch, Cost, CostModel, TedStats, TedWorkspace};
-use tasm_tree::{LabelDict, LabelId, NodeId, PostorderEntry, PostorderQueue, Tree};
+use tasm_ted::{Cost, CostModel, TedStats};
+use tasm_tree::{LabelDict, NodeId, Tree};
 
 /// Once every lane's heap is full, how many further seed regions the
 /// parallel driver evaluates before freezing the cutoffs and handing
 /// the filtered remainder to the shard workers.
 const SEED_EXTRA: usize = 16;
-
-/// A postorder queue replaying selected `(lml, root)` spans of an
-/// in-memory document — each span a complete subtree, so every prefix of
-/// the stream is a valid forest (what the ring buffer requires).
-struct SpanQueue<'a> {
-    doc: &'a Tree,
-    spans: &'a [(u32, u32)],
-    /// Index of the span currently being replayed.
-    span_idx: usize,
-    /// Next document postorder number within the current span (0 = start
-    /// of the span not yet entered).
-    pos: u32,
-}
-
-impl<'a> SpanQueue<'a> {
-    fn new(doc: &'a Tree, spans: &'a [(u32, u32)]) -> Self {
-        SpanQueue {
-            doc,
-            spans,
-            span_idx: 0,
-            pos: 0,
-        }
-    }
-}
-
-impl PostorderQueue for SpanQueue<'_> {
-    fn dequeue(&mut self) -> Option<PostorderEntry> {
-        loop {
-            let &(lo, hi) = self.spans.get(self.span_idx)?;
-            if self.pos == 0 {
-                self.pos = lo;
-            }
-            if self.pos > hi {
-                self.span_idx += 1;
-                self.pos = 0;
-                continue;
-            }
-            let id = NodeId::new(self.pos);
-            self.pos += 1;
-            // Subtree sizes are invariant under the renumbering of a span
-            // to local postorder, so the arena values stream unchanged.
-            return Some(PostorderEntry {
-                label: self.doc.label(id),
-                size: self.doc.size(id),
-            });
-        }
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(
-            self.spans
-                .iter()
-                .map(|&(lo, hi)| (hi - lo + 1) as usize)
-                .sum(),
-        )
-    }
-}
 
 /// Splits `spans` into at most `shards` contiguous groups of roughly
 /// equal **node** weight (candidate counts can be wildly uneven in
@@ -148,40 +89,6 @@ fn shard_spans(spans: &[(u32, u32)], shards: usize) -> Vec<&[(u32, u32)]> {
     out
 }
 
-/// Shard-side sink: maps each emitted candidate back to its document
-/// span (the scan re-derives candidates 1:1 with the shard's spans, in
-/// order) and fans it out to every query lane of the shard.
-struct ShardSink<'a> {
-    lanes: Vec<EvalLane<'a>>,
-    teds: Vec<TedWorkspace>,
-    lb: CascadeScratch,
-    opts: TasmOptions,
-    spans: &'a [(u32, u32)],
-    next: usize,
-    stats: Option<TedStats>,
-}
-
-impl CandidateSink for ShardSink<'_> {
-    fn consume(&mut self, cand: &Tree, _local_root: NodeId, _scan: &mut ScanStats) {
-        let (lml, root) = self.spans[self.next];
-        self.next += 1;
-        debug_assert_eq!(
-            cand.len() as u32,
-            root - lml + 1,
-            "shard scan must re-derive exactly the sharded candidate"
-        );
-        fan_out(
-            &mut self.lanes,
-            &mut self.teds,
-            &mut self.lb,
-            cand,
-            lml - 1,
-            self.opts,
-            self.stats.as_mut(),
-        );
-    }
-}
-
 /// The admissible per-region lower bound: each of the `m` query nodes
 /// without an equal-label partner in the region costs at least one
 /// natural unit (node costs are clamped `>= 1`, Def. 4), for every
@@ -206,27 +113,33 @@ fn region_wanted(lanes: &[EvalLane<'_>], msizes: &[u64], commons: &[Vec<u32>], r
         })
 }
 
-/// Evaluates one `(lml, root)` span through every lane: clones the
-/// subtree out of the materialized document (local postorder, sizes
-/// invariant) and fans it out exactly as the scan sinks do.
-#[allow(clippy::too_many_arguments)]
-fn eval_span(
-    span: (u32, u32),
+/// Evaluates one `(lml, root)` span of `doc` through every lane of
+/// `set`, in place: the region's view of the document arena (local
+/// postorder, sizes invariant) is fanned out exactly as the scan sinks
+/// fan out their candidates.
+fn eval_span(set: &mut LaneSet<'_>, doc: &Tree, (lo, hi): (u32, u32)) {
+    set.eval(doc.subtree_view(NodeId::new(hi)), lo - 1);
+}
+
+/// Evaluates every span of `spans` in order, polling `deadline` once
+/// per region (after a forced check up front, so an expired request
+/// does no work).
+fn eval_spans(
+    set: &mut LaneSet<'_>,
     doc: &Tree,
-    scratch: &mut Tree,
-    lanes: &mut [EvalLane<'_>],
-    teds: &mut [TedWorkspace],
-    lb: &mut CascadeScratch,
-    scan: &mut ScanStats,
-    opts: TasmOptions,
-    ted_stats: Option<&mut TedStats>,
-) {
-    let (lo, hi) = span;
-    scratch.clone_subtree_from(doc, NodeId::new(hi));
-    scan.candidates += 1;
-    scan.nodes_seen = scan.nodes_seen.saturating_add(hi - lo + 1);
-    scan.peak_buffered = scan.peak_buffered.max((hi - lo + 1) as usize);
-    fan_out(lanes, teds, lb, scratch, lo - 1, opts, ted_stats);
+    spans: &[(u32, u32)],
+    deadline: &Deadline,
+) -> Result<(), DeadlineExceeded> {
+    if deadline.expired_now() {
+        return Err(DeadlineExceeded);
+    }
+    for &span in spans {
+        if deadline.poll() {
+            return Err(DeadlineExceeded);
+        }
+        eval_span(set, doc, span);
+    }
+    Ok(())
 }
 
 /// Counts a region skip in every lane's funnel: the histogram tier
@@ -261,10 +174,10 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
 ///
 /// `threads` (`0` = one per available core) shards the regions that
 /// survive the seed pass across worker threads. `deadline` is polled
-/// per region in the promise-ordered loop (strided — see
-/// [`Deadline::poll`]) and per candidate in the shard workers, so one
-/// large document cannot overrun a request deadline by more than a
-/// single region evaluation.
+/// once per region, in the promise-ordered loop and in every shard
+/// worker (strided — see [`Deadline::poll`]), so one large document
+/// cannot overrun a request deadline by more than a few region
+/// evaluations.
 ///
 /// # Errors
 ///
@@ -316,7 +229,9 @@ pub fn tasm_indexed_batch(
         .map(|(query, bq)| BatchQuery { query, k: bq.k })
         .collect();
 
-    let (mut lanes, scan_tau) = build_lanes(&equeries, model, c_t, opts.kernel);
+    let want_ted_stats = stats.is_some();
+    let mut seed = LaneSet::new(&equeries, model, c_t, opts, want_ted_stats);
+    let scan_tau = seed.scan_tau;
     debug_assert_eq!(scan_tau, scan_tau_of(&equeries, model, c_t));
     let msizes: Vec<u64> = encoded.iter().map(|q| q.len() as u64).collect();
 
@@ -333,26 +248,15 @@ pub fn tasm_indexed_batch(
     let mut order: Vec<u32> = (0..spans.len() as u32).collect();
     order.sort_by_key(|&ri| {
         let ri = ri as usize;
-        let deficit = (0..lanes.len())
+        let deficit = (0..msizes.len())
             .map(|li| msizes[li].saturating_sub(u64::from(commons[li][ri])))
             .min()
             .unwrap_or(0);
         (deficit, spans[ri].0)
     });
 
-    let mut teds: Vec<TedWorkspace> = (0..lanes.len()).map(|_| TedWorkspace::new()).collect();
-    let mut lb = CascadeScratch::new();
-    reserve_lanes(&lanes, &mut teds, &mut lb, scan_tau);
-    let mut scratch = Tree::leaf(LabelId(0));
-    if scratch_fits_cap(scan_tau as usize) {
-        scratch.reserve(scan_tau as usize);
-    }
-    let want_ted_stats = stats.is_some();
-    let mut ted_local = want_ted_stats.then(TedStats::new);
-    let mut scan = ScanStats {
-        nodes_seen: u32::try_from(generated).unwrap_or(u32::MAX),
-        ..ScanStats::default()
-    };
+    let doc = idx.tree();
+    seed.scan.nodes_seen = u32::try_from(generated).unwrap_or(u32::MAX);
 
     // Seed phase (and, with <= 1 thread, the whole run): walk regions in
     // promise order, skipping those no lane can use any more.
@@ -362,27 +266,17 @@ pub fn tasm_indexed_batch(
         if deadline.poll() {
             return Err(DeadlineExceeded);
         }
-        if threads > 1 && lanes.iter().all(|l| l.heap.is_full()) {
+        if threads > 1 && seed.lanes.iter().all(|l| l.heap.is_full()) {
             extra_after_full += 1;
             if extra_after_full > SEED_EXTRA {
                 rest_start = pos;
                 break;
             }
         }
-        if region_wanted(&lanes, &msizes, &commons, ri as usize) {
-            eval_span(
-                spans[ri as usize],
-                idx.tree(),
-                &mut scratch,
-                &mut lanes,
-                &mut teds,
-                &mut lb,
-                &mut scan,
-                opts,
-                ted_local.as_mut(),
-            );
+        if region_wanted(&seed.lanes, &msizes, &commons, ri as usize) {
+            eval_span(&mut seed, doc, spans[ri as usize]);
         } else {
-            count_region_skip(&mut lanes);
+            count_region_skip(&mut seed.lanes);
         }
     }
 
@@ -390,109 +284,55 @@ pub fn tasm_indexed_batch(
     // because cutoffs only tighten — and shard the survivors.
     let mut survivors: Vec<(u32, u32)> = Vec::new();
     for &ri in &order[rest_start..] {
-        if region_wanted(&lanes, &msizes, &commons, ri as usize) {
+        if region_wanted(&seed.lanes, &msizes, &commons, ri as usize) {
             survivors.push(spans[ri as usize]);
         } else {
-            count_region_skip(&mut lanes);
+            count_region_skip(&mut seed.lanes);
         }
     }
     survivors.sort_unstable();
     let shards = shard_spans(&survivors, threads);
 
-    let mut results: Vec<ShardResult> = Vec::with_capacity(shards.len() + 1);
-    if shards.len() <= 1 {
+    let mut results = if shards.len() <= 1 {
         // Too few survivors to be worth worker threads: finish on the
         // warm seed lanes.
-        for &span in &survivors {
-            if deadline.poll() {
-                return Err(DeadlineExceeded);
-            }
-            eval_span(
-                span,
-                idx.tree(),
-                &mut scratch,
-                &mut lanes,
-                &mut teds,
-                &mut lb,
-                &mut scan,
-                opts,
-                ted_local.as_mut(),
-            );
-        }
+        eval_spans(&mut seed, doc, &survivors, deadline)?;
+        Vec::with_capacity(1)
     } else {
-        let doc = idx.tree();
         let equeries = &equeries;
         // `Deadline` is deliberately `!Sync`, so each worker mints its
         // own token from the shared expiry instant.
         let expiry = deadline.instant();
-        let worker_results: Result<Vec<ShardResult>, DeadlineExceeded> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            let worker_deadline = match expiry {
-                                Some(at) => Deadline::at(at),
-                                None => Deadline::none(),
-                            };
-                            let (lanes, _) = build_lanes(equeries, model, c_t, opts.kernel);
-                            let mut teds: Vec<TedWorkspace> =
-                                (0..lanes.len()).map(|_| TedWorkspace::new()).collect();
-                            let mut lb = CascadeScratch::new();
-                            reserve_lanes(&lanes, &mut teds, &mut lb, scan_tau);
-                            let mut engine = ScanEngine::new(scan_tau);
-                            if scratch_fits_cap(scan_tau as usize) {
-                                engine.reserve();
-                            }
-                            let mut sink = ShardSink {
-                                lanes,
-                                teds,
-                                lb,
-                                opts,
-                                spans: shard,
-                                next: 0,
-                                stats: want_ted_stats.then(TedStats::new),
-                            };
-                            let mut queue = SpanQueue::new(doc, shard);
-                            let scan = engine.scan_with_deadline(
-                                &mut queue,
-                                &mut sink,
-                                &worker_deadline,
-                            )?;
-                            debug_assert_eq!(scan.candidates, shard.len());
-                            Ok(ShardResult {
-                                lane_funnels: sink.lanes.iter().map(|l| l.stats).collect(),
-                                heaps: sink.lanes.into_iter().map(|l| l.heap).collect(),
-                                scan,
-                                ted_stats: sink.stats,
-                            })
-                        })
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|&shard| {
+                    scope.spawn(move || {
+                        let deadline = expiry.map_or_else(Deadline::none, Deadline::at);
+                        let mut set = LaneSet::new(equeries, model, c_t, opts, want_ted_stats);
+                        eval_spans(&mut set, doc, shard, &deadline)?;
+                        Ok(set.into_result())
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("indexed shard worker panicked"))
-                    .collect()
-            });
-        results.extend(worker_results?);
-    }
-
-    results.push(ShardResult {
-        lane_funnels: lanes.iter().map(|l| l.stats).collect(),
-        heaps: lanes.into_iter().map(|l| l.heap).collect(),
-        scan,
-        ted_stats: ted_local,
-    });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("indexed shard worker panicked"))
+                .collect::<Result<Vec<_>, DeadlineExceeded>>()
+        })?
+    };
+    results.push(seed.into_result());
     Ok(merge_shard_results(queries.len(), results, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ScanStats;
     use crate::ranking::Match;
     use crate::tasm_postorder::tasm_postorder;
     use tasm_ted::UnitCost;
-    use tasm_tree::{bracket, TreeQueue};
+    use tasm_tree::{bracket, LabelId, TreeQueue};
 
     fn wide_doc(dict: &mut LabelDict, records: usize) -> Tree {
         let mut s = String::from("{dblp");
@@ -602,6 +442,100 @@ mod tests {
             &deadline,
         );
         assert_eq!(got.unwrap_err(), DeadlineExceeded);
+    }
+
+    #[test]
+    fn keep_trees_are_the_document_subtrees() {
+        let mut dict = LabelDict::new();
+        let doc = wide_doc(&mut dict, 30);
+        let q1 = bracket::parse("{article{auth{John}}{title{X9}}}", &mut dict).unwrap();
+        let q2 = bracket::parse("{book{title}}", &mut dict).unwrap();
+        let idx = IndexedDocument::build(&doc, &dict);
+        let opts = TasmOptions {
+            keep_trees: true,
+            ..TasmOptions::default()
+        };
+        // Matches are cut from the index's document, so the sequential
+        // reference runs there too, on the queries in index label space.
+        let encoded = idx.encode_queries(&[&q1, &q2], &dict);
+        for k in [1, 4, 12] {
+            let queries = [
+                BatchQuery { query: &q1, k },
+                BatchQuery {
+                    query: &q2,
+                    k: k + 1,
+                },
+            ];
+            for threads in [1, 3] {
+                let out = tasm_indexed_batch(
+                    &queries,
+                    &dict,
+                    &idx,
+                    &UnitCost,
+                    1,
+                    opts,
+                    threads,
+                    None,
+                    &Deadline::none(),
+                )
+                .unwrap();
+                for ((got, q), bq) in out.rankings.iter().zip(&encoded).zip(&queries) {
+                    for m in got {
+                        let tree = m.tree.as_ref().expect("keep_trees attaches a tree");
+                        assert_eq!(tree, &idx.tree().subtree(m.root), "threads = {threads}");
+                    }
+                    let mut queue = TreeQueue::new(idx.tree());
+                    let want = tasm_postorder(q, &mut queue, bq.k, &UnitCost, 1, opts, None);
+                    assert_eq!(got, &want, "k = {k}, threads = {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_workers_poll_the_deadline() {
+        // Every evaluation of a region holding `slow` sleeps. The first
+        // regions in promise order are fast, so the seed pass finishes
+        // at once and the deadline can only fire inside the workers.
+        struct SlowCost(LabelId);
+        impl CostModel for SlowCost {
+            fn node_cost(&self, tree: tasm_tree::TreeView<'_>, node: NodeId) -> u64 {
+                if tree.label(node) == self.0 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                1
+            }
+            fn max_cost(&self, _: tasm_tree::TreeView<'_>) -> u64 {
+                1
+            }
+        }
+        let mut dict = LabelDict::new();
+        let mut s = String::from("{r");
+        s.push_str(&"{a{b}{c}}".repeat(SEED_EXTRA + 8));
+        s.push_str(&"{a{b}{c}{slow}}".repeat(300));
+        s.push('}');
+        let doc = bracket::parse(&s, &mut dict).unwrap();
+        let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
+        let idx = IndexedDocument::build(&doc, &dict);
+        let slow = SlowCost(idx.dict().get("slow").unwrap());
+        // Without the cascade and τ' every slow region (bound 0, equal
+        // to the cutoff) survives to a worker and runs the DP.
+        let opts = TasmOptions {
+            use_cascade: false,
+            use_tau_prime: false,
+            ..TasmOptions::default()
+        };
+        let queries = [BatchQuery { query: &q, k: 1 }];
+        // A full evaluation sleeps 300 × 5 ms, >= 500 ms on 3 workers.
+        let start = std::time::Instant::now();
+        let deadline = Deadline::after(std::time::Duration::from_millis(20));
+        let got = tasm_indexed_batch(&queries, &dict, &idx, &slow, 1, opts, 3, None, &deadline);
+        let elapsed = start.elapsed();
+        assert_eq!(got.unwrap_err(), DeadlineExceeded);
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "deadline noticed only after {elapsed:?}"
+        );
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! A *lane* is everything one query needs to evaluate candidates: its
 //! [`QueryContext`], its admissible [`LowerBoundCascade`], its own
 //! Theorem 3 bound τ_i, its [`TopKHeap`] and its pruning-funnel
-//! counters. The drivers compose the scan axes by instantiating lanes
-//! in different places:
+//! counters. Lanes only ever see a candidate as a borrowed
+//! [`TreeView`] — the postorder interval `[lml, root]` as two slices —
+//! wherever it lives. The drivers compose the scan axes by
+//! instantiating lanes in different places:
 //!
 //! * [`tasm_batch`](crate::tasm_batch) — N lanes behind **one** shared
-//!   scan, or N lanes inside each streaming shard worker when the
-//!   candidate stream is sharded across threads;
-//! * [`tasm_indexed_batch`](crate::tasm_indexed_batch) — N lanes over
-//!   the candidate regions of a `.pqi` index, inside the seed pass and
-//!   each region-shard worker.
+//!   scan (their workspaces borrowed from a
+//!   [`BatchWorkspace`](crate::BatchWorkspace)), or a [`LaneSet`] inside
+//!   each streaming shard worker, viewing candidates in its segments;
+//! * [`tasm_indexed_batch`](crate::tasm_indexed_batch) — a [`LaneSet`]
+//!   for the seed pass and one per region-shard worker, viewing the
+//!   candidate regions in place in the resident document.
 //!
 //! Per-lane heaps of the sharded paths merge with
 //! [`TopKHeap::merge`] ([`merge_shard_results`]); the rank key is a
@@ -29,7 +32,7 @@ use crate::workspace::{matrices_fit_cap, scratch_fits_cap};
 use tasm_ted::{
     CascadeScratch, CostModel, LowerBoundCascade, QueryContext, TedKernel, TedStats, TedWorkspace,
 };
-use tasm_tree::Tree;
+use tasm_tree::{Tree, TreeView};
 
 /// One per-query evaluation lane of a (possibly sharded) scan.
 pub(crate) struct EvalLane<'a> {
@@ -75,8 +78,8 @@ impl<'a> EvalLane<'a> {
 
 /// The widest lane threshold of a batch — `τ_scan = max_i τ_i`, which
 /// the shared scan must cover — computed *without* building the lanes
-/// (no contexts, cascades or heaps; used by the sharded drivers whose
-/// workers rebuild their own lanes anyway).
+/// (no contexts, cascades or heaps; used by the streaming producer,
+/// whose workers build their own lanes).
 pub(crate) fn scan_tau_of(queries: &[BatchQuery<'_>], model: &dyn CostModel, c_t: u64) -> u32 {
     queries
         .iter()
@@ -145,7 +148,7 @@ pub(crate) fn fan_out(
     lanes: &mut [EvalLane<'_>],
     teds: &mut [TedWorkspace],
     lb: &mut CascadeScratch,
-    cand: &Tree,
+    cand: TreeView<'_>,
     doc_post_offset: u32,
     opts: TasmOptions,
     mut ted_stats: Option<&mut TedStats>,
@@ -164,6 +167,80 @@ pub(crate) fn fan_out(
             &mut lane.stats,
             ted_stats.as_deref_mut(),
         );
+    }
+}
+
+/// A batch's lanes together with everything they evaluate with: one
+/// [`TedWorkspace`] per lane and a shared [`CascadeScratch`], all
+/// reserved up front for candidates of up to `τ_scan` nodes, plus the
+/// optional distance stats and the scan-layer counters of the
+/// candidates evaluated here. One thread owns one set: a streaming
+/// shard worker, the indexed seed pass or an indexed region worker.
+pub(crate) struct LaneSet<'a> {
+    pub(crate) lanes: Vec<EvalLane<'a>>,
+    /// The widest lane threshold, `τ_scan = max_i τ_i`.
+    pub(crate) scan_tau: u32,
+    /// Counters of the candidates offered through [`eval`](Self::eval).
+    pub(crate) scan: ScanStats,
+    teds: Vec<TedWorkspace>,
+    lb: CascadeScratch,
+    opts: TasmOptions,
+    ted_stats: Option<TedStats>,
+}
+
+impl<'a> LaneSet<'a> {
+    /// Builds one lane per batch query and reserves its evaluation
+    /// scratch, so no candidate grows a buffer mid-pass (what keeps the
+    /// candidate loops zero-alloc).
+    pub(crate) fn new(
+        queries: &[BatchQuery<'a>],
+        model: &'a dyn CostModel,
+        c_t: u64,
+        opts: TasmOptions,
+        want_ted_stats: bool,
+    ) -> Self {
+        let (lanes, scan_tau) = build_lanes(queries, model, c_t, opts.kernel);
+        let mut teds: Vec<TedWorkspace> = (0..lanes.len()).map(|_| TedWorkspace::new()).collect();
+        let mut lb = CascadeScratch::new();
+        reserve_lanes(&lanes, &mut teds, &mut lb, scan_tau);
+        LaneSet {
+            lanes,
+            scan_tau,
+            scan: ScanStats::default(),
+            teds,
+            lb,
+            opts,
+            ted_stats: want_ted_stats.then(TedStats::new),
+        }
+    }
+
+    /// Offers one candidate to every lane ([`fan_out`]) and counts it:
+    /// one candidate, its nodes seen, its size against the peak.
+    pub(crate) fn eval(&mut self, cand: TreeView<'_>, doc_post_offset: u32) {
+        let len = cand.len() as u32;
+        self.scan.candidates += 1;
+        self.scan.nodes_seen = self.scan.nodes_seen.saturating_add(len);
+        self.scan.peak_buffered = self.scan.peak_buffered.max(len as usize);
+        fan_out(
+            &mut self.lanes,
+            &mut self.teds,
+            &mut self.lb,
+            cand,
+            doc_post_offset,
+            self.opts,
+            self.ted_stats.as_mut(),
+        );
+    }
+
+    /// Hands the lanes' heaps and funnels back for
+    /// [`merge_shard_results`].
+    pub(crate) fn into_result(self) -> ShardResult {
+        ShardResult {
+            lane_funnels: self.lanes.iter().map(|l| l.stats).collect(),
+            heaps: self.lanes.into_iter().map(|l| l.heap).collect(),
+            scan: self.scan,
+            ted_stats: self.ted_stats,
+        }
     }
 }
 

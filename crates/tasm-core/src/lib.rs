@@ -29,8 +29,9 @@
 //!   is never materialized and memory stays `O(threads · τ + Σ m_i²)`;
 //! * [`tasm_indexed_batch`] — a persistent `.pqi` label **index**
 //!   ([`IndexedDocument`](tasm_index::IndexedDocument)): candidate
-//!   regions come from the subtree-size column and the label postings
-//!   bound each region before it is ever materialized;
+//!   regions come from the subtree-size column, the label postings
+//!   bound each region before it is evaluated, and survivors are
+//!   evaluated in place as views of the resident document;
 //! * [`tasm_corpus_batch`] — a crash-safe multi-shard **corpus**
 //!   ([`Corpus`](tasm_index::Corpus)): every healthy shard answers via
 //!   the index path and the per-shard rankings merge on a

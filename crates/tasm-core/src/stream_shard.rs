@@ -12,11 +12,12 @@
 //! ([`TreeQueue`](tasm_tree::TreeQueue)), so this is the only sharded
 //! driver for documents.
 //!
-//! Each worker replays its segments' candidates into a scratch tree
-//! (subtree sizes are invariant under renumbering, so the entries are
-//! the candidate's local postorder as-is) and fans every candidate out
-//! to N per-query evaluation lanes, exactly as the inline shared scan
-//! does. Per-lane heaps merge with
+//! Each worker evaluates its segments' candidates in place, as
+//! [`TreeView`] slices of the segment (subtree sizes are invariant
+//! under renumbering, so the copied columns are the candidate's local
+//! postorder as-is), and fans every candidate out to N per-query
+//! evaluation lanes, exactly as the inline shared scan does. Per-lane
+//! heaps merge with
 //! [`TopKHeap::merge`](crate::TopKHeap::merge); the rank key is a total
 //! order, so the rankings are **identical** to the sequential ones no
 //! matter how candidates land on workers (pinned by
@@ -28,8 +29,8 @@
 //! `O(clamp(τ_scan, 1024, 2¹⁸))` entries each (a candidate larger than
 //! the budget grows its segment on demand, bounded by the candidate's
 //! actual size); consumed segments return to the producer through a
-//! free list, and every buffer (segments, scratch trees, lane matrices)
-//! grows but never shrinks. End to end the scan therefore runs in
+//! free list, and every buffer (segments, lane matrices) grows but
+//! never shrinks. End to end the scan therefore runs in
 //! `O(threads · min(τ_scan, max candidate) + Σ m_i² )` memory —
 //! document-independent — and its steady state performs **zero heap
 //! allocations per candidate** (regression-tested with the counting
@@ -48,13 +49,11 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use crate::batch::{BatchOutput, BatchQuery, StreamIntegrityError, StreamScanError};
 use crate::deadline::Deadline;
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{
-    build_lanes, fan_out, merge_shard_results, reserve_lanes, scan_tau_of, ShardResult,
-};
+use crate::lane::{merge_shard_results, scan_tau_of, LaneSet, ShardResult};
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
-use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
-use tasm_tree::{LabelId, NodeId, PostorderEntry, PostorderQueue, Tree};
+use tasm_ted::{CostModel, TedStats};
+use tasm_tree::{LabelId, NodeId, PostorderQueue, Tree, TreeView};
 
 /// Locks `mutex`, recovering the guard if a peer poisoned it while
 /// unwinding: the pipe's abort flag — not poisoning — is the signal
@@ -79,26 +78,30 @@ const SEGMENT_MIN_NODES: usize = 1024;
 const SEGMENT_MAX_NODES: usize = 1 << 18;
 
 /// One hand-off unit: a run of complete candidate subtrees in stream
-/// order, stored as flat postorder entries.
+/// order, stored as parallel postorder label and size columns.
 #[derive(Debug, Default)]
 struct Segment {
     /// `(document root postorder, candidate length)` per candidate.
     roots: Vec<(u32, u32)>,
-    /// Concatenated `(label, local size)` entries of all candidates.
-    entries: Vec<PostorderEntry>,
+    /// Concatenated labels of all candidates.
+    labels: Vec<LabelId>,
+    /// Concatenated local subtree sizes, parallel to `labels`.
+    sizes: Vec<u32>,
 }
 
 impl Segment {
     fn with_capacity(nodes: usize) -> Self {
         Segment {
             roots: Vec::with_capacity(nodes / 2 + 1),
-            entries: Vec::with_capacity(nodes + 1),
+            labels: Vec::with_capacity(nodes + 1),
+            sizes: Vec::with_capacity(nodes + 1),
         }
     }
 
     fn clear(&mut self) {
         self.roots.clear();
-        self.entries.clear();
+        self.labels.clear();
+        self.sizes.clear();
     }
 }
 
@@ -254,10 +257,9 @@ struct SegmentSink<'p> {
 impl CandidateSink for SegmentSink<'_> {
     fn consume(&mut self, cand: &Tree, root: NodeId, _stats: &mut ScanStats) {
         self.current.roots.push((root.post(), cand.len() as u32));
-        self.current
-            .entries
-            .extend(cand.postorder().map(|(l, s)| PostorderEntry::new(l, s)));
-        if self.current.entries.len() >= self.budget {
+        self.current.labels.extend_from_slice(cand.labels());
+        self.current.sizes.extend_from_slice(cand.sizes());
+        if self.current.labels.len() >= self.budget {
             let full = std::mem::replace(&mut self.current, self.pipe.take_free());
             self.pipe.send(full);
         }
@@ -265,60 +267,32 @@ impl CandidateSink for SegmentSink<'_> {
 }
 
 /// One streaming shard worker: consumes segments until the pipe drains,
-/// replaying every candidate through this worker's own lanes.
+/// evaluating every candidate in place, as a view of its segment,
+/// through this worker's own lanes.
 fn stream_worker(
     pipe: &Pipe,
     queries: &[BatchQuery<'_>],
     model: &dyn CostModel,
     c_t: u64,
-    scan_tau: u32,
     opts: TasmOptions,
     want_ted_stats: bool,
 ) -> ShardResult {
     let _guard = AbortOnPanic(pipe);
-    let (mut lanes, _) = build_lanes(queries, model, c_t, opts.kernel);
-    let mut teds: Vec<TedWorkspace> = (0..lanes.len()).map(|_| TedWorkspace::new()).collect();
-    let mut lb = CascadeScratch::new();
-    // Reserve up front so no candidate — whichever worker it lands on —
-    // grows a buffer mid-stream (also what keeps the loop zero-alloc).
-    reserve_lanes(&lanes, &mut teds, &mut lb, scan_tau);
-    let mut scratch = Tree::leaf(LabelId(0));
-    if scratch_fits_cap(scan_tau as usize) {
-        scratch.reserve(scan_tau as usize);
-    }
-    let mut ted_stats = want_ted_stats.then(TedStats::new);
-    let mut scan = ScanStats::default();
+    let mut set = LaneSet::new(queries, model, c_t, opts, want_ted_stats);
     while let Some(seg) = pipe.recv() {
         let mut lo = 0usize;
         for &(root, len) in &seg.roots {
             let hi = lo + len as usize;
-            scratch.set_postorder_unchecked(seg.entries[lo..hi].iter().map(|e| (e.label, e.size)));
-            fan_out(
-                &mut lanes,
-                &mut teds,
-                &mut lb,
-                &scratch,
-                root - len,
-                opts,
-                ted_stats.as_mut(),
-            );
+            let cand = TreeView::from_slices_unchecked(&seg.labels[lo..hi], &seg.sizes[lo..hi]);
+            set.eval(cand, root - len);
             lo = hi;
         }
-        scan.candidates += seg.roots.len();
         pipe.recycle(seg);
     }
-    ShardResult {
-        lane_funnels: lanes.iter().map(|l| l.stats).collect(),
-        heaps: lanes.into_iter().map(|l| l.heap).collect(),
-        scan: ScanStats {
-            // Scan-layer counters of the pass (nodes seen, ring peak)
-            // belong to the producer; workers report only how many
-            // candidates they evaluated so the sum checks out.
-            candidates: scan.candidates,
-            ..ScanStats::default()
-        },
-        ted_stats,
-    }
+    // The scan-layer counters of the pass (nodes seen, ring peak) are
+    // the producer's and replace the workers' after the merge; only the
+    // candidate counts are checked against it.
+    set.into_result()
 }
 
 /// The sharded topology of [`tasm_batch`](crate::tasm_batch) for
@@ -365,7 +339,7 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
                     // payload so the caller re-raises the *original*
                     // panic, not a join shim or a "poisoned" secondary.
                     catch_unwind(AssertUnwindSafe(|| {
-                        stream_worker(pipe, queries, model, c_t, scan_tau, opts, want_ted_stats)
+                        stream_worker(pipe, queries, model, c_t, opts, want_ted_stats)
                     }))
                 })
             })
@@ -463,7 +437,7 @@ mod tests {
     use crate::ranking::Match;
     use crate::tasm_postorder::tasm_postorder;
     use tasm_ted::UnitCost;
-    use tasm_tree::{bracket, LabelDict, TreeQueue};
+    use tasm_tree::{bracket, LabelDict, PostorderEntry, TreeQueue};
 
     /// One query through the driver at `threads` (`<= 1` runs inline).
     fn solo<Q: PostorderQueue + ?Sized>(

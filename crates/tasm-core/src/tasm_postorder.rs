@@ -144,7 +144,7 @@ impl CandidateSink for SingleQuerySink<'_> {
             self.heap,
             self.ctx,
             self.cascade,
-            cand,
+            cand.view(),
             offset,
             self.tau,
             self.opts,
@@ -187,7 +187,7 @@ pub fn process_candidate(
         heap,
         ctx,
         cascade,
-        cand,
+        cand.view(),
         doc_post_offset,
         tau,
         opts,
@@ -198,16 +198,18 @@ pub fn process_candidate(
     );
 }
 
-/// [`process_candidate`] with the workspace split into fields, so
-/// internal callers (the single-query sink, the batch lanes, the
-/// shard workers) can borrow the candidate from elsewhere while
-/// the evaluation scratch stays mutable.
+/// [`process_candidate`] over a borrowed [`TreeView`] of the candidate
+/// and with the workspace split into fields, so internal callers (the
+/// single-query sink, the batch lanes, the shard workers, the indexed
+/// driver) evaluate a candidate wherever it lives — scan arena, stream
+/// segment or resident document — while the evaluation scratch stays
+/// mutable.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_candidate_parts(
     heap: &mut TopKHeap,
     ctx: &QueryContext<'_>,
     cascade: &LowerBoundCascade<'_>,
-    cand: &Tree,
+    cand: TreeView<'_>,
     doc_post_offset: u32,
     tau: u64,
     opts: TasmOptions,
@@ -234,8 +236,8 @@ pub(crate) fn process_candidate_parts(
         // equality with this sequential path.
         if !heap.is_full() || size <= tau_prime {
             // Zero-copy: the subtree (whole candidate included) is a
-            // contiguous slice of the candidate arena.
-            let doc: TreeView<'_> = cand.subtree_view(node);
+            // contiguous slice of the candidate.
+            let doc = cand.subtree_view(node);
             // The cascade's verdict covers *all* subtrees of `doc` (one
             // DP would rank them all), so a refuted subtree is skipped
             // wholesale. Strictness (`bound > max(R)`) keeps the heap

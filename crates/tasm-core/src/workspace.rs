@@ -116,8 +116,9 @@ pub(crate) fn matrices_fit_cap(m: usize, n: usize) -> bool {
     cells * std::mem::size_of::<tasm_ted::Cost>() as u128 <= RESERVE_CAP_BYTES as u128
 }
 
-/// Whether the `O(n)` scratch trees (candidate + subtree copies, 8
-/// bytes per node) fit [`RESERVE_CAP_BYTES`] — guards a saturated τ.
+/// Whether an `O(n)` candidate buffer (scratch tree or cascade
+/// scratch, 8 bytes per node) fits [`RESERVE_CAP_BYTES`] — guards a
+/// saturated τ.
 pub(crate) fn scratch_fits_cap(n: usize) -> bool {
     n.saturating_mul(8) <= RESERVE_CAP_BYTES
 }

@@ -193,6 +193,10 @@ pub struct PostFileReader<R: Read> {
     /// Set when the entry section ended before `total` nodes were read:
     /// the file is truncated and any ranking over it would be partial.
     truncated: bool,
+    /// Set when an entry cannot be part of a postorder stream (its
+    /// subtree size is 0 or reaches past the first node); the stream
+    /// ends there.
+    malformed: Option<String>,
     /// Running CRC-32 of the entry bytes, compared against the trailer.
     crc: u32,
     /// Outcome of the version-1 trailer check, resolved after the last
@@ -239,7 +243,10 @@ impl<R: Read> PostFileReader<R> {
         };
         let total = read_u64(&mut input)?;
         let n_labels = read_u64(&mut input)?;
-        let mut dict = LabelDict::with_capacity(n_labels as usize);
+        // The count is untrusted: reserve for a modest dictionary at most
+        // and let interning grow it, so a corrupt count ends in a short
+        // read below instead of a huge allocation.
+        let mut dict = LabelDict::with_capacity(n_labels.min(1 << 16) as usize);
         let mut buf = Vec::new();
         for i in 0..n_labels {
             let len = read_u32(&mut input)? as usize;
@@ -262,6 +269,7 @@ impl<R: Read> PostFileReader<R> {
             total,
             version,
             truncated: false,
+            malformed: None,
             crc: 0,
             trailer: TrailerState::Unchecked,
         })
@@ -285,11 +293,11 @@ impl<R: Read> PostFileReader<R> {
     /// Entries the header promised but that have not been dequeued yet.
     ///
     /// [`PostorderQueue::dequeue`] ends the stream early (returns `None`)
-    /// on a short read, so after a scan a non-zero value means the file
-    /// was **truncated** — callers that must not silently accept partial
-    /// documents (e.g. the CLI) check this. The scan drivers in
-    /// `tasm-core` detect the same condition through
-    /// [`PostorderQueue::integrity_error`].
+    /// on a short read or a malformed entry, so after a scan a non-zero
+    /// value means the file was **truncated** or damaged — callers that
+    /// must not silently accept partial documents (e.g. the CLI) check
+    /// this. The scan drivers in `tasm-core` detect the same condition
+    /// through [`PostorderQueue::integrity_error`].
     pub fn remaining_nodes(&self) -> u64 {
         self.remaining
     }
@@ -355,6 +363,9 @@ impl<R: Read> PostFileReader<R> {
 
 impl<R: Read> PostorderQueue for PostFileReader<R> {
     fn dequeue(&mut self) -> Option<PostorderEntry> {
+        if self.malformed.is_some() {
+            return None;
+        }
         if self.remaining == 0 {
             // Covers n_nodes == 0 files: the trailer check still runs.
             self.check_trailer();
@@ -371,9 +382,19 @@ impl<R: Read> PostorderQueue for PostFileReader<R> {
         self.crc = crc32_update(self.crc, &bytes);
         let label = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         let size = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+        let id = self.total - self.remaining + 1;
         self.remaining -= 1;
         if self.remaining == 0 {
             self.check_trailer();
+        }
+        // A node's subtree holds itself and nodes before it only. Checked
+        // here so no scan ever sees an impossible size, e.g. a trailer
+        // read as an entry after a corrupt header.
+        if size == 0 || u64::from(size) > id {
+            self.malformed = Some(format!(
+                "postorder file malformed: node {id} claims a subtree of {size} nodes"
+            ));
+            return None;
         }
         Some(PostorderEntry {
             label: LabelId(label),
@@ -386,16 +407,18 @@ impl<R: Read> PostorderQueue for PostFileReader<R> {
     }
 
     fn integrity_error(&self) -> Option<String> {
-        if self.truncated {
-            return Some(format!(
+        if let TrailerState::Error(msg) = &self.trailer {
+            return Some(msg.clone());
+        }
+        if let Some(msg) = &self.malformed {
+            return Some(msg.clone());
+        }
+        self.truncated.then(|| {
+            format!(
                 "postorder file truncated: {} of {} nodes missing",
                 self.remaining, self.total
-            ));
-        }
-        match &self.trailer {
-            TrailerState::Error(msg) => Some(msg.clone()),
-            _ => None,
-        }
+            )
+        })
     }
 }
 
@@ -451,6 +474,19 @@ mod tests {
         let t2 = collect_tree(&mut reader).unwrap();
         assert_eq!(t, t2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_label_count_is_an_error_not_an_allocation() {
+        for n_labels in [1u64 << 40, u64::MAX] {
+            let mut bytes = MAGIC_V1.to_vec();
+            bytes.extend_from_slice(&10u64.to_le_bytes());
+            bytes.extend_from_slice(&n_labels.to_le_bytes());
+            assert!(
+                PostFileReader::new(bytes.as_slice()).is_err(),
+                "n_labels = {n_labels}"
+            );
+        }
     }
 
     #[test]

@@ -136,19 +136,6 @@ impl Tree {
         );
     }
 
-    /// Overwrites this tree in place with a copy of the subtree of `src`
-    /// rooted at `node`, reusing buffers. Equivalent to
-    /// `*self = src.subtree(node)` but allocation-free once capacity
-    /// suffices.
-    pub fn clone_subtree_from(&mut self, src: &Tree, node: NodeId) {
-        let lo = src.lml(node).index();
-        let hi = node.index() + 1;
-        self.labels.clear();
-        self.labels.extend_from_slice(&src.labels[lo..hi]);
-        self.sizes.clear();
-        self.sizes.extend_from_slice(&src.sizes[lo..hi]);
-    }
-
     /// Ensures capacity for at least `n` nodes without changing the
     /// tree's content (scratch-tree warm-up).
     pub fn reserve(&mut self, n: usize) {
