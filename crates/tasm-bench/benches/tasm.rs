@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tasm_core::{
     prb_pruning_stats, tasm_batch, tasm_batch_with_workspace, tasm_dynamic, tasm_naive,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace, Deadline,
-    TasmOptions, TasmWorkspace,
+    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, Deadline, TasmOptions,
+    TasmWorkspace,
 };
 use tasm_data::{dblp_tree, random_query, xmark_tree, DblpConfig, XMarkConfig};
 use tasm_ted::UnitCost;
@@ -140,7 +140,7 @@ fn bench_batch_widths(c: &mut Criterion) {
             .map(|i| random_query(&doc, 8, 3 + i as u64).0)
             .collect();
         group.bench_with_input(BenchmarkId::new("batch", width), &width, |b, _| {
-            let mut ws = BatchWorkspace::new();
+            let mut ws = TasmWorkspace::new();
             b.iter(|| {
                 let batch: Vec<BatchQuery<'_>> = queries
                     .iter()
@@ -196,7 +196,7 @@ fn bench_parallel_threads(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             let queries = [BatchQuery { query: &query, k }];
-            let mut ws = BatchWorkspace::new();
+            let mut ws = TasmWorkspace::new();
             b.iter(|| {
                 tasm_batch(
                     &queries,

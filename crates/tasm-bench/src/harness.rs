@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use tasm_core::{
     prb_pruning_stats, simple_pruning, tasm_batch, tasm_dynamic, tasm_indexed_batch,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchOutput, BatchQuery,
-    BatchWorkspace, Deadline, Match, ScanStats, TasmOptions, TasmWorkspace,
+    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchOutput, BatchQuery, Deadline,
+    Match, ScanStats, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_query, xmark_tree, DblpConfig, PsdConfig, XMarkConfig,
@@ -683,7 +683,7 @@ fn batch_over_tree(
     queries: &[BatchQuery<'_>],
     doc: &Tree,
     threads: usize,
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
 ) -> BatchOutput {
     tasm_batch(
         queries,
@@ -809,7 +809,7 @@ pub fn scaling_summary(
         let seq_seconds = time3(&mut run_seq);
         let seq_peak = measure(&mut run_seq);
 
-        let mut bws = BatchWorkspace::new();
+        let mut bws = TasmWorkspace::new();
         let mut batch_scan = ScanStats::default();
         let mut run_batch = || {
             let batch: Vec<BatchQuery<'_>> = queries
@@ -858,7 +858,7 @@ pub fn scaling_summary(
     let candidates =
         prb_pruning_stats(&mut q, u32::try_from(tau).unwrap_or(u32::MAX), None).candidates;
     let solo = [BatchQuery { query: &query, k }];
-    let mut bws = BatchWorkspace::new();
+    let mut bws = TasmWorkspace::new();
     for &threads in &[1usize, 2, 4] {
         let mut run = || {
             let out = batch_over_tree(&solo, &doc, threads, &mut bws);

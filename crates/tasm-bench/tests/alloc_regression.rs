@@ -1,22 +1,19 @@
-//! Zero-allocation steady-state regression test (the PR-2 tentpole
-//! guarantee, extended to the PR-4 pruning cascade and the PR-8
-//! strategy kernel): with a warmed [`TasmWorkspace`], the
-//! TASM-postorder candidate loop — including the [`LowerBoundCascade`]
-//! checks against the live heap cutoff, and including the mirrored
-//! right-path DP when the strategy kernel is selected — performs **no
-//! heap allocation at all**, and a full stream costs O(1) allocations
-//! independent of its length.
+//! Zero-allocation steady-state regression test for TASM-postorder
+//! (extended to the pruning cascade and the strategy kernel): with a
+//! warmed [`TasmWorkspace`], `tasm_postorder_with_workspace` — one
+//! shared scan with a single evaluation lane, including the
+//! [`LowerBoundCascade`](tasm_ted::LowerBoundCascade) checks against
+//! the live heap cutoff and the mirrored right-path DP when the
+//! strategy kernel is selected — costs the same O(1) allocations for a
+//! stream of any length, so its candidate loop allocates nothing.
 //!
 //! This file intentionally holds a single `#[test]` so no sibling test
 //! can allocate concurrently while the counters are being diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{
-    process_candidate, tasm_postorder_with_workspace, threshold, PrefixRingBuffer, ScanStats,
-    TasmOptions, TasmWorkspace, TedKernel, TopKHeap,
-};
-use tasm_ted::{LowerBoundCascade, QueryContext, UnitCost};
-use tasm_tree::{bracket, LabelDict, NodeId, Tree, TreeQueue};
+use tasm_core::{tasm_postorder_with_workspace, TasmOptions, TasmWorkspace, TedKernel};
+use tasm_ted::{QueryContext, UnitCost};
+use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -37,81 +34,45 @@ fn varied_doc(dict: &mut LabelDict, records: usize) -> Tree {
     bracket::parse(&s, dict).unwrap()
 }
 
-/// Replicates the candidate loop of `tasm_postorder_with_workspace`
-/// step by step under one kernel selection, asserting that everything
-/// past the first (warm-up) candidate is allocation-free.
-fn assert_loop_allocation_free(query: &Tree, doc: &Tree, k: usize, kernel: TedKernel) {
+/// Runs `tasm_postorder_with_workspace` under one kernel selection over
+/// a short and a long stream with one warmed workspace, asserting that
+/// both cost the same number of allocations and that the cascade and
+/// the kernel funnel behaved as expected.
+fn assert_stream_allocations_are_length_independent(
+    query: &Tree,
+    short_doc: &Tree,
+    long_doc: &Tree,
+    k: usize,
+    kernel: TedKernel,
+) {
     let opts = TasmOptions {
         kernel,
         ..Default::default()
     };
     assert!(opts.use_cascade, "the cascade must be part of the loop");
-
-    let ctx = QueryContext::with_kernel(query, &UnitCost, kernel);
-    let cascade = LowerBoundCascade::from_context(&ctx);
-    let tau64 = threshold(query.len() as u64, ctx.max_cost(), 1, k as u64);
-    let tau = u32::try_from(tau64).unwrap();
     let mut ws = TasmWorkspace::new();
-    ws.reserve(query.len(), tau);
-    if ctx.uses_strategy_kernel() {
-        // What the drivers do: the mirror buffers of the right-path
-        // kernel are reserved up front for the widest candidate.
-        ws.reserve_mirror(tau);
-    }
-    let mut heap = TopKHeap::new(k);
-    let mut scan = ScanStats::default();
-    let mut queue = TreeQueue::new(doc);
-    let mut prb = PrefixRingBuffer::new(&mut queue, tau);
-    let mut cand = doc.subtree(NodeId::new(1));
-    cand.reserve(tau as usize);
-
-    // First candidate: warm-up (everything is pre-reserved, but the
-    // guarantee under test starts at candidate two).
-    let root = prb.next_candidate_into(&mut cand).expect("has candidates");
-    process_candidate(
-        &mut heap,
-        &ctx,
-        &cascade,
-        &cand,
-        root.post() - cand.len() as u32,
-        tau64,
-        opts,
-        &mut ws,
-        &mut scan,
-        None,
-    );
-    assert!(heap.is_full(), "cutoff must be live from candidate two on");
-
-    let before = alloc_count();
-    let mut streamed = 0u32;
-    while let Some(root) = prb.next_candidate_into(&mut cand) {
-        process_candidate(
-            &mut heap,
-            &ctx,
-            &cascade,
-            &cand,
-            root.post() - cand.len() as u32,
-            tau64,
-            opts,
-            &mut ws,
-            &mut scan,
-            None,
-        );
-        streamed += 1;
-    }
-    let loop_allocs = alloc_count() - before;
-
-    assert!(
-        streamed >= 50,
-        "expected a multi-candidate stream, got {streamed}"
-    );
+    let mut run = |doc: &Tree| {
+        let mut q = TreeQueue::new(doc);
+        let before = alloc_count();
+        let m = tasm_postorder_with_workspace(query, &mut q, k, &UnitCost, 1, opts, &mut ws, None);
+        let allocs = alloc_count() - before;
+        assert_eq!(m.len(), k, "sanity: ranking still filled");
+        allocs
+    };
+    run(short_doc); // warm the workspace
+    let short_allocs = run(short_doc);
+    let long_allocs = run(long_doc);
     assert_eq!(
-        loop_allocs, 0,
-        "candidate loop ({kernel} kernel) performed {loop_allocs} heap \
-         allocations across {streamed} candidates; steady state must be \
-         allocation-free"
+        short_allocs, long_allocs,
+        "{kernel} kernel: per-stream allocations must not depend on document \
+         length (short: {short_allocs}, long: {long_allocs})"
     );
-    assert_eq!(heap.len(), k, "sanity: ranking still filled");
+
+    let scan = ws.last_scan_stats();
+    assert!(
+        scan.candidates >= 300,
+        "expected a multi-candidate stream, got {scan:?}"
+    );
     // The cascade really ran: the stream contains both prunable
     // candidates (e.g. {x}, {book{t}} against a 0-distance cutoff) and
     // survivors that had to be evaluated exactly.
@@ -121,49 +82,32 @@ fn assert_loop_allocation_free(query: &Tree, doc: &Tree, k: usize, kernel: TedKe
     );
     assert!(scan.evaluated > 0, "cascade pruned everything: {scan:?}");
     // The per-kernel funnel attributes every evaluation to the kernel
-    // under test.
+    // the query resolved to.
+    let ctx = QueryContext::with_kernel(query, &UnitCost, kernel);
     let (want_zs, want_strategy) = match ctx.uses_strategy_kernel() {
         false => (scan.evaluated, 0),
         true => (0, scan.evaluated),
     };
     assert_eq!(
         (scan.evaluated_zs, scan.evaluated_strategy),
-        (want_zs, want_strategy)
+        (want_zs, want_strategy),
+        "{kernel} kernel"
     );
 }
 
 #[test]
 fn candidate_loop_is_allocation_free_after_warmup() {
     let mut dict = LabelDict::new();
-    let doc = varied_doc(&mut dict, 60);
+    let short_doc = varied_doc(&mut dict, 60);
+    let long_doc = varied_doc(&mut dict, 400);
     let query = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
     let k = 2;
 
-    // Both decomposition paths share the guarantee: the classic
-    // left-path DP and the mirrored right-path DP (whose per-candidate
-    // mirror permutation and permuted cost arrays live in the workspace).
-    assert_loop_allocation_free(&query, &doc, k, TedKernel::Zs);
-    assert_loop_allocation_free(&query, &doc, k, TedKernel::Strategy);
-
-    // And end to end: with a warm workspace, a whole stream costs the
-    // same O(1) allocations regardless of its length — under the
-    // default (auto) kernel selection.
-    let opts = TasmOptions::default();
-    let long_doc = varied_doc(&mut dict, 400);
-    let mut ws = TasmWorkspace::new();
-    let run = |ws: &mut TasmWorkspace, doc: &Tree| {
-        let mut q = TreeQueue::new(doc);
-        let before = alloc_count();
-        let m = tasm_postorder_with_workspace(&query, &mut q, k, &UnitCost, 1, opts, ws, None);
-        assert_eq!(m.len(), k);
-        alloc_count() - before
-    };
-    run(&mut ws, &doc); // warm the wrapper path itself
-    let short_allocs = run(&mut ws, &doc);
-    let long_allocs = run(&mut ws, &long_doc);
-    assert_eq!(
-        short_allocs, long_allocs,
-        "per-stream allocations must not depend on document length \
-         (short: {short_allocs}, long: {long_allocs})"
-    );
+    // Every kernel selection shares the guarantee: the classic
+    // left-path DP, the mirrored right-path DP (whose per-candidate
+    // mirror permutation and permuted cost arrays live in the
+    // workspace), and the per-query shape estimate.
+    for kernel in [TedKernel::Zs, TedKernel::Strategy, TedKernel::Auto] {
+        assert_stream_allocations_are_length_independent(&query, &short_doc, &long_doc, k, kernel);
+    }
 }

@@ -1,5 +1,5 @@
 //! Allocation regression for the batch path: with a warm
-//! [`BatchWorkspace`], a `tasm_batch` scan performs O(#queries)
+//! [`TasmWorkspace`], a `tasm_batch` scan performs O(#queries)
 //! allocations **independent of the document's length** — the candidate
 //! loop itself stays allocation-free across every lane.
 //!
@@ -8,7 +8,7 @@
 //! counters are diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{tasm_batch_with_workspace, BatchQuery, BatchWorkspace, TasmOptions};
+use tasm_core::{tasm_batch_with_workspace, BatchQuery, TasmOptions, TasmWorkspace};
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
@@ -51,7 +51,7 @@ fn batch_scan_allocations_are_document_independent() {
             .iter()
             .map(|query| BatchQuery { query, k: 2 })
             .collect();
-        let mut ws = BatchWorkspace::new();
+        let mut ws = TasmWorkspace::new();
         let mut run = |doc: &Tree| {
             let mut q = TreeQueue::new(doc);
             let before = alloc_count();

@@ -11,7 +11,7 @@
 //! diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{tasm_batch, BatchQuery, BatchWorkspace, Deadline, TasmOptions};
+use tasm_core::{tasm_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
@@ -59,7 +59,7 @@ fn streaming_sharded_scan_allocations_are_document_independent() {
             1,
             opts,
             threads,
-            &mut BatchWorkspace::new(),
+            &mut TasmWorkspace::new(),
             None,
             &Deadline::none(),
         )

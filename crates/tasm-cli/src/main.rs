@@ -36,8 +36,7 @@ use args::Args;
 use errors::{CliError, RuntimeExt, UsageExt};
 use tasm_core::{
     prb_pruning_stats, simple_pruning, tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive,
-    tasm_postorder_with_workspace, threshold_for_query, BatchQuery, BatchWorkspace, Deadline,
-    ScanStats, TasmOptions, TasmWorkspace,
+    threshold_for_query, BatchQuery, Deadline, ScanStats, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_tree, xmark_tree, DblpConfig, PsdConfig, RandomTreeConfig,
@@ -409,13 +408,10 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         )));
     }
     let sink = want_stats.then_some(&mut stats);
-    // One evaluation workspace for the whole run: the candidate loop is
-    // allocation-free in steady state (PR-2 tentpole).
-    let mut ws = TasmWorkspace::new();
     // Scan + pruning-funnel statistics of the run, when the scan-engine
-    // path produced them (postorder single/batch/parallel).
+    // path produced them (postorder, any number of queries and threads).
     let mut scan_stats: Option<ScanStats> = None;
-    // Per-query-lane stats of a batch run (sequential or sharded).
+    // Per-query-lane stats of a postorder run (sequential or sharded).
     let mut lane_stats: Option<Vec<ScanStats>> = None;
     // The opened index of an `--index` run: its dictionary names the
     // labels of the matched subtrees.
@@ -449,11 +445,11 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         scan_stats = Some(out.scan);
         lane_stats = Some(out.lanes);
         out.rankings
-    } else if batch || parallel {
-        // All queries share ONE streaming scan; with --threads > 1 the
-        // candidate segments are sharded across workers and each worker
-        // fans them out to every query lane (batch×parallel). The
-        // document is never materialized.
+    } else if algorithm == "postorder" {
+        // All queries share ONE streaming scan (a single query is the
+        // batch of one); with --threads > 1 the candidate segments are
+        // sharded across workers and each worker fans them out to every
+        // query lane. The document is never materialized.
         let doc_path = args.require("doc").usage()?;
         let out = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
             let bqs: Vec<BatchQuery<'_>> = qs.iter().map(|query| BatchQuery { query, k }).collect();
@@ -464,7 +460,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
                 1,
                 opts,
                 threads,
-                &mut BatchWorkspace::new(),
+                &mut TasmWorkspace::new(),
                 sink,
                 &Deadline::none(),
             )
@@ -476,18 +472,9 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         out.rankings
     } else {
         let doc_path = args.require("doc").usage()?;
+        let query = &queries[0];
         let matches = match algorithm {
-            "postorder" => {
-                let m = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
-                    tasm_postorder_with_workspace(
-                        &qs[0], queue, k, &UnitCost, 1, opts, &mut ws, sink,
-                    )
-                })?;
-                scan_stats = Some(ws.last_scan_stats());
-                m
-            }
             "dynamic" | "naive" => {
-                let query = &queries[0];
                 let doc = load_xml(doc_path, &mut dict)?;
                 if algorithm == "dynamic" {
                     tasm_dynamic(query, &doc, k, &UnitCost, opts, sink)

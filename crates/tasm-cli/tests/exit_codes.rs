@@ -160,6 +160,34 @@ fn oversized_pq_label_count_exits_2() {
 }
 
 #[test]
+fn pqi_entry_label_past_the_dictionary_exits_2() {
+    // The postings checksum does not cover the entry section, so a
+    // label id past the dictionary must be caught by the loader's own
+    // range check (exit 2), not index out of bounds (exit 101).
+    let mut dict = tasm_tree::LabelDict::new();
+    let tree = tasm_tree::bracket::parse("{a{b}{c{b}}{d}}", &mut dict).unwrap();
+    let pqi = tmp("bad_entry_label.pqi");
+    tasm_index::IndexedDocument::save(&pqi, &tree, &dict).unwrap();
+    let mut bytes = std::fs::read(&pqi).unwrap();
+    // Header: magic, node count, label count, then length-prefixed names.
+    let mut at = 24;
+    for _ in 0..dict.len() {
+        at += 4 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    }
+    bytes[at..at + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+    std::fs::write(&pqi, &bytes).unwrap();
+    let path = pqi.to_str().unwrap();
+    let out = tasm(&["query", "--query-str", "<a/>", "--index", path]);
+    assert_eq!(code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(path) && stderr.contains("label id"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&pqi);
+}
+
+#[test]
 fn closed_stdout_pipe_exits_0() {
     // `tasm gen | head` — the reader hangs up after a few bytes; the
     // generator must treat that as success, not an error.

@@ -4,7 +4,8 @@
 //! A production matcher rarely serves one query at a time. The scan
 //! layer's work — ring-buffer maintenance, candidate materialization,
 //! stream decoding — depends only on the document and the size
-//! threshold, so it can be shared: the [`ScanEngine`] runs once at
+//! threshold, so it can be shared: the
+//! [`ScanEngine`](crate::ScanEngine) runs once at
 //! `τ_scan = max_i τ_i` and every candidate is offered to one
 //! evaluation *lane* per query, each with its own
 //! [`QueryContext`](tasm_ted::QueryContext), its own Theorem 3/Lemma 4
@@ -17,7 +18,7 @@
 //!
 //! Memory stays document-independent: `O(Σ m_i² + τ_scan · Σ m_i)` for
 //! the lane matrices plus the shared `O(τ_scan)` ring — and with a warm
-//! [`BatchWorkspace`] a scan performs O(#queries) allocations total,
+//! [`TasmWorkspace`] a scan performs O(#queries) allocations total,
 //! regardless of the document's length (regression-tested with the
 //! counting allocator in `tasm-bench`).
 //!
@@ -25,15 +26,18 @@
 //! a postorder queue — a stream, or a materialized tree replayed
 //! through [`TreeQueue`](tasm_tree::TreeQueue). At one thread it runs
 //! the shared scan inline; above one it hands the candidates to the
-//! streaming shard workers, which fan them out to the same lanes.
+//! streaming shard workers, which fan them out to the same lanes. A
+//! single query is the batch of one:
+//! [`tasm_postorder`](crate::tasm_postorder) runs the same inline scan
+//! with one lane.
 
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::engine::{CandidateSink, ScanEngine, ScanStats};
+use crate::engine::{CandidateSink, ScanStats};
 use crate::lane::{build_lanes, fan_out, reserve_lanes, resolve_threads, EvalLane};
 use crate::ranking::Match;
 use crate::stream_shard::sharded_scan;
 use crate::tasm_dynamic::TasmOptions;
-use crate::workspace::scratch_fits_cap;
+use crate::workspace::{scratch_fits_cap, TasmWorkspace};
 use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
 use tasm_tree::{NodeId, PostorderQueue, Tree};
 
@@ -60,37 +64,11 @@ pub struct BatchOutput {
     pub lanes: Vec<ScanStats>,
 }
 
-/// Reusable scratch state for the inline shared scan of [`tasm_batch`]:
-/// the scan engine plus one distance workspace per lane. All buffers
-/// grow but never shrink; reuse across streams for an allocation
-/// profile of O(#queries) per scan. The sharded path leaves it
-/// untouched — each worker owns its state by design.
-#[derive(Debug)]
-pub struct BatchWorkspace {
-    engine: ScanEngine,
-    /// Lower-bound cascade scratch (only one lane checks at a time, so
-    /// it is shared).
-    lb: CascadeScratch,
-    /// One distance workspace per lane; grown to the batch width.
-    lanes: Vec<TedWorkspace>,
-}
-
-impl Default for BatchWorkspace {
-    fn default() -> Self {
-        BatchWorkspace::new()
-    }
-}
-
-impl BatchWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        BatchWorkspace {
-            engine: ScanEngine::new(1),
-            lb: CascadeScratch::new(),
-            lanes: Vec::new(),
-        }
-    }
-}
+/// An alias of [`TasmWorkspace`], the workspace of every one-thread
+/// scan. It exists only because the end-to-end benchmark helper
+/// (`perfbench/`) names it, and goes with the benchmark-of-record item
+/// of the roadmap.
+pub type BatchWorkspace = TasmWorkspace;
 
 /// The postorder stream ended abnormally: the scan consumed the whole
 /// queue, but the queue reports the document is incomplete (truncated
@@ -220,7 +198,7 @@ impl CandidateSink for MultiQuerySink<'_> {
 /// ```
 /// use tasm_tree::{bracket, LabelDict, TreeQueue};
 /// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_batch, BatchQuery, BatchWorkspace, Deadline, TasmOptions};
+/// use tasm_core::{tasm_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
 ///
 /// let mut dict = LabelDict::new();
 /// let q1 = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
@@ -230,7 +208,7 @@ impl CandidateSink for MultiQuerySink<'_> {
 ///     BatchQuery { query: &q1, k: 2 },
 ///     BatchQuery { query: &q2, k: 1 },
 /// ];
-/// let mut ws = BatchWorkspace::new();
+/// let mut ws = TasmWorkspace::new();
 /// for threads in [1, 2] {
 ///     let mut queue = TreeQueue::new(&doc); // any postorder queue works
 ///     let out = tasm_batch(&queries, &mut queue, &UnitCost, 1, TasmOptions::default(),
@@ -247,7 +225,7 @@ pub fn tasm_batch<Q: PostorderQueue + ?Sized>(
     c_t: u64,
     opts: TasmOptions,
     threads: usize,
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
 ) -> Result<BatchOutput, StreamScanError> {
@@ -271,17 +249,18 @@ pub fn tasm_batch<Q: PostorderQueue + ?Sized>(
 /// rankings. Kept with this exact signature because the end-to-end
 /// benchmark helper (`perfbench/`) times the daemon's batch call
 /// through it; unlike the driver it accepts a non-`Sync` cost model and
-/// does not check the queue's integrity.
+/// does not check the queue's integrity. It goes with the
+/// benchmark-of-record item of the roadmap.
 pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
     model: &dyn CostModel,
     c_t: u64,
     opts: TasmOptions,
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
 ) -> Vec<Vec<Match>> {
-    match shared_scan(
+    shared_scan(
         queries,
         queue,
         model,
@@ -290,38 +269,39 @@ pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
         ws,
         stats,
         &Deadline::none(),
-    ) {
-        Ok(out) => out.rankings,
-        Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
-    }
+    )
+    .expect("Deadline::none() never expires")
+    .rankings
 }
 
-/// The inline shared scan: one [`ScanEngine`] pass at
+/// The inline shared scan: one [`ScanEngine`](crate::ScanEngine) pass at
 /// `τ_scan = max_i τ_i`, every candidate fanned out to one lane per
-/// query, all buffers borrowed from `ws`.
+/// query, all buffers borrowed from `ws` (whose
+/// [`last_scan_stats`](TasmWorkspace::last_scan_stats) it records). The
+/// only one-thread evaluation of a postorder queue: [`tasm_batch`] and
+/// [`tasm_postorder`](crate::tasm_postorder) both run it.
 #[allow(clippy::too_many_arguments)]
-fn shared_scan<Q: PostorderQueue + ?Sized>(
+pub(crate) fn shared_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
     model: &dyn CostModel,
     c_t: u64,
     opts: TasmOptions,
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
 ) -> Result<BatchOutput, DeadlineExceeded> {
     if queries.is_empty() {
         return Ok(BatchOutput::default());
     }
-    if ws.lanes.len() < queries.len() {
-        ws.lanes.resize_with(queries.len(), TedWorkspace::new);
-    }
-
     // Per-query contexts and bounds; the scan must cover the widest τ.
     let (mut lanes, scan_tau) = build_lanes(queries, model, c_t, opts.kernel);
 
-    // Reserve lanes for the widest candidate the scan can emit; the same
-    // byte cap as `TasmWorkspace::reserve` guards pathological τ.
+    // Reserve lanes for the widest candidate the scan can emit, under
+    // the `RESERVE_CAP_BYTES` cap that guards a pathological τ.
+    if ws.lanes.len() < queries.len() {
+        ws.lanes.resize_with(queries.len(), TedWorkspace::new);
+    }
     let teds = &mut ws.lanes[..queries.len()];
     reserve_lanes(&lanes, teds, &mut ws.lb, scan_tau);
     ws.engine.set_tau(scan_tau);
@@ -348,6 +328,7 @@ fn shared_scan<Q: PostorderQueue + ?Sized>(
         scan.merge_funnel(&lane.stats);
         lane_stats.push(lane.stats);
     }
+    ws.last_scan = scan;
     Ok(BatchOutput {
         rankings: lanes
             .into_iter()
@@ -380,7 +361,7 @@ mod tests {
         queries: &[BatchQuery<'_>],
         queue: &mut Q,
         opts: TasmOptions,
-        ws: &mut BatchWorkspace,
+        ws: &mut TasmWorkspace,
         stats: Option<&mut TedStats>,
     ) -> BatchOutput {
         tasm_batch(
@@ -414,7 +395,7 @@ mod tests {
             BatchQuery { query: &q3, k: 22 },
         ];
         let mut queue = TreeQueue::new(&doc);
-        let batch = run(&queries, &mut queue, opts, &mut BatchWorkspace::new(), None);
+        let batch = run(&queries, &mut queue, opts, &mut TasmWorkspace::new(), None);
         assert_eq!(batch.rankings.len(), 3);
         assert_eq!(batch.lanes.len(), 3);
         for (bq, got) in queries.iter().zip(&batch.rankings) {
@@ -437,7 +418,7 @@ mod tests {
                 1,
                 TasmOptions::default(),
                 threads,
-                &mut BatchWorkspace::new(),
+                &mut TasmWorkspace::new(),
                 None,
                 &Deadline::none(),
             )
@@ -468,8 +449,8 @@ mod tests {
             BatchQuery { query: &q1, k: 4 },
             BatchQuery { query: &q2, k: 2 },
         ];
-        let mut ws = BatchWorkspace::new();
-        let run_pinned = |ws: &mut BatchWorkspace| {
+        let mut ws = TasmWorkspace::new();
+        let run_pinned = |ws: &mut TasmWorkspace| {
             let mut queue = TreeQueue::new(&doc);
             tasm_batch_with_workspace(
                 &queries,
@@ -489,7 +470,7 @@ mod tests {
             &queries,
             &mut queue,
             TasmOptions::default(),
-            &mut BatchWorkspace::new(),
+            &mut TasmWorkspace::new(),
             None,
         );
         assert_eq!(first, fresh.rankings);
@@ -522,7 +503,7 @@ mod tests {
             &queries,
             &mut q,
             TasmOptions::default(),
-            &mut BatchWorkspace::new(),
+            &mut TasmWorkspace::new(),
             Some(&mut both),
         );
         assert!(both.ted_calls >= solo1.ted_calls);

@@ -193,7 +193,7 @@ impl ScanEngine {
 
     /// Pre-reserves the candidate scratch for the current τ so that not
     /// even the first candidate allocates. Capped by the caller (see
-    /// [`TasmWorkspace::reserve`](crate::TasmWorkspace::reserve)).
+    /// [`RESERVE_CAP_BYTES`](crate::RESERVE_CAP_BYTES)).
     pub fn reserve(&mut self) {
         self.cand.reserve(self.tau as usize);
     }

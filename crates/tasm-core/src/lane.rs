@@ -11,8 +11,10 @@
 //!
 //! * [`tasm_batch`](crate::tasm_batch) — N lanes behind **one** shared
 //!   scan (their workspaces borrowed from a
-//!   [`BatchWorkspace`](crate::BatchWorkspace)), or a [`LaneSet`] inside
-//!   each streaming shard worker, viewing candidates in its segments;
+//!   [`TasmWorkspace`](crate::TasmWorkspace); a single
+//!   [`tasm_postorder`](crate::tasm_postorder) query is the one-lane
+//!   case), or a [`LaneSet`] inside each streaming shard worker, viewing
+//!   candidates in its segments;
 //! * [`tasm_indexed_batch`](crate::tasm_indexed_batch) — a [`LaneSet`]
 //!   for the seed pass and one per region-shard worker, viewing the
 //!   candidate regions in place in the resident document.
@@ -114,9 +116,9 @@ pub(crate) fn build_lanes<'a>(
 }
 
 /// Pre-reserves every lane's DP workspace plus the shared cascade
-/// scratch for candidates of up to `scan_tau` nodes, under the same
-/// byte cap as [`TasmWorkspace::reserve`](crate::TasmWorkspace::reserve)
-/// (a pathological τ falls back to on-demand growth).
+/// scratch for candidates of up to `scan_tau` nodes, under the
+/// [`RESERVE_CAP_BYTES`](crate::RESERVE_CAP_BYTES) byte cap (a
+/// pathological τ falls back to on-demand growth).
 pub(crate) fn reserve_lanes(
     lanes: &[EvalLane<'_>],
     teds: &mut [TedWorkspace],

@@ -110,7 +110,7 @@ pub use ring_buffer::{
 };
 pub use simple_pruning::simple_pruning;
 pub use tasm_dynamic::{tasm_dynamic, tasm_dynamic_with_workspace, TasmOptions};
-pub use tasm_postorder::{process_candidate, tasm_postorder, tasm_postorder_with_workspace};
+pub use tasm_postorder::{tasm_postorder, tasm_postorder_with_workspace};
 pub use tasm_ted::TedKernel;
 pub use threshold::{refined_threshold, threshold, threshold_for_query};
 pub use workspace::{TasmWorkspace, RESERVE_CAP_BYTES};

@@ -433,9 +433,10 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{tasm_batch, BatchWorkspace};
+    use crate::batch::tasm_batch;
     use crate::ranking::Match;
     use crate::tasm_postorder::tasm_postorder;
+    use crate::workspace::TasmWorkspace;
     use tasm_ted::UnitCost;
     use tasm_tree::{bracket, LabelDict, PostorderEntry, TreeQueue};
 
@@ -456,7 +457,7 @@ mod tests {
             1,
             opts,
             threads,
-            &mut BatchWorkspace::new(),
+            &mut TasmWorkspace::new(),
             None,
             &Deadline::none(),
         )?;

@@ -8,9 +8,9 @@
 //! both the document and the matrix must be memory-resident, which is what
 //! TASM-postorder eliminates.
 
-use crate::engine::{CandidateSink, ScanStats};
+use crate::engine::ScanStats;
 use crate::ranking::{Match, TopKHeap};
-use crate::tasm_postorder::SingleQuerySink;
+use crate::tasm_postorder::process_candidate_parts;
 use crate::workspace::TasmWorkspace;
 use tasm_ted::{
     ted_row_with_workspace, Cost, CostModel, LowerBoundCascade, QueryContext, TedKernel, TedStats,
@@ -95,10 +95,10 @@ pub fn tasm_dynamic(
 /// call — O(m), negligible next to the DP — so queries may change freely
 /// between calls.
 ///
-/// Structurally this is the scan-engine evaluation layer with the
-/// pruning disabled: the whole (already materialized) document is fed to
-/// the single-query sink as one candidate under an unbounded τ, so one
-/// DP fills the distance matrix and its last row ranks every subtree.
+/// Structurally this is Algorithm 3's candidate loop with the pruning
+/// disabled: the whole (already materialized) document is one candidate
+/// under an unbounded τ, so one DP fills the distance matrix and its
+/// last row ranks every subtree.
 pub fn tasm_dynamic_with_workspace(
     query: &Tree,
     doc: &Tree,
@@ -111,22 +111,26 @@ pub fn tasm_dynamic_with_workspace(
     let ctx = QueryContext::with_kernel(query, model, opts.kernel);
     let cascade = LowerBoundCascade::from_context(&ctx);
     let mut heap = TopKHeap::new(k.max(1));
-    let mut scan = ScanStats::default();
-    {
-        let TasmWorkspace { ted, lb, .. } = ws;
-        let mut sink = SingleQuerySink {
-            heap: &mut heap,
-            ctx: &ctx,
-            cascade: &cascade,
-            tau: u64::MAX,
-            opts,
-            lb,
-            ted,
-            stats,
-        };
-        sink.consume(doc, doc.root(), &mut scan);
-        scan.candidates = 1;
+    let mut scan = ScanStats {
+        candidates: 1,
+        ..ScanStats::default()
+    };
+    if ws.lanes.is_empty() {
+        ws.lanes.push(TedWorkspace::new());
     }
+    process_candidate_parts(
+        &mut heap,
+        &ctx,
+        &cascade,
+        doc.view(),
+        0,
+        u64::MAX,
+        opts,
+        &mut ws.lb,
+        &mut ws.lanes[0],
+        &mut scan,
+        stats,
+    );
     ws.last_scan = scan;
     heap.into_sorted()
 }

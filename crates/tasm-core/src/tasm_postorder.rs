@@ -18,11 +18,19 @@
 //! subtrees provably beyond the cutoff) is skipped wholesale, and the
 //! surviving ones are evaluated **in place** as [`TreeView`] slices of
 //! the candidate arena — no scratch-tree copy.
+//!
+//! The scan itself is shared with [`tasm_batch`](crate::tasm_batch): a
+//! single query is a batch of one, so [`tasm_postorder`] runs the
+//! batch's one-thread shared scan with one evaluation lane, and this
+//! module keeps only the per-candidate loop every driver runs,
+//! `process_candidate_parts`.
 
-use crate::engine::{CandidateSink, ScanStats};
+use crate::batch::{shared_scan, BatchQuery};
+use crate::deadline::Deadline;
+use crate::engine::ScanStats;
 use crate::ranking::{Match, TopKHeap};
 use crate::tasm_dynamic::{rank_subtrees_into, TasmOptions};
-use crate::threshold::{refined_threshold, threshold};
+use crate::threshold::refined_threshold;
 use crate::workspace::TasmWorkspace;
 use tasm_ted::{
     CascadeDecision, CascadeScratch, CostModel, LowerBoundCascade, QueryContext, TedStats,
@@ -69,14 +77,14 @@ pub fn tasm_postorder<Q: PostorderQueue + ?Sized>(
 
 /// As [`tasm_postorder`], but reusing the caller's [`TasmWorkspace`].
 ///
-/// The query context (keyroots, leftmost leaves, node costs) is computed
-/// once up front; every candidate is renumbered into, evaluated from and
-/// ranked through the workspace's buffers. After
-/// [`TasmWorkspace::reserve`] (called internally with the Theorem 3
-/// bound τ) the entire candidate loop performs **zero heap allocations**
-/// — the document stream costs O(1) allocations total, regardless of its
-/// length. Reuse the same workspace across streams to amortize even the
-/// warm-up.
+/// A single query is the batch of one: this runs the one-thread shared
+/// scan of [`tasm_batch`](crate::tasm_batch) with a single lane, which
+/// reserves the workspace for the Theorem 3 bound τ before the scan
+/// starts. The entire candidate loop then performs **zero heap
+/// allocations** — the document stream costs O(1) allocations total,
+/// regardless of its length. Reuse the same workspace across streams
+/// to amortize even the warm-up;
+/// [`TasmWorkspace::last_scan_stats`] reports the run's funnel.
 #[allow(clippy::too_many_arguments)]
 pub fn tasm_postorder_with_workspace<Q: PostorderQueue + ?Sized>(
     query: &Tree,
@@ -88,122 +96,35 @@ pub fn tasm_postorder_with_workspace<Q: PostorderQueue + ?Sized>(
     ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
 ) -> Vec<Match> {
-    let k = k.max(1);
-    let m = query.len() as u64;
-    let ctx = QueryContext::with_kernel(query, model, opts.kernel);
-    let cascade = LowerBoundCascade::from_context(&ctx);
-    let tau64 = threshold(m, ctx.max_cost(), c_t, k as u64);
-    let tau = u32::try_from(tau64).unwrap_or(u32::MAX);
-    ws.reserve(query.len(), tau);
-    if ctx.uses_strategy_kernel() {
-        ws.reserve_mirror(tau);
-    }
-
-    let mut heap = TopKHeap::new(k);
-    let scan = {
-        let TasmWorkspace {
-            ted, engine, lb, ..
-        } = ws;
-        let mut sink = SingleQuerySink {
-            heap: &mut heap,
-            ctx: &ctx,
-            cascade: &cascade,
-            tau: tau64,
-            opts,
-            lb,
-            ted,
-            stats,
-        };
-        engine.scan(queue, &mut sink)
-    };
-    ws.last_scan = scan;
-    heap.into_sorted()
+    let queries = [BatchQuery { query, k }];
+    let out = shared_scan(
+        &queries,
+        queue,
+        model,
+        c_t,
+        opts,
+        ws,
+        stats,
+        &Deadline::none(),
+    )
+    .expect("Deadline::none() never expires");
+    out.rankings.into_iter().next().expect("one lane")
 }
 
-/// The evaluation layer of TASM-postorder as a [`CandidateSink`]: every
-/// candidate the scan engine emits is descended per Algorithm 3
-/// (lines 7–19) against one query's context, cascade, heap and τ bound.
-pub(crate) struct SingleQuerySink<'a> {
-    pub(crate) heap: &'a mut TopKHeap,
-    pub(crate) ctx: &'a QueryContext<'a>,
-    pub(crate) cascade: &'a LowerBoundCascade<'a>,
-    /// The Theorem 3 bound τ for this query (Lemma 4 refines it per
-    /// candidate once the heap is full).
-    pub(crate) tau: u64,
-    pub(crate) opts: TasmOptions,
-    pub(crate) lb: &'a mut CascadeScratch,
-    pub(crate) ted: &'a mut TedWorkspace,
-    pub(crate) stats: Option<&'a mut TedStats>,
-}
-
-impl CandidateSink for SingleQuerySink<'_> {
-    fn consume(&mut self, cand: &Tree, root: NodeId, scan: &mut ScanStats) {
-        // Document postorder number of the node before the candidate span.
-        let offset = root.post() - cand.len() as u32;
-        process_candidate_parts(
-            self.heap,
-            self.ctx,
-            self.cascade,
-            cand.view(),
-            offset,
-            self.tau,
-            self.opts,
-            self.lb,
-            self.ted,
-            scan,
-            self.stats.as_deref_mut(),
-        );
-    }
-}
-
-/// Algorithm 3, lines 7–19, against a caller-owned workspace: traverse
-/// the subtrees of candidate `cand` in reverse postorder; evaluate each
-/// maximal subtree below the current bound `τ'` with TASM-dynamic —
-/// unless the lower-bound `cascade` refutes it against the current heap
-/// cutoff — and skip over its nodes, descending one node at a time
-/// otherwise.
+/// Algorithm 3, lines 7–19: traverse the subtrees of candidate `cand`
+/// in reverse postorder; evaluate each maximal subtree below the current
+/// bound `τ'` with TASM-dynamic — unless the lower-bound `cascade`
+/// refutes it against the current heap cutoff — and skip over its
+/// nodes, descending one node at a time otherwise.
 ///
 /// `doc_post_offset` is the document postorder number of the node
 /// preceding the candidate's leftmost node; `tau` is the Theorem 3 bound
 /// used by the Lemma 4 refinement; `scan` accumulates the per-tier
-/// pruning funnel. Exposed so external drivers (e.g. the allocation
-/// regression test) can replicate the candidate loop of
-/// [`tasm_postorder_with_workspace`] step by step.
-#[allow(clippy::too_many_arguments)]
-pub fn process_candidate(
-    heap: &mut TopKHeap,
-    ctx: &QueryContext<'_>,
-    cascade: &LowerBoundCascade<'_>,
-    cand: &Tree,
-    doc_post_offset: u32,
-    tau: u64,
-    opts: TasmOptions,
-    ws: &mut TasmWorkspace,
-    scan: &mut ScanStats,
-    stats: Option<&mut TedStats>,
-) {
-    let TasmWorkspace { ted, lb, .. } = ws;
-    process_candidate_parts(
-        heap,
-        ctx,
-        cascade,
-        cand.view(),
-        doc_post_offset,
-        tau,
-        opts,
-        lb,
-        ted,
-        scan,
-        stats,
-    );
-}
-
-/// [`process_candidate`] over a borrowed [`TreeView`] of the candidate
-/// and with the workspace split into fields, so internal callers (the
-/// single-query sink, the batch lanes, the shard workers, the indexed
-/// driver) evaluate a candidate wherever it lives — scan arena, stream
-/// segment or resident document — while the evaluation scratch stays
-/// mutable.
+/// pruning funnel. The candidate is a borrowed [`TreeView`] wherever it
+/// lives — scan arena, stream segment or resident document — so every
+/// driver (the evaluation lanes of the shared scan, the shard workers,
+/// the indexed driver, and [`tasm_dynamic`](crate::tasm_dynamic) with an
+/// unbounded τ) evaluates in place.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_candidate_parts(
     heap: &mut TopKHeap,
@@ -280,6 +201,7 @@ pub(crate) fn process_candidate_parts(
 mod tests {
     use super::*;
     use crate::tasm_dynamic::tasm_dynamic;
+    use crate::threshold::threshold;
     use tasm_ted::{Cost, UnitCost};
     use tasm_tree::{bracket, LabelDict, TreeQueue};
 

@@ -36,8 +36,8 @@
 
 use proptest::prelude::*;
 use tasm_core::{
-    tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive, tasm_postorder, BatchQuery,
-    BatchWorkspace, Deadline, Match, TasmOptions, TedKernel,
+    tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive, tasm_postorder, BatchQuery, Deadline,
+    Match, TasmOptions, TasmWorkspace, TedKernel,
 };
 use tasm_index::IndexedDocument;
 use tasm_ted::{CostModel, UnitCost};
@@ -133,7 +133,7 @@ fn batch<Q: PostorderQueue + ?Sized>(
         c_t,
         opts,
         threads,
-        &mut BatchWorkspace::new(),
+        &mut TasmWorkspace::new(),
         None,
         &Deadline::none(),
     )

@@ -99,11 +99,20 @@ impl IndexedDocument {
                 return Err(PostFileError::Format(format!("duplicate label {name}")));
             }
         }
-        // Bulk-decode the fixed-width entry section.
+        // Bulk-decode the fixed-width entry section. The postings checksum
+        // does not cover the entries, so every label id is range-checked
+        // here before anything indexes by it.
         let mut entries = Vec::with_capacity(view.records.len() / 8);
-        for rec in view.records.chunks_exact(8) {
+        for (i, rec) in view.records.chunks_exact(8).enumerate() {
             let label = u32::from_le_bytes(rec[..4].try_into().unwrap());
             let size = u32::from_le_bytes(rec[4..].try_into().unwrap());
+            if label as usize >= dict.len() {
+                return Err(PostFileError::Format(format!(
+                    "entry {} has label id {label}, but the file names {} labels",
+                    i + 1,
+                    dict.len()
+                )));
+            }
             entries.push((LabelId(label), size));
         }
         let tree = Tree::from_postorder(entries)
@@ -668,6 +677,25 @@ mod tests {
         let err = IndexedDocument::open_bytes(&broken).unwrap_err();
         assert!(matches!(err, PostFileError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_entry_label_is_a_format_error() {
+        let (t, dict) = sample();
+        let idx = IndexedDocument::build(&t, &dict);
+        let mut bytes = Vec::new();
+        idx.write_to(&mut bytes).unwrap();
+        let entries_start = bytes.len()
+            - 4
+            - idx.postings.iter().map(|p| 4 + 4 * p.len()).sum::<usize>()
+            - 8 * t.len();
+        for bad in [dict.len() as u32, 0xFFFF_FFF0] {
+            let mut broken = bytes.clone();
+            broken[entries_start..entries_start + 4].copy_from_slice(&bad.to_le_bytes());
+            let err = IndexedDocument::open_bytes(&broken).unwrap_err();
+            assert!(matches!(err, PostFileError::Format(_)), "{err}");
+            assert!(err.to_string().contains("label id"), "{err}");
+        }
     }
 
     #[test]

@@ -758,4 +758,133 @@ mod tests {
             assert!(err.contains(needle), "{line}: {err}");
         }
     }
+
+    /// Characters the request fuzzer splices in: every separator the
+    /// grammar cares about, ASCII and Unicode whitespace (the verb split
+    /// is Unicode-aware, the `q=` boundary check ASCII-only), and
+    /// multi-byte characters that make byte offsets land mid-character.
+    const SPLICE: [char; 16] = [
+        ' ', '\t', '=', 'q', 'k', '<', '>', '/', '\u{a0}', '\u{85}', '\u{2003}', '\u{3000}',
+        '\u{2028}', 'é', '€', '😀',
+    ];
+
+    /// A valid `QUERY` line and the request it must parse to.
+    fn query_line(
+        doc: u64,
+        k: u64,
+        timeout: Option<u64>,
+        stats: bool,
+        q: &str,
+    ) -> (String, Request) {
+        let mut line = format!("QUERY doc=d{doc} k={k}");
+        if let Some(ms) = timeout {
+            line.push_str(&format!(" timeout={ms}"));
+        }
+        if stats {
+            line.push_str(" stats=1");
+        }
+        line.push_str(&format!(" q={q}"));
+        let want = Request::Query {
+            doc: format!("d{doc}"),
+            k: k as usize,
+            timeout_ms: timeout,
+            stats,
+            q: q.to_string(),
+        };
+        (line, want)
+    }
+
+    /// Inserts `text` into `line` at the character boundary at or after
+    /// byte `at` (wrapped to the line's length).
+    fn insert_at(line: &str, at: usize, text: &str) -> String {
+        let mut at = at % (line.len() + 1);
+        while !line.is_char_boundary(at) {
+            at += 1;
+        }
+        let mut out = line.to_string();
+        out.insert_str(at, text);
+        out
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Query texts, including ones with spaces, `=` and `q=` inside.
+        const QUERIES: [&str; 4] = ["<a/>", "<a><b/></a>", "<a x=\"q=1\"> t </a>", "<é>€</é>"];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_strings_never_panic(
+                codes in prop::collection::vec(any::<u32>(), 0..48),
+                verb in 0usize..5,
+            ) {
+                // Random characters behind each verb (and none): most
+                // land in the QUERY parameter parser.
+                let body: String = codes
+                    .iter()
+                    .map(|&c| match c % 4 {
+                        0 => SPLICE[(c / 4) as usize % SPLICE.len()],
+                        _ => char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'),
+                    })
+                    .collect();
+                let line = match verb {
+                    0 => body,
+                    1 => format!("QUERY {body}"),
+                    2 => format!("QUERY doc=d {body}"),
+                    3 => format!("QUERY doc=d q={body}"),
+                    _ => format!("PING{body}"),
+                };
+                let _ = parse_request(&line);
+            }
+
+            #[test]
+            fn valid_query_lines_round_trip(
+                doc in any::<u64>(),
+                k in any::<u64>(),
+                timeout in (any::<bool>(), any::<u64>()),
+                stats in any::<bool>(),
+                qi in 0usize..4,
+            ) {
+                let timeout = timeout.0.then_some(timeout.1);
+                let (line, want) = query_line(doc, k, timeout, stats, QUERIES[qi]);
+                prop_assert_eq!(parse_request(&line), Ok(want));
+            }
+
+            #[test]
+            fn mutated_query_lines_never_panic(
+                qi in 0usize..4,
+                max in any::<bool>(),
+                mutation in 0usize..4,
+                at in any::<usize>(),
+                arg in any::<usize>(),
+            ) {
+                // k= and timeout= at u64::MAX (or one past it, when
+                // `max` is off and a digit gets spliced in).
+                let (line, _) = query_line(7, u64::MAX, Some(u64::MAX), max, QUERIES[qi]);
+                let mutated = match mutation {
+                    // Flip one byte, then read the bytes back lossily.
+                    0 => {
+                        let mut bytes = line.clone().into_bytes();
+                        let i = at % bytes.len();
+                        bytes[i] ^= (arg % 255 + 1) as u8;
+                        String::from_utf8_lossy(&bytes).into_owned()
+                    }
+                    // Cut at any byte, mid-character included.
+                    1 => String::from_utf8_lossy(&line.as_bytes()[..at % (line.len() + 1)])
+                        .into_owned(),
+                    // Splice a separator, whitespace or multi-byte char.
+                    2 => {
+                        let c = SPLICE[arg % SPLICE.len()];
+                        insert_at(&line, at, c.encode_utf8(&mut [0; 4]))
+                    }
+                    // Another `q=`, at or off a token boundary.
+                    _ => insert_at(&line, at, if arg.is_multiple_of(2) { " q=" } else { "q=" }),
+                };
+                let _ = parse_request(&mutated);
+            }
+        }
+    }
 }

@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use crate::admission::{Admission, PendingRequest};
 use crate::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
 use tasm_core::{
-    tasm_batch, tasm_corpus_batch, BatchQuery, BatchWorkspace, Deadline, Match, TasmOptions,
+    tasm_batch, tasm_corpus_batch, BatchQuery, Deadline, Match, TasmOptions, TasmWorkspace,
 };
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
@@ -403,7 +403,7 @@ impl Server {
 
 /// A worker: pull batches, evaluate under panic isolation, deliver.
 fn worker_loop(admission: &Admission, corpus_threads: usize) {
-    let mut ws = BatchWorkspace::new();
+    let mut ws = TasmWorkspace::new();
     while let Some(batch) = admission.next_batch() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             evaluate_batch(&mut ws, &batch, corpus_threads)
@@ -431,7 +431,7 @@ fn worker_loop(admission: &Admission, corpus_threads: usize) {
                 for req in &batch {
                     eprintln!("tasm serve:   request: {}", req.raw);
                 }
-                ws = BatchWorkspace::new();
+                ws = TasmWorkspace::new();
                 for req in &batch {
                     req.slot.deliver(Response::Internal);
                 }
@@ -459,7 +459,7 @@ fn rows(matches: Vec<Match>) -> Vec<Row> {
 /// request-local dictionary, so corpus queries cannot share one
 /// encoding).
 fn evaluate_batch(
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
     batch: &[PendingRequest],
     corpus_threads: usize,
 ) -> Vec<Response> {
@@ -479,7 +479,7 @@ fn evaluate_batch(
 /// The tree path: one shared scan under the earliest member deadline;
 /// on expiry, survivors are retried solo under their own deadlines.
 fn evaluate_tree_batch(
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
     batch: &[PendingRequest],
     tree: &Tree,
 ) -> Vec<Response> {
@@ -515,7 +515,7 @@ fn evaluate_tree_batch(
 /// or `None` when `deadline` expires first. One thread per worker: the
 /// daemon's parallelism is its worker pool.
 fn scan_tree(
-    ws: &mut BatchWorkspace,
+    ws: &mut TasmWorkspace,
     reqs: &[PendingRequest],
     tree: &Tree,
     deadline: &Deadline,

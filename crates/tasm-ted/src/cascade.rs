@@ -72,8 +72,8 @@ pub enum CascadeDecision {
 
 /// Reusable buffers of the cascade checks (query-independent).
 ///
-/// Lives in the evaluation workspaces (`TasmWorkspace` /
-/// `BatchWorkspace` in `tasm-core`); all buffers grow but never shrink.
+/// Lives in the evaluation workspaces (`TasmWorkspace` and the lane
+/// sets of `tasm-core`); all buffers grow but never shrink.
 #[derive(Debug, Default)]
 pub struct CascadeScratch {
     /// Per-distinct-query-label match counters (reset to zero after each

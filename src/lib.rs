@@ -70,9 +70,8 @@ pub mod prelude {
     pub use crate::core::{
         prb_pruning, tasm_batch, tasm_corpus_batch, tasm_dynamic, tasm_dynamic_with_workspace,
         tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_postorder_with_workspace, threshold,
-        BatchOutput, BatchQuery, BatchWorkspace, CandidateSink, Deadline, Match, PrefixRingBuffer,
-        ScanEngine, ScanStats, StreamIntegrityError, StreamScanError, TasmOptions, TasmWorkspace,
-        TopKHeap,
+        BatchOutput, BatchQuery, CandidateSink, Deadline, Match, PrefixRingBuffer, ScanEngine,
+        ScanStats, StreamIntegrityError, StreamScanError, TasmOptions, TasmWorkspace, TopKHeap,
     };
     pub use crate::index::IndexedDocument;
     pub use crate::ted::{
@@ -162,40 +161,25 @@ fn adopt_match_trees(
 /// A configured TASM query: the high-level entry point.
 ///
 /// Wraps query parsing, the label dictionary, the Theorem 3 threshold and
-/// the single-pass evaluation. Uses the unit cost model; for custom cost
+/// the single-pass evaluation. A query is a batch of one: every method
+/// forwards to a one-query [`TasmBatch`], so both facades run the same
+/// [`core::tasm_batch`] scan. Uses the unit cost model; for custom cost
 /// models call [`core::tasm_postorder`] directly.
 #[derive(Debug)]
 pub struct TasmQuery {
-    dict: LabelDict,
-    query: Tree,
-    k: usize,
-    options: TasmOptions,
-    /// Worker threads for sharded evaluation (1 = sequential streaming).
-    threads: usize,
-    /// Evaluation workspace reused across runs: repeated streaming
-    /// evaluations are allocation-free in steady state.
-    workspace: core::TasmWorkspace,
-    /// Stats of the most recent sharded or indexed driver run (`None`
-    /// when the last run went through the workspace).
-    parallel_scan: Option<ScanStats>,
+    batch: TasmBatch,
+}
+
+/// The only ranking of a one-query batch.
+fn only(mut rankings: Vec<Vec<Match>>) -> Vec<Match> {
+    rankings.pop().expect("one lane")
 }
 
 impl TasmQuery {
     /// Parses the query from an XML fragment.
     pub fn from_xml(query_xml: &str) -> Result<Self, TasmError> {
-        let mut dict = LabelDict::new();
-        let query = xml::parse_tree_str(query_xml, &mut dict)?;
         Ok(TasmQuery {
-            dict,
-            query,
-            k: 1,
-            options: TasmOptions {
-                keep_trees: true,
-                ..Default::default()
-            },
-            threads: 1,
-            workspace: core::TasmWorkspace::new(),
-            parallel_scan: None,
+            batch: TasmBatch::from_xml(&[query_xml])?,
         })
     }
 
@@ -204,107 +188,68 @@ impl TasmQuery {
         let mut dict = LabelDict::new();
         let query = tree::bracket::parse(query, &mut dict)?;
         Ok(TasmQuery {
-            dict,
-            query,
-            k: 1,
-            options: TasmOptions {
-                keep_trees: true,
-                ..Default::default()
-            },
-            threads: 1,
-            workspace: core::TasmWorkspace::new(),
-            parallel_scan: None,
+            batch: TasmBatch::new(dict, vec![query]),
         })
     }
 
     /// Sets the ranking size `k` (default 1).
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k.max(1);
-        self
+    pub fn k(self, k: usize) -> Self {
+        TasmQuery {
+            batch: self.batch.k(k),
+        }
     }
 
     /// Sets the number of worker threads for sharded evaluation
     /// (default 1 = sequential; 0 = one per available core).
     ///
-    /// Above one thread, every run goes through the
-    /// [`core::tasm_batch`] driver: the document keeps streaming and
-    /// candidate segments are handed off to the workers with
-    /// `O(threads · τ)` memory. [`TasmQuery::run_tree`] replays the
+    /// Above one thread the document keeps streaming and candidate
+    /// segments are handed off to the workers with `O(threads · τ)`
+    /// memory ([`core::tasm_batch`]); [`TasmQuery::run_tree`] replays the
     /// already-materialized tree through a [`tree::TreeQueue`] into the
     /// same driver. Index runs shard the surviving candidate regions
     /// ([`core::tasm_indexed_batch`]). Results are identical to the
     /// sequential pass either way.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    pub fn threads(self, threads: usize) -> Self {
+        TasmQuery {
+            batch: self.batch.threads(threads),
+        }
     }
 
     /// Sets whether matched subtrees are copied into the results
     /// (default `true`).
-    pub fn keep_trees(mut self, keep: bool) -> Self {
-        self.options.keep_trees = keep;
-        self
+    pub fn keep_trees(self, keep: bool) -> Self {
+        TasmQuery {
+            batch: self.batch.keep_trees(keep),
+        }
     }
 
     /// The parsed query tree.
     pub fn query(&self) -> &Tree {
-        &self.query
+        &self.batch.queries[0]
     }
 
     /// The label dictionary (grows while documents are processed).
     pub fn dict(&self) -> &LabelDict {
-        &self.dict
+        self.batch.dict()
     }
 
     /// Runs the query against an XML string (streamed; the document tree is
     /// never materialized).
     pub fn run_xml_str(&mut self, document: &str) -> Result<Vec<Match>, TasmError> {
-        self.run_reader(document.as_bytes())
+        self.batch.run_xml_str(document).map(only)
     }
 
     /// Runs the query against an XML file, streaming it with `O(τ)` memory.
     pub fn run_xml_file(&mut self, path: impl AsRef<Path>) -> Result<Vec<Match>, TasmError> {
-        let file = File::open(path)?;
-        self.run_reader(BufReader::new(file))
+        self.batch.run_xml_file(path).map(only)
     }
 
     /// Runs the query against any buffered XML source. The internal
     /// workspace is reused, so back-to-back runs skip all warm-up
-    /// allocations.
-    ///
-    /// With [`TasmQuery::threads`] above 1 the document **still
-    /// streams**: the scan hands candidate segments to the worker
-    /// threads ([`core::tasm_batch`]) and no document tree is ever
-    /// materialized.
+    /// allocations. With [`TasmQuery::threads`] above 1 the document
+    /// **still streams**: no document tree is ever materialized.
     pub fn run_reader<R: std::io::BufRead>(&mut self, reader: R) -> Result<Vec<Match>, TasmError> {
-        self.parallel_scan = None;
-        let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
-        if self.threads != 1 {
-            let result = run_driver(&self.query, self.k, self.options, self.threads, &mut queue);
-            // Prefer the parser's own error: it carries the byte offset
-            // and reason, while the stream error only records that the
-            // document ended early.
-            if let Some(err) = queue.take_error() {
-                return Err(err.into());
-            }
-            let (matches, scan) = result?;
-            self.parallel_scan = Some(scan);
-            return Ok(matches);
-        }
-        let matches = core::tasm_postorder_with_workspace(
-            &self.query,
-            &mut queue,
-            self.k,
-            &UnitCost,
-            1,
-            self.options,
-            &mut self.workspace,
-            None,
-        );
-        if let Some(err) = queue.take_error() {
-            return Err(err.into());
-        }
-        Ok(matches)
+        self.batch.run_reader(reader).map(only)
     }
 
     /// Runs the query against an in-memory tree that shares this query's
@@ -312,31 +257,17 @@ impl TasmQuery {
     /// sharding the scan across [`TasmQuery::threads`] workers when more
     /// than one is configured.
     pub fn run_tree(&mut self, doc: &Tree) -> Vec<Match> {
-        let mut queue = tree::TreeQueue::new(doc);
-        if self.threads != 1 {
-            let (matches, scan) =
-                run_driver(&self.query, self.k, self.options, self.threads, &mut queue)
-                    .expect("an in-memory tree is a complete stream");
-            self.parallel_scan = Some(scan);
-            return matches;
-        }
-        self.parallel_scan = None;
-        core::tasm_postorder_with_workspace(
-            &self.query,
-            &mut queue,
-            self.k,
-            &UnitCost,
-            1,
-            self.options,
-            &mut self.workspace,
-            None,
-        )
+        let rankings = self
+            .batch
+            .run_queue(|_| tree::TreeQueue::new(doc), |_| None)
+            .expect("an in-memory tree is a complete stream");
+        only(rankings)
     }
 
     /// Parses a document into this query's dictionary for use with
     /// [`TasmQuery::run_tree`] / repeated runs.
     pub fn parse_document(&mut self, xml_text: &str) -> Result<Tree, TasmError> {
-        Ok(xml::parse_tree_str(xml_text, &mut self.dict)?)
+        Ok(xml::parse_tree_str(xml_text, &mut self.batch.dict)?)
     }
 
     /// Runs the query against a prebuilt `.pqi` index file (see
@@ -344,8 +275,7 @@ impl TasmQuery {
     /// candidate regions come from the label postings instead of a full
     /// document scan, and the ranking is identical to the streamed run.
     pub fn run_index_file(&mut self, path: impl AsRef<Path>) -> Result<Vec<Match>, TasmError> {
-        let idx = IndexedDocument::open(path)?;
-        Ok(self.run_index(&idx))
+        self.batch.run_index_file(path).map(only)
     }
 
     /// Runs the query against an already-loaded [`IndexedDocument`].
@@ -355,68 +285,21 @@ impl TasmQuery {
     /// so [`TasmQuery::match_to_xml`] works exactly as after a
     /// streamed run.
     pub fn run_index(&mut self, idx: &IndexedDocument) -> Vec<Match> {
-        let queries = [core::BatchQuery {
-            query: &self.query,
-            k: self.k,
-        }];
-        let mut out = core::tasm_indexed_batch(
-            &queries,
-            &self.dict,
-            idx,
-            &UnitCost,
-            1,
-            self.options,
-            self.threads,
-            None,
-            &core::Deadline::none(),
-        )
-        .expect("Deadline::none() never expires");
-        let matches = out.rankings.pop().expect("one lane");
-        let matches = adopt_match_trees(matches, idx.dict(), &mut self.dict);
-        self.parallel_scan = Some(out.scan);
-        matches
+        only(self.batch.run_index(idx))
     }
 
     /// Scan and pruning-funnel statistics ([`ScanStats`]) of the most
     /// recent run, whichever path it took — streaming (`run_xml_str` /
-    /// `run_xml_file` / `run_reader`), in-memory ([`TasmQuery::run_tree`])
-    /// or sharded parallel (merged over all shards): candidates emitted,
-    /// per-tier cascade prunes, exact evaluations.
+    /// `run_xml_file` / `run_reader`), in-memory ([`TasmQuery::run_tree`]),
+    /// indexed, or sharded parallel (merged over all shards): candidates
+    /// emitted, per-tier cascade prunes, exact evaluations.
     pub fn last_scan_stats(&self) -> ScanStats {
-        self.parallel_scan
-            .unwrap_or_else(|| self.workspace.last_scan_stats())
+        self.batch.last_scan_stats()
     }
 
     /// Renders a match's subtree back to XML (requires `keep_trees`).
     pub fn match_to_xml(&self, m: &Match) -> Option<String> {
-        m.tree.as_ref().map(|t| xml::tree_to_xml(t, &self.dict))
-    }
-}
-
-/// One query through the [`core::tasm_batch`] driver at `threads`, with
-/// the unit cost model and no deadline.
-fn run_driver<Q: tree::PostorderQueue + ?Sized>(
-    query: &Tree,
-    k: usize,
-    options: TasmOptions,
-    threads: usize,
-    queue: &mut Q,
-) -> Result<(Vec<Match>, ScanStats), StreamIntegrityError> {
-    let queries = [core::BatchQuery { query, k }];
-    match core::tasm_batch(
-        &queries,
-        queue,
-        &UnitCost,
-        1,
-        options,
-        threads,
-        &mut core::BatchWorkspace::new(),
-        None,
-        &core::Deadline::none(),
-    ) {
-        Ok(mut out) => Ok((out.rankings.pop().expect("one lane"), out.scan)),
-        Err(core::StreamScanError::Integrity(e)) => Err(e),
-        Err(core::StreamScanError::Deadline(_)) => unreachable!("Deadline::none() never expires"),
+        self.batch.match_to_xml(m)
     }
 }
 
@@ -457,7 +340,7 @@ pub struct TasmBatch {
     /// sequential scan).
     threads: usize,
     /// Scan + per-lane workspaces reused across runs.
-    workspace: core::BatchWorkspace,
+    workspace: core::TasmWorkspace,
     /// Aggregate stats of the most recent run.
     last_scan: ScanStats,
     /// Per-lane stats of the most recent run, in query order.
@@ -473,7 +356,12 @@ impl TasmBatch {
             .iter()
             .map(|q| xml::parse_tree_str(q, &mut dict))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(TasmBatch {
+        Ok(TasmBatch::new(dict, queries))
+    }
+
+    /// A batch over `queries`, parsed with `dict`, at the defaults.
+    fn new(dict: LabelDict, queries: Vec<Tree>) -> Self {
+        TasmBatch {
             dict,
             queries,
             k: 1,
@@ -482,10 +370,10 @@ impl TasmBatch {
                 ..Default::default()
             },
             threads: 1,
-            workspace: core::BatchWorkspace::new(),
+            workspace: core::TasmWorkspace::new(),
             last_scan: ScanStats::default(),
             last_lanes: Vec::new(),
-        })
+        }
     }
 
     /// Sets the ranking size `k` for every query (default 1).
@@ -548,12 +436,30 @@ impl TasmBatch {
         &mut self,
         reader: R,
     ) -> Result<Vec<Vec<Match>>, TasmError> {
+        self.run_queue(
+            |dict| xml::XmlPostorderQueue::new(reader, dict),
+            xml::XmlPostorderQueue::take_error,
+        )
+    }
+
+    /// One [`core::tasm_batch`] pass over the queue `open` builds on
+    /// this batch's dictionary (an XML queue interns the document's
+    /// labels into it; an in-memory tree already shares it). After the
+    /// pass, `parse_error` reports the queue's own parse error, which is
+    /// preferred over the driver's stream error: it carries the byte
+    /// offset and reason, while the stream error only records that the
+    /// document ended early.
+    fn run_queue<'d, Q: tree::PostorderQueue>(
+        &'d mut self,
+        open: impl FnOnce(&'d mut LabelDict) -> Q,
+        parse_error: impl FnOnce(&mut Q) -> Option<xml::XmlError>,
+    ) -> Result<Vec<Vec<Match>>, TasmError> {
         let batch: Vec<core::BatchQuery<'_>> = self
             .queries
             .iter()
             .map(|query| core::BatchQuery { query, k: self.k })
             .collect();
-        let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
+        let mut queue = open(&mut self.dict);
         let result = core::tasm_batch(
             &batch,
             &mut queue,
@@ -565,10 +471,7 @@ impl TasmBatch {
             None,
             &core::Deadline::none(),
         );
-        // Prefer the parser's own error: it carries the byte offset and
-        // reason, while the stream error only records that the document
-        // ended early.
-        if let Some(err) = queue.take_error() {
+        if let Some(err) = parse_error(&mut queue) {
             return Err(err.into());
         }
         let out = match result {
@@ -628,8 +531,8 @@ impl TasmBatch {
     }
 
     /// Scan and pruning-funnel statistics ([`ScanStats`]) of the most
-    /// recent run — shared sequential scan or sharded streaming scan —
-    /// aggregated over all query lanes.
+    /// recent run — shared sequential scan, sharded streaming scan or
+    /// index — aggregated over all query lanes.
     pub fn last_scan_stats(&self) -> ScanStats {
         self.last_scan
     }
