@@ -714,6 +714,7 @@ fn indexed_one(
         1,
         TasmOptions::default(),
         1,
+        &mut TasmWorkspace::new(),
         None,
         &Deadline::none(),
     )
@@ -1132,6 +1133,7 @@ pub fn corpus_summary(
                     1,
                     TasmOptions::default(),
                     threads,
+                    &mut TasmWorkspace::new(),
                     None,
                     &Deadline::none(),
                 )

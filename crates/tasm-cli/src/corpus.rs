@@ -22,7 +22,7 @@ use std::time::Instant;
 use crate::args::Args;
 use crate::errors::{CliError, UsageExt};
 use crate::{load_xml, output, print_scan_stats};
-use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions};
+use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
 use tasm_index::Corpus;
 use tasm_ted::{TedKernel, TedStats, UnitCost};
 use tasm_tree::{LabelDict, Tree};
@@ -214,6 +214,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         1,
         opts,
         threads,
+        &mut TasmWorkspace::new(),
         sink,
         &Deadline::none(),
     )

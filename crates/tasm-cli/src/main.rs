@@ -438,6 +438,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             1,
             opts,
             threads,
+            &mut TasmWorkspace::new(),
             sink,
             &Deadline::none(),
         )

@@ -25,21 +25,21 @@
 //! [`tasm_batch`] is the one driver for every document that arrives as
 //! a postorder queue — a stream, or a materialized tree replayed
 //! through [`TreeQueue`](tasm_tree::TreeQueue). At one thread it runs
-//! the shared scan inline; above one it hands the candidates to the
-//! streaming shard workers, which fan them out to the same lanes. A
-//! single query is the batch of one:
-//! [`tasm_postorder`](crate::tasm_postorder) runs the same inline scan
-//! with one lane.
+//! the shared scan inline, with the workspace's lane set as the scan's
+//! sink; above one it hands the candidates to the streaming shard
+//! workers, each evaluating through a lane set of its own. A single
+//! query is the batch of one: [`tasm_postorder`](crate::tasm_postorder)
+//! runs the same inline scan with one lane.
 
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::engine::{CandidateSink, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, resolve_threads, EvalLane};
+use crate::engine::ScanStats;
+use crate::lane::{merge_shard_results, resolve_threads, LaneSet};
 use crate::ranking::Match;
 use crate::stream_shard::sharded_scan;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::{scratch_fits_cap, TasmWorkspace};
-use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
-use tasm_tree::{NodeId, PostorderQueue, Tree};
+use tasm_ted::{CostModel, TedStats};
+use tasm_tree::{PostorderQueue, Tree};
 
 /// One query of a batch: the query tree and its ranking size.
 #[derive(Debug, Clone, Copy)]
@@ -128,30 +128,6 @@ impl From<StreamIntegrityError> for StreamScanError {
 impl From<DeadlineExceeded> for StreamScanError {
     fn from(e: DeadlineExceeded) -> Self {
         StreamScanError::Deadline(e)
-    }
-}
-
-/// [`CandidateSink`] fanning each candidate out to every query lane.
-struct MultiQuerySink<'a> {
-    lanes: Vec<EvalLane<'a>>,
-    teds: &'a mut [TedWorkspace],
-    lb: &'a mut CascadeScratch,
-    opts: TasmOptions,
-    stats: Option<&'a mut TedStats>,
-}
-
-impl CandidateSink for MultiQuerySink<'_> {
-    fn consume(&mut self, cand: &Tree, root: NodeId, _scan: &mut ScanStats) {
-        let offset = root.post() - cand.len() as u32;
-        fan_out(
-            &mut self.lanes,
-            self.teds,
-            self.lb,
-            cand.view(),
-            offset,
-            self.opts,
-            self.stats.as_deref_mut(),
-        );
     }
 }
 
@@ -275,11 +251,11 @@ pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
 }
 
 /// The inline shared scan: one [`ScanEngine`](crate::ScanEngine) pass at
-/// `τ_scan = max_i τ_i`, every candidate fanned out to one lane per
-/// query, all buffers borrowed from `ws` (whose
-/// [`last_scan_stats`](TasmWorkspace::last_scan_stats) it records). The
-/// only one-thread evaluation of a postorder queue: [`tasm_batch`] and
-/// [`tasm_postorder`](crate::tasm_postorder) both run it.
+/// `τ_scan = max_i τ_i` whose sink is a [`LaneSet`] on the scratch of
+/// `ws` (whose [`last_scan_stats`](TasmWorkspace::last_scan_stats) it
+/// records). The only one-thread evaluation of a postorder queue:
+/// [`tasm_batch`] and [`tasm_postorder`](crate::tasm_postorder) both
+/// run it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shared_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
@@ -294,49 +270,16 @@ pub(crate) fn shared_scan<Q: PostorderQueue + ?Sized>(
     if queries.is_empty() {
         return Ok(BatchOutput::default());
     }
-    // Per-query contexts and bounds; the scan must cover the widest τ.
-    let (mut lanes, scan_tau) = build_lanes(queries, model, c_t, opts.kernel);
-
-    // Reserve lanes for the widest candidate the scan can emit, under
-    // the `RESERVE_CAP_BYTES` cap that guards a pathological τ.
-    if ws.lanes.len() < queries.len() {
-        ws.lanes.resize_with(queries.len(), TedWorkspace::new);
-    }
-    let teds = &mut ws.lanes[..queries.len()];
-    reserve_lanes(&lanes, teds, &mut ws.lb, scan_tau);
-    ws.engine.set_tau(scan_tau);
-    if scratch_fits_cap(scan_tau as usize) {
+    let mut set = LaneSet::new(queries, model, c_t, opts, stats.is_some(), &mut ws.eval);
+    ws.engine.set_tau(set.scan_tau);
+    if scratch_fits_cap(set.scan_tau as usize) {
         ws.engine.reserve();
     }
-
-    let mut sink = MultiQuerySink {
-        lanes,
-        teds,
-        lb: &mut ws.lb,
-        opts,
-        stats,
-    };
-    let shared = ws.engine.scan_with_deadline(queue, &mut sink, deadline)?;
-    lanes = sink.lanes;
-
-    // Stats: every lane saw the one shared pass; the aggregate sums the
-    // per-lane funnels on top of it.
-    let mut scan = shared;
-    let mut lane_stats = Vec::with_capacity(lanes.len());
-    for lane in &mut lanes {
-        lane.stats.adopt_scan_layer(&shared);
-        scan.merge_funnel(&lane.stats);
-        lane_stats.push(lane.stats);
-    }
-    ws.last_scan = scan;
-    Ok(BatchOutput {
-        rankings: lanes
-            .into_iter()
-            .map(|lane| lane.heap.into_sorted())
-            .collect(),
-        scan,
-        lanes: lane_stats,
-    })
+    let shared = ws.engine.scan_with_deadline(queue, &mut set, deadline)?;
+    // Every lane saw the one shared pass.
+    let out = merge_shard_results(queries.len(), vec![set.into_result()], stats, Some(&shared));
+    ws.last_scan = out.scan;
+    Ok(out)
 }
 
 #[cfg(test)]

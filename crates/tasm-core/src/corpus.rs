@@ -6,15 +6,17 @@
 //! # The corpus is the parallel unit
 //!
 //! Shards are independent documents, so the natural work unit is
-//! (shard × query-batch). The scheduler splits the thread budget
-//! *across* shards first: `workers = min(threads, shards)` scoped
-//! worker threads pull shard indices from a shared counter, each
-//! answering the whole query batch over its shards. Leftover budget
+//! (shard × query-batch). The thread budget is split *across* shards
+//! first: `workers = min(threads, shards)` workers pull shard indices
+//! from one shared cursor (the same pull loop as the indexed driver's
+//! regions), each answering the whole query batch over its shards.
+//! The calling thread is one of the workers and runs on the caller's
+//! [`TasmWorkspace`]; the others run on their own. Leftover budget
 //! falls back *inside* the shards — each worker passes
-//! `threads / workers` lanes down to the per-shard indexed pass — so a
-//! two-shard corpus on eight threads still uses all eight. With one
-//! thread (or one shard) the loop runs inline on the caller's thread,
-//! which is exactly the old sequential path.
+//! `threads / workers` threads down to the per-shard indexed pass — so
+//! a two-shard corpus on eight threads still uses all eight. With one
+//! thread (or one shard) the loop runs on the caller's thread alone,
+//! in manifest order.
 //!
 //! # Degraded mode is explicit, never silent
 //!
@@ -43,16 +45,16 @@
 //! per-lane accumulator with a sorted two-way merge truncated to `k`,
 //! so memory per lane is O(k), not O(shards · k).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::ScanStats;
 use crate::indexed::tasm_indexed_batch;
-use crate::lane::resolve_threads;
+use crate::lane::{pull_units, resolve_threads};
 use crate::ranking::Match;
 use crate::tasm_dynamic::TasmOptions;
+use crate::workspace::TasmWorkspace;
 use tasm_index::{Corpus, IndexedDocument};
 use tasm_ted::{Cost, CostModel, TedStats};
 use tasm_tree::LabelDict;
@@ -184,80 +186,27 @@ struct CorpusWorkerOutput {
     ted: Option<TedStats>,
 }
 
-/// One scheduler worker: pulls shard indices from the shared counter
-/// until the corpus is drained, the deadline expires, or another worker
-/// cancels the batch. Runs the whole query batch over each shard with
-/// `inner` intra-shard lanes.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    shards: &[(usize, &str, &IndexedDocument)],
-    next: &AtomicUsize,
-    cancelled: &AtomicBool,
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    inner: usize,
-    want_ted: bool,
-    expiry: Option<Instant>,
-) -> Result<CorpusWorkerOutput, DeadlineExceeded> {
-    // `Deadline` is deliberately not `Sync`, so each worker mints its
-    // own token from the shared expiry instant.
-    let deadline = match expiry {
-        Some(at) => Deadline::at(at),
-        None => Deadline::none(),
-    };
-    let mut out = CorpusWorkerOutput {
-        lanes: (0..queries.len()).map(|_| Vec::new()).collect(),
-        lane_scans: vec![ScanStats::default(); queries.len()],
-        scan: ScanStats::default(),
-        shard_stats: Vec::new(),
-        ted: want_ted.then(TedStats::new),
-    };
-    loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= shards.len() {
-            return Ok(out);
-        }
-        if cancelled.load(Ordering::Relaxed) {
-            return Err(DeadlineExceeded);
-        }
-        let (shard, name, doc) = shards[idx];
-        let started = Instant::now();
-        let run = tasm_indexed_batch(
-            queries,
-            src_dict,
-            doc,
-            model,
-            c_t,
-            opts,
-            inner,
-            out.ted.as_mut(),
-            &deadline,
-        );
-        let BatchOutput {
-            rankings,
-            scan: shard_scan,
-            lanes: shard_lanes,
-        } = match run {
-            Ok(r) => r,
-            Err(e) => {
-                cancelled.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        out.scan.merge(&shard_scan);
-        for (lane, shard_lane) in out.lane_scans.iter_mut().zip(&shard_lanes) {
+impl CorpusWorkerOutput {
+    /// Folds one shard's indexed run into this worker's accumulators.
+    fn fold(
+        &mut self,
+        shard: usize,
+        name: &str,
+        nanos: u64,
+        run: BatchOutput,
+        queries: &[BatchQuery<'_>],
+    ) {
+        self.scan.merge(&run.scan);
+        for (lane, shard_lane) in self.lane_scans.iter_mut().zip(&run.lanes) {
             lane.merge(shard_lane);
         }
-        out.shard_stats.push(CorpusShardStats {
+        self.shard_stats.push(CorpusShardStats {
             shard,
             name: name.to_string(),
-            nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            scan: shard_scan,
+            nanos,
+            scan: run.scan,
         });
-        for ((lane, ranking), bq) in out.lanes.iter_mut().zip(rankings).zip(queries) {
+        for ((lane, ranking), bq) in self.lanes.iter_mut().zip(run.rankings).zip(queries) {
             let incoming: Vec<CorpusMatch> = ranking
                 .into_iter()
                 .map(|hit| CorpusMatch {
@@ -281,7 +230,9 @@ fn run_worker(
 /// `src_dict` is the dictionary the queries were parsed with (any
 /// dictionary works — each shard re-encodes the queries into its own
 /// label space). `threads` (`0` = one per available core) is split
-/// across shards first, then inside them.
+/// across shards first, then inside them; the calling thread's share
+/// runs on `ws`. Above one thread the funnel counters may vary from
+/// run to run, the rankings never.
 ///
 /// # Errors
 ///
@@ -290,7 +241,7 @@ fn run_worker(
 /// granularity, so even a single large shard cannot overrun the budget
 /// by its whole evaluation time. Once any worker trips the deadline,
 /// the batch is cancelled: the remaining workers stop at their next
-/// shard pull and no partial ranking is returned.
+/// pull and no partial ranking is returned.
 ///
 /// # Examples
 ///
@@ -298,7 +249,7 @@ fn run_worker(
 /// use tasm_tree::{bracket, LabelDict};
 /// use tasm_ted::UnitCost;
 /// use tasm_index::Corpus;
-/// use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions};
+/// use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
 ///
 /// let dir = std::env::temp_dir().join(format!("tasm-doc-corpus-{}", std::process::id()));
 /// let mut corpus = Corpus::create(&dir).unwrap();
@@ -308,7 +259,7 @@ fn run_worker(
 /// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
 /// let queries = [BatchQuery { query: &q, k: 1 }];
 /// let out = tasm_corpus_batch(&queries, &dict, &corpus, &UnitCost, 1,
-///     TasmOptions::default(), 1, None, &Deadline::none()).unwrap();
+///     TasmOptions::default(), 1, &mut TasmWorkspace::new(), None, &Deadline::none()).unwrap();
 /// assert_eq!(out.status.marker(), "1/1");
 /// assert_eq!(out.rankings[0][0].doc, "d");
 /// assert_eq!(out.rankings[0][0].hit.root.post(), 6);
@@ -323,6 +274,7 @@ pub fn tasm_corpus_batch(
     c_t: u64,
     opts: TasmOptions,
     threads: usize,
+    ws: &mut TasmWorkspace,
     mut stats: Option<&mut TedStats>,
     deadline: &Deadline,
 ) -> Result<CorpusBatchOutput, DeadlineExceeded> {
@@ -353,43 +305,46 @@ pub fn tasm_corpus_batch(
         return Err(DeadlineExceeded);
     }
 
-    let threads = resolve_threads(threads).max(1);
-    // Split the budget across shards first; leftover threads become
-    // intra-shard lanes inside each worker's indexed pass.
+    let threads = resolve_threads(threads);
+    // Split the budget across shards first; leftover threads go to the
+    // indexed pass inside each shard.
     let workers = threads.min(shards.len());
     let inner = (threads / workers).max(1);
     let want_ted = stats.is_some();
-    let expiry = deadline.instant();
-    let next = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-
-    let outputs: Vec<CorpusWorkerOutput> = if workers <= 1 {
-        // One worker runs inline on the caller's thread — exactly the
-        // old sequential shard loop, no thread machinery.
-        vec![run_worker(
-            &shards, &next, &cancelled, queries, src_dict, model, c_t, opts, inner, want_ted,
-            expiry,
-        )?]
-    } else {
-        let joined: Result<Vec<CorpusWorkerOutput>, DeadlineExceeded> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            run_worker(
-                                &shards, &next, &cancelled, queries, src_dict, model, c_t, opts,
-                                inner, want_ted, expiry,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
-        joined?
-    };
+    let outputs = pull_units(
+        shards.len(),
+        workers,
+        ws,
+        deadline,
+        |ws, units, deadline| {
+            let mut out = CorpusWorkerOutput {
+                lanes: (0..queries.len()).map(|_| Vec::new()).collect(),
+                lane_scans: vec![ScanStats::default(); queries.len()],
+                scan: ScanStats::default(),
+                shard_stats: Vec::new(),
+                ted: want_ted.then(TedStats::new),
+            };
+            while let Some(i) = units.next(deadline)? {
+                let (shard, name, doc) = shards[i];
+                let started = Instant::now();
+                let run = tasm_indexed_batch(
+                    queries,
+                    src_dict,
+                    doc,
+                    model,
+                    c_t,
+                    opts,
+                    inner,
+                    ws,
+                    out.ted.as_mut(),
+                    deadline,
+                )?;
+                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                out.fold(shard, name, nanos, run, queries);
+            }
+            Ok(out)
+        },
+    )?;
 
     // Cross-worker merge. Each worker's lanes are sorted on the total
     // corpus rank key and bounded to k, so folding them in any order
@@ -443,6 +398,7 @@ pub fn tasm_corpus_batch_with_stats(
         c_t,
         opts,
         threads,
+        &mut TasmWorkspace::new(),
         stats,
         &Deadline::none(),
     )
@@ -473,6 +429,7 @@ mod tests {
             1,
             TasmOptions::default(),
             threads,
+            &mut TasmWorkspace::new(),
             None,
             deadline,
         )
@@ -506,6 +463,7 @@ mod tests {
             1,
             TasmOptions::default(),
             1,
+            &mut TasmWorkspace::new(),
             None,
             &Deadline::none(),
         )
@@ -719,9 +677,9 @@ mod tests {
             assert_eq!(key(&scheduled.rankings[0]), key(&sequential.rankings[0]));
             // With inner == 1 lane (threads ≤ shards) each shard is
             // evaluated exactly as in the sequential run, so the whole
-            // funnel is identical. Intra-shard lanes (threads = 7 over
-            // 3 shards) may prune differently; the candidate count is
-            // scan-determined and stays invariant.
+            // funnel is identical. Intra-shard workers (threads = 7 over
+            // 3 shards) may prune differently, but these shards have too
+            // few regions to split, so the candidate count stays invariant.
             if threads <= 4 {
                 assert_eq!(scheduled.scan, sequential.scan);
                 assert_eq!(scheduled.lane_scans, sequential.lane_scans);

@@ -35,59 +35,33 @@
 //! [`tasm_postorder`](crate::tasm_postorder) /
 //! [`tasm_naive`](crate::tasm_naive) (pinned by `tests/differential.rs`).
 //!
-//! With more than one thread, the regions that survive the seed pass
-//! are split into node-balanced contiguous shards ([`shard_spans`]).
-//! Each worker evaluates its own slice of regions, one view at a time,
-//! through its own lane set.
+//! With more than one thread, the workers pull the next region in
+//! promise order from one shared cursor, each skipping against its own
+//! heaps. That stays admissible: a worker's full heap holds `k` matches
+//! at or below its cutoff, so its cutoff is never below the final
+//! merged one. Which worker sees which region varies from run to run,
+//! so with more than one worker the funnel counters may vary; the
+//! rankings do not. Every worker fills its own heaps before it can
+//! skip, so a document gets one worker per `MIN_REGIONS_PER_WORKER`
+//! regions at most: a small one runs on the calling thread alone, with
+//! the deterministic one-thread counters.
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::lane::{merge_shard_results, resolve_threads, scan_tau_of, EvalLane, LaneSet};
+use crate::lane::{
+    merge_shard_results, pull_units, resolve_threads, scan_tau_of, EvalLane, LaneSet,
+};
 use crate::tasm_dynamic::TasmOptions;
+use crate::workspace::TasmWorkspace;
 use tasm_index::IndexedDocument;
 use tasm_ted::{Cost, CostModel, TedStats};
 use tasm_tree::{LabelDict, NodeId, Tree};
 
-/// Once every lane's heap is full, how many further seed regions the
-/// parallel driver evaluates before freezing the cutoffs and handing
-/// the filtered remainder to the shard workers.
-const SEED_EXTRA: usize = 16;
-
-/// Splits `spans` into at most `shards` contiguous groups of roughly
-/// equal **node** weight (candidate counts can be wildly uneven in
-/// size); every group is non-empty.
-fn shard_spans(spans: &[(u32, u32)], shards: usize) -> Vec<&[(u32, u32)]> {
-    let span_weight = |&(lo, hi): &(u32, u32)| u64::from(hi - lo + 1);
-    if spans.is_empty() {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, spans.len());
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    let mut remaining_weight: u64 = spans.iter().map(span_weight).sum();
-    for s in 0..shards {
-        if s + 1 == shards {
-            out.push(&spans[start..]);
-            break;
-        }
-        // Fill this shard up to its fair share of the remaining weight,
-        // but leave at least one span for each remaining shard. Since
-        // `shards <= spans.len()`, the cap always leaves this shard at
-        // least one span as well.
-        let target = remaining_weight / (shards - s) as u64;
-        let cap = spans.len() - (shards - s - 1);
-        let mut weight = 0u64;
-        let mut end = start;
-        while end < cap && (end == start || weight + span_weight(&spans[end]) <= target) {
-            weight += span_weight(&spans[end]);
-            end += 1;
-        }
-        out.push(&spans[start..end]);
-        remaining_weight -= weight;
-        start = end;
-    }
-    out
-}
+/// The fewest candidate regions worth a worker of their own. A worker
+/// evaluates every region until its own heaps fill, so splitting a
+/// small document buys duplicated heap filling and a thread spawn,
+/// not speed.
+const MIN_REGIONS_PER_WORKER: usize = 128;
 
 /// The admissible per-region lower bound: each of the `m` query nodes
 /// without an equal-label partner in the region costs at least one
@@ -113,44 +87,6 @@ fn region_wanted(lanes: &[EvalLane<'_>], msizes: &[u64], commons: &[Vec<u32>], r
         })
 }
 
-/// Evaluates one `(lml, root)` span of `doc` through every lane of
-/// `set`, in place: the region's view of the document arena (local
-/// postorder, sizes invariant) is fanned out exactly as the scan sinks
-/// fan out their candidates.
-fn eval_span(set: &mut LaneSet<'_>, doc: &Tree, (lo, hi): (u32, u32)) {
-    set.eval(doc.subtree_view(NodeId::new(hi)), lo - 1);
-}
-
-/// Evaluates every span of `spans` in order, polling `deadline` once
-/// per region (after a forced check up front, so an expired request
-/// does no work).
-fn eval_spans(
-    set: &mut LaneSet<'_>,
-    doc: &Tree,
-    spans: &[(u32, u32)],
-    deadline: &Deadline,
-) -> Result<(), DeadlineExceeded> {
-    if deadline.expired_now() {
-        return Err(DeadlineExceeded);
-    }
-    for &span in spans {
-        if deadline.poll() {
-            return Err(DeadlineExceeded);
-        }
-        eval_span(set, doc, span);
-    }
-    Ok(())
-}
-
-/// Counts a region skip in every lane's funnel: the histogram tier
-/// refuted it for each of them (a region is only skipped when **all**
-/// lanes refuse it).
-fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
-    for lane in lanes {
-        lane.stats.pruned_histogram += 1;
-    }
-}
-
 /// Answers every query of `queries` from one candidate-region pass over
 /// an indexed document, with the rankings of
 /// [`tasm_postorder`](crate::tasm_postorder) but candidates generated
@@ -172,17 +108,22 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
 /// need no care. Matched subtrees (`keep_trees`) are cut from the
 /// document, so they carry index-space labels only.
 ///
-/// `threads` (`0` = one per available core) shards the regions that
-/// survive the seed pass across worker threads. `deadline` is polled
-/// once per region, in the promise-ordered loop and in every shard
-/// worker (strided — see [`Deadline::poll`]), so one large document
-/// cannot overrun a request deadline by more than a few region
-/// evaluations.
+/// `threads` (`0` = one per available core) workers pull the regions
+/// in promise order from one shared cursor; the calling thread is one
+/// of them and evaluates on `ws`, so a warm workspace makes a
+/// one-thread call allocate nothing per region. A document gets at
+/// most one worker per 128 candidate regions, so a small one runs on
+/// the calling thread alone. With one worker the funnel counters are
+/// deterministic; with more they may vary from run to run, the
+/// rankings never. `deadline` is polled once per region pull
+/// (strided — see [`Deadline::poll`]), so one large document cannot
+/// overrun a request deadline by more than a few region evaluations.
 ///
 /// # Errors
 ///
-/// [`DeadlineExceeded`] if the deadline expires anywhere; no partial
-/// ranking is returned.
+/// [`DeadlineExceeded`] if the deadline expires in any worker; the
+/// other workers stop at their next pull and no partial ranking is
+/// returned.
 ///
 /// # Examples
 ///
@@ -190,15 +131,16 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
 /// use tasm_tree::{bracket, LabelDict};
 /// use tasm_ted::UnitCost;
 /// use tasm_index::IndexedDocument;
-/// use tasm_core::{tasm_indexed_batch, BatchQuery, Deadline, TasmOptions};
+/// use tasm_core::{tasm_indexed_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
 ///
 /// let mut dict = LabelDict::new();
 /// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
 /// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
 /// let idx = IndexedDocument::build(&doc, &dict);
 /// let queries = [BatchQuery { query: &q, k: 2 }];
+/// let mut ws = TasmWorkspace::new();
 /// let out = tasm_indexed_batch(&queries, &dict, &idx, &UnitCost, 1,
-///     TasmOptions::default(), 1, None, &Deadline::none()).unwrap();
+///     TasmOptions::default(), 1, &mut ws, None, &Deadline::none()).unwrap();
 /// assert_eq!(out.rankings[0][0].root.post(), 6);
 /// assert_eq!(out.rankings[0][1].root.post(), 3);
 /// ```
@@ -211,6 +153,7 @@ pub fn tasm_indexed_batch(
     c_t: u64,
     opts: TasmOptions,
     threads: usize,
+    ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
 ) -> Result<BatchOutput, DeadlineExceeded> {
@@ -220,7 +163,6 @@ pub fn tasm_indexed_batch(
     if deadline.expired_now() {
         return Err(DeadlineExceeded);
     }
-    let threads = resolve_threads(threads);
     let trees: Vec<&Tree> = queries.iter().map(|bq| bq.query).collect();
     let encoded = idx.encode_queries(&trees, src_dict);
     let equeries: Vec<BatchQuery<'_>> = encoded
@@ -228,16 +170,11 @@ pub fn tasm_indexed_batch(
         .zip(queries)
         .map(|(query, bq)| BatchQuery { query, k: bq.k })
         .collect();
-
-    let want_ted_stats = stats.is_some();
-    let mut seed = LaneSet::new(&equeries, model, c_t, opts, want_ted_stats);
-    let scan_tau = seed.scan_tau;
-    debug_assert_eq!(scan_tau, scan_tau_of(&equeries, model, c_t));
     let msizes: Vec<u64> = encoded.iter().map(|q| q.len() as u64).collect();
 
     // Scan-free candidate generation: spans from the size column,
     // per-lane label overlap from the postings.
-    let (spans, generated) = idx.candidate_spans(scan_tau);
+    let (spans, generated) = idx.candidate_spans(scan_tau_of(&equeries, model, c_t));
     let commons: Vec<Vec<u32>> = encoded
         .iter()
         .map(|q| idx.region_common(&spans, q))
@@ -256,73 +193,30 @@ pub fn tasm_indexed_batch(
     });
 
     let doc = idx.tree();
-    seed.scan.nodes_seen = u32::try_from(generated).unwrap_or(u32::MAX);
-
-    // Seed phase (and, with <= 1 thread, the whole run): walk regions in
-    // promise order, skipping those no lane can use any more.
-    let mut rest_start = order.len();
-    let mut extra_after_full = 0usize;
-    for (pos, &ri) in order.iter().enumerate() {
-        if deadline.poll() {
-            return Err(DeadlineExceeded);
-        }
-        if threads > 1 && seed.lanes.iter().all(|l| l.heap.is_full()) {
-            extra_after_full += 1;
-            if extra_after_full > SEED_EXTRA {
-                rest_start = pos;
-                break;
+    let want_ted_stats = stats.is_some();
+    let threads = resolve_threads(threads).min(order.len() / MIN_REGIONS_PER_WORKER);
+    let mut results = pull_units(order.len(), threads, ws, deadline, |ws, units, deadline| {
+        let mut set = LaneSet::new(&equeries, model, c_t, opts, want_ted_stats, &mut ws.eval);
+        while let Some(pos) = units.next(deadline)? {
+            let ri = order[pos] as usize;
+            if region_wanted(&set.lanes, &msizes, &commons, ri) {
+                // The region's view of the document arena (local
+                // postorder, sizes invariant), fanned out like a scan
+                // candidate.
+                let (lo, hi) = spans[ri];
+                set.eval(doc.subtree_view(NodeId::new(hi)), lo - 1);
+            } else {
+                // The histogram tier refuted the region for every lane.
+                for lane in &mut set.lanes {
+                    lane.stats.pruned_histogram += 1;
+                }
             }
         }
-        if region_wanted(&seed.lanes, &msizes, &commons, ri as usize) {
-            eval_span(&mut seed, doc, spans[ri as usize]);
-        } else {
-            count_region_skip(&mut seed.lanes);
-        }
-    }
-
-    // Remainder: filter against the (now frozen) cutoffs — admissible
-    // because cutoffs only tighten — and shard the survivors.
-    let mut survivors: Vec<(u32, u32)> = Vec::new();
-    for &ri in &order[rest_start..] {
-        if region_wanted(&seed.lanes, &msizes, &commons, ri as usize) {
-            survivors.push(spans[ri as usize]);
-        } else {
-            count_region_skip(&mut seed.lanes);
-        }
-    }
-    survivors.sort_unstable();
-    let shards = shard_spans(&survivors, threads);
-
-    let mut results = if shards.len() <= 1 {
-        // Too few survivors to be worth worker threads: finish on the
-        // warm seed lanes.
-        eval_spans(&mut seed, doc, &survivors, deadline)?;
-        Vec::with_capacity(1)
-    } else {
-        let equeries = &equeries;
-        // `Deadline` is deliberately `!Sync`, so each worker mints its
-        // own token from the shared expiry instant.
-        let expiry = deadline.instant();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|&shard| {
-                    scope.spawn(move || {
-                        let deadline = expiry.map_or_else(Deadline::none, Deadline::at);
-                        let mut set = LaneSet::new(equeries, model, c_t, opts, want_ted_stats);
-                        eval_spans(&mut set, doc, shard, &deadline)?;
-                        Ok(set.into_result())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("indexed shard worker panicked"))
-                .collect::<Result<Vec<_>, DeadlineExceeded>>()
-        })?
-    };
-    results.push(seed.into_result());
-    Ok(merge_shard_results(queries.len(), results, stats))
+        Ok(set.into_result())
+    })?;
+    let seen = &mut results[0].scan.nodes_seen;
+    *seen = seen.saturating_add(u32::try_from(generated).unwrap_or(u32::MAX));
+    Ok(merge_shard_results(queries.len(), results, stats, None))
 }
 
 #[cfg(test)]
@@ -369,6 +263,7 @@ mod tests {
             1,
             TasmOptions::default(),
             threads,
+            &mut TasmWorkspace::new(),
             None,
             &Deadline::none(),
         )
@@ -438,6 +333,7 @@ mod tests {
             1,
             TasmOptions::default(),
             1,
+            &mut TasmWorkspace::new(),
             None,
             &deadline,
         );
@@ -446,57 +342,66 @@ mod tests {
 
     #[test]
     fn keep_trees_are_the_document_subtrees() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 30);
-        let q1 = bracket::parse("{article{auth{John}}{title{X9}}}", &mut dict).unwrap();
-        let q2 = bracket::parse("{book{title}}", &mut dict).unwrap();
-        let idx = IndexedDocument::build(&doc, &dict);
-        let opts = TasmOptions {
-            keep_trees: true,
-            ..TasmOptions::default()
-        };
-        // Matches are cut from the index's document, so the sequential
-        // reference runs there too, on the queries in index label space.
-        let encoded = idx.encode_queries(&[&q1, &q2], &dict);
-        for k in [1, 4, 12] {
-            let queries = [
-                BatchQuery { query: &q1, k },
-                BatchQuery {
-                    query: &q2,
-                    k: k + 1,
-                },
-            ];
-            for threads in [1, 3] {
-                let out = tasm_indexed_batch(
-                    &queries,
-                    &dict,
-                    &idx,
-                    &UnitCost,
-                    1,
-                    opts,
-                    threads,
-                    None,
-                    &Deadline::none(),
-                )
-                .unwrap();
-                for ((got, q), bq) in out.rankings.iter().zip(&encoded).zip(&queries) {
-                    for m in got {
-                        let tree = m.tree.as_ref().expect("keep_trees attaches a tree");
-                        assert_eq!(tree, &idx.tree().subtree(m.root), "threads = {threads}");
+        // One region per record: 400 are enough for 3 workers.
+        for records in [30, 400] {
+            let mut dict = LabelDict::new();
+            let doc = wide_doc(&mut dict, records);
+            let q1 = bracket::parse("{article{auth{John}}{title{X9}}}", &mut dict).unwrap();
+            let q2 = bracket::parse("{book{title}}", &mut dict).unwrap();
+            let idx = IndexedDocument::build(&doc, &dict);
+            let opts = TasmOptions {
+                keep_trees: true,
+                ..TasmOptions::default()
+            };
+            // Matches are cut from the index's document, so the sequential
+            // reference runs there too, on the queries in index label space.
+            let encoded = idx.encode_queries(&[&q1, &q2], &dict);
+            for k in [1, 4, 12] {
+                let queries = [
+                    BatchQuery { query: &q1, k },
+                    BatchQuery {
+                        query: &q2,
+                        k: k + 1,
+                    },
+                ];
+                for threads in [1, 3] {
+                    let out = tasm_indexed_batch(
+                        &queries,
+                        &dict,
+                        &idx,
+                        &UnitCost,
+                        1,
+                        opts,
+                        threads,
+                        &mut TasmWorkspace::new(),
+                        None,
+                        &Deadline::none(),
+                    )
+                    .unwrap();
+                    for ((got, q), bq) in out.rankings.iter().zip(&encoded).zip(&queries) {
+                        for m in got {
+                            let tree = m.tree.as_ref().expect("keep_trees attaches a tree");
+                            assert_eq!(
+                                tree,
+                                &idx.tree().subtree(m.root),
+                                "records = {records}, threads = {threads}"
+                            );
+                        }
+                        let mut queue = TreeQueue::new(idx.tree());
+                        let want = tasm_postorder(q, &mut queue, bq.k, &UnitCost, 1, opts, None);
+                        assert_eq!(
+                            got, &want,
+                            "records = {records}, k = {k}, threads = {threads}"
+                        );
                     }
-                    let mut queue = TreeQueue::new(idx.tree());
-                    let want = tasm_postorder(q, &mut queue, bq.k, &UnitCost, 1, opts, None);
-                    assert_eq!(got, &want, "k = {k}, threads = {threads}");
                 }
             }
         }
     }
 
     #[test]
-    fn shard_workers_poll_the_deadline() {
-        // Every evaluation of a region holding `slow` sleeps. The first
-        // regions in promise order are fast, so the seed pass finishes
-        // at once and the deadline can only fire inside the workers.
+    fn pull_workers_poll_the_deadline() {
+        // Every evaluation of a region holding `slow` sleeps.
         struct SlowCost(LabelId);
         impl CostModel for SlowCost {
             fn node_cost(&self, tree: tasm_tree::TreeView<'_>, node: NodeId) -> u64 {
@@ -510,32 +415,46 @@ mod tests {
             }
         }
         let mut dict = LabelDict::new();
-        let mut s = String::from("{r");
-        s.push_str(&"{a{b}{c}}".repeat(SEED_EXTRA + 8));
-        s.push_str(&"{a{b}{c}{slow}}".repeat(300));
-        s.push('}');
-        let doc = bracket::parse(&s, &mut dict).unwrap();
+        let doc = bracket::parse(
+            &format!("{{r{}}}", "{a{b}{c}{slow}}".repeat(400)),
+            &mut dict,
+        )
+        .unwrap();
         let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
         let idx = IndexedDocument::build(&doc, &dict);
         let slow = SlowCost(idx.dict().get("slow").unwrap());
-        // Without the cascade and τ' every slow region (bound 0, equal
-        // to the cutoff) survives to a worker and runs the DP.
+        // Without the cascade and τ' every region (bound 0, equal to
+        // the cutoff) is wanted and runs the DP.
         let opts = TasmOptions {
             use_cascade: false,
             use_tau_prime: false,
             ..TasmOptions::default()
         };
         let queries = [BatchQuery { query: &q, k: 1 }];
-        // A full evaluation sleeps 300 × 5 ms, >= 500 ms on 3 workers.
-        let start = std::time::Instant::now();
-        let deadline = Deadline::after(std::time::Duration::from_millis(20));
-        let got = tasm_indexed_batch(&queries, &dict, &idx, &slow, 1, opts, 3, None, &deadline);
-        let elapsed = start.elapsed();
-        assert_eq!(got.unwrap_err(), DeadlineExceeded);
-        assert!(
-            elapsed < std::time::Duration::from_millis(250),
-            "deadline noticed only after {elapsed:?}"
-        );
+        // A full evaluation sleeps 400 × 5 ms, >= 600 ms on 3 workers
+        // (400 regions are enough for 3).
+        for threads in [1, 3] {
+            let start = std::time::Instant::now();
+            let deadline = Deadline::after(std::time::Duration::from_millis(20));
+            let got = tasm_indexed_batch(
+                &queries,
+                &dict,
+                &idx,
+                &slow,
+                1,
+                opts,
+                threads,
+                &mut TasmWorkspace::new(),
+                None,
+                &deadline,
+            );
+            let elapsed = start.elapsed();
+            assert_eq!(got.unwrap_err(), DeadlineExceeded, "threads = {threads}");
+            assert!(
+                elapsed < std::time::Duration::from_millis(250),
+                "threads = {threads}: deadline noticed only after {elapsed:?}"
+            );
+        }
     }
 
     #[test]
@@ -546,24 +465,5 @@ mod tests {
         let out = run(&[], &dict, &idx, 2);
         assert!(out.rankings.is_empty() && out.lanes.is_empty());
         assert_eq!(out.scan, ScanStats::default());
-    }
-
-    #[test]
-    fn shard_spans_cover_everything_contiguously() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 50);
-        let (spans, _) = IndexedDocument::build(&doc, &dict).candidate_spans(5);
-        for shards in 1..=8 {
-            let groups = shard_spans(&spans, shards);
-            assert!(!groups.is_empty() && groups.len() <= shards);
-            assert!(groups.iter().all(|g| !g.is_empty()));
-            let flat: Vec<_> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-            assert_eq!(flat, spans, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn shard_spans_handles_empty_input() {
-        assert_eq!(shard_spans(&[], 4).len(), 0);
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! Around the paper's algorithms sit three **drivers**, one per kind of
 //! document source. Each answers a batch of queries, takes a thread
-//! count (`0` = one per available core) and a cooperative
-//! [`Deadline`], and returns rankings plus statistics:
+//! count (`0` = one per available core), a caller-kept
+//! [`TasmWorkspace`] and a cooperative [`Deadline`], and returns
+//! rankings plus statistics:
 //!
 //! * [`tasm_batch`] — a postorder **queue**: an XML or `.pq` stream, or
 //!   a materialized tree through [`TreeQueue`](tasm_tree::TreeQueue). At
@@ -30,11 +31,13 @@
 //! * [`tasm_indexed_batch`] — a persistent `.pqi` label **index**
 //!   ([`IndexedDocument`](tasm_index::IndexedDocument)): candidate
 //!   regions come from the subtree-size column, the label postings
-//!   bound each region before it is evaluated, and survivors are
-//!   evaluated in place as views of the resident document;
+//!   bound each region before it is evaluated, and workers pull the
+//!   regions in promise order from one shared cursor, evaluating them
+//!   in place as views of the resident document;
 //! * [`tasm_corpus_batch`] — a crash-safe multi-shard **corpus**
-//!   ([`Corpus`](tasm_index::Corpus)): every healthy shard answers via
-//!   the index path and the per-shard rankings merge on a
+//!   ([`Corpus`](tasm_index::Corpus)): workers pull the healthy shards
+//!   through the same loop, each shard answers via the index path, and
+//!   the per-shard rankings merge on a
 //!   deterministic corpus rank key, with quarantined shards surfaced as
 //!   an explicit `healthy/total` degraded marker ([`CorpusStatus`]).
 //!

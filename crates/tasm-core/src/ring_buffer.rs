@@ -54,9 +54,9 @@ impl Candidate {
 /// Streaming candidate-set computation over a postorder queue
 /// (Algorithms 1–2, `prb-pruning` / `prb-next`).
 ///
-/// Iterate with [`PrefixRingBuffer::next_candidate`]; candidates are
-/// yielded in ascending order of their root's postorder number, which for
-/// disjoint subtrees is also ascending document order.
+/// Iterate with [`PrefixRingBuffer::next_candidate_into`]; candidates
+/// are yielded in ascending order of their root's postorder number,
+/// which for disjoint subtrees is also ascending document order.
 #[derive(Debug)]
 pub struct PrefixRingBuffer<'q, Q: PostorderQueue + ?Sized> {
     queue: &'q mut Q,
@@ -142,24 +142,14 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
     }
 
     /// Advances the scan to the next candidate subtree (the paper's
-    /// `prb-next`), returning `None` when queue and buffer are exhausted.
-    pub fn next_candidate(&mut self) -> Option<Candidate> {
-        let (lo, root) = self.advance()?;
-        let cand = self.materialize(lo, root);
-        self.consume(root);
-        Some(cand)
-    }
-
-    /// As [`PrefixRingBuffer::next_candidate`], but renumbering the
-    /// candidate into the caller-owned `scratch` tree instead of
-    /// allocating one, and returning the candidate root's postorder
-    /// number **in the document** (`None` when exhausted).
+    /// `prb-next`), renumbering it into the caller-owned `scratch` tree
+    /// and returning the candidate root's postorder number **in the
+    /// document** (`None` when queue and buffer are exhausted).
     ///
-    /// This is the borrowed-candidate fast path used by `tasm_postorder`:
-    /// once `scratch`'s capacity covers the largest candidate (at most τ
-    /// nodes), the scan emits candidates with zero heap allocation. The
-    /// local-to-document numbering correspondence is as in
-    /// [`Candidate::doc_post`].
+    /// This is the one emit path: once `scratch`'s capacity covers the
+    /// largest candidate (at most τ nodes), the scan emits candidates
+    /// with zero heap allocation. The local-to-document numbering
+    /// correspondence is as in [`Candidate::doc_post`].
     pub fn next_candidate_into(&mut self, scratch: &mut Tree) -> Option<NodeId> {
         let (lo, root) = self.advance()?;
         self.materialize_into(lo, root, scratch);
@@ -258,30 +248,12 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
         self.peak = self.peak.max(self.buffered());
     }
 
-    /// Copies nodes `lo..=root` out of the ring as an owned tree.
-    ///
-    /// Subtree sizes are recovered from the prefix array: a slot holds a
-    /// leaf iff its pointer is `>= id` (size 1), otherwise the pointer is
-    /// the node's leftmost leaf.
-    fn materialize(&self, lo: u32, root: u32) -> Candidate {
-        let n = (root - lo + 1) as usize;
-        let mut labels = Vec::with_capacity(n);
-        let mut sizes = Vec::with_capacity(n);
-        for id in lo..=root {
-            let (label, size) = self.node_entry(id);
-            labels.push(label);
-            sizes.push(size);
-        }
-        // Renumber: local sizes are already local (subtree sizes are
-        // invariant under the shift), validity is by construction.
-        Candidate {
-            tree: Tree::from_postorder_unchecked(labels, sizes),
-            root: NodeId::new(root),
-        }
-    }
-
-    /// As [`PrefixRingBuffer::materialize`], but renumbering into the
-    /// caller's scratch tree (allocation-free once warm).
+    /// Copies nodes `lo..=root` out of the ring into the caller's
+    /// scratch tree (allocation-free once warm). Subtree sizes are
+    /// recovered from the prefix array: a slot holds a leaf iff its
+    /// pointer is `>= id` (size 1), otherwise the pointer is the node's
+    /// leftmost leaf; local sizes equal document sizes (subtree sizes
+    /// are invariant under the shift), so no renumbering is needed.
     fn materialize_into(&self, lo: u32, root: u32, scratch: &mut Tree) {
         scratch.set_postorder_unchecked((lo..=root).map(|id| self.node_entry(id)));
     }
@@ -316,8 +288,12 @@ pub fn prb_pruning<Q: PostorderQueue + ?Sized>(queue: &mut Q, tau: u32) -> Vec<C
     // sound first guess for the accumulator (capped; geometric growth
     // after).
     let mut out = Vec::with_capacity(prb.b.min(INITIAL_RESERVE_CAP));
-    while let Some(c) = prb.next_candidate() {
-        out.push(c);
+    let mut scratch = Tree::leaf(LabelId(0));
+    while let Some(root) = prb.next_candidate_into(&mut scratch) {
+        out.push(Candidate {
+            tree: scratch.clone(),
+            root,
+        });
     }
     out
 }
@@ -391,11 +367,12 @@ pub fn prb_pruning_stats<Q: PostorderQueue + ?Sized>(
 ) -> PruningStats {
     let mut prb = PrefixRingBuffer::new(queue, tau);
     let mut st = PruningStats::default();
-    while let Some(c) = prb.next_candidate() {
+    let mut scratch = Tree::leaf(LabelId(0));
+    while prb.next_candidate_into(&mut scratch).is_some() {
         st.candidates += 1;
-        st.candidate_nodes += c.tree.len() as u64;
+        st.candidate_nodes += scratch.len() as u64;
         if let Some(s) = stats_sink.as_deref_mut() {
-            s.record_relevant(c.tree.len() as u32);
+            s.record_relevant(scratch.len() as u32);
         }
     }
     st.peak_buffered = prb.peak_buffered();
@@ -593,8 +570,9 @@ mod tests {
         let mut q = TreeQueue::new(&t);
         let mut prb = PrefixRingBuffer::new(&mut q, 6);
         let mut count = 0;
-        while let Some(c) = prb.next_candidate() {
-            assert_eq!(c.tree.len(), 3);
+        let mut cand = Tree::leaf(LabelId(0));
+        while prb.next_candidate_into(&mut cand).is_some() {
+            assert_eq!(cand.len(), 3);
             count += 1;
         }
         assert_eq!(count, 200);

@@ -51,7 +51,7 @@ use crate::deadline::Deadline;
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
 use crate::lane::{merge_shard_results, scan_tau_of, LaneSet, ShardResult};
 use crate::tasm_dynamic::TasmOptions;
-use crate::workspace::scratch_fits_cap;
+use crate::workspace::{scratch_fits_cap, LaneScratch};
 use tasm_ted::{CostModel, TedStats};
 use tasm_tree::{LabelId, NodeId, PostorderQueue, Tree, TreeView};
 
@@ -268,7 +268,7 @@ impl CandidateSink for SegmentSink<'_> {
 
 /// One streaming shard worker: consumes segments until the pipe drains,
 /// evaluating every candidate in place, as a view of its segment,
-/// through this worker's own lanes.
+/// through this worker's own [`LaneSet`].
 fn stream_worker(
     pipe: &Pipe,
     queries: &[BatchQuery<'_>],
@@ -278,7 +278,8 @@ fn stream_worker(
     want_ted_stats: bool,
 ) -> ShardResult {
     let _guard = AbortOnPanic(pipe);
-    let mut set = LaneSet::new(queries, model, c_t, opts, want_ted_stats);
+    let mut scratch = LaneScratch::default();
+    let mut set = LaneSet::new(queries, model, c_t, opts, want_ted_stats, &mut scratch);
     while let Some(seg) = pipe.recv() {
         let mut lo = 0usize;
         for &(root, len) in &seg.roots {
@@ -421,13 +422,13 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
         producer_scan.candidates,
         "every candidate must be evaluated by exactly one worker"
     );
-    let mut out = merge_shard_results(queries.len(), results, stats);
     // Scan-layer truth comes from the producer's single pass.
-    out.scan.adopt_scan_layer(&producer_scan);
-    for ls in &mut out.lanes {
-        ls.adopt_scan_layer(&producer_scan);
-    }
-    Ok(out)
+    Ok(merge_shard_results(
+        queries.len(),
+        results,
+        stats,
+        Some(&producer_scan),
+    ))
 }
 
 #[cfg(test)]

@@ -115,8 +115,8 @@ pub fn tasm_dynamic_with_workspace(
         candidates: 1,
         ..ScanStats::default()
     };
-    if ws.lanes.is_empty() {
-        ws.lanes.push(TedWorkspace::new());
+    if ws.eval.teds.is_empty() {
+        ws.eval.teds.push(TedWorkspace::new());
     }
     process_candidate_parts(
         &mut heap,
@@ -126,8 +126,8 @@ pub fn tasm_dynamic_with_workspace(
         0,
         u64::MAX,
         opts,
-        &mut ws.lb,
-        &mut ws.lanes[0],
+        &mut ws.eval.lb,
+        &mut ws.eval.teds[0],
         &mut scan,
         stats,
     );

@@ -5,39 +5,49 @@
 //! candidate: a fresh candidate tree from the ring buffer, a fresh
 //! subtree copy per evaluated root, fresh cost arrays, keyroot vectors
 //! and DP matrices inside Zhang–Shasha. [`TasmWorkspace`] owns every one
-//! of those buffers and is reused across the whole stream. The shared
-//! scan behind [`tasm_batch`](crate::tasm_batch) and
-//! [`tasm_postorder`](crate::tasm_postorder) reserves them up front for
-//! the widest candidate the Theorem 3 bound τ admits, so the candidate
-//! loop performs **zero heap allocations** — verified by the
-//! counting-allocator regression tests in `tasm-bench`.
+//! of those buffers and is reused across calls. Every driver evaluates
+//! through a [`LaneSet`](crate::lane::LaneSet) that borrows the
+//! workspace's [`LaneScratch`] and reserves it up front for the widest
+//! candidate the Theorem 3 bound τ admits, so the candidate loop of the
+//! shared scan, the index's region loop and the corpus's shard loop
+//! perform **zero heap allocations** once the workspace is warm —
+//! verified by the counting-allocator regression tests in `tasm-bench`.
 
 use crate::engine::{ScanEngine, ScanStats};
 use tasm_ted::{CascadeScratch, TedWorkspace};
 
-/// Reusable scratch state for [`tasm_postorder`](crate::tasm_postorder),
-/// [`tasm_batch`](crate::tasm_batch) and
+/// Reusable scratch state for every driver: [`tasm_postorder`](crate::tasm_postorder),
+/// [`tasm_batch`](crate::tasm_batch), [`tasm_indexed_batch`](crate::tasm_indexed_batch),
+/// [`tasm_corpus_batch`](crate::tasm_corpus_batch) and
 /// [`tasm_dynamic`](crate::tasm_dynamic).
 ///
 /// Create once (per stream, or per daemon worker) and pass `&mut` to
-/// the `_with_workspace` entry points or the batch driver. All buffers
-/// grow but never shrink. The scan layer — the [`ScanEngine`] with its
-/// candidate arena — lives inside the workspace, so workspace reuse also
-/// amortizes the scan warm-up. Evaluated subtrees are zero-copy
-/// [`TreeView`](tasm_tree::TreeView) slices of that arena. The sharded
-/// paths leave the workspace untouched: each worker owns its state.
+/// the drivers. All buffers grow but never shrink. The scan layer — the
+/// [`ScanEngine`] with its candidate arena — lives inside the
+/// workspace, so workspace reuse also amortizes the scan warm-up.
+/// Evaluated subtrees are zero-copy [`TreeView`](tasm_tree::TreeView)
+/// slices of that arena or of the resident document. Above one thread,
+/// the calling thread's share of the work runs on this workspace and
+/// every other worker on its own.
 #[derive(Debug)]
 pub struct TasmWorkspace {
     /// The scan layer: ring-buffer pass plus the candidate arena.
     pub(crate) engine: ScanEngine,
-    /// Lower-bound cascade scratch (histogram counters, SED rows); only
-    /// one lane checks at a time, so every lane shares it.
-    pub(crate) lb: CascadeScratch,
-    /// Distance-side scratch, one per query lane (DP matrices, doc
-    /// keyroots, doc costs); grown to the widest batch seen.
-    pub(crate) lanes: Vec<TedWorkspace>,
+    /// What the lanes evaluate with.
+    pub(crate) eval: LaneScratch,
     /// Scan + pruning-funnel statistics of the most recent run.
     pub(crate) last_scan: ScanStats,
+}
+
+/// The evaluation scratch a [`LaneSet`](crate::lane::LaneSet) borrows:
+/// the lower-bound cascade scratch (histogram counters, SED rows; only
+/// one lane checks at a time, so every lane shares it) and one
+/// distance-side workspace per query lane (DP matrices, doc keyroots,
+/// doc costs), grown to the widest batch seen.
+#[derive(Debug, Default)]
+pub(crate) struct LaneScratch {
+    pub(crate) lb: CascadeScratch,
+    pub(crate) teds: Vec<TedWorkspace>,
 }
 
 impl Default for TasmWorkspace {
@@ -51,8 +61,7 @@ impl TasmWorkspace {
     pub fn new() -> Self {
         TasmWorkspace {
             engine: ScanEngine::new(1),
-            lb: CascadeScratch::new(),
-            lanes: Vec::new(),
+            eval: LaneScratch::default(),
             last_scan: ScanStats::default(),
         }
     }

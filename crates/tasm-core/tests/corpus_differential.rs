@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use tasm_core::{
     tasm_corpus_batch, tasm_indexed_batch, BatchQuery, CorpusBatchOutput, CorpusMatch, Deadline,
-    ScanStats, TasmOptions, TedKernel,
+    ScanStats, TasmOptions, TasmWorkspace, TedKernel,
 };
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
@@ -108,6 +108,7 @@ fn reference(
                     1,
                     TasmOptions::default(),
                     1,
+                    &mut TasmWorkspace::new(),
                     None,
                     &Deadline::none(),
                 )
@@ -142,6 +143,7 @@ fn corpus_batch(
         1,
         opts,
         threads,
+        &mut TasmWorkspace::new(),
         None,
         &Deadline::none(),
     )
@@ -242,8 +244,9 @@ fn assert_scheduled_stats(corpus: &Corpus, tag: &str) {
         // With one inner lane per worker every shard evaluates exactly
         // as in the sequential run, so the whole funnel is identical.
         // When threads outnumber shards the leftover budget becomes
-        // intra-shard lanes, which may prune differently; the candidate
-        // count is scan-determined and stays invariant regardless.
+        // intra-shard workers, which may prune differently; these shards
+        // have too few regions to split, so the candidate count stays
+        // invariant regardless.
         let workers = threads.min(healthy_shards.len());
         if threads / workers <= 1 {
             assert_eq!(scheduled.scan, sequential.scan, "{tag}: threads={threads}");
@@ -313,5 +316,84 @@ fn degraded_corpus_matches_the_reference_over_surviving_shards() {
     assert_eq!(corpus.healthy_count(), 3);
     assert!(corpus.is_degraded());
     assert_matrix(&corpus, "degraded corpus");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The pull scheduler under repetition: at every thread count, run
+/// after run, the indexed driver over each shard (and over one larger
+/// document) and the corpus driver over all shards rank exactly as at
+/// one thread. Which worker pulls which region or shard changes from
+/// run to run; the rankings must not. One workspace serves every call.
+#[test]
+fn pull_workers_rank_like_one_thread_under_stress() {
+    let dir = tmp_dir("stress");
+    let n_labels = 4;
+    let corpus = build_corpus(&dir, n_labels);
+    let qdict = label_dict(n_labels);
+    let big = tasm_index::IndexedDocument::build(&random_tree(4242, 4000, n_labels), &qdict);
+    let docs: Vec<&tasm_index::IndexedDocument> = corpus
+        .healthy()
+        .map(|(_, _, doc)| doc)
+        .chain(std::iter::once(&big))
+        .collect();
+    let opts = TasmOptions::default();
+    let mut ws = TasmWorkspace::new();
+    for seed in 0..3u64 {
+        let q1 = random_tree(500 + seed, 5, n_labels);
+        let q2 = random_tree(600 + seed, 7, n_labels);
+        let bqs = [
+            BatchQuery { query: &q1, k: 3 },
+            BatchQuery { query: &q2, k: 9 },
+        ];
+        // The larger document must split four ways: the driver gives a
+        // worker at least 128 regions.
+        let tau = [(&q1, 3u64), (&q2, 9)]
+            .iter()
+            .map(|&(q, k)| tasm_core::threshold_for_query(q, &UnitCost, 1, k))
+            .max()
+            .unwrap();
+        assert!(big.candidate_spans(tau as u32).0.len() >= 4 * 128);
+        let mut indexed = |doc: &tasm_index::IndexedDocument, threads: usize| {
+            tasm_indexed_batch(
+                &bqs,
+                &qdict,
+                doc,
+                &UnitCost,
+                1,
+                opts,
+                threads,
+                &mut ws,
+                None,
+                &Deadline::none(),
+            )
+            .expect("no deadline")
+            .rankings
+        };
+        let want_indexed: Vec<_> = docs.iter().map(|doc| indexed(doc, 1)).collect();
+        let want_corpus: Vec<_> = corpus_batch(&bqs, &qdict, &corpus, opts, 1)
+            .rankings
+            .iter()
+            .map(|lane| key(lane))
+            .collect();
+        for threads in 1..=4 {
+            for run in 0..6 {
+                for (d, (doc, want)) in docs.iter().zip(&want_indexed).enumerate() {
+                    assert_eq!(
+                        &indexed(doc, threads),
+                        want,
+                        "seed {seed}, document {d}, threads {threads}, run {run}"
+                    );
+                }
+                let got = corpus_batch(&bqs, &qdict, &corpus, opts, threads);
+                for (lane, want) in got.rankings.iter().zip(&want_corpus) {
+                    assert_eq!(
+                        &key(lane),
+                        want,
+                        "seed {seed}, corpus, threads {threads}, run {run}"
+                    );
+                }
+            }
+        }
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

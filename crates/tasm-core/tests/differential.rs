@@ -160,6 +160,7 @@ fn indexed(
         c_t,
         opts,
         threads,
+        &mut TasmWorkspace::new(),
         None,
         &Deadline::none(),
     )
@@ -752,6 +753,7 @@ fn query_labels_absent_from_the_document_rank_like_the_oracle() {
                     c_t,
                     opts,
                     threads,
+                    &mut TasmWorkspace::new(),
                     None,
                     &Deadline::none(),
                 )

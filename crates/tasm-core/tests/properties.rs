@@ -91,7 +91,8 @@ proptest! {
     fn ring_buffer_space_bound_theorem_2(doc in arb_doc(), tau in 1u32..40) {
         let mut q = TreeQueue::new(&doc);
         let mut prb = PrefixRingBuffer::new(&mut q, tau);
-        while prb.next_candidate().is_some() {}
+        let mut cand = Tree::leaf(LabelId(0));
+        while prb.next_candidate_into(&mut cand).is_some() {}
         prop_assert!(prb.peak_buffered() <= tau as usize);
         prop_assert_eq!(prb.nodes_seen() as usize, doc.len());
     }

@@ -14,9 +14,8 @@
 //! ```text
 //! magic      "TASMCM1\n"                                8 bytes
 //! generation u64                                        monotonic
-//! n_labels   u64
-//! labels     n_labels × (u32 len, bytes, u64 freq)      corpus dictionary,
-//!                                                       descending frequency
+//! n_labels   u64                                        written as 0
+//! labels     n_labels × (u32 len, bytes, u64 freq)      skipped on read
 //! n_shards   u64
 //! shards     n_shards × shard record
 //! crc32      u32                CRC-32 (IEEE) of every byte after magic
@@ -51,7 +50,6 @@
 //! and the open still succeeds in degraded mode. Only a missing or
 //! corrupt `MANIFEST` is fatal ([`CorpusError::Manifest`]).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -138,16 +136,16 @@ pub struct ShardMeta {
     pub n_nodes: u64,
 }
 
-/// The decoded `MANIFEST`: generation, corpus-wide label dictionary
-/// (descending frequency) and one [`ShardMeta`] per shard.
+/// The decoded `MANIFEST`: generation and one [`ShardMeta`] per shard.
+///
+/// The format keeps a label section from when the manifest carried a
+/// corpus-wide dictionary. Nothing reads it any more (every shard
+/// encodes queries into its own label space), so it is written empty
+/// and skipped, bounds-checked, on read: older corpora open unchanged.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Manifest {
     /// Monotonic generation number, bumped on every rewrite.
     pub generation: u64,
-    /// Corpus-wide `(label, frequency)` dictionary in descending
-    /// frequency order (ties broken by label), summed over the healthy
-    /// shards at the last rewrite.
-    pub labels: Vec<(String, u64)>,
     /// Shard records, in insertion order.
     pub shards: Vec<ShardMeta>,
 }
@@ -158,11 +156,7 @@ impl Manifest {
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&(self.labels.len() as u64).to_le_bytes());
-        for (label, freq) in &self.labels {
-            put_bytes(&mut out, label.as_bytes());
-            out.extend_from_slice(&freq.to_le_bytes());
-        }
+        out.extend_from_slice(&0u64.to_le_bytes()); // no label section
         out.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
         for s in &self.shards {
             put_bytes(&mut out, s.name.as_bytes());
@@ -206,11 +200,10 @@ impl Manifest {
         let mut cur = Cursor { buf: body, pos: 0 };
         let generation = cur.u64("generation")?;
         let n_labels = cur.u64("label count")?;
-        let mut labels = Vec::new();
         for i in 0..n_labels {
-            let label = cur.string(&format!("label {i}"))?;
-            let freq = cur.u64(&format!("frequency of label {i}"))?;
-            labels.push((label, freq));
+            let len = cur.u32(&format!("label {i}"))? as usize;
+            cur.take(len, &format!("label {i}"))?;
+            cur.u64(&format!("frequency of label {i}"))?;
         }
         let n_shards = cur.u64("shard count")?;
         let mut shards = Vec::new();
@@ -242,11 +235,7 @@ impl Manifest {
                 body.len() - cur.pos
             )));
         }
-        Ok(Manifest {
-            generation,
-            labels,
-            shards,
-        })
+        Ok(Manifest { generation, shards })
     }
 
     /// Reads and verifies `<dir>/MANIFEST`.
@@ -339,7 +328,6 @@ pub struct FsckOutcome {
 pub struct Corpus {
     dir: PathBuf,
     manifest: Manifest,
-    dict: LabelDict,
     /// Aligned with `manifest.shards`; `None` = quarantined.
     docs: Vec<Option<IndexedDocument>>,
     quarantined: Vec<ShardReport>,
@@ -360,13 +348,11 @@ impl Corpus {
         }
         let manifest = Manifest {
             generation: 1,
-            labels: Vec::new(),
             shards: Vec::new(),
         };
         manifest.store(&dir)?;
         Ok(Corpus {
             dir,
-            dict: LabelDict::new(),
             manifest,
             docs: Vec::new(),
             quarantined: Vec::new(),
@@ -380,10 +366,6 @@ impl Corpus {
     pub fn open(dir: impl AsRef<Path>) -> Result<Corpus, CorpusError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = Manifest::load(&dir)?;
-        let mut dict = LabelDict::with_capacity(manifest.labels.len());
-        for (label, _) in &manifest.labels {
-            dict.intern(label);
-        }
         let mut docs = Vec::with_capacity(manifest.shards.len());
         let mut quarantined = Vec::new();
         for meta in &manifest.shards {
@@ -403,7 +385,6 @@ impl Corpus {
         Ok(Corpus {
             dir,
             manifest,
-            dict,
             docs,
             quarantined,
         })
@@ -480,16 +461,9 @@ impl Corpus {
         self.commit(generation)
     }
 
-    /// Rewrites the manifest at `generation` with the corpus dictionary
-    /// recomputed from the healthy shards.
+    /// Rewrites the manifest at `generation`.
     fn commit(&mut self, generation: u64) -> Result<(), CorpusError> {
         self.manifest.generation = generation;
-        self.manifest.labels = global_labels(&self.docs);
-        let mut dict = LabelDict::with_capacity(self.manifest.labels.len());
-        for (label, _) in &self.manifest.labels {
-            dict.intern(label);
-        }
-        self.dict = dict;
         self.manifest.store(&self.dir)
     }
 
@@ -526,14 +500,6 @@ impl Corpus {
     /// Failure reports for the quarantined shards.
     pub fn quarantined(&self) -> &[ShardReport] {
         &self.quarantined
-    }
-
-    /// The corpus-wide frequency-ordered label dictionary from the
-    /// manifest. Queries parsed against it, or against any other
-    /// dictionary, translate to any shard via
-    /// [`IndexedDocument::encode_queries`].
-    pub fn global_dict(&self) -> &LabelDict {
-        &self.dict
     }
 
     /// The healthy shards as `(shard index, name, document)`, in
@@ -651,23 +617,6 @@ fn verify_shard(
     Ok(doc)
 }
 
-/// Sums per-shard label frequencies over the healthy shards into the
-/// corpus dictionary: descending total frequency, ties broken by label.
-fn global_labels(docs: &[Option<IndexedDocument>]) -> Vec<(String, u64)> {
-    let mut totals: HashMap<String, u64> = HashMap::new();
-    for doc in docs.iter().flatten() {
-        for (id, label) in doc.dict().iter() {
-            let f = u64::from(doc.frequency(id));
-            if f > 0 {
-                *totals.entry(label.to_string()).or_insert(0) += f;
-            }
-        }
-    }
-    let mut labels: Vec<(String, u64)> = totals.into_iter().collect();
-    labels.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    labels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,7 +647,6 @@ mod tests {
     fn manifest_round_trips() {
         let m = Manifest {
             generation: 7,
-            labels: vec![("title".into(), 4), ("a".into(), 1)],
             shards: vec![ShardMeta {
                 name: "x".into(),
                 path: "x.pqi".into(),
@@ -734,7 +682,6 @@ mod tests {
     fn sample_manifest() -> Manifest {
         Manifest {
             generation: 3,
-            labels: vec![("title".into(), 9)],
             shards: vec![ShardMeta {
                 name: "d".into(),
                 path: "d.pqi".into(),
@@ -759,9 +706,6 @@ mod tests {
         assert!(!corpus.is_degraded());
         let names: Vec<&str> = corpus.healthy().map(|(_, n, _)| n).collect();
         assert_eq!(names, ["docs-a", "docs-b"]);
-        // Global dict is frequency-ordered: "title" occurs 3 times.
-        assert_eq!(corpus.manifest().labels[0].0, "title");
-        assert_eq!(corpus.manifest().labels[0].1, 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -471,7 +471,7 @@ fn evaluate_batch(
         DocContent::Tree { tree, .. } => evaluate_tree_batch(ws, batch, tree),
         DocContent::Corpus(corpus) => batch
             .iter()
-            .map(|req| evaluate_corpus_request(req, corpus, corpus_threads))
+            .map(|req| evaluate_corpus_request(ws, req, corpus, corpus_threads))
             .collect(),
     }
 }
@@ -561,6 +561,7 @@ fn scan_tree(
 /// the request's own deadline, with the degraded marker threaded into
 /// the `OK` line (and `STATS`, when requested).
 fn evaluate_corpus_request(
+    ws: &mut TasmWorkspace,
     req: &PendingRequest,
     corpus: &Arc<Corpus>,
     corpus_threads: usize,
@@ -582,6 +583,7 @@ fn evaluate_corpus_request(
         1,
         TasmOptions::default(),
         corpus_threads,
+        ws,
         None,
         &deadline,
     ) {

@@ -17,7 +17,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasm_core::{tasm_corpus_batch, tasm_postorder, BatchQuery, Deadline, TasmOptions};
+use tasm_core::{
+    tasm_corpus_batch, tasm_postorder, BatchQuery, Deadline, TasmOptions, TasmWorkspace,
+};
 use tasm_index::Corpus;
 use tasm_serve::{is_multiline, Doc, DocStore, Server, ServerConfig};
 use tasm_ted::UnitCost;
@@ -289,7 +291,7 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
 
     // Differential: identical to the direct corpus engine call.
     let corpus = Corpus::open(&dir).unwrap();
-    let mut qdict = corpus.global_dict().clone();
+    let mut qdict = LabelDict::new();
     let query = parse_tree_str(query_text, &mut qdict).unwrap();
     let out = tasm_corpus_batch(
         &[BatchQuery {
@@ -302,6 +304,7 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
         1,
         TasmOptions::default(),
         1,
+        &mut TasmWorkspace::new(),
         None,
         &Deadline::none(),
     )
@@ -399,7 +402,7 @@ fn queries_with_labels_the_document_lacks_match_the_engine() {
         &format!("QUERY doc=corp k=4 q={query_text}"),
     );
     let corpus = Corpus::open(&dir).unwrap();
-    let mut qdict = corpus.global_dict().clone();
+    let mut qdict = LabelDict::new();
     let query = parse_tree_str(query_text, &mut qdict).unwrap();
     let out = tasm_corpus_batch(
         &[BatchQuery {
@@ -412,6 +415,7 @@ fn queries_with_labels_the_document_lacks_match_the_engine() {
         1,
         TasmOptions::default(),
         1,
+        &mut TasmWorkspace::new(),
         None,
         &Deadline::none(),
     )

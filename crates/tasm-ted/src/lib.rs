@@ -24,10 +24,7 @@
 //! assert_eq!(row, vec![2, 3, 1, 2, 2, 0, 4]);
 //! ```
 
-// `unsafe` is denied crate-wide and allowed only in the two modules that
-// implement the debug-asserted unchecked DP-matrix access (`matrix`,
-// `zhang_shasha`); everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cascade;

@@ -4,10 +4,7 @@
 //! reuse** ([`Matrix::reset`] / [`Matrix::reset_stale`]): a workspace
 //! re-dimensions the same backing buffer for every candidate subtree, so
 //! the steady state of the streaming algorithms performs no heap
-//! allocation. The DP inner loops use the debug-asserted unchecked
-//! accessors; this is the one module in the crate allowed to use
-//! `unsafe`.
-#![allow(unsafe_code)]
+//! allocation.
 
 /// Dense row-major matrix.
 #[derive(Debug, Clone, Eq)]
@@ -93,35 +90,6 @@ impl<T> Matrix<T> {
     pub fn set(&mut self, r: usize, c: usize, v: T) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
-    }
-
-    /// Reads `(r, c)` without bounds checks in release builds.
-    ///
-    /// # Safety
-    ///
-    /// `r < rows()` and `c < cols()` must hold; checked by
-    /// `debug_assert!` only. The DP inner loops guarantee this from
-    /// their loop bounds.
-    #[inline(always)]
-    pub unsafe fn get_unchecked(&self, r: usize, c: usize) -> &T {
-        debug_assert!(r < self.rows && c < self.cols);
-        // SAFETY: caller guarantees r/c in range, so the flat index is
-        // < rows * cols <= data.len().
-        unsafe { self.data.get_unchecked(r * self.cols + c) }
-    }
-
-    /// Writes `(r, c)` without bounds checks in release builds.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Matrix::get_unchecked`].
-    #[inline(always)]
-    pub unsafe fn set_unchecked(&mut self, r: usize, c: usize, v: T) {
-        debug_assert!(r < self.rows && c < self.cols);
-        // SAFETY: caller guarantees r/c in range (see get_unchecked).
-        unsafe {
-            *self.data.get_unchecked_mut(r * self.cols + c) = v;
-        }
     }
 
     /// A whole row as a slice.
@@ -223,17 +191,6 @@ mod tests {
         // Growing past the old buffer default-fills the tail.
         m.reset_stale(3, 4);
         assert_eq!(m.as_slice().len(), 12);
-    }
-
-    #[test]
-    fn unchecked_matches_checked() {
-        let mut m: Matrix<u32> = Matrix::new(3, 4);
-        // SAFETY: indices below are within the 3×4 bounds.
-        unsafe {
-            m.set_unchecked(2, 3, 11);
-            assert_eq!(*m.get_unchecked(2, 3), 11);
-        }
-        assert_eq!(*m.get(2, 3), 11);
     }
 
     #[test]

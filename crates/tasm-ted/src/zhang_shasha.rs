@@ -16,11 +16,6 @@
 //! `O(m n)` space. For shallow-and-wide XML this is near `O(m n)` time,
 //! which is why the paper adopts it.
 
-// The DP inner loop uses the debug-asserted unchecked matrix accessors;
-// the index bounds are established once per keyroot pair (see the SAFETY
-// comment in `fill_td`).
-#![allow(unsafe_code)]
-
 use crate::cost::{rename_cost, Cost, CostModel, NodeCosts};
 use crate::matrix::Matrix;
 use crate::stats::TedStats;
@@ -363,13 +358,15 @@ fn fill_td(
     debug_assert_eq!(kq.last().map(|k| k.post() as usize), Some(m));
     debug_assert_eq!(kt.last().map(|k| k.post() as usize), Some(n));
 
-    // Memory-safety guard for the unchecked matrix access below (kept in
-    // release builds; O(m + n) against the O(|kq|·|kt|·m·n) DP). Every
-    // index is derived from `lml` values, which for any *range-valid*
-    // encoding (1 <= lml(i) <= i, i.e. 1 <= size(i) <= i) stay inside the
+    // Index guard for the matrix access below (kept in release builds;
+    // O(m + n) against the O(|kq|·|kt|·m·n) DP). `Matrix` checks only
+    // the flat index `r * cols + c`, so an out-of-range column would
+    // silently alias a cell of another row. Every index is derived from
+    // `lml` values, which for any *range-valid* encoding
+    // (1 <= lml(i) <= i, i.e. 1 <= size(i) <= i) stay inside the
     // (m+1) × (n+1) matrices — so a structurally inconsistent tree built
     // via the debug-assert-only unchecked constructors yields a wrong
-    // distance or this panic, never out-of-bounds access.
+    // distance or this panic, never a cell aliased across rows.
     assert_eq!(q_lml.len(), m, "query lml array length mismatch");
     assert_eq!(t_lml.len(), n, "document lml array length mismatch");
     assert_eq!((td.rows(), td.cols()), (m + 1, n + 1));
@@ -423,68 +420,57 @@ fn fill_td(
             // distance between pfx(Q_kq, i) and pfx(T_kt, j), where
             // row/col `lq-1` / `lt-1` represent the empty forest. Only
             // the rectangle of the current pair is touched.
-            //
-            // SAFETY (for the unchecked matrix access): keyroots come
-            // from `keyroots`/`keyroots_into` over the same trees at
-            // both (private) call sites, so q_key/t_key posts are in
-            // [1, m] / [1, n]; the release-mode guard above pins every
-            // lml/size-derived index (lq, lqi, lt, ltj) to
-            // 1 <= lq <= m and 1 <= lt <= n. Hence all row indices are
-            // in [0, m] < rows and all column indices in [0, n] < cols
-            // of the asserted (m+1) × (n+1) matrices.
-            unsafe {
-                // Empty-vs-empty.
-                fd.set_unchecked(lq - 1, lt - 1, Cost::ZERO);
-                // First column: delete all query prefix nodes.
-                for i in lq..=q_hi {
-                    let v = *fd.get_unchecked(i - 1, lt - 1) + q_del[i - 1];
-                    fd.set_unchecked(i, lt - 1, v);
-                }
-                // First row: insert all document prefix nodes.
-                for j in lt..=t_hi {
-                    let v = *fd.get_unchecked(lq - 1, j - 1) + t_del[j - 1];
-                    fd.set_unchecked(lq - 1, j, v);
-                }
 
-                for i in lq..=q_hi {
-                    let lqi = q_lml[i - 1] as usize;
-                    let del_i = q_del[i - 1];
-                    if lqi == lq {
-                        // Q-prefix is a whole subtree: cells split on
-                        // whether the T-prefix is one too.
-                        let q_label = q_labels[i - 1];
-                        let q_nat_i = q_nat[i - 1];
-                        for j in lt..=t_hi {
-                            let ltj = t_lml[j - 1] as usize;
-                            let del = *fd.get_unchecked(i - 1, j) + del_i;
-                            let ins = *fd.get_unchecked(i, j - 1) + t_del[j - 1];
-                            if ltj == lt {
-                                // Both prefixes are whole subtrees: the
-                                // match case is a rename, and the value
-                                // is a tree distance.
-                                let ren = *fd.get_unchecked(i - 1, j - 1)
-                                    + rename_cost(q_label, q_nat_i, t_labels[j - 1], t_nat[j - 1]);
-                                let v = del.min(ins).min(ren);
-                                fd.set_unchecked(i, j, v);
-                                td.set_unchecked(i, j, v);
-                            } else {
-                                let sub =
-                                    *fd.get_unchecked(lq - 1, ltj - 1) + *td.get_unchecked(i, j);
-                                let v = del.min(ins).min(sub);
-                                fd.set_unchecked(i, j, v);
-                            }
-                        }
-                    } else {
-                        // General forests throughout this row: match the
-                        // whole subtrees via the persisted tree distance.
-                        for j in lt..=t_hi {
-                            let ltj = t_lml[j - 1] as usize;
-                            let del = *fd.get_unchecked(i - 1, j) + del_i;
-                            let ins = *fd.get_unchecked(i, j - 1) + t_del[j - 1];
-                            let sub = *fd.get_unchecked(lqi - 1, ltj - 1) + *td.get_unchecked(i, j);
+            // Empty-vs-empty.
+            fd.set(lq - 1, lt - 1, Cost::ZERO);
+            // First column: delete all query prefix nodes.
+            for i in lq..=q_hi {
+                let v = *fd.get(i - 1, lt - 1) + q_del[i - 1];
+                fd.set(i, lt - 1, v);
+            }
+            // First row: insert all document prefix nodes.
+            for j in lt..=t_hi {
+                let v = *fd.get(lq - 1, j - 1) + t_del[j - 1];
+                fd.set(lq - 1, j, v);
+            }
+
+            for i in lq..=q_hi {
+                let lqi = q_lml[i - 1] as usize;
+                let del_i = q_del[i - 1];
+                if lqi == lq {
+                    // Q-prefix is a whole subtree: cells split on
+                    // whether the T-prefix is one too.
+                    let q_label = q_labels[i - 1];
+                    let q_nat_i = q_nat[i - 1];
+                    for j in lt..=t_hi {
+                        let ltj = t_lml[j - 1] as usize;
+                        let del = *fd.get(i - 1, j) + del_i;
+                        let ins = *fd.get(i, j - 1) + t_del[j - 1];
+                        if ltj == lt {
+                            // Both prefixes are whole subtrees: the
+                            // match case is a rename, and the value
+                            // is a tree distance.
+                            let ren = *fd.get(i - 1, j - 1)
+                                + rename_cost(q_label, q_nat_i, t_labels[j - 1], t_nat[j - 1]);
+                            let v = del.min(ins).min(ren);
+                            fd.set(i, j, v);
+                            td.set(i, j, v);
+                        } else {
+                            let sub = *fd.get(lq - 1, ltj - 1) + *td.get(i, j);
                             let v = del.min(ins).min(sub);
-                            fd.set_unchecked(i, j, v);
+                            fd.set(i, j, v);
                         }
+                    }
+                } else {
+                    // General forests throughout this row: match the
+                    // whole subtrees via the persisted tree distance.
+                    for j in lt..=t_hi {
+                        let ltj = t_lml[j - 1] as usize;
+                        let del = *fd.get(i - 1, j) + del_i;
+                        let ins = *fd.get(i, j - 1) + t_del[j - 1];
+                        let sub = *fd.get(lqi - 1, ltj - 1) + *td.get(i, j);
+                        let v = del.min(ins).min(sub);
+                        fd.set(i, j, v);
                     }
                 }
             }

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use tasm::core::{tasm_postorder, threshold, PrefixRingBuffer, TasmOptions};
 use tasm::data::{xmark_tree, XMarkConfig};
-use tasm::tree::{LabelDict, Tree};
+use tasm::tree::{LabelDict, LabelId, Tree};
 use tasm::xml::{tree_to_xml, XmlPostorderQueue};
 use tasm::UnitCost;
 
@@ -88,7 +88,8 @@ fn main() {
     let mut queue = XmlPostorderQueue::new(BufReader::new(file), &mut dict2);
     let mut prb = PrefixRingBuffer::new(&mut queue, tau as u32);
     let mut candidates = 0u64;
-    while prb.next_candidate().is_some() {
+    let mut cand = Tree::leaf(LabelId(0));
+    while prb.next_candidate_into(&mut cand).is_some() {
         candidates += 1;
     }
     println!(

@@ -511,6 +511,7 @@ impl TasmBatch {
             1,
             self.options,
             self.threads,
+            &mut self.workspace,
             None,
             &core::Deadline::none(),
         )
