@@ -1,13 +1,15 @@
 //! Allocation regression for the resident drivers: a warm one-thread
-//! `tasm_indexed_batch` or `tasm_corpus_batch` call on a reused
-//! [`TasmWorkspace`] allocates per call and per shard, never per
-//! candidate region. The DP matrices, the cascade scratch and the
-//! lanes' distance workspaces all come from the workspace, reserved on
-//! the first call.
+//! `tasm_resident_batch`, `tasm_indexed_batch` or `tasm_corpus_batch`
+//! call on a reused [`TasmWorkspace`] allocates per call and per shard,
+//! never per candidate, block or region. The DP matrices, the cascade
+//! scratch and the lanes' distance workspaces all come from the
+//! workspace, reserved on the first call.
 //!
-//! The per-call span and region-order vectors grow by doubling with the
-//! number of candidate regions, so the only growth allowed from a 60-
-//! to a 400-record document is a few doublings. A fixed budget bounds
+//! The resident sweep keeps no span buffer, so its warm calls over a
+//! 60- and a 400-record document allocate exactly the same. The
+//! indexed driver's per-call span and region-order vectors grow by
+//! doubling with the number of candidate regions, so the only growth
+//! allowed there is a few doublings. A fixed budget bounds
 //! the warm call as a whole, so a driver that rebuilt its distance
 //! workspaces on every call fails even though such a rebuild does not
 //! grow with the document.
@@ -20,7 +22,8 @@ use std::path::PathBuf;
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
 use tasm_core::{
-    tasm_corpus_batch, tasm_indexed_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace,
+    tasm_corpus_batch, tasm_indexed_batch, tasm_resident_batch, BatchQuery, Deadline, TasmOptions,
+    TasmWorkspace,
 };
 use tasm_index::{Corpus, IndexedDocument};
 use tasm_ted::UnitCost;
@@ -58,12 +61,10 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
         .map(|q| bracket::parse(q, &mut dict).unwrap())
         .collect();
     let sizes = [60usize, 400];
-    let docs: Vec<IndexedDocument> = sizes
+    let trees: Vec<Tree> = sizes.iter().map(|&n| records_doc(&mut dict, n)).collect();
+    let docs: Vec<IndexedDocument> = trees
         .iter()
-        .map(|&n| {
-            let tree = records_doc(&mut dict, n);
-            IndexedDocument::build(&tree, &dict)
-        })
+        .map(|tree| IndexedDocument::build(tree, &dict))
         .collect();
     let dir = std::env::temp_dir().join(format!("tasm-alloc-resident-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -87,6 +88,39 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
             .iter()
             .map(|query| BatchQuery { query, k: 2 })
             .collect();
+
+        let mut ws = TasmWorkspace::new();
+        let mut resident = |tree: &Tree| {
+            let before = alloc_count();
+            let out = tasm_resident_batch(
+                &batch,
+                tree,
+                &UnitCost,
+                1,
+                opts,
+                1,
+                &mut ws,
+                None,
+                &Deadline::none(),
+            )
+            .unwrap();
+            let allocs = alloc_count() - before;
+            assert_eq!(out.rankings.len(), width);
+            (allocs, out.scan.candidates)
+        };
+        resident(&trees[0]); // warm the workspace
+        resident(&trees[1]);
+        let (short, short_cands) = resident(&trees[0]);
+        let (long, long_cands) = resident(&trees[1]);
+        assert!(
+            long_cands > 4 * short_cands,
+            "the long document must evaluate more candidates"
+        );
+        assert_eq!(
+            long, short,
+            "width {width}: a warm resident call allocated {short} times over \
+             {short_cands} candidates but {long} times over {long_cands}"
+        );
 
         let mut ws = TasmWorkspace::new();
         let mut indexed = |idx: &IndexedDocument| {
@@ -116,9 +150,9 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
             long_regions > 4 * short_regions,
             "the long document must evaluate more regions"
         );
-        // Three per-call vectors may double: the spans, the frontier
-        // walk's stack and the sort's scratch.
-        let growth = 3 * (doublings(long_regions) - doublings(short_regions)) + 3;
+        // Two per-call vectors may double: the spans and the sort's
+        // scratch.
+        let growth = 2 * (doublings(long_regions) - doublings(short_regions)) + 2;
         assert!(
             long <= short + growth,
             "width {width}: a warm indexed call allocated {short} times over \

@@ -23,13 +23,16 @@
 //! counting allocator in `tasm-bench`).
 //!
 //! [`tasm_batch`] is the one driver for every document that arrives as
-//! a postorder queue — a stream, or a materialized tree replayed
-//! through [`TreeQueue`](tasm_tree::TreeQueue). At one thread it runs
-//! the shared scan inline, with the workspace's lane set as the scan's
-//! sink; above one it hands the candidates to the streaming shard
-//! workers, each evaluating through a lane set of its own. A single
-//! query is the batch of one: [`tasm_postorder`](crate::tasm_postorder)
-//! runs the same inline scan with one lane.
+//! a postorder queue: a stream. At one thread it runs the shared scan
+//! inline, with the workspace's lane set as the scan's sink; above one
+//! it hands the candidates to the streaming shard workers, each
+//! evaluating through a lane set of its own. A single query is the
+//! batch of one: [`tasm_postorder`](crate::tasm_postorder) runs the
+//! same inline scan with one lane. A materialized tree can still be
+//! replayed through [`TreeQueue`](tasm_tree::TreeQueue) (the paper's
+//! algorithms and reference runs do), but a resident tree needs no ring
+//! buffer: [`tasm_resident_batch`](crate::tasm_resident_batch) sweeps
+//! its size column and evaluates the candidates in place.
 
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::ScanStats;
@@ -51,6 +54,7 @@ pub struct BatchQuery<'a> {
 }
 
 /// What a batch driver ([`tasm_batch`],
+/// [`tasm_resident_batch`](crate::tasm_resident_batch),
 /// [`tasm_indexed_batch`](crate::tasm_indexed_batch)) returns.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutput {
@@ -132,9 +136,9 @@ impl From<DeadlineExceeded> for StreamScanError {
 }
 
 /// Answers every query of `queries` over **one** pass of `queue` — any
-/// postorder stream, or a materialized tree through
-/// [`TreeQueue`](tasm_tree::TreeQueue) — returning one ranking per
-/// query, in input order, plus the pass's statistics.
+/// postorder stream (a resident tree is answered without one by
+/// [`tasm_resident_batch`](crate::tasm_resident_batch)) — returning one
+/// ranking per query, in input order, plus the pass's statistics.
 ///
 /// Each ranking is exactly what the sequential
 /// [`tasm_postorder`](crate::tasm_postorder) returns for that query

@@ -50,9 +50,9 @@ use std::time::Instant;
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::ScanStats;
-use crate::indexed::tasm_indexed_batch;
 use crate::lane::{pull_units, resolve_threads};
 use crate::ranking::Match;
+use crate::resident::tasm_indexed_batch;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::TasmWorkspace;
 use tasm_index::{Corpus, IndexedDocument};

@@ -51,9 +51,15 @@ pub trait CandidateSink {
 pub struct ScanStats {
     /// Candidate subtrees emitted to the sink.
     pub candidates: usize,
-    /// Nodes consumed from the queue.
+    /// Nodes consumed from the queue. A resident sweep
+    /// ([`tasm_resident_batch`](crate::tasm_resident_batch)) counts the
+    /// spine (the nodes over τ) plus the candidates' nodes; the indexed
+    /// driver counts the spine, the candidate roots and the evaluated
+    /// regions' nodes.
     pub nodes_seen: u32,
     /// Peak number of simultaneously buffered nodes (`<= τ`, Theorem 2).
+    /// The resident drivers buffer nothing: for them it is the largest
+    /// candidate evaluated.
     pub peak_buffered: usize,
     /// Subtree roots rejected by the τ' size bound during the
     /// Algorithm 3 descent (the descent then steps one node down, so

@@ -15,9 +15,10 @@
 //!   shared scan (a single [`tasm_postorder`](crate::tasm_postorder)
 //!   query is the one-lane case), or one set per streaming shard
 //!   worker, viewing candidates in its segments;
-//! * [`tasm_indexed_batch`](crate::tasm_indexed_batch) — one set per
-//!   [`pull_units`] worker, viewing the candidate regions in place in
-//!   the resident document;
+//! * [`tasm_resident_batch`](crate::tasm_resident_batch) and
+//!   [`tasm_indexed_batch`](crate::tasm_indexed_batch) — one set per
+//!   [`pull_units`] worker, viewing the candidates (of a swept block,
+//!   or the index's regions) in place in the resident document;
 //! * [`tasm_corpus_batch`](crate::tasm_corpus_batch) — one
 //!   [`pull_units`] worker per shard slot, each running the indexed
 //!   driver on its own workspace.
@@ -188,6 +189,13 @@ impl<'a, 'w> LaneSet<'a, 'w> {
                 self.ted_stats.as_mut(),
             );
         }
+    }
+
+    /// Counts `nodes` the candidate generation examined outside every
+    /// candidate offered here (a resident sweep's spine).
+    pub(crate) fn see(&mut self, nodes: u64) {
+        let nodes = u32::try_from(nodes).unwrap_or(u32::MAX);
+        self.scan.nodes_seen = self.scan.nodes_seen.saturating_add(nodes);
     }
 
     /// Hands the lanes' heaps and funnels back for

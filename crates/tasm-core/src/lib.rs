@@ -17,23 +17,28 @@
 //! * [`ScanEngine`] / [`CandidateSink`] — the streaming scan layer the
 //!   algorithms above are built on, reusable for custom evaluations.
 //!
-//! Around the paper's algorithms sit three **drivers**, one per kind of
+//! Around the paper's algorithms sit four **drivers**, one per kind of
 //! document source. Each answers a batch of queries, takes a thread
 //! count (`0` = one per available core), a caller-kept
 //! [`TasmWorkspace`] and a cooperative [`Deadline`], and returns
 //! rankings plus statistics:
 //!
-//! * [`tasm_batch`] — a postorder **queue**: an XML or `.pq` stream, or
-//!   a materialized tree through [`TreeQueue`](tasm_tree::TreeQueue). At
-//!   one thread the N queries share **one** inline scan; above one, the
-//!   scan hands candidate segments to worker threads, so the document
-//!   is never materialized and memory stays `O(threads · τ + Σ m_i²)`;
+//! * [`tasm_batch`] — a postorder **queue**: an XML or `.pq` stream (or
+//!   a [`TreeQueue`](tasm_tree::TreeQueue) replay, which the paper's
+//!   algorithms and reference runs use). At one thread the N queries
+//!   share **one** inline scan; above one, the scan hands candidate
+//!   segments to worker threads, so the document is never materialized
+//!   and memory stays `O(threads · τ + Σ m_i²)`;
+//! * [`tasm_resident_batch`] — a resident **tree**: no ring buffer. The
+//!   candidate set is read off the tree's subtree-size column by a
+//!   reverse sweep ([`CandidateSweep`](tasm_tree::CandidateSweep)), and
+//!   workers pull postorder blocks from one shared cursor, sweeping
+//!   each and evaluating its candidates in place as views of the tree;
 //! * [`tasm_indexed_batch`] — a persistent `.pqi` label **index**
 //!   ([`IndexedDocument`](tasm_index::IndexedDocument)): candidate
-//!   regions come from the subtree-size column, the label postings
-//!   bound each region before it is evaluated, and workers pull the
-//!   regions in promise order from one shared cursor, evaluating them
-//!   in place as views of the resident document;
+//!   regions come from the same sweep, the label postings bound each
+//!   region before it is evaluated, and workers pull the regions in
+//!   promise order through the same loop as the resident driver;
 //! * [`tasm_corpus_batch`] — a crash-safe multi-shard **corpus**
 //!   ([`Corpus`](tasm_index::Corpus)): workers pull the healthy shards
 //!   through the same loop, each shard answers via the index path, and
@@ -82,10 +87,10 @@ mod batch;
 mod corpus;
 mod deadline;
 mod engine;
-mod indexed;
 mod lane;
 mod naive;
 mod ranking;
+mod resident;
 mod ring_buffer;
 mod simple_pruning;
 mod stream_shard;
@@ -104,9 +109,9 @@ pub use corpus::{
 };
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use engine::{CandidateSink, ScanEngine, ScanStats};
-pub use indexed::tasm_indexed_batch;
 pub use naive::tasm_naive;
 pub use ranking::{Match, TopKHeap};
+pub use resident::{tasm_indexed_batch, tasm_resident_batch};
 pub use ring_buffer::{
     candidate_set_reference, prb_pruning, prb_pruning_stats, Candidate, PrefixRingBuffer,
     PruningStats,

@@ -1,14 +1,43 @@
-//! Index-backed TASM: candidate generation from a persistent `.pqi`
-//! label index instead of a full document scan.
+//! The resident drivers: TASM over a document held in memory, with
+//! its candidates evaluated **in place**.
 //!
-//! The scan entry points pay `O(n)` per pass: every node of the document
-//! streams through the prefix ring buffer even when the top-k answers
-//! hide in a few subtrees. An [`IndexedDocument`] inverts that cost
-//! model for the index-once / query-many workload:
+//! A resident document already has its subtree-size column, so its
+//! candidate set `cand(T, τ)` (Def. 9) needs no ring buffer: one
+//! stackless reverse sweep over the column
+//! ([`CandidateSweep`](tasm_tree::CandidateSweep)) finds it, and each
+//! candidate is the contiguous postorder interval `[lml, root]`, so its
+//! [`TreeView`](tasm_tree::TreeView) slice of the document arena goes
+//! straight into the lane machinery (the cascade, the heaps and the
+//! [`ScanStats`](crate::ScanStats) funnel), with no copy. Two drivers
+//! share one loop:
 //!
-//! 1. the candidate set `cand(T, τ)` (Def. 9) is derived from the
-//!    subtree-size column — examining only the nodes *above* the
-//!    candidate frontier, not all `n`;
+//! * [`tasm_resident_batch`] — a parsed [`Tree`]. The units are
+//!   postorder blocks of `BLOCK_NODES` (64 Ki) nodes; each worker
+//!   sweeps its block backwards and evaluates every candidate whose
+//!   root lies in it, in runs of `CHUNK_SPANS` (256) candidates, each
+//!   run in document order. No span buffer is kept beyond one run.
+//! * [`tasm_indexed_batch`] — a persistent `.pqi` label index
+//!   ([`IndexedDocument`]). The units are the candidate regions in
+//!   promise order, each bounded by the label postings before it is
+//!   evaluated (below).
+//!
+//! In both, `threads` workers pull the next unit from one shared cursor
+//! ([`pull_units`]) and evaluate it through their own [`LaneSet`]; the
+//! calling thread is one of them and runs on the caller's workspace.
+//! The rank key (distance, document postorder, size) is a total order,
+//! so the rankings equal [`tasm_postorder`](crate::tasm_postorder)'s
+//! whatever the evaluation order (pinned by `tests/differential.rs`).
+//! The funnel counters are the evaluation order's own: they may differ
+//! from a ring-buffer scan's, and above one worker from run to run.
+//!
+//! # The index
+//!
+//! The scan entry points pay `O(n)` per pass. An [`IndexedDocument`]
+//! inverts that cost model for the index-once / query-many workload:
+//!
+//! 1. the candidate set is derived from the subtree-size column by the
+//!    same sweep — examining only the nodes *above* the candidate
+//!    frontier, not all `n`;
 //! 2. the per-label postings bound every candidate region's label
 //!    overlap with each query (rarest labels first — they have the
 //!    shortest postings), giving the admissible histogram lower bound
@@ -22,46 +51,205 @@
 //! Skipping is **exact**: a region is dropped only when every lane's
 //! heap is full and the bound *strictly* exceeds its cutoff — the same
 //! admissibility argument as
-//! [`LowerBoundCascade::decide`](tasm_ted::LowerBoundCascade::decide) —
-//! and the rank key (distance, document postorder, size) is a total
-//! order, so the ranking is independent of evaluation order.
+//! [`LowerBoundCascade::decide`](tasm_ted::LowerBoundCascade::decide).
 //!
-//! A region is the contiguous postorder interval `[lml, root]` of the
-//! resident document, so it is evaluated **in place**: its
-//! [`TreeView`](tasm_tree::TreeView) slice of the document arena goes
-//! straight into the unchanged lane machinery (the cascade, the heaps
-//! and the [`ScanStats`](crate::ScanStats) funnel), with no copy.
-//! [`tasm_indexed_batch`] therefore returns **identical** rankings to
-//! [`tasm_postorder`](crate::tasm_postorder) /
-//! [`tasm_naive`](crate::tasm_naive) (pinned by `tests/differential.rs`).
-//!
-//! With more than one thread, the workers pull the next region in
-//! promise order from one shared cursor, each skipping against its own
-//! heaps. That stays admissible: a worker's full heap holds `k` matches
-//! at or below its cutoff, so its cutoff is never below the final
-//! merged one. Which worker sees which region varies from run to run,
-//! so with more than one worker the funnel counters may vary; the
-//! rankings do not. Every worker fills its own heaps before it can
-//! skip, so a document gets one worker per `MIN_REGIONS_PER_WORKER`
-//! regions at most: a small one runs on the calling thread alone, with
-//! the deterministic one-thread counters.
+//! With more than one worker, each skips against its own heaps. That
+//! stays admissible: a worker's full heap holds `k` matches at or below
+//! its cutoff, so its cutoff is never below the final merged one. Every
+//! worker fills its own heaps before it can skip, so a document gets
+//! one worker per `MIN_REGIONS_PER_WORKER` regions at most: a small one
+//! runs on the calling thread alone, with the deterministic one-thread
+//! counters.
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::lane::{
-    merge_shard_results, pull_units, resolve_threads, scan_tau_of, EvalLane, LaneSet,
+    merge_shard_results, pull_units, resolve_threads, scan_tau_of, EvalLane, LaneSet, ShardResult,
 };
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::TasmWorkspace;
 use tasm_index::IndexedDocument;
 use tasm_ted::{Cost, CostModel, TedStats};
-use tasm_tree::{LabelDict, NodeId, Tree};
+use tasm_tree::{CandidateSweep, LabelDict, NodeId, Tree};
+
+/// Postorder nodes per unit of [`tasm_resident_batch`]: a pull is rare
+/// next to the candidates a block holds, and a 1 M-node document still
+/// splits into 16 units.
+const BLOCK_NODES: u32 = 1 << 16;
+
+/// Candidates a worker sweeps before it evaluates them, in document
+/// order. The sweep runs backwards, and evaluating each candidate as
+/// soon as it is found would read the arena backwards too: on 1 M-node
+/// documents whose every candidate reaches the DP, that costs ~20 ms
+/// per query, as much as the sweep saves. 256 spans are 2 KiB of stack.
+const CHUNK_SPANS: usize = 256;
 
 /// The fewest candidate regions worth a worker of their own. A worker
 /// evaluates every region until its own heaps fill, so splitting a
 /// small document buys duplicated heap filling and a thread spawn,
 /// not speed.
 const MIN_REGIONS_PER_WORKER: usize = 128;
+
+/// The one resident loop: `threads` workers pull the units `0..units`
+/// from one cursor and hand each to `eval_unit` with their own
+/// [`LaneSet`]; the calling thread's set runs on `ws`. Returns one
+/// result per worker, for [`merge_shard_results`].
+#[allow(clippy::too_many_arguments)]
+fn evaluate_units<'q>(
+    queries: &[BatchQuery<'q>],
+    model: &'q (dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    want_ted_stats: bool,
+    threads: usize,
+    units: usize,
+    ws: &mut TasmWorkspace,
+    deadline: &Deadline,
+    eval_unit: impl Fn(usize, &mut LaneSet<'q, '_>, &Deadline) -> Result<(), DeadlineExceeded> + Sync,
+) -> Result<Vec<ShardResult>, DeadlineExceeded> {
+    pull_units(units, threads, ws, deadline, |ws, cursor, deadline| {
+        let mut set = LaneSet::new(queries, model, c_t, opts, want_ted_stats, &mut ws.eval);
+        while let Some(unit) = cursor.next(deadline)? {
+            eval_unit(unit, &mut set, deadline)?;
+        }
+        Ok(set.into_result())
+    })
+}
+
+/// Answers every query of `queries` over the resident tree `doc`, with
+/// the rankings of [`tasm_postorder`](crate::tasm_postorder) but no
+/// ring buffer: the candidates come from a sweep over `doc`'s size
+/// column and are evaluated in place.
+///
+/// The queries must share `doc`'s label space (parse them with its
+/// dictionary, or encode them into it with
+/// [`LabelDict::encode_tree`]). `c_t` is the maximum document node cost
+/// under `model`, as for the scan.
+///
+/// `threads` (`0` = one per available core) workers pull postorder
+/// blocks of 64 Ki nodes from one shared cursor; the calling thread is
+/// one of them and evaluates on `ws`, so a warm workspace makes a
+/// one-thread call allocate nothing per candidate or block. A document
+/// of one block runs on the calling thread alone.
+///
+/// The scan-layer counters change meaning against a scan:
+/// `nodes_seen` is the spine (the nodes over τ) plus the candidates'
+/// nodes, and `peak_buffered` is the largest candidate evaluated, not a
+/// ring size. The funnel counters may differ from the scan's, since the
+/// evaluation order differs; with one worker they are deterministic.
+///
+/// `deadline` is checked (forced) at entry and polled per candidate.
+///
+/// # Errors
+///
+/// [`DeadlineExceeded`] if the deadline expires in any worker; the
+/// other workers stop at their next pull and no partial ranking is
+/// returned.
+///
+/// # Examples
+///
+/// ```
+/// use tasm_tree::{bracket, LabelDict};
+/// use tasm_ted::UnitCost;
+/// use tasm_core::{tasm_resident_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
+///
+/// let mut dict = LabelDict::new();
+/// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
+/// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
+/// let queries = [BatchQuery { query: &q, k: 2 }];
+/// let mut ws = TasmWorkspace::new();
+/// let out = tasm_resident_batch(&queries, &doc, &UnitCost, 1,
+///     TasmOptions::default(), 1, &mut ws, None, &Deadline::none()).unwrap();
+/// assert_eq!(out.rankings[0][0].root.post(), 6);
+/// assert_eq!(out.rankings[0][1].root.post(), 3);
+/// ```
+#[allow(clippy::too_many_arguments)]
+pub fn tasm_resident_batch(
+    queries: &[BatchQuery<'_>],
+    doc: &Tree,
+    model: &(dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    threads: usize,
+    ws: &mut TasmWorkspace,
+    stats: Option<&mut TedStats>,
+    deadline: &Deadline,
+) -> Result<BatchOutput, DeadlineExceeded> {
+    sweep_blocks(
+        queries,
+        doc,
+        model,
+        c_t,
+        opts,
+        threads,
+        ws,
+        stats,
+        deadline,
+        BLOCK_NODES,
+    )
+}
+
+/// [`tasm_resident_batch`] with blocks of `block` nodes.
+#[allow(clippy::too_many_arguments)]
+fn sweep_blocks(
+    queries: &[BatchQuery<'_>],
+    doc: &Tree,
+    model: &(dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    threads: usize,
+    ws: &mut TasmWorkspace,
+    stats: Option<&mut TedStats>,
+    deadline: &Deadline,
+    block: u32,
+) -> Result<BatchOutput, DeadlineExceeded> {
+    if queries.is_empty() {
+        return Ok(BatchOutput::default());
+    }
+    if deadline.expired_now() {
+        return Err(DeadlineExceeded);
+    }
+    let n = doc.len() as u64;
+    let block = u64::from(block);
+    let units = n.div_ceil(block) as usize;
+    let results = evaluate_units(
+        queries,
+        model,
+        c_t,
+        opts,
+        stats.is_some(),
+        resolve_threads(threads),
+        units,
+        ws,
+        deadline,
+        |unit, set, deadline| {
+            let first = unit as u64 * block + 1;
+            let last = (first - 1 + block).min(n);
+            let mut sweep =
+                CandidateSweep::block(doc.view(), set.scan_tau, first as u32, last as u32);
+            let mut chunk = [(0u32, 0u32); CHUNK_SPANS];
+            loop {
+                let len = chunk
+                    .iter_mut()
+                    .zip(sweep.by_ref())
+                    .map(|(slot, span)| *slot = span)
+                    .count();
+                if len == 0 {
+                    break;
+                }
+                for &(lml, root) in chunk[..len].iter().rev() {
+                    if deadline.poll() {
+                        return Err(DeadlineExceeded);
+                    }
+                    set.eval(doc.subtree_view(NodeId::new(root)), lml - 1);
+                }
+            }
+            set.see(sweep.spine());
+            Ok(())
+        },
+    )?;
+    Ok(merge_shard_results(queries.len(), results, stats, None))
+}
 
 /// The admissible per-region lower bound: each of the `m` query nodes
 /// without an equal-label partner in the region costs at least one
@@ -193,11 +381,18 @@ pub fn tasm_indexed_batch(
     });
 
     let doc = idx.tree();
-    let want_ted_stats = stats.is_some();
     let threads = resolve_threads(threads).min(order.len() / MIN_REGIONS_PER_WORKER);
-    let mut results = pull_units(order.len(), threads, ws, deadline, |ws, units, deadline| {
-        let mut set = LaneSet::new(&equeries, model, c_t, opts, want_ted_stats, &mut ws.eval);
-        while let Some(pos) = units.next(deadline)? {
+    let mut results = evaluate_units(
+        &equeries,
+        model,
+        c_t,
+        opts,
+        stats.is_some(),
+        threads,
+        order.len(),
+        ws,
+        deadline,
+        |pos, set, _| {
             let ri = order[pos] as usize;
             if region_wanted(&set.lanes, &msizes, &commons, ri) {
                 // The region's view of the document arena (local
@@ -211,9 +406,9 @@ pub fn tasm_indexed_batch(
                     lane.stats.pruned_histogram += 1;
                 }
             }
-        }
-        Ok(set.into_result())
-    })?;
+            Ok(())
+        },
+    )?;
     let seen = &mut results[0].scan.nodes_seen;
     *seen = seen.saturating_add(u32::try_from(generated).unwrap_or(u32::MAX));
     Ok(merge_shard_results(queries.len(), results, stats, None))
@@ -268,6 +463,146 @@ mod tests {
             &Deadline::none(),
         )
         .unwrap()
+    }
+
+    /// The resident driver at `threads` over blocks of `block` nodes,
+    /// no deadline.
+    fn swept(
+        queries: &[BatchQuery<'_>],
+        doc: &Tree,
+        opts: TasmOptions,
+        threads: usize,
+        block: u32,
+    ) -> BatchOutput {
+        sweep_blocks(
+            queries,
+            doc,
+            &UnitCost,
+            1,
+            opts,
+            threads,
+            &mut TasmWorkspace::new(),
+            None,
+            &Deadline::none(),
+            block,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn resident_ranks_like_the_scan_at_any_block_size() {
+        let mut dict = LabelDict::new();
+        let doc = wide_doc(&mut dict, 60);
+        let q1 = bracket::parse("{article{auth{John}}{title{X9}}}", &mut dict).unwrap();
+        let q2 = bracket::parse("{book{title}}", &mut dict).unwrap();
+        let opts = TasmOptions {
+            keep_trees: true,
+            ..TasmOptions::default()
+        };
+        let n = doc.len() as u32;
+        for k in [1, 4, 12] {
+            let queries = [
+                BatchQuery { query: &q1, k },
+                BatchQuery {
+                    query: &q2,
+                    k: k + 1,
+                },
+            ];
+            let tau = scan_tau_of(&queries, &UnitCost, 1);
+            let ring = crate::prb_pruning_stats(&mut TreeQueue::new(&doc), tau, None);
+            for block in [1, 2, 7, tau, n] {
+                for threads in [1, 3] {
+                    let out = swept(&queries, &doc, opts, threads, block);
+                    for (got, bq) in out.rankings.iter().zip(&queries) {
+                        let mut queue = TreeQueue::new(&doc);
+                        let want =
+                            tasm_postorder(bq.query, &mut queue, bq.k, &UnitCost, 1, opts, None);
+                        assert_eq!(got, &want, "k = {k}, block = {block}, threads = {threads}");
+                    }
+                    // The sweep's candidates are the ring buffer's, and it
+                    // sees every node: the spine plus the candidates.
+                    assert_eq!(out.scan.candidates, ring.candidates);
+                    assert_eq!(out.scan.nodes_seen, n);
+                    if threads == 1 {
+                        // One worker's counters are deterministic.
+                        let again = swept(&queries, &doc, opts, threads, block);
+                        assert_eq!(again.scan, out.scan, "block = {block}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_deadline_is_checked_at_entry_and_per_candidate() {
+        // Every evaluation of a candidate holding `slow` sleeps.
+        struct SlowCost(LabelId);
+        impl CostModel for SlowCost {
+            fn node_cost(&self, tree: tasm_tree::TreeView<'_>, node: NodeId) -> u64 {
+                if tree.label(node) == self.0 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                1
+            }
+            fn max_cost(&self, _: tasm_tree::TreeView<'_>) -> u64 {
+                1
+            }
+        }
+        let mut dict = LabelDict::new();
+        let doc = bracket::parse(
+            &format!("{{r{}}}", "{a{b}{c}{slow}}".repeat(400)),
+            &mut dict,
+        )
+        .unwrap();
+        let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
+        let slow = SlowCost(dict.get("slow").unwrap());
+        let opts = TasmOptions {
+            use_cascade: false,
+            use_tau_prime: false,
+            ..TasmOptions::default()
+        };
+        let queries = [BatchQuery { query: &q, k: 1 }];
+        let run = |threads, block, deadline: &Deadline| {
+            sweep_blocks(
+                &queries,
+                &doc,
+                &slow,
+                1,
+                opts,
+                threads,
+                &mut TasmWorkspace::new(),
+                None,
+                deadline,
+                block,
+            )
+        };
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert_eq!(run(1, 64, &expired).unwrap_err(), DeadlineExceeded);
+        // A full evaluation sleeps 400 × 5 ms. One block of the whole
+        // document is one pull, so only the per-candidate poll can stop
+        // it; at 3 workers the blocks hold 100 records each.
+        let n = doc.len() as u32;
+        for (threads, block) in [(1, n), (3, 500)] {
+            let start = std::time::Instant::now();
+            let deadline = Deadline::after(std::time::Duration::from_millis(20));
+            let got = run(threads, block, &deadline);
+            let elapsed = start.elapsed();
+            assert_eq!(got.unwrap_err(), DeadlineExceeded, "threads = {threads}");
+            assert!(
+                elapsed < std::time::Duration::from_millis(250),
+                "threads = {threads}: deadline noticed only after {elapsed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn resident_empty_batch_is_empty() {
+        let mut dict = LabelDict::new();
+        let doc = wide_doc(&mut dict, 4);
+        let out = swept(&[], &doc, TasmOptions::default(), 2, 3);
+        assert!(out.rankings.is_empty() && out.lanes.is_empty());
+        assert_eq!(out.scan, ScanStats::default());
     }
 
     #[test]

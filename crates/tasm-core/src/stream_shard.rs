@@ -7,10 +7,11 @@
 //! of evaluating them inline it copies each candidate's postorder
 //! entries into a **segment** — a flat `(label, size)` buffer holding a
 //! run of complete candidate subtrees plus their document root numbers
-//! — and hands full segments to worker threads over a bounded pipe. A
-//! materialized tree is just another queue
-//! ([`TreeQueue`](tasm_tree::TreeQueue)), so this is the only sharded
-//! driver for documents.
+//! — and hands full segments to worker threads over a bounded pipe. It
+//! serves streams only: a resident tree has its candidates in its size
+//! column already, so
+//! [`tasm_resident_batch`](crate::tasm_resident_batch) splits it into
+//! postorder blocks for its workers with no hand-off at all.
 //!
 //! Each worker evaluates its segments' candidates in place, as
 //! [`TreeView`] slices of the segment (subtree sizes are invariant
@@ -693,6 +694,151 @@ mod tests {
                 err.to_string().contains("truncated"),
                 "threads = {threads}: {err}"
             );
+        }
+    }
+
+    /// Runs `body` on its own thread and fails if it has not finished
+    /// within `limit`: a lost wakeup or a worker that never exits would
+    /// otherwise hang the test instead of failing it.
+    fn within(limit: std::time::Duration, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("hung for {limit:?}: a lost wakeup or a worker that never exited")
+            }
+            // Finished, or panicked (the join re-raises the panic).
+            _ => {
+                if let Err(payload) = runner.join() {
+                    resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipe_stress_loses_no_segment_wakeup_or_worker() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::Barrier;
+        for seed in 0..32u64 {
+            within(std::time::Duration::from_secs(60), move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let workers = rng.gen_range(1..=4usize);
+                let pool = rng.gen_range(1..=5usize);
+                let segments = rng.gen_range(0..300u32);
+                // A third of the runs abort once the workers have taken
+                // this many segments, as a dying worker does.
+                let abort_at = rng
+                    .gen_bool(1.0 / 3.0)
+                    .then(|| rng.gen_range(1..=segments.max(1)));
+                let pipe = Pipe::new(pool, 4);
+                let taken = Mutex::new(Vec::new());
+                let start = Barrier::new(workers + 1);
+                std::thread::scope(|scope| {
+                    for w in 0..workers as u64 {
+                        let (pipe, taken, start) = (&pipe, &taken, &start);
+                        scope.spawn(move || {
+                            let mut rng = StdRng::seed_from_u64(seed * 31 + w);
+                            start.wait();
+                            while let Some(seg) = pipe.recv() {
+                                let count = {
+                                    let mut taken = lock_recovering(taken);
+                                    taken.push(seg.roots[0].0);
+                                    taken.len() as u32
+                                };
+                                if abort_at == Some(count) {
+                                    pipe.abort();
+                                }
+                                if rng.gen_bool(0.25) {
+                                    std::thread::yield_now();
+                                }
+                                pipe.recycle(seg);
+                            }
+                        });
+                    }
+                    start.wait();
+                    for i in 0..segments {
+                        // After an abort the producer dies on its next
+                        // `take_free`, as in the scan.
+                        let Ok(mut seg) = catch_unwind(AssertUnwindSafe(|| pipe.take_free()))
+                        else {
+                            break;
+                        };
+                        seg.roots.push((i, 1));
+                        pipe.send(seg);
+                        if rng.gen_bool(0.2) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    pipe.finish();
+                });
+                // Every worker exited (the scope joined them). Every
+                // segment is back in the pool or still queued.
+                let free = lock_recovering(&pipe.free).len();
+                let queued = lock_recovering(&pipe.ready).queue.len();
+                assert_eq!(free + queued, pool, "seed {seed}: a segment was lost");
+                let mut taken = taken.into_inner().unwrap();
+                taken.sort_unstable();
+                if abort_at.is_none() {
+                    assert_eq!(taken, (0..segments).collect::<Vec<_>>(), "seed {seed}");
+                } else {
+                    taken.dedup();
+                    assert!(taken.iter().all(|&i| i < segments), "seed {seed}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn sharded_scan_under_random_deadlines_is_all_or_nothing() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut dict = LabelDict::new();
+        let doc = wide_doc(&mut dict, 300);
+        let query = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
+        let mut q = TreeQueue::new(&doc);
+        let want = tasm_postorder(
+            &query,
+            &mut q,
+            5,
+            &UnitCost,
+            1,
+            TasmOptions::default(),
+            None,
+        );
+        let (doc, query) = (std::sync::Arc::new(doc), std::sync::Arc::new(query));
+        for seed in 0..24u64 {
+            let (doc, query, want) = (doc.clone(), query.clone(), want.clone());
+            within(std::time::Duration::from_secs(60), move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let threads = rng.gen_range(2..=5usize);
+                let limit = std::time::Duration::from_micros(rng.gen_range(0..3000));
+                let queries = [BatchQuery {
+                    query: &query,
+                    k: 5,
+                }];
+                let got = sharded_scan(
+                    &queries,
+                    &mut TreeQueue::new(&doc),
+                    &UnitCost,
+                    1,
+                    TasmOptions::default(),
+                    threads,
+                    None,
+                    &Deadline::after(limit),
+                );
+                match got {
+                    Ok(out) => assert_eq!(out.rankings[0], want, "seed {seed}"),
+                    Err(e) => assert!(
+                        matches!(e, StreamScanError::Deadline(_)),
+                        "seed {seed}: {e}"
+                    ),
+                }
+            });
         }
     }
 

@@ -2,16 +2,16 @@
 //! exact ranking equality down to subtree ids.
 //!
 //! Every algorithm and driver claims identical rankings — naive,
-//! dynamic, postorder, the stream/tree batch driver at any thread count
-//! and the indexed driver — across two document representations
+//! dynamic, postorder, the stream/tree batch driver at any thread count,
+//! the resident driver and the indexed driver — across two document representations
 //! (materialized tree through `TreeQueue` vs postorder stream) and with
 //! the pruning cascade on or off. Instead of scattered
 //! pairwise proptests, this harness pins the whole matrix against a
 //! single oracle (`tasm_naive`):
 //!
 //! ```text
-//! {naive, dynamic, postorder, tasm_batch, tasm_indexed_batch}
-//!   × {materialized Tree (TreeQueue), streaming postorder queue}
+//! {naive, dynamic, postorder, tasm_batch, tasm_resident_batch, tasm_indexed_batch}
+//!   × {materialized Tree (TreeQueue, or in place), streaming postorder queue}
 //!   × threads ∈ {1, 2, 4, 7}
 //!   × cascade ∈ {on, off}
 //!   × kernel ∈ {zs, strategy, auto}
@@ -20,7 +20,8 @@
 //! The cell names keep their historical axes: `batch/…` is
 //! `tasm_batch` at one thread, `parallel/…/tN` and
 //! `batch×parallel/…/tN` are `tasm_batch` at `N` threads over one or
-//! several queries.
+//! several queries. `resident/…/tN` is `tasm_resident_batch` at `N`
+//! threads, sweeping the materialized tree in place.
 //!
 //! Equality is on `(root id, distance, size)` — not just the distance
 //! sequence — so tie-breaking must agree everywhere too. A second
@@ -36,8 +37,8 @@
 
 use proptest::prelude::*;
 use tasm_core::{
-    tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive, tasm_postorder, BatchQuery, Deadline,
-    Match, TasmOptions, TasmWorkspace, TedKernel,
+    tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_resident_batch,
+    BatchQuery, Deadline, Match, TasmOptions, TasmWorkspace, TedKernel,
 };
 use tasm_index::IndexedDocument;
 use tasm_ted::{CostModel, UnitCost};
@@ -141,6 +142,34 @@ fn batch<Q: PostorderQueue + ?Sized>(
     .rankings
 }
 
+/// Thread counts of the resident rows.
+const RESIDENT_THREADS: [usize; 2] = [1, 3];
+
+/// The resident driver over the materialized `doc` at `threads`, no
+/// deadline.
+fn resident(
+    bqs: &[BatchQuery<'_>],
+    doc: &Tree,
+    model: &(dyn CostModel + Sync),
+    c_t: u64,
+    opts: TasmOptions,
+    threads: usize,
+) -> Vec<Vec<Match>> {
+    tasm_resident_batch(
+        bqs,
+        doc,
+        model,
+        c_t,
+        opts,
+        threads,
+        &mut TasmWorkspace::new(),
+        None,
+        &Deadline::none(),
+    )
+    .expect("no deadline")
+    .rankings
+}
+
 /// The indexed driver at `threads`, no deadline.
 #[allow(clippy::too_many_arguments)]
 fn indexed(
@@ -218,6 +247,12 @@ fn check_single_query_matrix(q: &Tree, doc: &Tree, k: usize) -> Result<(), Strin
             format!("batch/streaming/{tag}"),
             batch(&bq, &mut stream(doc), &UnitCost, 1, opts, 1).remove(0),
         )?;
+        for threads in RESIDENT_THREADS {
+            check(
+                format!("resident/t{threads}/{tag}"),
+                resident(&bq, doc, &UnitCost, 1, opts, threads).remove(0),
+            )?;
+        }
         for threads in THREADS {
             check(
                 format!("parallel/materialized/t{threads}/{tag}"),
@@ -291,6 +326,12 @@ fn check_multi_query_matrix(queries: &[(Tree, usize)], doc: &Tree) -> Result<(),
             format!("batch/streaming/{tag}"),
             batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, 1),
         )?;
+        for threads in RESIDENT_THREADS {
+            check(
+                format!("resident×batch/t{threads}/{tag}"),
+                resident(&bqs, doc, &UnitCost, 1, opts, threads),
+            )?;
+        }
         for threads in THREADS {
             check(
                 format!("batch×parallel/materialized/t{threads}/{tag}"),
@@ -524,6 +565,13 @@ proptest! {
             let par_stream = key(&batch(&bq, &mut stream(&doc), &model, c_t, opts, threads)[0]);
             prop_assert_eq!(&par_stream, &want);
         }
+        for threads in RESIDENT_THREADS {
+            for kernel in KERNELS {
+                let kopts = TasmOptions { kernel, ..opts };
+                let got = key(&resident(&bq, &doc, &model, c_t, kopts, threads)[0]);
+                prop_assert_eq!(&got, &want, "resident, threads = {}, kernel {}", threads, kernel);
+            }
+        }
         // The indexed path re-encodes labels by corpus frequency, so a
         // label-keyed model must be rebuilt in index space: same names,
         // the index's ids. Distances must still agree exactly.
@@ -731,6 +779,12 @@ fn query_labels_absent_from_the_document_rank_like_the_oracle() {
                 let got = batch(&ebqs, &mut stream(&doc), doc_model, c_t, opts, threads);
                 for (lane, want) in got.iter().zip(&oracles) {
                     assert_eq!(&key(lane), want, "{}", ctx(&format!("batch t{threads}")));
+                }
+            }
+            for threads in RESIDENT_THREADS {
+                let got = resident(&ebqs, &doc, doc_model, c_t, opts, threads);
+                for (lane, want) in got.iter().zip(&oracles) {
+                    assert_eq!(&key(lane), want, "{}", ctx(&format!("resident t{threads}")));
                 }
             }
 

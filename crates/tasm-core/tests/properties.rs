@@ -3,6 +3,8 @@
 //! * the prefix ring buffer emits exactly `cand(T, τ)` (Def. 9) — checked
 //!   against a brute-force reference and against the simple pruning;
 //! * the ring buffer never holds more than τ nodes (Theorem 2);
+//! * the size-column sweep of a resident tree, whole or restarted on
+//!   blocks of any size, yields the ring buffer's candidates;
 //! * `TopKHeap::merge` equals offering every entry into one heap;
 //! * every returned match respects the Theorem 3 size bound;
 //! * the rankings satisfy Def. 1 against exhaustive distances.
@@ -14,12 +16,12 @@
 
 use proptest::prelude::*;
 use tasm_core::{
-    candidate_set_reference, prb_pruning, simple_pruning, tasm_dynamic,
+    candidate_set_reference, prb_pruning, prb_pruning_stats, simple_pruning, tasm_dynamic,
     tasm_dynamic_with_workspace, tasm_postorder, tasm_postorder_with_workspace, threshold, Match,
     PrefixRingBuffer, TasmOptions, TasmWorkspace, TopKHeap,
 };
 use tasm_ted::{ted, ted_with_workspace, Cost, TedWorkspace, UnitCost};
-use tasm_tree::{LabelId, Tree, TreeBuilder, TreeQueue};
+use tasm_tree::{CandidateSweep, LabelId, Tree, TreeBuilder, TreeQueue};
 
 /// Builds a uniformly-shaped random tree of exactly `n` nodes by random
 /// attachment: node `i` picks a uniformly random existing parent. Labels
@@ -71,6 +73,45 @@ proptest! {
         for (g, w) in got.iter().zip(&want) {
             prop_assert_eq!(g.root, w.root);
             prop_assert_eq!(&g.tree, &w.tree);
+        }
+    }
+
+    #[test]
+    fn block_sweeps_equal_the_whole_sweep_and_the_ring_buffer(
+        doc in arb_doc(),
+        tau in 1u32..40,
+    ) {
+        let n = doc.len() as u32;
+        let mut whole = CandidateSweep::new(doc.view(), tau);
+        let mut spans: Vec<(u32, u32)> = whole.by_ref().collect();
+        spans.reverse();
+        // The ring buffer's candidates, count and nodes.
+        let ring = prb_pruning_stats(&mut TreeQueue::new(&doc), tau, None);
+        prop_assert_eq!(spans.len(), ring.candidates);
+        let nodes: u64 = spans.iter().map(|&(lo, hi)| u64::from(hi - lo + 1)).sum();
+        prop_assert_eq!(nodes, ring.candidate_nodes);
+        let roots: Vec<u32> = prb_pruning(&mut TreeQueue::new(&doc), tau)
+            .iter()
+            .map(|c| c.root.post())
+            .collect();
+        prop_assert_eq!(spans.iter().map(|s| s.1).collect::<Vec<_>>(), roots);
+        // Every node is on the spine or inside one candidate.
+        prop_assert_eq!(whole.spine() + nodes, u64::from(n));
+        for block in [1, 2, 7, tau, n] {
+            let mut got = Vec::new();
+            let mut spine = 0;
+            let mut first = 1;
+            while first <= n {
+                let last = (first - 1).saturating_add(block).min(n);
+                let mut sweep = CandidateSweep::block(doc.view(), tau, first, last);
+                let mut part: Vec<(u32, u32)> = sweep.by_ref().collect();
+                part.reverse();
+                got.extend(part);
+                spine += sweep.spine();
+                first = last + 1;
+            }
+            prop_assert_eq!(&got, &spans, "block = {}", block);
+            prop_assert_eq!(spine, whole.spine(), "block = {}", block);
         }
     }
 

@@ -7,7 +7,7 @@ use std::path::Path;
 
 use tasm_tree::crc::crc32_update;
 use tasm_tree::postfile::{PostFileError, MAGIC_V2};
-use tasm_tree::{LabelDict, LabelId, NodeId, Tree};
+use tasm_tree::{CandidateSweep, LabelDict, LabelId, NodeId, Tree};
 
 /// A document materialized together with its label index, as stored in
 /// a `.pqi` file.
@@ -284,37 +284,20 @@ impl IndexedDocument {
     /// alone, plus the number of nodes it examined to do so.
     ///
     /// Unlike the ring-buffer scan (one pass over all `n` nodes), the
-    /// walk descends from the root and stops at each candidate root, so
-    /// it examines only the nodes **above** the candidate frontier plus
-    /// the candidate roots themselves — typically a small fraction of
-    /// the document.
+    /// reverse sweep over the size column ([`CandidateSweep`]) jumps
+    /// over each candidate from its root, so it examines only the nodes
+    /// **above** the candidate frontier plus the candidate roots
+    /// themselves — typically a small fraction of the document.
     ///
     /// # Panics
     ///
     /// Panics if `tau == 0`; the candidate set is defined for `τ >= 1`
     /// (Theorem 3 thresholds are always positive).
     pub fn candidate_spans(&self, tau: u32) -> (Vec<(u32, u32)>, u64) {
-        assert!(tau >= 1, "tau must be >= 1");
-        let t = &self.tree;
-        let mut spans = Vec::new();
-        let mut examined = 0u64;
-        // DFS from the root, children pushed right-to-left so the
-        // leftmost pops first: spans come out in document order.
-        let mut stack: Vec<u32> = vec![t.len() as u32];
-        while let Some(root) = stack.pop() {
-            examined += 1;
-            let size = t.size(NodeId::new(root));
-            if size <= tau {
-                spans.push((root - size + 1, root));
-                continue;
-            }
-            let lml = root - size + 1;
-            let mut child = root - 1;
-            while child >= lml {
-                stack.push(child);
-                child -= t.size(NodeId::new(child));
-            }
-        }
+        let mut sweep = CandidateSweep::new(self.tree.view(), tau);
+        let mut spans: Vec<(u32, u32)> = sweep.by_ref().collect();
+        spans.reverse();
+        let examined = sweep.spine() + spans.len() as u64;
         (spans, examined)
     }
 
@@ -739,9 +722,10 @@ mod tests {
         for tau in 1..=22u32 {
             let (spans, examined) = idx.candidate_spans(tau);
             assert_eq!(spans, reference_spans(idx.tree(), tau), "tau = {tau}");
-            // The walk examines the spine plus the candidate roots: never
-            // more than the whole document, and for small tau strictly
-            // fewer than n only once candidates grow past single nodes.
+            // The walk examines the spine (every node over tau) plus the
+            // candidate roots: never more than the whole document.
+            let spine = t.nodes().filter(|&id| t.size(id) > tau).count();
+            assert_eq!(examined, (spine + spans.len()) as u64, "tau = {tau}");
             assert!(examined <= t.len() as u64, "tau = {tau}");
         }
         // Whole document fits: one span, one node examined.

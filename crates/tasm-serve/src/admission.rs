@@ -5,10 +5,11 @@
 //! queue (or arrive while the daemon drains) is refused with an
 //! immediate `BUSY` instead of being buffered without bound — bounded
 //! latency for everyone beats unbounded queues for no one. Admitted
-//! requests are grouped into **shared-scan batches**: a worker that
+//! requests are grouped into **shared batches**: a worker that
 //! picks up a request on a tree document also takes the requests
 //! *already queued* on that same document (up to [`MAX_BATCH`]) and
-//! evaluates the group in ONE scan through the batch engine. Nothing
+//! evaluates the group in ONE sweep of the document through the
+//! resident driver. Nothing
 //! waits for company: batches form only when a backlog does, so an
 //! idle daemon adds no latency. Corpus requests are never grouped —
 //! each carries its own request-local dictionary and is evaluated
@@ -29,7 +30,7 @@ use crate::conn::ResponseSlot;
 use crate::Doc;
 use tasm_tree::{LabelDict, Tree};
 
-/// Most requests one worker evaluates under a single shared scan.
+/// Most requests one worker evaluates under a single shared sweep.
 const MAX_BATCH: usize = 16;
 
 /// One admitted query waiting for (or undergoing) evaluation.
@@ -300,6 +301,119 @@ mod tests {
         assert_eq!(adm.next_batch().unwrap().len(), 1);
         assert_eq!(adm.next_batch().unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A small seeded generator (SplitMix64): the stress runs below
+    /// replay exactly from their seed.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn admission_stress_loses_no_request_wakeup_or_worker() {
+        for seed in 0..24u64 {
+            let (done, finished) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                admission_stress_run(seed);
+                let _ = done.send(());
+            });
+            if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+                finished.recv_timeout(Duration::from_secs(60))
+            {
+                panic!("seed {seed}: hung — a lost wakeup or a worker that never exited");
+            }
+            if let Err(payload) = runner.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    }
+
+    /// Producers submit numbered requests over two documents into a
+    /// small queue, retrying on `BUSY`; workers take batches until the
+    /// drain. Every admitted request must reach exactly one worker, in
+    /// a batch of one document, every worker must exit, and the drain
+    /// must see every token dropped.
+    fn admission_stress_run(seed: u64) {
+        let mut rng = SplitMix(seed);
+        let producers = 1 + rng.below(3) as usize;
+        let workers = 1 + rng.below(4) as usize;
+        let per_producer = 20 + rng.below(80) as usize;
+        let adm = Admission::new(1 + rng.below(6) as usize);
+        let docs = [doc(), doc()];
+        let taken = Mutex::new(Vec::new());
+        let start = std::sync::Barrier::new(producers + workers);
+        let tokens: Vec<OutstandingToken> = std::thread::scope(|scope| {
+            let worker_handles: Vec<_> = (0..workers as u64)
+                .map(|w| {
+                    let (adm, taken, start) = (&adm, &taken, &start);
+                    scope.spawn(move || {
+                        let mut rng = SplitMix(seed * 31 + w);
+                        start.wait();
+                        while let Some(batch) = adm.next_batch() {
+                            assert!(batch.len() <= MAX_BATCH);
+                            assert!(batch.iter().all(|r| Arc::ptr_eq(&r.doc, &batch[0].doc)));
+                            let ids = batch.iter().map(|r| r.raw.parse::<usize>().unwrap());
+                            taken.lock().unwrap().extend(ids);
+                            if rng.below(4) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let producer_handles: Vec<_> = (0..producers)
+                .map(|p| {
+                    let (adm, docs, start) = (&adm, &docs, &start);
+                    scope.spawn(move || {
+                        let mut rng = SplitMix(seed * 131 + p as u64);
+                        start.wait();
+                        let mut tokens = Vec::new();
+                        for i in 0..per_producer {
+                            let doc = &docs[rng.below(2) as usize];
+                            loop {
+                                let mut req = request(doc);
+                                req.raw = (p * 1000 + i).to_string();
+                                match adm.submit(req) {
+                                    Ok(token) => {
+                                        tokens.push(token);
+                                        break;
+                                    }
+                                    Err(Busy) => std::thread::yield_now(),
+                                }
+                            }
+                        }
+                        tokens
+                    })
+                })
+                .collect();
+            let tokens: Vec<OutstandingToken> = producer_handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("producer"))
+                .collect();
+            adm.begin_drain();
+            for h in worker_handles {
+                h.join().expect("worker");
+            }
+            tokens
+        });
+        let mut taken = taken.into_inner().unwrap();
+        taken.sort_unstable();
+        let mut want: Vec<usize> = (0..producers)
+            .flat_map(|p| (0..per_producer).map(move |i| p * 1000 + i))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(taken, want, "seed {seed}: a request was lost or doubled");
+        assert!(!adm.wait_idle(Duration::ZERO), "tokens are still alive");
+        drop(tokens);
+        assert!(adm.wait_idle(Duration::from_secs(5)), "seed {seed}");
     }
 
     #[test]

@@ -112,6 +112,12 @@ pub(crate) struct Row {
 
 /// Per-request statistics sent on the `STATS` line when the client
 /// asked with `stats=1`.
+///
+/// For a tree document the counters are the resident sweep's:
+/// `nodes_seen` is the spine (nodes over τ) plus the candidates' nodes,
+/// and `peak_buffered` is the largest candidate, not a ring size. The
+/// funnel counters follow the sweep's evaluation order, so they may
+/// differ from a one-shot scan's; the rankings do not.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireStats {
     /// The scan/pruning funnel of this request's evaluation.

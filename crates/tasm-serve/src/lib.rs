@@ -7,18 +7,20 @@
 //! daemon keeps [`Doc`]s (parsed tree + label dictionary) resident
 //! behind a newline-delimited socket protocol (the `conn` module),
 //! parses each query with the same XML parser the one-shot CLI uses,
-//! and drives it through the same `tasm_batch` evaluation path, so a
-//! ranking from the daemon is byte-for-byte the ranking the one-shot
-//! CLI prints (differential-tested).
+//! and evaluates it through the same query lanes. A tree document needs
+//! no ring buffer: `tasm_resident_batch` sweeps its size column and
+//! evaluates the candidates in place. A ranking from the daemon is
+//! byte-for-byte the ranking the one-shot CLI prints
+//! (differential-tested).
 //!
 //! The robustness contract, layer by layer:
 //!
 //! * **Deadlines** ([`Deadline`]): every request carries an absolute
-//!   expiry; the scan loop polls it per candidate and aborts with a
+//!   expiry; the evaluation loop polls it per candidate and aborts with a
 //!   structured `ERR timeout` — no partial rankings, no wedged workers.
 //! * **Admission control** (the `admission` module): a bounded queue
 //!   sheds overload with an immediate `BUSY retry-after-ms=…`; requests
-//!   already queued on the same tree document share one scan.
+//!   already queued on the same tree document share one sweep.
 //! * **Bounded input**: a request line longer than 1 MiB is refused
 //!   with `ERR proto` and the connection dropped, so one client cannot
 //!   make the daemon buffer without bound.
@@ -57,11 +59,11 @@ use std::time::{Duration, Instant};
 use crate::admission::{Admission, PendingRequest};
 use crate::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
 use tasm_core::{
-    tasm_batch, tasm_corpus_batch, BatchQuery, Deadline, Match, TasmOptions, TasmWorkspace,
+    tasm_corpus_batch, tasm_resident_batch, BatchQuery, Deadline, Match, TasmOptions, TasmWorkspace,
 };
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
-use tasm_tree::{LabelDict, Tree, TreeQueue};
+use tasm_tree::{LabelDict, Tree};
 
 pub use crate::conn::{busy_retry_after_ms, is_multiline};
 
@@ -215,7 +217,7 @@ pub struct ServerConfig {
     /// Idle-connection read timeout.
     pub read_timeout: Duration,
     /// Hard cap on a request's `k` (protects workspace memory, which
-    /// grows with the ring-buffer bound τ = |Q| + k).
+    /// grows with the candidate-size bound τ = |Q| + k).
     pub max_k: usize,
     /// Thread budget for one corpus request: the shard-level scheduler
     /// splits it across shards first, then across intra-shard lanes
@@ -476,7 +478,7 @@ fn evaluate_batch(
     }
 }
 
-/// The tree path: one shared scan under the earliest member deadline;
+/// The tree path: one shared sweep under the earliest member deadline;
 /// on expiry, survivors are retried solo under their own deadlines.
 fn evaluate_tree_batch(
     ws: &mut TasmWorkspace,
@@ -491,7 +493,7 @@ fn evaluate_tree_batch(
     if let Some(responses) = scan_tree(ws, batch, tree, &Deadline::at(earliest)) {
         return responses;
     }
-    // The shared scan died at the earliest member's deadline. That
+    // The shared sweep died at the earliest member's deadline. That
     // member is out of time; the others still have budget, so each gets
     // a solo retry under its own deadline.
     batch
@@ -511,8 +513,8 @@ fn evaluate_tree_batch(
         .collect()
 }
 
-/// One inline shared scan of `tree` answering every request in `reqs`,
-/// or `None` when `deadline` expires first. One thread per worker: the
+/// One resident sweep of `tree` answering every request in `reqs`, or
+/// `None` when `deadline` expires first. One thread per worker: the
 /// daemon's parallelism is its worker pool.
 fn scan_tree(
     ws: &mut TasmWorkspace,
@@ -527,10 +529,9 @@ fn scan_tree(
             k: r.k,
         })
         .collect();
-    let mut queue = TreeQueue::new(tree);
-    let out = tasm_batch(
+    let out = tasm_resident_batch(
         &queries,
-        &mut queue,
+        tree,
         &UnitCost,
         1,
         TasmOptions::default(),

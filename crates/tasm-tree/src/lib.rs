@@ -3,8 +3,10 @@
 //! This crate is the tree substrate of the TASM reproduction
 //! (Augsten, Böhlen, Barbosa, Palpanas — ICDE 2010): ordered labeled trees
 //! stored as postorder arenas, label interning, incremental builders,
-//! bracket-notation I/O, keyroots (the paper's *relevant subtrees*, Def. 8)
-//! and the *postorder queue* streaming abstraction (Def. 2).
+//! bracket-notation I/O, keyroots (the paper's *relevant subtrees*, Def. 8),
+//! the *postorder queue* streaming abstraction (Def. 2) and the
+//! candidate sweep ([`CandidateSweep`]) that reads the candidate set
+//! (Def. 9) of a resident tree off its size column.
 //!
 //! # Model
 //!
@@ -35,6 +37,7 @@
 
 pub mod bracket;
 mod builder;
+mod candidates;
 pub mod crc;
 mod error;
 #[cfg(feature = "fault-inject")]
@@ -49,6 +52,7 @@ pub mod traversal;
 mod tree;
 
 pub use builder::TreeBuilder;
+pub use candidates::CandidateSweep;
 pub use error::TreeError;
 pub use keyroots::{keyroot_sizes, keyroots, keyroots_into};
 pub use label::{LabelDict, LabelId};

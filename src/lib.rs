@@ -69,9 +69,10 @@ use std::path::Path;
 pub mod prelude {
     pub use crate::core::{
         prb_pruning, tasm_batch, tasm_corpus_batch, tasm_dynamic, tasm_dynamic_with_workspace,
-        tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_postorder_with_workspace, threshold,
-        BatchOutput, BatchQuery, CandidateSink, Deadline, Match, PrefixRingBuffer, ScanEngine,
-        ScanStats, StreamIntegrityError, StreamScanError, TasmOptions, TasmWorkspace, TopKHeap,
+        tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_postorder_with_workspace,
+        tasm_resident_batch, threshold, BatchOutput, BatchQuery, CandidateSink, Deadline, Match,
+        PrefixRingBuffer, ScanEngine, ScanStats, StreamIntegrityError, StreamScanError,
+        TasmOptions, TasmWorkspace, TopKHeap,
     };
     pub use crate::index::IndexedDocument;
     pub use crate::ted::{
@@ -163,8 +164,10 @@ fn adopt_match_trees(
 /// Wraps query parsing, the label dictionary, the Theorem 3 threshold and
 /// the single-pass evaluation. A query is a batch of one: every method
 /// forwards to a one-query [`TasmBatch`], so both facades run the same
-/// [`core::tasm_batch`] scan. Uses the unit cost model; for custom cost
-/// models call [`core::tasm_postorder`] directly.
+/// drivers: the [`core::tasm_batch`] scan for a stream,
+/// [`core::tasm_resident_batch`] for an in-memory tree and
+/// [`core::tasm_indexed_batch`] for an index. Uses the unit cost model;
+/// for custom cost models call [`core::tasm_postorder`] directly.
 #[derive(Debug)]
 pub struct TasmQuery {
     batch: TasmBatch,
@@ -202,13 +205,14 @@ impl TasmQuery {
     /// Sets the number of worker threads for sharded evaluation
     /// (default 1 = sequential; 0 = one per available core).
     ///
-    /// Above one thread the document keeps streaming and candidate
-    /// segments are handed off to the workers with `O(threads · τ)`
-    /// memory ([`core::tasm_batch`]); [`TasmQuery::run_tree`] replays the
-    /// already-materialized tree through a [`tree::TreeQueue`] into the
-    /// same driver. Index runs shard the surviving candidate regions
-    /// ([`core::tasm_indexed_batch`]). Results are identical to the
-    /// sequential pass either way.
+    /// Above one thread a streamed document keeps streaming and
+    /// candidate segments are handed off to the workers with
+    /// `O(threads · τ)` memory ([`core::tasm_batch`]).
+    /// [`TasmQuery::run_tree`] needs no ring buffer: the workers pull
+    /// postorder blocks of the materialized tree and sweep them
+    /// ([`core::tasm_resident_batch`]). Index runs pull the candidate
+    /// regions ([`core::tasm_indexed_batch`]). Results are identical to
+    /// the sequential pass either way.
     pub fn threads(self, threads: usize) -> Self {
         TasmQuery {
             batch: self.batch.threads(threads),
@@ -253,15 +257,13 @@ impl TasmQuery {
     }
 
     /// Runs the query against an in-memory tree that shares this query's
-    /// dictionary (e.g. built with [`TasmQuery::parse_document`]),
-    /// sharding the scan across [`TasmQuery::threads`] workers when more
-    /// than one is configured.
+    /// dictionary (e.g. built with [`TasmQuery::parse_document`]). The
+    /// candidates come from a sweep over the tree's size column and are
+    /// evaluated in place, by [`TasmQuery::threads`] workers pulling
+    /// postorder blocks ([`core::tasm_resident_batch`]); no ring buffer
+    /// replays the tree.
     pub fn run_tree(&mut self, doc: &Tree) -> Vec<Match> {
-        let rankings = self
-            .batch
-            .run_queue(|_| tree::TreeQueue::new(doc), |_| None)
-            .expect("an in-memory tree is a complete stream");
-        only(rankings)
+        only(self.batch.run_tree(doc))
     }
 
     /// Parses a document into this query's dictionary for use with
@@ -292,7 +294,9 @@ impl TasmQuery {
     /// recent run, whichever path it took — streaming (`run_xml_str` /
     /// `run_xml_file` / `run_reader`), in-memory ([`TasmQuery::run_tree`]),
     /// indexed, or sharded parallel (merged over all shards): candidates
-    /// emitted, per-tier cascade prunes, exact evaluations.
+    /// emitted, per-tier cascade prunes, exact evaluations. After
+    /// `run_tree`, `nodes_seen` is the sweep's spine plus the candidates'
+    /// nodes and `peak_buffered` the largest candidate.
     pub fn last_scan_stats(&self) -> ScanStats {
         self.batch.last_scan_stats()
     }
@@ -444,11 +448,10 @@ impl TasmBatch {
 
     /// One [`core::tasm_batch`] pass over the queue `open` builds on
     /// this batch's dictionary (an XML queue interns the document's
-    /// labels into it; an in-memory tree already shares it). After the
-    /// pass, `parse_error` reports the queue's own parse error, which is
-    /// preferred over the driver's stream error: it carries the byte
-    /// offset and reason, while the stream error only records that the
-    /// document ended early.
+    /// labels into it). After the pass, `parse_error` reports the
+    /// queue's own parse error, which is preferred over the driver's
+    /// stream error: it carries the byte offset and reason, while the
+    /// stream error only records that the document ended early.
     fn run_queue<'d, Q: tree::PostorderQueue>(
         &'d mut self,
         open: impl FnOnce(&'d mut LabelDict) -> Q,
@@ -484,6 +487,31 @@ impl TasmBatch {
         self.last_scan = out.scan;
         self.last_lanes = out.lanes;
         Ok(out.rankings)
+    }
+
+    /// One [`core::tasm_resident_batch`] sweep over a tree in this
+    /// batch's label space.
+    fn run_tree(&mut self, doc: &Tree) -> Vec<Vec<Match>> {
+        let batch: Vec<core::BatchQuery<'_>> = self
+            .queries
+            .iter()
+            .map(|query| core::BatchQuery { query, k: self.k })
+            .collect();
+        let out = core::tasm_resident_batch(
+            &batch,
+            doc,
+            &UnitCost,
+            1,
+            self.options,
+            self.threads,
+            &mut self.workspace,
+            None,
+            &core::Deadline::none(),
+        )
+        .expect("Deadline::none() never expires");
+        self.last_scan = out.scan;
+        self.last_lanes = out.lanes;
+        out.rankings
     }
 
     /// Answers the whole batch from a prebuilt `.pqi` index file: one
@@ -532,8 +560,8 @@ impl TasmBatch {
     }
 
     /// Scan and pruning-funnel statistics ([`ScanStats`]) of the most
-    /// recent run — shared sequential scan, sharded streaming scan or
-    /// index — aggregated over all query lanes.
+    /// recent run — shared sequential scan, sharded streaming scan,
+    /// resident sweep or index — aggregated over all query lanes.
     pub fn last_scan_stats(&self) -> ScanStats {
         self.last_scan
     }
@@ -745,6 +773,26 @@ mod tests {
         let mut seq = par.threads(1);
         seq.run_xml_str(&doc).unwrap();
         assert_eq!(seq.last_scan_stats().candidates, 60);
+    }
+
+    #[test]
+    fn run_tree_sweeps_like_the_stream() {
+        let doc: String = std::iter::once("<dblp>".to_string())
+            .chain((0..60).map(|i| format!("<article><a>n{i}</a><t>t{}</t></article>", i % 5)))
+            .chain(std::iter::once("</dblp>".to_string()))
+            .collect();
+        for threads in [1, 2] {
+            let mut q = TasmQuery::from_xml("<article><a>n3</a><t>t3</t></article>")
+                .unwrap()
+                .k(3)
+                .threads(threads);
+            let streamed = q.run_xml_str(&doc).unwrap();
+            let tree = q.parse_document(&doc).unwrap();
+            assert_eq!(q.run_tree(&tree), streamed, "threads = {threads}");
+            let scan = q.last_scan_stats();
+            assert_eq!(scan.candidates, 60);
+            assert_eq!(scan.nodes_seen as usize, tree.len());
+        }
     }
 
     #[test]
