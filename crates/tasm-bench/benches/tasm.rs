@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tasm_core::{
     prb_pruning_stats, tasm_batch, tasm_batch_with_workspace, tasm_dynamic, tasm_naive,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, Deadline, TasmOptions,
+    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, Run, TasmOptions,
     TasmWorkspace,
 };
 use tasm_data::{dblp_tree, random_query, xmark_tree, DblpConfig, XMarkConfig};
@@ -196,20 +196,14 @@ fn bench_parallel_threads(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             let queries = [BatchQuery { query: &query, k }];
+            let run = Run {
+                threads: t,
+                ..Run::default()
+            };
             let mut ws = TasmWorkspace::new();
             b.iter(|| {
-                tasm_batch(
-                    &queries,
-                    &mut TreeQueue::new(&doc),
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    t,
-                    &mut ws,
-                    None,
-                    &Deadline::none(),
-                )
-                .expect("complete stream")
+                tasm_batch(&queries, &mut TreeQueue::new(&doc), &run, &mut ws)
+                    .expect("complete stream")
             });
         });
     }

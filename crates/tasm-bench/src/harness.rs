@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use tasm_core::{
     prb_pruning_stats, simple_pruning, tasm_batch, tasm_dynamic, tasm_indexed_batch,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchOutput, BatchQuery, Deadline,
-    Match, ScanStats, TasmOptions, TasmWorkspace,
+    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchOutput, BatchQuery, Match, Run,
+    ScanStats, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_query, xmark_tree, DblpConfig, PsdConfig, XMarkConfig,
@@ -685,18 +685,12 @@ fn batch_over_tree(
     threads: usize,
     ws: &mut TasmWorkspace,
 ) -> BatchOutput {
-    tasm_batch(
-        queries,
-        &mut TreeQueue::new(doc),
-        &UnitCost,
-        1,
-        TasmOptions::default(),
+    let run = Run {
         threads,
-        ws,
-        None,
-        &Deadline::none(),
-    )
-    .expect("an in-memory tree is a complete stream")
+        ..Run::default()
+    };
+    tasm_batch(queries, &mut TreeQueue::new(doc), &run, ws)
+        .expect("an in-memory tree is a complete stream")
 }
 
 /// One query against `idx` through the indexed driver at one thread.
@@ -710,15 +704,10 @@ fn indexed_one(
         &[BatchQuery { query, k }],
         dict,
         idx,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        1,
+        &Run::default(),
         &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
     )
-    .expect("Deadline::none() never expires");
+    .expect("no deadline");
     (out.rankings.pop().expect("one lane"), out.scan)
 }
 
@@ -1129,15 +1118,13 @@ pub fn corpus_summary(
                     &[BatchQuery { query: &query, k }],
                     &dict,
                     corpus,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    threads,
+                    &Run {
+                        threads,
+                        ..Run::default()
+                    },
                     &mut TasmWorkspace::new(),
-                    None,
-                    &Deadline::none(),
                 )
-                .expect("Deadline::none() never expires")
+                .expect("no deadline")
             };
             let out = run();
             let (matches, status) = (&out.rankings[0], out.status);

@@ -22,11 +22,9 @@ use std::path::PathBuf;
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
 use tasm_core::{
-    tasm_corpus_batch, tasm_indexed_batch, tasm_resident_batch, BatchQuery, Deadline, TasmOptions,
-    TasmWorkspace,
+    tasm_corpus_batch, tasm_indexed_batch, tasm_resident_batch, BatchQuery, Run, TasmWorkspace,
 };
 use tasm_index::{Corpus, IndexedDocument};
-use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, Tree};
 
 #[global_allocator]
@@ -81,7 +79,7 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
             (sub, corpus)
         })
         .collect();
-    let opts = TasmOptions::default();
+    let run = Run::default();
 
     for width in [1usize, 3] {
         let batch: Vec<BatchQuery<'_>> = queries[..width]
@@ -92,18 +90,7 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
         let mut ws = TasmWorkspace::new();
         let mut resident = |tree: &Tree| {
             let before = alloc_count();
-            let out = tasm_resident_batch(
-                &batch,
-                tree,
-                &UnitCost,
-                1,
-                opts,
-                1,
-                &mut ws,
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
+            let out = tasm_resident_batch(&batch, tree, &run, &mut ws).unwrap();
             let allocs = alloc_count() - before;
             assert_eq!(out.rankings.len(), width);
             (allocs, out.scan.candidates)
@@ -125,19 +112,7 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
         let mut ws = TasmWorkspace::new();
         let mut indexed = |idx: &IndexedDocument| {
             let before = alloc_count();
-            let out = tasm_indexed_batch(
-                &batch,
-                &dict,
-                idx,
-                &UnitCost,
-                1,
-                opts,
-                1,
-                &mut ws,
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
+            let out = tasm_indexed_batch(&batch, &dict, idx, &run, &mut ws).unwrap();
             let allocs = alloc_count() - before;
             assert_eq!(out.rankings.len(), width);
             (allocs, out.scan.candidates)
@@ -170,19 +145,7 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
         let mut ws = TasmWorkspace::new();
         let mut corpus = |corpus: &Corpus| {
             let before = alloc_count();
-            let out = tasm_corpus_batch(
-                &batch,
-                &dict,
-                corpus,
-                &UnitCost,
-                1,
-                opts,
-                1,
-                &mut ws,
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
+            let out = tasm_corpus_batch(&batch, &dict, corpus, &run, &mut ws).unwrap();
             let allocs = alloc_count() - before;
             assert_eq!(out.rankings.len(), width);
             allocs

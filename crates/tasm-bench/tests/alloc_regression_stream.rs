@@ -11,8 +11,7 @@
 //! diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{tasm_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
-use tasm_ted::UnitCost;
+use tasm_core::{tasm_batch, BatchQuery, Run, TasmWorkspace};
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
 #[global_allocator]
@@ -46,25 +45,17 @@ fn streaming_sharded_scan_allocations_are_document_independent() {
         .iter()
         .map(|query| BatchQuery { query, k: 2 })
         .collect();
-    let opts = TasmOptions::default();
-    let threads = 3;
+    let three = Run {
+        threads: 3,
+        ..Run::default()
+    };
 
     let run = |doc: &Tree| -> usize {
         let mut q = TreeQueue::new(doc);
         let before = alloc_count();
-        let r = tasm_batch(
-            &batch,
-            &mut q,
-            &UnitCost,
-            1,
-            opts,
-            threads,
-            &mut TasmWorkspace::new(),
-            None,
-            &Deadline::none(),
-        )
-        .expect("complete stream")
-        .rankings;
+        let r = tasm_batch(&batch, &mut q, &three, &mut TasmWorkspace::new())
+            .expect("complete stream")
+            .rankings;
         assert_eq!(r.len(), batch.len());
         assert!(r.iter().all(|lane| lane.len() == 2));
         alloc_count() - before

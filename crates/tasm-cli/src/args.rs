@@ -1,5 +1,11 @@
 //! Minimal argument parsing (no external dependencies).
 
+/// The most threads a thread-count option may ask for. Every thread
+/// count below it is spawned as asked, and each stream worker also
+/// pre-sizes pipe segments, so an unchecked count is a way to ask for
+/// 100 k OS threads and gigabytes of buffers.
+pub const MAX_THREADS: usize = 256;
+
 /// Parsed command line: a subcommand, positional arguments and
 /// `--flag[=| ]value` options.
 ///
@@ -88,6 +94,18 @@ impl Args {
         }
     }
 
+    /// A thread-count option with a default: at most [`MAX_THREADS`],
+    /// where `0` is left to the command (it means one per core, or one).
+    pub fn get_threads(&self, name: &str, default: usize) -> Result<usize, String> {
+        let n = self.get_num(name, default)?;
+        if n > MAX_THREADS {
+            return Err(format!(
+                "option --{name}: {n} exceeds the limit of {MAX_THREADS} threads"
+            ));
+        }
+        Ok(n)
+    }
+
     /// A boolean flag (present = true).
     pub fn flag(&self, name: &str) -> bool {
         self.get(name).is_some()
@@ -138,6 +156,15 @@ mod tests {
         assert_eq!(a.get_num("missing", 3usize).unwrap(), 3);
         let bad = parse("query --k seven");
         assert!(bad.get_num("k", 1usize).is_err());
+    }
+
+    #[test]
+    fn thread_counts_are_capped() {
+        let a = parse("query --threads 256 --workers 257");
+        assert_eq!(a.get_threads("threads", 1).unwrap(), MAX_THREADS);
+        assert_eq!(a.get_threads("missing", 0).unwrap(), 0);
+        let err = a.get_threads("workers", 1).unwrap_err();
+        assert!(err.contains("--workers") && err.contains("256"), "{err}");
     }
 
     #[test]

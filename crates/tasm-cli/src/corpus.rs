@@ -22,9 +22,9 @@ use std::time::Instant;
 use crate::args::Args;
 use crate::errors::{CliError, UsageExt};
 use crate::{load_xml, output, print_scan_stats};
-use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
+use tasm_core::{tasm_corpus_batch, BatchQuery, Run, TasmOptions, TasmWorkspace};
 use tasm_index::Corpus;
-use tasm_ted::{TedKernel, TedStats, UnitCost};
+use tasm_ted::TedKernel;
 use tasm_tree::{LabelDict, Tree};
 
 pub fn cmd_corpus(args: &Args) -> Result<(), CliError> {
@@ -158,6 +158,8 @@ fn cmd_fsck(args: &Args) -> Result<(), CliError> {
 
 fn cmd_query(args: &Args) -> Result<(), CliError> {
     let dir = args.require("dir").usage()?;
+    // Checked before any file is opened.
+    let threads = args.get_threads("threads", 1).usage()?;
     let mut dict = LabelDict::new();
     // Queries in command-line order, files and literals interleaved.
     let mut queries: Vec<Tree> = Vec::new();
@@ -177,7 +179,6 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         ));
     }
     let k = crate::ranking_size(args)?;
-    let threads: usize = args.get_num("threads", 1).usage()?;
     let kernel: TedKernel = args
         .get("kernel")
         .unwrap_or("auto")
@@ -189,8 +190,6 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
     };
     let want_stats = args.flag("stats");
     let strict = args.flag("strict");
-    let mut stats = TedStats::new();
-    let sink = want_stats.then_some(&mut stats);
 
     let corpus = Corpus::open(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
     // Shard damage degrades the answer instead of failing the query;
@@ -206,19 +205,14 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         .map(|query| BatchQuery { query, k })
         .collect();
     let t0 = Instant::now();
-    let result = tasm_corpus_batch(
-        &bqs,
-        &dict,
-        &corpus,
-        &UnitCost,
-        1,
+    let run = Run {
         opts,
         threads,
-        &mut TasmWorkspace::new(),
-        sink,
-        &Deadline::none(),
-    )
-    .expect("Deadline::none() never expires");
+        ted_stats: want_stats,
+        ..Run::default()
+    };
+    let result = tasm_corpus_batch(&bqs, &dict, &corpus, &run, &mut TasmWorkspace::new())
+        .expect("no deadline");
     let elapsed = t0.elapsed();
     let (rankings, status, scan, lanes, shard_stats) = (
         result.rankings,
@@ -227,6 +221,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         result.lane_scans,
         result.shard_stats,
     );
+    let stats = result.ted.unwrap_or_default();
 
     let batch = queries.len() > 1;
     let mut out = output::stdout();

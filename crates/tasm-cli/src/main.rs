@@ -36,7 +36,7 @@ use args::Args;
 use errors::{CliError, RuntimeExt, UsageExt};
 use tasm_core::{
     prb_pruning_stats, simple_pruning, tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive,
-    threshold_for_query, BatchQuery, Deadline, ScanStats, TasmOptions, TasmWorkspace,
+    threshold_for_query, BatchQuery, Run, ScanStats, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_tree, xmark_tree, DblpConfig, PsdConfig, RandomTreeConfig,
@@ -63,11 +63,12 @@ COMMANDS:
                   --k <n>                ranking size          [default: 5]
                   --algorithm <name>     postorder|dynamic|naive [postorder]
                   --threads <n>          shard candidate evaluation across
-                                         n worker threads (0 = all cores;
-                                         postorder only). The document
-                                         still STREAMS — no materialized
-                                         tree — and composes with repeated
-                                         --query (batch×parallel) [default: 1]
+                                         n worker threads (0 = all cores,
+                                         at most 256; postorder only).
+                                         The document still STREAMS — no
+                                         materialized tree — and composes
+                                         with repeated --query
+                                         (batch×parallel)      [default: 1]
                   --index <file.pqi>     answer from a prebuilt label
                                          index (see `index`) instead of
                                          scanning --doc; composes with
@@ -131,7 +132,8 @@ COMMANDS:
                                          healthy shards (rows carry the
                                          source document); --threads
                                          splits the budget across shards
-                                         first (0 = all cores), --stats
+                                         first (0 = all cores, at most
+                                         256), --stats
                                          adds per-shard timing, --strict
                                          exits 2 on a degraded answer
 
@@ -146,9 +148,10 @@ COMMANDS:
                   --corpus <name=dir>    resident corpus served in
                                          degraded mode when shards are
                                          quarantined (repeatable)
-                  --workers <n>          evaluation threads     [2]
+                  --workers <n>          evaluation threads (<= 256) [2]
                   --corpus-threads <n>   shard-scheduler threads per
-                                         corpus request (0=cores) [1]
+                                         corpus request (0=cores,
+                                         <= 256)                [1]
                   --queue <n>            admission queue bound  [64]
                   --default-timeout-ms <n>  deadline when a request
                                          names none             [2000]
@@ -354,6 +357,8 @@ fn ranking_size(args: &Args) -> Result<usize, CliError> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), CliError> {
+    // Checked before any file is opened.
+    let threads = args.get_threads("threads", 1).usage()?;
     let mut dict = LabelDict::new();
     // Collect queries in command-line order, even when --query files and
     // --query-str literals are interleaved: output tables are numbered by
@@ -376,7 +381,6 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
     }
     let index_path = args.get("index");
     let k = ranking_size(args)?;
-    let threads: usize = args.get_num("threads", 1).usage()?;
     let algorithm = args.get("algorithm").unwrap_or("postorder");
     let kernel: TedKernel = args
         .get("kernel")
@@ -407,7 +411,12 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             "--index generates candidates for the postorder engine, not --algorithm {algorithm}"
         )));
     }
-    let sink = want_stats.then_some(&mut stats);
+    let run = Run {
+        opts,
+        threads,
+        ted_stats: want_stats,
+        ..Run::default()
+    };
     // Scan + pruning-funnel statistics of the run, when the scan-engine
     // path produced them (postorder, any number of queries and threads).
     let mut scan_stats: Option<ScanStats> = None;
@@ -430,19 +439,9 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             .iter()
             .map(|query| BatchQuery { query, k })
             .collect();
-        let out = tasm_indexed_batch(
-            &bqs,
-            &dict,
-            idx,
-            &UnitCost,
-            1,
-            opts,
-            threads,
-            &mut TasmWorkspace::new(),
-            sink,
-            &Deadline::none(),
-        )
-        .expect("Deadline::none() never expires");
+        let out = tasm_indexed_batch(&bqs, &dict, idx, &run, &mut TasmWorkspace::new())
+            .expect("no deadline");
+        stats = out.ted.unwrap_or_default();
         scan_stats = Some(out.scan);
         lane_stats = Some(out.lanes);
         out.rankings
@@ -454,20 +453,11 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         let doc_path = args.require("doc").usage()?;
         let out = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
             let bqs: Vec<BatchQuery<'_>> = qs.iter().map(|query| BatchQuery { query, k }).collect();
-            tasm_batch(
-                &bqs,
-                queue,
-                &UnitCost,
-                1,
-                opts,
-                threads,
-                &mut TasmWorkspace::new(),
-                sink,
-                &Deadline::none(),
-            )
+            tasm_batch(&bqs, queue, &run, &mut TasmWorkspace::new())
         })?
         .map_err(|e| format!("{doc_path}: {e}"))
         .runtime()?;
+        stats = out.ted.unwrap_or_default();
         scan_stats = Some(out.scan);
         lane_stats = Some(out.lanes);
         out.rankings
@@ -477,6 +467,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         let matches = match algorithm {
             "dynamic" | "naive" => {
                 let doc = load_xml(doc_path, &mut dict)?;
+                let sink = want_stats.then_some(&mut stats);
                 if algorithm == "dynamic" {
                     tasm_dynamic(query, &doc, k, &UnitCost, opts, sink)
                 } else {

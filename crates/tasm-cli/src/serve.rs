@@ -51,7 +51,7 @@ pub(crate) fn doc_alias(value: &str) -> (String, &str) {
 fn build_config(args: &Args) -> Result<ServerConfig, CliError> {
     let defaults = ServerConfig::default();
     Ok(ServerConfig {
-        workers: args.get_num("workers", defaults.workers).usage()?,
+        workers: args.get_threads("workers", defaults.workers).usage()?,
         queue_capacity: args.get_num("queue", defaults.queue_capacity).usage()?,
         default_deadline: Duration::from_millis(
             args.get_num(
@@ -76,7 +76,7 @@ fn build_config(args: &Args) -> Result<ServerConfig, CliError> {
                 .usage()?,
         ),
         corpus_threads: args
-            .get_num("corpus-threads", defaults.corpus_threads)
+            .get_threads("corpus-threads", defaults.corpus_threads)
             .usage()?,
         ..defaults
     })
@@ -89,6 +89,8 @@ fn build_config(args: &Args) -> Result<ServerConfig, CliError> {
 /// socket before the drain deadline; a dirty drain exits 2.
 pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(SERVE_OPTIONS).usage()?;
+    // Checked before any document is loaded or socket bound.
+    let cfg = build_config(args)?;
     let mut store = DocStore::new();
     for (name, value) in &args.options {
         match name.as_str() {
@@ -130,7 +132,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
             "serve needs at least one --doc <name=file.xml> or --corpus <name=dir>".into(),
         ));
     }
-    let cfg = build_config(args)?;
     let server = Server::new(cfg, store);
     let stop = crate::signal::install_term_flag();
 

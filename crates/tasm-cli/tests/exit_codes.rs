@@ -77,6 +77,72 @@ fn serve_and_client_reject_options_they_do_not_read() {
 }
 
 #[test]
+fn thread_counts_over_the_limit_are_usage_errors() {
+    // No input exists: had the count been accepted, each command would
+    // fail at run time opening it (exit 2). A usage error (exit 1)
+    // shows the count was refused while the arguments were checked,
+    // before any file was opened or thread started.
+    let missing = "/no/such/doc.xml";
+    let dir = "/no/such/corpus";
+    for args in [
+        &[
+            "query",
+            "--query-str",
+            "<a/>",
+            "--doc",
+            missing,
+            "--threads",
+            "100000",
+        ][..],
+        &[
+            "corpus",
+            "query",
+            "--dir",
+            dir,
+            "--query-str",
+            "<a/>",
+            "--threads",
+            "100000",
+        ],
+        &[
+            "serve",
+            "--socket",
+            "unused.sock",
+            "--doc",
+            &format!("d={missing}"),
+            "--workers",
+            "100000",
+        ],
+        &[
+            "serve",
+            "--socket",
+            "unused.sock",
+            "--corpus",
+            &format!("c={dir}"),
+            "--corpus-threads",
+            "100000",
+        ],
+    ] {
+        let out = tasm(args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("limit of 256"), "{args:?}: {stderr}");
+    }
+    // The limit itself is accepted: the same query fails only at run
+    // time, on the missing document.
+    let out = tasm(&[
+        "query",
+        "--query-str",
+        "<a/>",
+        "--doc",
+        missing,
+        "--threads",
+        "256",
+    ]);
+    assert_eq!(code(&out), 2);
+}
+
+#[test]
 fn runtime_errors_exit_2() {
     // Unreadable input file.
     let out = tasm(&[

@@ -36,8 +36,9 @@
 
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::ScanStats;
-use crate::lane::{merge_shard_results, resolve_threads, LaneSet};
+use crate::lane::{merge_shard_results, LaneSet};
 use crate::ranking::Match;
+use crate::run::Run;
 use crate::stream_shard::sharded_scan;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::{scratch_fits_cap, TasmWorkspace};
@@ -66,6 +67,28 @@ pub struct BatchOutput {
     /// Per-lane statistics in query order: the pass's scan-layer
     /// counters plus that lane's own pruning funnel.
     pub lanes: Vec<ScanStats>,
+    /// Distance statistics summed over every lane and worker: `Some`
+    /// exactly when the run set [`Run::ted_stats`]. Each exact DP is one
+    /// `ted_calls`, so `ted_calls` equals `scan.evaluated`.
+    pub ted: Option<TedStats>,
+}
+
+impl BatchOutput {
+    /// The output of an empty batch under `run`.
+    pub(crate) fn empty(run: &Run<'_>) -> Self {
+        BatchOutput {
+            ted: run.ted_stats.then(TedStats::new),
+            ..BatchOutput::default()
+        }
+    }
+}
+
+/// Folds a run's distance statistics into a caller's sink (the pinned
+/// shims keep the sink form).
+pub(crate) fn fold_ted(sink: Option<&mut TedStats>, ted: Option<TedStats>) {
+    if let (Some(sink), Some(ted)) = (sink, ted) {
+        sink.merge(&ted);
+    }
 }
 
 /// An alias of [`TasmWorkspace`], the workspace of every one-thread
@@ -101,9 +124,9 @@ impl std::fmt::Display for StreamIntegrityError {
 impl std::error::Error for StreamIntegrityError {}
 
 /// Failure of a [`tasm_batch`] scan: either the stream ended abnormally
-/// ([`StreamIntegrityError`]) or the request's cooperative
-/// [`Deadline`] expired mid-pass ([`DeadlineExceeded`]). Both refuse to
-/// return a partial ranking.
+/// ([`StreamIntegrityError`]) or the run's deadline
+/// ([`Run::deadline`]) expired mid-pass ([`DeadlineExceeded`]). Both
+/// refuse to return a partial ranking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamScanError {
     /// The postorder stream ended abnormally.
@@ -142,11 +165,10 @@ impl From<DeadlineExceeded> for StreamScanError {
 ///
 /// Each ranking is exactly what the sequential
 /// [`tasm_postorder`](crate::tasm_postorder) returns for that query
-/// alone. `c_t` is the maximum document node cost under `model`, as for
-/// the sequential entry point; `stats` (if any) aggregates the
-/// evaluation work of **all** lanes.
+/// alone under `run`'s cost model and `c_t`. With `run.ted_stats` the
+/// output's `ted` aggregates the evaluation work of **all** lanes.
 ///
-/// `threads` picks the topology (`0` = one per available core):
+/// `run.threads` picks the topology (`0` = one per available core):
 ///
 /// * resolved to 1, the scan runs inline on the calling thread and
 ///   every candidate is offered to one evaluation lane per query,
@@ -160,10 +182,11 @@ impl From<DeadlineExceeded> for StreamScanError {
 ///   document is never materialized, so memory stays
 ///   `O(threads · τ + Σ m_i²)`. `ws` is not used.
 ///
-/// The whole batch shares one scan, so one `deadline` bounds it (the
-/// `tasm serve` daemon passes the *earliest* member deadline and
-/// retries survivors solo when a batch is cancelled). An empty batch
-/// returns at once without touching `queue`.
+/// The whole batch shares one scan, so one `run.deadline` bounds it
+/// (the `tasm serve` daemon passes the *earliest* member deadline and
+/// retries survivors solo when a batch is cancelled); the scanning
+/// thread checks it before the pass and polls it per candidate. An
+/// empty batch returns at once without touching `queue`.
 ///
 /// # Errors
 ///
@@ -177,8 +200,7 @@ impl From<DeadlineExceeded> for StreamScanError {
 ///
 /// ```
 /// use tasm_tree::{bracket, LabelDict, TreeQueue};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
+/// use tasm_core::{tasm_batch, BatchQuery, Run, TasmWorkspace};
 ///
 /// let mut dict = LabelDict::new();
 /// let q1 = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
@@ -191,34 +213,27 @@ impl From<DeadlineExceeded> for StreamScanError {
 /// let mut ws = TasmWorkspace::new();
 /// for threads in [1, 2] {
 ///     let mut queue = TreeQueue::new(&doc); // any postorder queue works
-///     let out = tasm_batch(&queries, &mut queue, &UnitCost, 1, TasmOptions::default(),
-///                          threads, &mut ws, None, &Deadline::none()).unwrap();
+///     let run = Run { threads, ..Run::default() };
+///     let out = tasm_batch(&queries, &mut queue, &run, &mut ws).unwrap();
 ///     assert_eq!(out.rankings.len(), 2);
 ///     assert_eq!(out.rankings[0][0].root.post(), 6); // exact match for q1
 /// }
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn tasm_batch<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
     ws: &mut TasmWorkspace,
-    stats: Option<&mut TedStats>,
-    deadline: &Deadline,
 ) -> Result<BatchOutput, StreamScanError> {
     if queries.is_empty() {
-        return Ok(BatchOutput::default());
+        return Ok(BatchOutput::empty(run));
     }
-    let threads = resolve_threads(threads);
-    if threads > 1 {
-        return sharded_scan(queries, queue, model, c_t, opts, threads, stats, deadline);
+    if run.workers() > 1 {
+        return sharded_scan(queries, queue, run);
     }
     // One worker would only add hand-off copies: the shared scan is the
     // same streaming work inline.
-    let out = shared_scan(queries, queue, model, c_t, opts, ws, stats, deadline)?;
+    let out = shared_scan(queries, queue, run, ws)?;
     match queue.integrity_error() {
         Some(msg) => Err(StreamIntegrityError(msg).into()),
         None => Ok(out),
@@ -228,30 +243,27 @@ pub fn tasm_batch<Q: PostorderQueue + ?Sized>(
 /// [`tasm_batch`] at one thread without a deadline, returning only the
 /// rankings. Kept with this exact signature because the end-to-end
 /// benchmark helper (`perfbench/`) times the daemon's batch call
-/// through it; unlike the driver it accepts a non-`Sync` cost model and
-/// does not check the queue's integrity. It goes with the
-/// benchmark-of-record item of the roadmap.
+/// through it; unlike the driver it does not check the queue's
+/// integrity. It goes with the benchmark-of-record item of the roadmap.
 pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
-    model: &dyn CostModel,
+    model: &(dyn CostModel + Sync),
     c_t: u64,
     opts: TasmOptions,
     ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
 ) -> Vec<Vec<Match>> {
-    shared_scan(
-        queries,
-        queue,
+    let run = Run {
         model,
         c_t,
         opts,
-        ws,
-        stats,
-        &Deadline::none(),
-    )
-    .expect("Deadline::none() never expires")
-    .rankings
+        ted_stats: stats.is_some(),
+        ..Run::default()
+    };
+    let out = shared_scan(queries, queue, &run, ws).expect("no deadline");
+    fold_ted(stats, out.ted);
+    out.rankings
 }
 
 /// The inline shared scan: one [`ScanEngine`](crate::ScanEngine) pass at
@@ -259,29 +271,26 @@ pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
 /// `ws` (whose [`last_scan_stats`](TasmWorkspace::last_scan_stats) it
 /// records). The only one-thread evaluation of a postorder queue:
 /// [`tasm_batch`] and [`tasm_postorder`](crate::tasm_postorder) both
-/// run it.
-#[allow(clippy::too_many_arguments)]
+/// run it. `run.threads` is not read.
 pub(crate) fn shared_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
-    model: &dyn CostModel,
-    c_t: u64,
-    opts: TasmOptions,
+    run: &Run<'_>,
     ws: &mut TasmWorkspace,
-    stats: Option<&mut TedStats>,
-    deadline: &Deadline,
 ) -> Result<BatchOutput, DeadlineExceeded> {
     if queries.is_empty() {
-        return Ok(BatchOutput::default());
+        return Ok(BatchOutput::empty(run));
     }
-    let mut set = LaneSet::new(queries, model, c_t, opts, stats.is_some(), &mut ws.eval);
+    let mut set = LaneSet::new(queries, run, &mut ws.eval);
     ws.engine.set_tau(set.scan_tau);
     if scratch_fits_cap(set.scan_tau as usize) {
         ws.engine.reserve();
     }
-    let shared = ws.engine.scan_with_deadline(queue, &mut set, deadline)?;
+    let shared = ws
+        .engine
+        .scan_with_deadline(queue, &mut set, &Deadline::new(run.deadline))?;
     // Every lane saw the one shared pass.
-    let out = merge_shard_results(queries.len(), vec![set.into_result()], stats, Some(&shared));
+    let out = merge_shard_results(queries.len(), vec![set.into_result()], Some(&shared));
     ws.last_scan = out.scan;
     Ok(out)
 }
@@ -309,20 +318,14 @@ mod tests {
         queue: &mut Q,
         opts: TasmOptions,
         ws: &mut TasmWorkspace,
-        stats: Option<&mut TedStats>,
+        ted_stats: bool,
     ) -> BatchOutput {
-        tasm_batch(
-            queries,
-            queue,
-            &UnitCost,
-            1,
+        let run = Run {
             opts,
-            1,
-            ws,
-            stats,
-            &Deadline::none(),
-        )
-        .unwrap()
+            ted_stats,
+            ..Run::default()
+        };
+        tasm_batch(queries, queue, &run, ws).unwrap()
     }
 
     #[test]
@@ -342,7 +345,7 @@ mod tests {
             BatchQuery { query: &q3, k: 22 },
         ];
         let mut queue = TreeQueue::new(&doc);
-        let batch = run(&queries, &mut queue, opts, &mut TasmWorkspace::new(), None);
+        let batch = run(&queries, &mut queue, opts, &mut TasmWorkspace::new(), false);
         assert_eq!(batch.rankings.len(), 3);
         assert_eq!(batch.lanes.len(), 3);
         for (bq, got) in queries.iter().zip(&batch.rankings) {
@@ -358,19 +361,14 @@ mod tests {
         let doc = example_d(&mut dict);
         let mut queue = TreeQueue::new(&doc);
         for threads in [1, 4] {
-            let out = tasm_batch(
-                &[],
-                &mut queue,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
+            let run = Run {
                 threads,
-                &mut TasmWorkspace::new(),
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
+                ted_stats: true,
+                ..Run::default()
+            };
+            let out = tasm_batch(&[], &mut queue, &run, &mut TasmWorkspace::new()).unwrap();
             assert!(out.rankings.is_empty() && out.lanes.is_empty());
+            assert_eq!(out.ted.map(|t| t.ted_calls), Some(0));
         }
         // The queue was not touched: a full sequential run still works.
         let q = bracket::parse("{book{title{X2}}}", &mut dict).unwrap();
@@ -418,7 +416,7 @@ mod tests {
             &mut queue,
             TasmOptions::default(),
             &mut TasmWorkspace::new(),
-            None,
+            false,
         );
         assert_eq!(first, fresh.rankings);
     }
@@ -440,7 +438,6 @@ mod tests {
             TasmOptions::default(),
             Some(&mut solo1),
         );
-        let mut both = TedStats::new();
         let queries = [
             BatchQuery { query: &q1, k: 1 },
             BatchQuery { query: &q2, k: 1 },
@@ -451,8 +448,9 @@ mod tests {
             &mut q,
             TasmOptions::default(),
             &mut TasmWorkspace::new(),
-            Some(&mut both),
+            true,
         );
+        let both = out.ted.expect("asked for");
         assert!(both.ted_calls >= solo1.ted_calls);
         let funnel_sum: u64 = out.lanes.iter().map(|l| l.evaluated).sum();
         assert_eq!(funnel_sum, out.scan.evaluated);

@@ -47,12 +47,13 @@
 
 use std::time::Instant;
 
-use crate::batch::{BatchOutput, BatchQuery};
-use crate::deadline::{Deadline, DeadlineExceeded};
+use crate::batch::{fold_ted, BatchOutput, BatchQuery};
+use crate::deadline::DeadlineExceeded;
 use crate::engine::ScanStats;
-use crate::lane::{pull_units, resolve_threads};
+use crate::lane::pull_units;
 use crate::ranking::Match;
 use crate::resident::tasm_indexed_batch;
+use crate::run::Run;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::TasmWorkspace;
 use tasm_index::{Corpus, IndexedDocument};
@@ -130,6 +131,10 @@ pub struct CorpusBatchOutput {
     pub lane_scans: Vec<ScanStats>,
     /// Per-shard wall clock + funnel, in manifest shard order.
     pub shard_stats: Vec<CorpusShardStats>,
+    /// Distance statistics summed over every shard: `Some` exactly when
+    /// the run set [`Run::ted_stats`], as for
+    /// [`BatchOutput::ted`](crate::BatchOutput::ted).
+    pub ted: Option<TedStats>,
 }
 
 /// The corpus rank key: a **total** order over all corpus matches
@@ -182,31 +187,32 @@ struct CorpusWorkerOutput {
     scan: ScanStats,
     /// Timing + funnel per shard this worker ran.
     shard_stats: Vec<CorpusShardStats>,
-    /// TED counters, collected only when the caller asked for them.
+    /// TED counters, collected only when the run asked for them.
     ted: Option<TedStats>,
 }
 
 impl CorpusWorkerOutput {
-    /// Folds one shard's indexed run into this worker's accumulators.
+    /// Folds one shard's indexed answer into this worker's accumulators.
     fn fold(
         &mut self,
         shard: usize,
         name: &str,
         nanos: u64,
-        run: BatchOutput,
+        answer: BatchOutput,
         queries: &[BatchQuery<'_>],
     ) {
-        self.scan.merge(&run.scan);
-        for (lane, shard_lane) in self.lane_scans.iter_mut().zip(&run.lanes) {
+        fold_ted(self.ted.as_mut(), answer.ted);
+        self.scan.merge(&answer.scan);
+        for (lane, shard_lane) in self.lane_scans.iter_mut().zip(&answer.lanes) {
             lane.merge(shard_lane);
         }
         self.shard_stats.push(CorpusShardStats {
             shard,
             name: name.to_string(),
             nanos,
-            scan: run.scan,
+            scan: answer.scan,
         });
-        for ((lane, ranking), bq) in self.lanes.iter_mut().zip(run.rankings).zip(queries) {
+        for ((lane, ranking), bq) in self.lanes.iter_mut().zip(answer.rankings).zip(queries) {
             let incoming: Vec<CorpusMatch> = ranking
                 .into_iter()
                 .map(|hit| CorpusMatch {
@@ -229,7 +235,7 @@ impl CorpusWorkerOutput {
 ///
 /// `src_dict` is the dictionary the queries were parsed with (any
 /// dictionary works — each shard re-encodes the queries into its own
-/// label space). `threads` (`0` = one per available core) is split
+/// label space). `run.threads` (`0` = one per available core) is split
 /// across shards first, then inside them; the calling thread's share
 /// runs on `ws`. Above one thread the funnel counters may vary from
 /// run to run, the rankings never.
@@ -247,9 +253,8 @@ impl CorpusWorkerOutput {
 ///
 /// ```
 /// use tasm_tree::{bracket, LabelDict};
-/// use tasm_ted::UnitCost;
 /// use tasm_index::Corpus;
-/// use tasm_core::{tasm_corpus_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
+/// use tasm_core::{tasm_corpus_batch, BatchQuery, Run, TasmWorkspace};
 ///
 /// let dir = std::env::temp_dir().join(format!("tasm-doc-corpus-{}", std::process::id()));
 /// let mut corpus = Corpus::create(&dir).unwrap();
@@ -258,89 +263,63 @@ impl CorpusWorkerOutput {
 /// corpus.add("d", &doc, &dict, None).unwrap();
 /// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
 /// let queries = [BatchQuery { query: &q, k: 1 }];
-/// let out = tasm_corpus_batch(&queries, &dict, &corpus, &UnitCost, 1,
-///     TasmOptions::default(), 1, &mut TasmWorkspace::new(), None, &Deadline::none()).unwrap();
+/// let out = tasm_corpus_batch(&queries, &dict, &corpus, &Run::default(),
+///     &mut TasmWorkspace::new()).unwrap();
 /// assert_eq!(out.status.marker(), "1/1");
 /// assert_eq!(out.rankings[0][0].doc, "d");
 /// assert_eq!(out.rankings[0][0].hit.root.post(), 6);
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn tasm_corpus_batch(
     queries: &[BatchQuery<'_>],
     src_dict: &LabelDict,
     corpus: &Corpus,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
     ws: &mut TasmWorkspace,
-    mut stats: Option<&mut TedStats>,
-    deadline: &Deadline,
 ) -> Result<CorpusBatchOutput, DeadlineExceeded> {
     let status = CorpusStatus {
         healthy: corpus.healthy_count(),
         total: corpus.total_shards(),
     };
-    if queries.is_empty() {
-        return Ok(CorpusBatchOutput {
-            rankings: Vec::new(),
-            status,
-            scan: ScanStats::default(),
-            lane_scans: Vec::new(),
-            shard_stats: Vec::new(),
-        });
-    }
     let shards: Vec<(usize, &str, &IndexedDocument)> = corpus.healthy().collect();
-    if shards.is_empty() {
+    if queries.is_empty() || shards.is_empty() {
         return Ok(CorpusBatchOutput {
             rankings: (0..queries.len()).map(|_| Vec::new()).collect(),
             status,
             scan: ScanStats::default(),
             lane_scans: vec![ScanStats::default(); queries.len()],
             shard_stats: Vec::new(),
+            ted: run.ted_stats.then(TedStats::new),
         });
     }
-    if deadline.expired_now() {
-        return Err(DeadlineExceeded);
-    }
 
-    let threads = resolve_threads(threads);
+    let threads = run.workers();
     // Split the budget across shards first; leftover threads go to the
     // indexed pass inside each shard.
     let workers = threads.min(shards.len());
-    let inner = (threads / workers).max(1);
-    let want_ted = stats.is_some();
+    let inner = Run {
+        threads: (threads / workers).max(1),
+        ..*run
+    };
     let outputs = pull_units(
         shards.len(),
         workers,
+        run.deadline,
         ws,
-        deadline,
         |ws, units, deadline| {
             let mut out = CorpusWorkerOutput {
                 lanes: (0..queries.len()).map(|_| Vec::new()).collect(),
                 lane_scans: vec![ScanStats::default(); queries.len()],
                 scan: ScanStats::default(),
                 shard_stats: Vec::new(),
-                ted: want_ted.then(TedStats::new),
+                ted: run.ted_stats.then(TedStats::new),
             };
             while let Some(i) = units.next(deadline)? {
                 let (shard, name, doc) = shards[i];
                 let started = Instant::now();
-                let run = tasm_indexed_batch(
-                    queries,
-                    src_dict,
-                    doc,
-                    model,
-                    c_t,
-                    opts,
-                    inner,
-                    ws,
-                    out.ted.as_mut(),
-                    deadline,
-                )?;
+                let answer = tasm_indexed_batch(queries, src_dict, doc, &inner, ws)?;
                 let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                out.fold(shard, name, nanos, run, queries);
+                out.fold(shard, name, nanos, answer, queries);
             }
             Ok(out)
         },
@@ -353,15 +332,14 @@ pub fn tasm_corpus_batch(
     let mut scan = ScanStats::default();
     let mut lane_scans = vec![ScanStats::default(); queries.len()];
     let mut shard_stats: Vec<CorpusShardStats> = Vec::with_capacity(shards.len());
+    let mut ted = run.ted_stats.then(TedStats::new);
     for out in outputs {
         scan.merge(&out.scan);
         for (lane, w) in lane_scans.iter_mut().zip(&out.lane_scans) {
             lane.merge(w);
         }
         shard_stats.extend(out.shard_stats);
-        if let (Some(dst), Some(src)) = (stats.as_deref_mut(), out.ted.as_ref()) {
-            dst.merge(src);
-        }
+        fold_ted(ted.as_mut(), out.ted);
         for ((lane, wlane), bq) in rankings.iter_mut().zip(out.lanes).zip(queries) {
             merge_ranked(lane, wlane, bq.k);
         }
@@ -373,6 +351,7 @@ pub fn tasm_corpus_batch(
         scan,
         lane_scans,
         shard_stats,
+        ted,
     })
 }
 
@@ -390,19 +369,18 @@ pub fn tasm_corpus_batch_with_stats(
     threads: usize,
     stats: Option<&mut TedStats>,
 ) -> CorpusBatchOutput {
-    tasm_corpus_batch(
-        queries,
-        src_dict,
-        corpus,
+    let run = Run {
         model,
         c_t,
         opts,
         threads,
-        &mut TasmWorkspace::new(),
-        stats,
-        &Deadline::none(),
-    )
-    .expect("Deadline::none() never expires")
+        ted_stats: stats.is_some(),
+        ..Run::default()
+    };
+    let mut out = tasm_corpus_batch(queries, src_dict, corpus, &run, &mut TasmWorkspace::new())
+        .expect("no deadline");
+    fold_ted(stats, out.ted.take());
+    out
 }
 
 #[cfg(test)]
@@ -410,29 +388,25 @@ mod tests {
     use super::*;
     use std::fs;
     use std::path::PathBuf;
-    use tasm_ted::UnitCost;
+    use std::time::Duration;
     use tasm_tree::{bracket, Tree};
 
-    /// The driver over `queries` at `threads` under `deadline`.
+    /// The driver over `queries` at `threads` under `deadline`, with
+    /// distance statistics.
     fn run(
         queries: &[BatchQuery<'_>],
         qdict: &LabelDict,
         corpus: &Corpus,
         threads: usize,
-        deadline: &Deadline,
+        deadline: Option<Instant>,
     ) -> Result<CorpusBatchOutput, DeadlineExceeded> {
-        tasm_corpus_batch(
-            queries,
-            qdict,
-            corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
+        let run = Run {
             threads,
-            &mut TasmWorkspace::new(),
-            None,
             deadline,
-        )
+            ted_stats: true,
+            ..Run::default()
+        };
+        tasm_corpus_batch(queries, qdict, corpus, &run, &mut TasmWorkspace::new())
     }
 
     /// One query, one thread, no deadline.
@@ -442,14 +416,7 @@ mod tests {
         corpus: &Corpus,
         k: usize,
     ) -> (Vec<CorpusMatch>, CorpusStatus) {
-        let out = run(
-            &[BatchQuery { query: q, k }],
-            qdict,
-            corpus,
-            1,
-            &Deadline::none(),
-        )
-        .unwrap();
+        let out = run(&[BatchQuery { query: q, k }], qdict, corpus, 1, None).unwrap();
         (out.rankings.into_iter().next().unwrap(), out.status)
     }
 
@@ -459,13 +426,8 @@ mod tests {
             &[BatchQuery { query: q, k }],
             qdict,
             doc,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
+            &Run::default(),
             &mut TasmWorkspace::new(),
-            None,
-            &Deadline::none(),
         )
         .unwrap();
         out.rankings.into_iter().next().unwrap()
@@ -584,6 +546,8 @@ mod tests {
         let corpus = Corpus::create(&dir).unwrap();
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{a{b}}", &mut qdict).unwrap();
+        let out = run(&[BatchQuery { query: &q, k: 3 }], &qdict, &corpus, 1, None).unwrap();
+        assert_eq!(out.ted.map(|t| t.ted_calls), Some(0));
         let (got, status) = solo(&q, &qdict, &corpus, 3);
         assert!(got.is_empty());
         assert_eq!(status.marker(), "0/0");
@@ -653,13 +617,13 @@ mod tests {
         let queries = [BatchQuery { query: &q, k: 5 }];
 
         // Sanity: without a deadline the single-shard corpus answers.
-        let ok = run(&queries, &qdict, &corpus, 1, &Deadline::none());
+        let ok = run(&queries, &qdict, &corpus, 1, None);
         assert!(ok.is_ok());
 
         // A deadline far shorter than the shard's evaluation time must
         // abort mid-shard — there is no between-shards poll to save it.
-        let deadline = Deadline::after(std::time::Duration::from_micros(100));
-        let got = run(&queries, &qdict, &corpus, 1, &deadline);
+        let deadline = Instant::now() + Duration::from_micros(100);
+        let got = run(&queries, &qdict, &corpus, 1, Some(deadline));
         assert_eq!(got.unwrap_err(), DeadlineExceeded);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -671,9 +635,9 @@ mod tests {
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut qdict).unwrap();
         let queries = [BatchQuery { query: &q, k: 4 }];
-        let sequential = run(&queries, &qdict, &corpus, 1, &Deadline::none()).unwrap();
+        let sequential = run(&queries, &qdict, &corpus, 1, None).unwrap();
         for threads in [2, 4, 7] {
-            let scheduled = run(&queries, &qdict, &corpus, threads, &Deadline::none()).unwrap();
+            let scheduled = run(&queries, &qdict, &corpus, threads, None).unwrap();
             assert_eq!(key(&scheduled.rankings[0]), key(&sequential.rankings[0]));
             // With inner == 1 lane (threads ≤ shards) each shard is
             // evaluated exactly as in the sequential run, so the whole
@@ -701,6 +665,13 @@ mod tests {
                 summed.merge(&s.scan);
             }
             assert_eq!(summed, scheduled.scan);
+            // Every shard's distance stats reach the output: one DP per
+            // evaluated subtree.
+            let ted = scheduled.ted.as_ref().expect("asked for");
+            assert_eq!(
+                ted.ted_calls, scheduled.scan.evaluated,
+                "threads = {threads}"
+            );
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -712,9 +683,9 @@ mod tests {
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{a{b}}", &mut qdict).unwrap();
         let queries = [BatchQuery { query: &q, k: 2 }];
-        let deadline = Deadline::after(std::time::Duration::from_millis(0));
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let got = run(&queries, &qdict, &corpus, 1, &deadline);
+        let deadline = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let got = run(&queries, &qdict, &corpus, 1, Some(deadline));
         assert!(got.is_err());
         fs::remove_dir_all(&dir).unwrap();
     }

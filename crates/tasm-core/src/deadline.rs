@@ -1,15 +1,14 @@
-//! Cooperative per-request deadlines for the scan engine.
+//! Cooperative per-request deadlines for the scan loops.
 //!
 //! A resident daemon cannot let one slow query wedge a worker: the scan
 //! loop must notice, mid-pass, that its request ran out of time. Rust
-//! offers no safe preemption, so the deadline is **cooperative**: a
-//! [`Deadline`] token is handed to
-//! [`ScanEngine::scan_with_deadline`](crate::ScanEngine::scan_with_deadline)
-//! and polled once per candidate. Polling strides (one `Instant::now()`
-//! every few candidates) so the check costs nothing on the hot path,
-//! and a forced check runs before the scan starts so an
-//! already-expired deadline fails immediately instead of after the
-//! first stride.
+//! offers no safe preemption, so the deadline is **cooperative**: every
+//! thread of a run mints its own [`Deadline`] poller from the run's
+//! expiry ([`Run::deadline`](crate::Run::deadline)) and polls it once
+//! per candidate or pulled unit. Polling strides (one `Instant::now()`
+//! every few polls) so the check costs nothing on the hot path, and a
+//! forced check runs before the work starts so an already-expired
+//! deadline fails immediately instead of after the first stride.
 //!
 //! An expired deadline aborts the whole request with
 //! [`DeadlineExceeded`] — **no partial ranking is returned**. A top-k
@@ -19,59 +18,38 @@
 //! honest answer.
 
 use std::cell::Cell;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Clock reads are amortized over this many polls.
 const POLL_STRIDE: u32 = 8;
 
-/// A cooperative deadline token: cheap to poll from a scan loop, sticky
-/// once expired.
+/// A cooperative deadline poller: cheap to poll from a scan loop,
+/// sticky once expired.
 ///
 /// Not `Sync` by design (the stride counter is a [`Cell`]): exactly one
-/// thread — the one driving the scan — polls it. Sharded paths keep the
-/// token on the producer thread, which is the only place the unbounded
-/// per-candidate loop runs.
+/// thread polls it, and every worker thread mints its own.
 #[derive(Debug)]
-pub struct Deadline {
+pub(crate) struct Deadline {
     at: Option<Instant>,
     polls: Cell<u32>,
     expired: Cell<bool>,
 }
 
 impl Deadline {
-    /// A deadline that never expires.
-    pub fn none() -> Self {
+    /// A poller that expires at `at`, or never.
+    pub(crate) fn new(at: Option<Instant>) -> Self {
         Deadline {
-            at: None,
+            at,
             polls: Cell::new(0),
             expired: Cell::new(false),
         }
-    }
-
-    /// Expires at the given instant.
-    pub fn at(at: Instant) -> Self {
-        Deadline {
-            at: Some(at),
-            polls: Cell::new(0),
-            expired: Cell::new(false),
-        }
-    }
-
-    /// Expires `dur` from now.
-    pub fn after(dur: Duration) -> Self {
-        Deadline::at(Instant::now() + dur)
-    }
-
-    /// The expiry instant, if any.
-    pub fn instant(&self) -> Option<Instant> {
-        self.at
     }
 
     /// Strided check: reads the clock every `POLL_STRIDE`th call (8) and
     /// returns `true` once the deadline has passed. Sticky: after the
     /// first `true`, every later call answers `true` without a clock
     /// read.
-    pub fn poll(&self) -> bool {
+    pub(crate) fn poll(&self) -> bool {
         if self.expired.get() {
             return true;
         }
@@ -88,10 +66,10 @@ impl Deadline {
         hit
     }
 
-    /// Forced check (no striding): reads the clock now. Used at scan
-    /// start so a request that arrives already past its deadline fails
-    /// before any work happens.
-    pub fn expired_now(&self) -> bool {
+    /// Forced check (no striding): reads the clock now. Used before a
+    /// scan or pull loop starts so a request that arrives already past
+    /// its deadline fails before any work happens.
+    pub(crate) fn expired_now(&self) -> bool {
         if self.expired.get() {
             return true;
         }
@@ -108,7 +86,8 @@ impl Deadline {
     }
 }
 
-/// A scan was cancelled mid-pass because its [`Deadline`] expired.
+/// A run was cancelled mid-pass because its deadline
+/// ([`Run::deadline`](crate::Run::deadline)) expired.
 ///
 /// No partial ranking accompanies this error: a top-k over a prefix of
 /// the candidate stream could silently miss better matches in the
@@ -130,20 +109,24 @@ impl std::error::Error for DeadlineExceeded {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn after(dur: Duration) -> Deadline {
+        Deadline::new(Some(Instant::now() + dur))
+    }
 
     #[test]
     fn none_never_expires() {
-        let d = Deadline::none();
+        let d = Deadline::new(None);
         for _ in 0..1000 {
             assert!(!d.poll());
         }
         assert!(!d.expired_now());
-        assert_eq!(d.instant(), None);
     }
 
     #[test]
     fn past_deadline_is_caught_by_the_forced_check() {
-        let d = Deadline::after(Duration::ZERO);
+        let d = after(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
         assert!(d.expired_now());
         // Sticky: the strided path answers immediately now.
@@ -152,7 +135,7 @@ mod tests {
 
     #[test]
     fn strided_poll_expires_within_a_stride() {
-        let d = Deadline::after(Duration::from_millis(5));
+        let d = after(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(10));
         let polls_until_hit = (0..=POLL_STRIDE).take_while(|_| !d.poll()).count() as u32;
         assert!(polls_until_hit <= POLL_STRIDE, "{polls_until_hit}");
@@ -160,7 +143,7 @@ mod tests {
 
     #[test]
     fn future_deadline_does_not_fire() {
-        let d = Deadline::after(Duration::from_secs(3600));
+        let d = after(Duration::from_secs(3600));
         for _ in 0..100 {
             assert!(!d.poll());
         }

@@ -213,23 +213,23 @@ impl ScanEngine {
         queue: &mut Q,
         sink: &mut dyn CandidateSink,
     ) -> ScanStats {
-        match self.scan_with_deadline(queue, sink, &Deadline::none()) {
+        match self.scan_with_deadline(queue, sink, &Deadline::new(None)) {
             Ok(stats) => stats,
-            Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
+            Err(DeadlineExceeded) => unreachable!("a scan without a deadline never expires"),
         }
     }
 
     /// As [`scan`](Self::scan), but cooperatively cancellable: the
-    /// `deadline` token is checked once before the pass starts (forced)
+    /// `deadline` poller is checked once before the pass starts (forced)
     /// and once per candidate (strided — see [`Deadline::poll`]). When
     /// it expires the pass stops where it is and **no partial result**
     /// reaches the caller beyond what the sink already consumed; the
     /// sink's state must be discarded, since a ranking over a prefix of
     /// the candidate stream could silently miss better subtrees.
     ///
-    /// This is the cancellation point the `tasm serve` daemon relies on
-    /// to keep slow queries from wedging a worker.
-    pub fn scan_with_deadline<Q: PostorderQueue + ?Sized>(
+    /// This is the cancellation point of every stream run with a
+    /// [`Run::deadline`](crate::Run::deadline).
+    pub(crate) fn scan_with_deadline<Q: PostorderQueue + ?Sized>(
         &mut self,
         queue: &mut Q,
         sink: &mut dyn CandidateSink,

@@ -29,16 +29,20 @@
 //! per-query rankings (pinned by `tests/differential.rs`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Instant;
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::{CandidateSink, ScanStats};
 use crate::ranking::TopKHeap;
-use crate::tasm_dynamic::TasmOptions;
-use crate::tasm_postorder::process_candidate_parts;
-use crate::threshold::threshold;
+use crate::run::Run;
+use crate::tasm_dynamic::{rank_subtrees_into, TasmOptions};
+use crate::threshold::{refined_threshold, threshold};
 use crate::workspace::{matrices_fit_cap, scratch_fits_cap, LaneScratch, TasmWorkspace};
-use tasm_ted::{CostModel, LowerBoundCascade, QueryContext, TedKernel, TedStats, TedWorkspace};
+use tasm_ted::{
+    CascadeDecision, CascadeScratch, CostModel, LowerBoundCascade, QueryContext, TedKernel,
+    TedStats, TedWorkspace,
+};
 use tasm_tree::{NodeId, Tree, TreeView};
 
 /// One per-query evaluation lane of a (possibly sharded) scan.
@@ -57,7 +61,7 @@ pub(crate) struct EvalLane<'a> {
 impl<'a> EvalLane<'a> {
     /// Builds the lane for one query (`k` clamped to `>= 1`); `kernel`
     /// is resolved to a decomposition path here, once per query.
-    fn new(
+    pub(crate) fn new(
         query: &'a Tree,
         k: usize,
         model: &'a dyn CostModel,
@@ -76,18 +80,110 @@ impl<'a> EvalLane<'a> {
             stats: ScanStats::default(),
         }
     }
+
+    /// Algorithm 3, lines 7–19: traverse the subtrees of candidate
+    /// `cand` in reverse postorder; evaluate each maximal subtree below
+    /// the current bound `τ'` with TASM-dynamic — unless the lane's
+    /// cascade refutes it against the current heap cutoff — and skip
+    /// over its nodes, descending one node at a time otherwise. The
+    /// funnel counters land in the lane's own [`ScanStats`].
+    ///
+    /// `doc_post_offset` is the document postorder number of the node
+    /// preceding the candidate's leftmost node. The candidate is a
+    /// borrowed [`TreeView`] wherever it lives — scan arena, stream
+    /// segment or resident document — so every driver (and
+    /// [`tasm_dynamic`](crate::tasm_dynamic), with an unbounded τ)
+    /// evaluates in place.
+    pub(crate) fn evaluate(
+        &mut self,
+        cand: TreeView<'_>,
+        doc_post_offset: u32,
+        opts: TasmOptions,
+        lb: &mut CascadeScratch,
+        ted: &mut TedWorkspace,
+        mut stats: Option<&mut TedStats>,
+    ) {
+        let EvalLane {
+            ctx,
+            cascade,
+            tau,
+            heap,
+            stats: scan,
+        } = self;
+        let m = ctx.len() as u64;
+        let mut r = cand.len() as u32; // local postorder of the current root
+        while r >= 1 {
+            let node = NodeId::new(r);
+            let size = cand.size(node) as u64;
+            let tau_prime = if opts.use_tau_prime && heap.is_full() {
+                refined_threshold(*tau, heap.max_distance().expect("full heap"), m)
+            } else {
+                *tau
+            };
+            // `<=` (not `<`): both Theorem 3 and Lemma 3 bound answer
+            // sizes *inclusively* (|T_i| <= δ + |Q|), and a subtree of
+            // size exactly τ' can still tie the current maximum on
+            // distance and win on postorder number. Evaluating the
+            // boundary keeps the ranking exact — the batch and parallel
+            // paths rely on it for result-set equality with the
+            // sequential path.
+            if !heap.is_full() || size <= tau_prime {
+                // Zero-copy: the subtree (whole candidate included) is a
+                // contiguous slice of the candidate.
+                let doc = cand.subtree_view(node);
+                // The cascade's verdict covers *all* subtrees of `doc`
+                // (one DP would rank them all), so a refuted subtree is
+                // skipped wholesale. Strictness (`bound > max(R)`) keeps
+                // the heap content — and hence every later τ'/cutoff —
+                // identical to a cascade-off run.
+                if opts.use_cascade && heap.is_full() {
+                    let cutoff = heap.max_distance().expect("full heap");
+                    match cascade.decide(doc, cutoff, lb) {
+                        CascadeDecision::Evaluate => {}
+                        CascadeDecision::PrunedByHistogram => {
+                            scan.pruned_histogram += 1;
+                            r -= size as u32;
+                            continue;
+                        }
+                        CascadeDecision::PrunedBySed => {
+                            scan.pruned_sed += 1;
+                            r -= size as u32;
+                            continue;
+                        }
+                    }
+                }
+                scan.evaluated += 1;
+                if ctx.uses_strategy_kernel() {
+                    scan.evaluated_strategy += 1;
+                } else {
+                    scan.evaluated_zs += 1;
+                }
+                let sub_offset = doc_post_offset + r - size as u32;
+                rank_subtrees_into(heap, ctx, doc, sub_offset, opts, ted, stats.as_deref_mut());
+                // All subtrees of `doc` were ranked as a side effect.
+                r -= size as u32;
+            } else {
+                scan.pruned_size += 1;
+                r -= 1;
+            }
+        }
+    }
 }
 
 /// The widest lane threshold of a batch — `τ_scan = max_i τ_i`, which
 /// a shared pass must cover — computed *without* building the lanes
 /// (no contexts, cascades or heaps; used where the workers build their
 /// own lanes).
-pub(crate) fn scan_tau_of(queries: &[BatchQuery<'_>], model: &dyn CostModel, c_t: u64) -> u32 {
+pub(crate) fn scan_tau_of(queries: &[BatchQuery<'_>], run: &Run<'_>) -> u32 {
     queries
         .iter()
         .map(|bq| {
-            let tau =
-                crate::threshold::threshold_for_query(bq.query, model, c_t, bq.k.max(1) as u64);
+            let tau = crate::threshold::threshold_for_query(
+                bq.query,
+                run.model,
+                run.c_t,
+                bq.k.max(1) as u64,
+            );
             u32::try_from(tau).unwrap_or(u32::MAX)
         })
         .max()
@@ -98,8 +194,8 @@ pub(crate) fn scan_tau_of(queries: &[BatchQuery<'_>], model: &dyn CostModel, c_t
 /// A batch's lanes together with what they evaluate with: one
 /// [`TedWorkspace`] per lane and the shared cascade scratch, borrowed
 /// from a [`LaneScratch`] and reserved up front for candidates of up to
-/// `τ_scan` nodes, plus the optional distance stats and the scan-layer
-/// counters of the candidates evaluated here.
+/// `τ_scan` nodes, plus the run's distance stats (when asked for) and
+/// the scan-layer counters of the candidates evaluated here.
 pub(crate) struct LaneSet<'a, 'w> {
     pub(crate) lanes: Vec<EvalLane<'a>>,
     /// The widest lane threshold, `τ_scan = max_i τ_i`.
@@ -117,20 +213,18 @@ impl<'a, 'w> LaneSet<'a, 'w> {
     /// buffer mid-pass (what keeps the candidate loops zero-alloc). The
     /// reservation is capped at
     /// [`RESERVE_CAP_BYTES`](crate::RESERVE_CAP_BYTES): a pathological
-    /// τ falls back to on-demand growth.
+    /// τ falls back to on-demand growth. The set keeps its own copy of
+    /// `run.opts`; the candidate loop reads nothing through `run`.
     pub(crate) fn new(
         queries: &[BatchQuery<'a>],
-        model: &'a dyn CostModel,
-        c_t: u64,
-        opts: TasmOptions,
-        want_ted_stats: bool,
+        run: &Run<'a>,
         scratch: &'w mut LaneScratch,
     ) -> Self {
         let mut scan_tau = 1u32;
         let lanes: Vec<EvalLane<'a>> = queries
             .iter()
             .map(|bq| {
-                let lane = EvalLane::new(bq.query, bq.k, model, c_t, opts.kernel);
+                let lane = EvalLane::new(bq.query, bq.k, run.model, run.c_t, run.opts.kernel);
                 scan_tau = scan_tau.max(u32::try_from(lane.tau).unwrap_or(u32::MAX));
                 lane
             })
@@ -158,8 +252,8 @@ impl<'a, 'w> LaneSet<'a, 'w> {
             scan_tau,
             scan: ScanStats::default(),
             scratch,
-            opts,
-            ted_stats: want_ted_stats.then(TedStats::new),
+            opts: run.opts,
+            ted_stats: run.ted_stats.then(TedStats::new),
         }
     }
 
@@ -175,17 +269,12 @@ impl<'a, 'w> LaneSet<'a, 'w> {
         self.scan.peak_buffered = self.scan.peak_buffered.max(len as usize);
         let LaneScratch { lb, teds } = &mut *self.scratch;
         for (lane, ted) in self.lanes.iter_mut().zip(teds) {
-            process_candidate_parts(
-                &mut lane.heap,
-                &lane.ctx,
-                &lane.cascade,
+            lane.evaluate(
                 cand,
                 doc_post_offset,
-                lane.tau,
                 self.opts,
                 lb,
                 ted,
-                &mut lane.stats,
                 self.ted_stats.as_mut(),
             );
         }
@@ -218,17 +307,6 @@ impl CandidateSink for LaneSet<'_, '_> {
     }
 }
 
-/// Resolves a `threads` argument: `0` means "one per available core".
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 /// The shared cursor of a [`pull_units`] run. Both atomics are
 /// `Relaxed`: they publish no other data (the units are read-only, and
 /// every result travels back through the thread join).
@@ -245,7 +323,7 @@ pub(crate) struct Units {
 impl Units {
     /// The next unit to evaluate, `None` once every unit is taken.
     /// Fails once another worker failed, or when `deadline` expires
-    /// (polled once per pull, strided — see [`Deadline::poll`]).
+    /// (polled once per pull, strided).
     pub(crate) fn next(&self, deadline: &Deadline) -> Result<Option<usize>, DeadlineExceeded> {
         let unit = if self.shared {
             self.next.fetch_add(1, Ordering::Relaxed)
@@ -267,19 +345,24 @@ impl Units {
 /// The one scheduler of the resident drivers: `threads` workers pull
 /// the unit indices `0..units` from one shared cursor, in order, until
 /// none is left. The calling thread is one of the workers and runs on
-/// `ws`; every other worker runs on a workspace of its own and a
-/// [`Deadline`] minted from the same expiry (the token is deliberately
-/// `!Sync`). A worker that fails cancels the run: the others fail at
+/// `ws`; every other worker runs on a workspace of its own. Each worker
+/// mints its own [`Deadline`] poller from `expiry` (the poller is
+/// deliberately `!Sync`), and the calling thread checks it before any
+/// work starts. A worker that fails cancels the run: the others fail at
 /// their next pull, and no partial result is returned. At one thread
 /// (or one unit) no thread is spawned, so the loop is exactly the
 /// sequential one. Returns one result per worker, the caller's first.
 pub(crate) fn pull_units<R: Send>(
     units: usize,
     threads: usize,
+    expiry: Option<Instant>,
     ws: &mut TasmWorkspace,
-    deadline: &Deadline,
     worker: impl Fn(&mut TasmWorkspace, &Units, &Deadline) -> Result<R, DeadlineExceeded> + Sync,
 ) -> Result<Vec<R>, DeadlineExceeded> {
+    let deadline = Deadline::new(expiry);
+    if deadline.expired_now() {
+        return Err(DeadlineExceeded);
+    }
     let workers = threads.min(units).max(1);
     let cursor = Units {
         next: AtomicUsize::new(0),
@@ -295,20 +378,14 @@ pub(crate) fn pull_units<R: Send>(
         out
     };
     if workers == 1 {
-        return run(ws, deadline).map(|r| vec![r]);
+        return run(ws, &deadline).map(|r| vec![r]);
     }
-    let expiry = deadline.instant();
     std::thread::scope(|scope| {
         let run = &run;
         let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let deadline = expiry.map_or_else(Deadline::none, Deadline::at);
-                    run(&mut TasmWorkspace::new(), &deadline)
-                })
-            })
+            .map(|_| scope.spawn(move || run(&mut TasmWorkspace::new(), &Deadline::new(expiry))))
             .collect();
-        let mine = run(ws, deadline);
+        let mine = run(ws, &deadline);
         let theirs = handles
             .into_iter()
             .map(|h| h.join().expect("pull worker panicked"));
@@ -326,24 +403,27 @@ pub(crate) struct ShardResult {
 }
 
 /// Merges per-worker results into one ranking per lane plus the
-/// aggregated statistics, preserving lane (query) order, and folds the
-/// distance stats into `stats`. Scan-layer counters sum across workers
-/// (each evaluated disjoint candidates) unless `shared` holds the
-/// counters of the one scan pass that fed them all; per-lane funnels
-/// sum; the aggregate adds all lane funnels on top.
+/// aggregated statistics, preserving lane (query) order. Scan-layer
+/// counters sum across workers (each evaluated disjoint candidates)
+/// unless `shared` holds the counters of the one scan pass that fed
+/// them all; per-lane funnels and distance stats sum; the aggregate
+/// adds all lane funnels on top.
 pub(crate) fn merge_shard_results(
     n_lanes: usize,
     results: Vec<ShardResult>,
-    mut stats: Option<&mut TedStats>,
     shared: Option<&ScanStats>,
 ) -> BatchOutput {
     let mut merged: Vec<Option<TopKHeap>> = (0..n_lanes).map(|_| None).collect();
     let mut lanes = vec![ScanStats::default(); n_lanes];
     let mut scan = ScanStats::default();
+    let mut ted: Option<TedStats> = None;
     for shard in results {
         scan.merge(&shard.scan);
-        if let (Some(out), Some(ts)) = (stats.as_deref_mut(), shard.ted_stats.as_ref()) {
-            out.merge(ts);
+        if let Some(ts) = shard.ted_stats {
+            match &mut ted {
+                None => ted = Some(ts),
+                Some(acc) => acc.merge(&ts),
+            }
         }
         for (i, (heap, funnel)) in shard.heaps.into_iter().zip(shard.lane_funnels).enumerate() {
             lanes[i].merge(&funnel);
@@ -372,6 +452,7 @@ pub(crate) fn merge_shard_results(
         rankings,
         scan: aggregate,
         lanes,
+        ted,
     }
 }
 
@@ -383,29 +464,27 @@ mod tests {
 
     #[test]
     fn a_deadline_in_one_worker_stops_every_worker() {
-        // Only the calling thread's worker watches the (expired)
-        // deadline; the others ignore theirs, so the cancel flag alone
-        // must stop them. The barrier starts every worker before the
-        // first pull; undisturbed, the other two would spend
-        // 600 units × 1 ms / 2 draining the cursor.
+        // Only the calling thread's worker watches the deadline (it
+        // expires 50 ms in); the others ignore theirs, so the cancel
+        // flag alone must stop them. The barrier starts every worker
+        // before the first pull; undisturbed, the three would spend
+        // 600 units × 1 ms / 3 = 200 ms draining the cursor.
         let caller = std::thread::current().id();
         let started = Barrier::new(3);
         let pulled = AtomicUsize::new(0);
-        let expired = Deadline::after(Duration::ZERO);
+        let expiry = Instant::now() + Duration::from_millis(50);
         let got = pull_units(
             600,
             3,
+            Some(expiry),
             &mut TasmWorkspace::new(),
-            &expired,
             |_, units, deadline| {
-                let never = Deadline::none();
+                let never = Deadline::new(None);
                 let mine = std::thread::current().id() == caller;
                 started.wait();
                 while units.next(if mine { deadline } else { &never })?.is_some() {
                     pulled.fetch_add(1, Ordering::Relaxed);
-                    if !mine {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+                    std::thread::sleep(Duration::from_millis(1));
                 }
                 Ok(())
             },
@@ -425,8 +504,8 @@ mod tests {
             let got = pull_units(
                 seen.len(),
                 threads,
+                None,
                 &mut TasmWorkspace::new(),
-                &Deadline::none(),
                 |_, units, deadline| {
                     let mut mine = 0usize;
                     while let Some(unit) = units.next(deadline)? {

@@ -18,10 +18,13 @@
 //!   algorithms above are built on, reusable for custom evaluations.
 //!
 //! Around the paper's algorithms sit four **drivers**, one per kind of
-//! document source. Each answers a batch of queries, takes a thread
-//! count (`0` = one per available core), a caller-kept
-//! [`TasmWorkspace`] and a cooperative [`Deadline`], and returns
-//! rankings plus statistics:
+//! document source. Each takes `(queries, source, &Run, &mut
+//! TasmWorkspace)`: a batch of queries, the document source, the
+//! [`Run`] parameters (cost model and `c_t`, [`TasmOptions`], thread
+//! count with `0` = one per available core, an optional deadline, and
+//! whether to collect distance statistics) and a caller-kept
+//! [`TasmWorkspace`]. Each returns rankings plus statistics, with the
+//! distance statistics in the output when the run asked for them:
 //!
 //! * [`tasm_batch`] — a postorder **queue**: an XML or `.pq` stream (or
 //!   a [`TreeQueue`](tasm_tree::TreeQueue) replay, which the paper's
@@ -92,6 +95,7 @@ mod naive;
 mod ranking;
 mod resident;
 mod ring_buffer;
+mod run;
 mod simple_pruning;
 mod stream_shard;
 mod tasm_dynamic;
@@ -107,7 +111,7 @@ pub use corpus::{
     tasm_corpus_batch, tasm_corpus_batch_with_stats, CorpusBatchOutput, CorpusMatch,
     CorpusShardStats, CorpusStatus,
 };
-pub use deadline::{Deadline, DeadlineExceeded};
+pub use deadline::DeadlineExceeded;
 pub use engine::{CandidateSink, ScanEngine, ScanStats};
 pub use naive::tasm_naive;
 pub use ranking::{Match, TopKHeap};
@@ -116,6 +120,7 @@ pub use ring_buffer::{
     candidate_set_reference, prb_pruning, prb_pruning_stats, Candidate, PrefixRingBuffer,
     PruningStats,
 };
+pub use run::Run;
 pub use simple_pruning::simple_pruning;
 pub use tasm_dynamic::{tasm_dynamic, tasm_dynamic_with_workspace, TasmOptions};
 pub use tasm_postorder::{tasm_postorder, tasm_postorder_with_workspace};

@@ -21,9 +21,10 @@
 //!   promise order, each bounded by the label postings before it is
 //!   evaluated (below).
 //!
-//! In both, `threads` workers pull the next unit from one shared cursor
-//! ([`pull_units`]) and evaluate it through their own [`LaneSet`]; the
-//! calling thread is one of them and runs on the caller's workspace.
+//! In both, `run.threads` workers pull the next unit from one shared
+//! cursor ([`pull_units`]) and evaluate it through their own
+//! [`LaneSet`]; the calling thread is one of them and runs on the
+//! caller's workspace.
 //! The rank key (distance, document postorder, size) is a total order,
 //! so the rankings equal [`tasm_postorder`](crate::tasm_postorder)'s
 //! whatever the evaluation order (pinned by `tests/differential.rs`).
@@ -63,13 +64,11 @@
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::lane::{
-    merge_shard_results, pull_units, resolve_threads, scan_tau_of, EvalLane, LaneSet, ShardResult,
-};
-use crate::tasm_dynamic::TasmOptions;
+use crate::lane::{merge_shard_results, pull_units, scan_tau_of, EvalLane, LaneSet, ShardResult};
+use crate::run::Run;
 use crate::workspace::TasmWorkspace;
 use tasm_index::IndexedDocument;
-use tasm_ted::{Cost, CostModel, TedStats};
+use tasm_ted::Cost;
 use tasm_tree::{CandidateSweep, LabelDict, NodeId, Tree};
 
 /// Postorder nodes per unit of [`tasm_resident_batch`]: a pull is rare
@@ -92,23 +91,18 @@ const MIN_REGIONS_PER_WORKER: usize = 128;
 
 /// The one resident loop: `threads` workers pull the units `0..units`
 /// from one cursor and hand each to `eval_unit` with their own
-/// [`LaneSet`]; the calling thread's set runs on `ws`. Returns one
-/// result per worker, for [`merge_shard_results`].
-#[allow(clippy::too_many_arguments)]
+/// [`LaneSet`] and deadline poller; the calling thread's set runs on
+/// `ws`. Returns one result per worker, for [`merge_shard_results`].
 fn evaluate_units<'q>(
     queries: &[BatchQuery<'q>],
-    model: &'q (dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    want_ted_stats: bool,
+    run: &Run<'q>,
     threads: usize,
     units: usize,
     ws: &mut TasmWorkspace,
-    deadline: &Deadline,
     eval_unit: impl Fn(usize, &mut LaneSet<'q, '_>, &Deadline) -> Result<(), DeadlineExceeded> + Sync,
 ) -> Result<Vec<ShardResult>, DeadlineExceeded> {
-    pull_units(units, threads, ws, deadline, |ws, cursor, deadline| {
-        let mut set = LaneSet::new(queries, model, c_t, opts, want_ted_stats, &mut ws.eval);
+    pull_units(units, threads, run.deadline, ws, |ws, cursor, deadline| {
+        let mut set = LaneSet::new(queries, run, &mut ws.eval);
         while let Some(unit) = cursor.next(deadline)? {
             eval_unit(unit, &mut set, deadline)?;
         }
@@ -123,10 +117,10 @@ fn evaluate_units<'q>(
 ///
 /// The queries must share `doc`'s label space (parse them with its
 /// dictionary, or encode them into it with
-/// [`LabelDict::encode_tree`]). `c_t` is the maximum document node cost
-/// under `model`, as for the scan.
+/// [`LabelDict::encode_tree`]). `run.c_t` is the maximum document node
+/// cost under `run.model`, as for the scan.
 ///
-/// `threads` (`0` = one per available core) workers pull postorder
+/// `run.threads` (`0` = one per available core) workers pull postorder
 /// blocks of 64 Ki nodes from one shared cursor; the calling thread is
 /// one of them and evaluates on `ws`, so a warm workspace makes a
 /// one-thread call allocate nothing per candidate or block. A document
@@ -138,7 +132,8 @@ fn evaluate_units<'q>(
 /// ring size. The funnel counters may differ from the scan's, since the
 /// evaluation order differs; with one worker they are deterministic.
 ///
-/// `deadline` is checked (forced) at entry and polled per candidate.
+/// `run.deadline` is checked (forced) before the first block and
+/// polled per candidate.
 ///
 /// # Errors
 ///
@@ -150,78 +145,46 @@ fn evaluate_units<'q>(
 ///
 /// ```
 /// use tasm_tree::{bracket, LabelDict};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_resident_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
+/// use tasm_core::{tasm_resident_batch, BatchQuery, Run, TasmWorkspace};
 ///
 /// let mut dict = LabelDict::new();
 /// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
 /// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
 /// let queries = [BatchQuery { query: &q, k: 2 }];
 /// let mut ws = TasmWorkspace::new();
-/// let out = tasm_resident_batch(&queries, &doc, &UnitCost, 1,
-///     TasmOptions::default(), 1, &mut ws, None, &Deadline::none()).unwrap();
+/// let out = tasm_resident_batch(&queries, &doc, &Run::default(), &mut ws).unwrap();
 /// assert_eq!(out.rankings[0][0].root.post(), 6);
 /// assert_eq!(out.rankings[0][1].root.post(), 3);
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn tasm_resident_batch(
     queries: &[BatchQuery<'_>],
     doc: &Tree,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
     ws: &mut TasmWorkspace,
-    stats: Option<&mut TedStats>,
-    deadline: &Deadline,
 ) -> Result<BatchOutput, DeadlineExceeded> {
-    sweep_blocks(
-        queries,
-        doc,
-        model,
-        c_t,
-        opts,
-        threads,
-        ws,
-        stats,
-        deadline,
-        BLOCK_NODES,
-    )
+    sweep_blocks(queries, doc, run, ws, BLOCK_NODES)
 }
 
 /// [`tasm_resident_batch`] with blocks of `block` nodes.
-#[allow(clippy::too_many_arguments)]
 fn sweep_blocks(
     queries: &[BatchQuery<'_>],
     doc: &Tree,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
     ws: &mut TasmWorkspace,
-    stats: Option<&mut TedStats>,
-    deadline: &Deadline,
     block: u32,
 ) -> Result<BatchOutput, DeadlineExceeded> {
     if queries.is_empty() {
-        return Ok(BatchOutput::default());
-    }
-    if deadline.expired_now() {
-        return Err(DeadlineExceeded);
+        return Ok(BatchOutput::empty(run));
     }
     let n = doc.len() as u64;
     let block = u64::from(block);
     let units = n.div_ceil(block) as usize;
     let results = evaluate_units(
         queries,
-        model,
-        c_t,
-        opts,
-        stats.is_some(),
-        resolve_threads(threads),
+        run,
+        run.workers(),
         units,
         ws,
-        deadline,
         |unit, set, deadline| {
             let first = unit as u64 * block + 1;
             let last = (first - 1 + block).min(n);
@@ -248,7 +211,7 @@ fn sweep_blocks(
             Ok(())
         },
     )?;
-    Ok(merge_shard_results(queries.len(), results, stats, None))
+    Ok(merge_shard_results(queries.len(), results, None))
 }
 
 /// The admissible per-region lower bound: each of the `m` query nodes
@@ -289,22 +252,23 @@ fn region_wanted(lanes: &[EvalLane<'_>], msizes: &[u64], commons: &[Vec<u32>], r
 /// encoded into the index's frequency-ordered label space internally
 /// ([`IndexedDocument::encode_queries`]), without copying or changing
 /// the index's dictionary. Query labels the document lacks get fresh
-/// ids past that dictionary. Label-dependent [`CostModel`]s must
+/// ids past that dictionary. Label-dependent
+/// [`CostModel`](tasm_ted::CostModel)s (`run.model`) must
 /// therefore be defined over the **index** label space (resolve names
 /// through [`IndexedDocument::dict`]) and give a fresh id their default
 /// cost; label-agnostic models like [`UnitCost`](tasm_ted::UnitCost)
 /// need no care. Matched subtrees (`keep_trees`) are cut from the
 /// document, so they carry index-space labels only.
 ///
-/// `threads` (`0` = one per available core) workers pull the regions
-/// in promise order from one shared cursor; the calling thread is one
-/// of them and evaluates on `ws`, so a warm workspace makes a
+/// `run.threads` (`0` = one per available core) workers pull the
+/// regions in promise order from one shared cursor; the calling thread
+/// is one of them and evaluates on `ws`, so a warm workspace makes a
 /// one-thread call allocate nothing per region. A document gets at
 /// most one worker per 128 candidate regions, so a small one runs on
 /// the calling thread alone. With one worker the funnel counters are
 /// deterministic; with more they may vary from run to run, the
-/// rankings never. `deadline` is polled once per region pull
-/// (strided — see [`Deadline::poll`]), so one large document cannot
+/// rankings never. `run.deadline` is polled once per region pull
+/// (strided: one clock read per 8 pulls), so one large document cannot
 /// overrun a request deadline by more than a few region evaluations.
 ///
 /// # Errors
@@ -317,9 +281,8 @@ fn region_wanted(lanes: &[EvalLane<'_>], msizes: &[u64], commons: &[Vec<u32>], r
 ///
 /// ```
 /// use tasm_tree::{bracket, LabelDict};
-/// use tasm_ted::UnitCost;
 /// use tasm_index::IndexedDocument;
-/// use tasm_core::{tasm_indexed_batch, BatchQuery, Deadline, TasmOptions, TasmWorkspace};
+/// use tasm_core::{tasm_indexed_batch, BatchQuery, Run, TasmWorkspace};
 ///
 /// let mut dict = LabelDict::new();
 /// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
@@ -327,29 +290,19 @@ fn region_wanted(lanes: &[EvalLane<'_>], msizes: &[u64], commons: &[Vec<u32>], r
 /// let idx = IndexedDocument::build(&doc, &dict);
 /// let queries = [BatchQuery { query: &q, k: 2 }];
 /// let mut ws = TasmWorkspace::new();
-/// let out = tasm_indexed_batch(&queries, &dict, &idx, &UnitCost, 1,
-///     TasmOptions::default(), 1, &mut ws, None, &Deadline::none()).unwrap();
+/// let out = tasm_indexed_batch(&queries, &dict, &idx, &Run::default(), &mut ws).unwrap();
 /// assert_eq!(out.rankings[0][0].root.post(), 6);
 /// assert_eq!(out.rankings[0][1].root.post(), 3);
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn tasm_indexed_batch(
     queries: &[BatchQuery<'_>],
     src_dict: &LabelDict,
     idx: &IndexedDocument,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
     ws: &mut TasmWorkspace,
-    stats: Option<&mut TedStats>,
-    deadline: &Deadline,
 ) -> Result<BatchOutput, DeadlineExceeded> {
     if queries.is_empty() {
-        return Ok(BatchOutput::default());
-    }
-    if deadline.expired_now() {
-        return Err(DeadlineExceeded);
+        return Ok(BatchOutput::empty(run));
     }
     let trees: Vec<&Tree> = queries.iter().map(|bq| bq.query).collect();
     let encoded = idx.encode_queries(&trees, src_dict);
@@ -362,7 +315,7 @@ pub fn tasm_indexed_batch(
 
     // Scan-free candidate generation: spans from the size column,
     // per-lane label overlap from the postings.
-    let (spans, generated) = idx.candidate_spans(scan_tau_of(&equeries, model, c_t));
+    let (spans, generated) = idx.candidate_spans(scan_tau_of(&equeries, run));
     let commons: Vec<Vec<u32>> = encoded
         .iter()
         .map(|q| idx.region_common(&spans, q))
@@ -381,37 +334,26 @@ pub fn tasm_indexed_batch(
     });
 
     let doc = idx.tree();
-    let threads = resolve_threads(threads).min(order.len() / MIN_REGIONS_PER_WORKER);
-    let mut results = evaluate_units(
-        &equeries,
-        model,
-        c_t,
-        opts,
-        stats.is_some(),
-        threads,
-        order.len(),
-        ws,
-        deadline,
-        |pos, set, _| {
-            let ri = order[pos] as usize;
-            if region_wanted(&set.lanes, &msizes, &commons, ri) {
-                // The region's view of the document arena (local
-                // postorder, sizes invariant), fanned out like a scan
-                // candidate.
-                let (lo, hi) = spans[ri];
-                set.eval(doc.subtree_view(NodeId::new(hi)), lo - 1);
-            } else {
-                // The histogram tier refuted the region for every lane.
-                for lane in &mut set.lanes {
-                    lane.stats.pruned_histogram += 1;
-                }
+    let threads = run.workers().min(order.len() / MIN_REGIONS_PER_WORKER);
+    let mut results = evaluate_units(&equeries, run, threads, order.len(), ws, |pos, set, _| {
+        let ri = order[pos] as usize;
+        if region_wanted(&set.lanes, &msizes, &commons, ri) {
+            // The region's view of the document arena (local
+            // postorder, sizes invariant), fanned out like a scan
+            // candidate.
+            let (lo, hi) = spans[ri];
+            set.eval(doc.subtree_view(NodeId::new(hi)), lo - 1);
+        } else {
+            // The histogram tier refuted the region for every lane.
+            for lane in &mut set.lanes {
+                lane.stats.pruned_histogram += 1;
             }
-            Ok(())
-        },
-    )?;
+        }
+        Ok(())
+    })?;
     let seen = &mut results[0].scan.nodes_seen;
     *seen = seen.saturating_add(u32::try_from(generated).unwrap_or(u32::MAX));
-    Ok(merge_shard_results(queries.len(), results, stats, None))
+    Ok(merge_shard_results(queries.len(), results, None))
 }
 
 #[cfg(test)]
@@ -419,8 +361,10 @@ mod tests {
     use super::*;
     use crate::engine::ScanStats;
     use crate::ranking::Match;
+    use crate::tasm_dynamic::TasmOptions;
     use crate::tasm_postorder::tasm_postorder;
-    use tasm_ted::UnitCost;
+    use std::time::{Duration, Instant};
+    use tasm_ted::{CostModel, UnitCost};
     use tasm_tree::{bracket, LabelId, TreeQueue};
 
     fn wide_doc(dict: &mut LabelDict, records: usize) -> Tree {
@@ -450,19 +394,11 @@ mod tests {
         idx: &IndexedDocument,
         threads: usize,
     ) -> BatchOutput {
-        tasm_indexed_batch(
-            queries,
-            dict,
-            idx,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
+        let run = Run {
             threads,
-            &mut TasmWorkspace::new(),
-            None,
-            &Deadline::none(),
-        )
-        .unwrap()
+            ..Run::default()
+        };
+        tasm_indexed_batch(queries, dict, idx, &run, &mut TasmWorkspace::new()).unwrap()
     }
 
     /// The resident driver at `threads` over blocks of `block` nodes,
@@ -474,19 +410,12 @@ mod tests {
         threads: usize,
         block: u32,
     ) -> BatchOutput {
-        sweep_blocks(
-            queries,
-            doc,
-            &UnitCost,
-            1,
+        let run = Run {
             opts,
             threads,
-            &mut TasmWorkspace::new(),
-            None,
-            &Deadline::none(),
-            block,
-        )
-        .unwrap()
+            ..Run::default()
+        };
+        sweep_blocks(queries, doc, &run, &mut TasmWorkspace::new(), block).unwrap()
     }
 
     #[test]
@@ -508,7 +437,7 @@ mod tests {
                     k: k + 1,
                 },
             ];
-            let tau = scan_tau_of(&queries, &UnitCost, 1);
+            let tau = scan_tau_of(&queries, &Run::default());
             let ring = crate::prb_pruning_stats(&mut TreeQueue::new(&doc), tau, None);
             for block in [1, 2, 7, tau, n] {
                 for threads in [1, 3] {
@@ -540,7 +469,7 @@ mod tests {
         impl CostModel for SlowCost {
             fn node_cost(&self, tree: tasm_tree::TreeView<'_>, node: NodeId) -> u64 {
                 if tree.label(node) == self.0 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(5));
                 }
                 1
             }
@@ -562,35 +491,30 @@ mod tests {
             ..TasmOptions::default()
         };
         let queries = [BatchQuery { query: &q, k: 1 }];
-        let run = |threads, block, deadline: &Deadline| {
-            sweep_blocks(
-                &queries,
-                &doc,
-                &slow,
-                1,
+        let run = |threads, block, deadline| {
+            let run = Run {
+                model: &slow,
                 opts,
                 threads,
-                &mut TasmWorkspace::new(),
-                None,
-                deadline,
-                block,
-            )
+                deadline: Some(deadline),
+                ..Run::default()
+            };
+            sweep_blocks(&queries, &doc, &run, &mut TasmWorkspace::new(), block)
         };
-        let expired = Deadline::after(std::time::Duration::ZERO);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        assert_eq!(run(1, 64, &expired).unwrap_err(), DeadlineExceeded);
+        let expired = Instant::now();
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(run(1, 64, expired).unwrap_err(), DeadlineExceeded);
         // A full evaluation sleeps 400 × 5 ms. One block of the whole
         // document is one pull, so only the per-candidate poll can stop
         // it; at 3 workers the blocks hold 100 records each.
         let n = doc.len() as u32;
         for (threads, block) in [(1, n), (3, 500)] {
-            let start = std::time::Instant::now();
-            let deadline = Deadline::after(std::time::Duration::from_millis(20));
-            let got = run(threads, block, &deadline);
+            let start = Instant::now();
+            let got = run(threads, block, start + Duration::from_millis(20));
             let elapsed = start.elapsed();
             assert_eq!(got.unwrap_err(), DeadlineExceeded, "threads = {threads}");
             assert!(
-                elapsed < std::time::Duration::from_millis(250),
+                elapsed < Duration::from_millis(250),
                 "threads = {threads}: deadline noticed only after {elapsed:?}"
             );
         }
@@ -658,20 +582,12 @@ mod tests {
         let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut dict).unwrap();
         let idx = IndexedDocument::build(&doc, &dict);
         let queries = [BatchQuery { query: &q, k: 3 }];
-        let deadline = Deadline::after(std::time::Duration::ZERO);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let got = tasm_indexed_batch(
-            &queries,
-            &dict,
-            &idx,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            &mut TasmWorkspace::new(),
-            None,
-            &deadline,
-        );
+        let run = Run {
+            deadline: Some(Instant::now()),
+            ..Run::default()
+        };
+        std::thread::sleep(Duration::from_millis(1));
+        let got = tasm_indexed_batch(&queries, &dict, &idx, &run, &mut TasmWorkspace::new());
         assert_eq!(got.unwrap_err(), DeadlineExceeded);
     }
 
@@ -700,19 +616,14 @@ mod tests {
                     },
                 ];
                 for threads in [1, 3] {
-                    let out = tasm_indexed_batch(
-                        &queries,
-                        &dict,
-                        &idx,
-                        &UnitCost,
-                        1,
+                    let run = Run {
                         opts,
                         threads,
-                        &mut TasmWorkspace::new(),
-                        None,
-                        &Deadline::none(),
-                    )
-                    .unwrap();
+                        ..Run::default()
+                    };
+                    let out =
+                        tasm_indexed_batch(&queries, &dict, &idx, &run, &mut TasmWorkspace::new())
+                            .unwrap();
                     for ((got, q), bq) in out.rankings.iter().zip(&encoded).zip(&queries) {
                         for m in got {
                             let tree = m.tree.as_ref().expect("keep_trees attaches a tree");
@@ -741,7 +652,7 @@ mod tests {
         impl CostModel for SlowCost {
             fn node_cost(&self, tree: tasm_tree::TreeView<'_>, node: NodeId) -> u64 {
                 if tree.label(node) == self.0 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(5));
                 }
                 1
             }
@@ -769,27 +680,95 @@ mod tests {
         // A full evaluation sleeps 400 × 5 ms, >= 600 ms on 3 workers
         // (400 regions are enough for 3).
         for threads in [1, 3] {
-            let start = std::time::Instant::now();
-            let deadline = Deadline::after(std::time::Duration::from_millis(20));
-            let got = tasm_indexed_batch(
-                &queries,
-                &dict,
-                &idx,
-                &slow,
-                1,
+            let start = Instant::now();
+            let run = Run {
+                model: &slow,
                 opts,
                 threads,
-                &mut TasmWorkspace::new(),
-                None,
-                &deadline,
-            );
+                deadline: Some(start + Duration::from_millis(20)),
+                ..Run::default()
+            };
+            let got = tasm_indexed_batch(&queries, &dict, &idx, &run, &mut TasmWorkspace::new());
             let elapsed = start.elapsed();
             assert_eq!(got.unwrap_err(), DeadlineExceeded, "threads = {threads}");
             assert!(
-                elapsed < std::time::Duration::from_millis(250),
+                elapsed < Duration::from_millis(250),
                 "threads = {threads}: deadline noticed only after {elapsed:?}"
             );
         }
+    }
+
+    #[test]
+    fn ted_stats_travel_in_the_output_of_every_driver() {
+        // One DP per evaluated subtree: the merged distance stats must
+        // count exactly the merged funnel's evaluations, on every driver
+        // and above one worker too, where a stats merge that drops a
+        // worker's share would show. Resident blocks of 500 nodes give
+        // three workers something to pull; 600 records are 600 regions
+        // for the indexed driver; three shards give the corpus three.
+        let mut dict = LabelDict::new();
+        let doc = wide_doc(&mut dict, 600);
+        let q1 = bracket::parse("{article{auth{John}}{title{X9}}}", &mut dict).unwrap();
+        let q2 = bracket::parse("{book{title}}", &mut dict).unwrap();
+        let queries = [
+            BatchQuery { query: &q1, k: 3 },
+            BatchQuery { query: &q2, k: 5 },
+        ];
+        let idx = IndexedDocument::build(&doc, &dict);
+        let dir = std::env::temp_dir().join(format!("tasm-core-ted-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut corpus = tasm_index::Corpus::create(&dir).unwrap();
+        for name in ["a", "b", "c"] {
+            corpus.add(name, &doc, &dict, None).unwrap();
+        }
+        type Driver<'d> = &'d dyn Fn(&Run<'_>) -> (u64, Option<tasm_ted::TedStats>);
+        let stream: Driver<'_> = &|run| {
+            let out = crate::tasm_batch(
+                &queries,
+                &mut TreeQueue::new(&doc),
+                run,
+                &mut TasmWorkspace::new(),
+            )
+            .unwrap();
+            (out.scan.evaluated, out.ted)
+        };
+        let resident: Driver<'_> = &|run| {
+            let out = sweep_blocks(&queries, &doc, run, &mut TasmWorkspace::new(), 500).unwrap();
+            (out.scan.evaluated, out.ted)
+        };
+        let indexed: Driver<'_> = &|run| {
+            let out =
+                tasm_indexed_batch(&queries, &dict, &idx, run, &mut TasmWorkspace::new()).unwrap();
+            (out.scan.evaluated, out.ted)
+        };
+        let corpus_driver: Driver<'_> = &|run| {
+            let out =
+                crate::tasm_corpus_batch(&queries, &dict, &corpus, run, &mut TasmWorkspace::new())
+                    .unwrap();
+            (out.scan.evaluated, out.ted)
+        };
+        let table: [(&str, Driver<'_>, [usize; 2]); 4] = [
+            ("stream", stream, [1, 2]),
+            ("resident", resident, [1, 3]),
+            ("indexed", indexed, [1, 3]),
+            ("corpus", corpus_driver, [1, 3]),
+        ];
+        for (name, driver, threads) in table {
+            for threads in threads {
+                let mut run = Run {
+                    threads,
+                    ted_stats: true,
+                    ..Run::default()
+                };
+                let (evaluated, ted) = driver(&run);
+                let ted = ted.unwrap_or_else(|| panic!("{name} t{threads}: no stats"));
+                assert!(evaluated > 0, "{name} t{threads}");
+                assert_eq!(ted.ted_calls, evaluated, "{name} t{threads}");
+                run.ted_stats = false;
+                assert!(driver(&run).1.is_none(), "{name} t{threads}: unasked stats");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -51,9 +51,8 @@ use crate::batch::{BatchOutput, BatchQuery, StreamIntegrityError, StreamScanErro
 use crate::deadline::Deadline;
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
 use crate::lane::{merge_shard_results, scan_tau_of, LaneSet, ShardResult};
-use crate::tasm_dynamic::TasmOptions;
+use crate::run::Run;
 use crate::workspace::{scratch_fits_cap, LaneScratch};
-use tasm_ted::{CostModel, TedStats};
 use tasm_tree::{LabelId, NodeId, PostorderQueue, Tree, TreeView};
 
 /// Locks `mutex`, recovering the guard if a peer poisoned it while
@@ -270,17 +269,10 @@ impl CandidateSink for SegmentSink<'_> {
 /// One streaming shard worker: consumes segments until the pipe drains,
 /// evaluating every candidate in place, as a view of its segment,
 /// through this worker's own [`LaneSet`].
-fn stream_worker(
-    pipe: &Pipe,
-    queries: &[BatchQuery<'_>],
-    model: &dyn CostModel,
-    c_t: u64,
-    opts: TasmOptions,
-    want_ted_stats: bool,
-) -> ShardResult {
+fn stream_worker(pipe: &Pipe, queries: &[BatchQuery<'_>], run: &Run<'_>) -> ShardResult {
     let _guard = AbortOnPanic(pipe);
     let mut scratch = LaneScratch::default();
-    let mut set = LaneSet::new(queries, model, c_t, opts, want_ted_stats, &mut scratch);
+    let mut set = LaneSet::new(queries, run, &mut scratch);
     while let Some(seg) = pipe.recv() {
         let mut lo = 0usize;
         for &(root, len) in &seg.roots {
@@ -297,31 +289,26 @@ fn stream_worker(
     set.into_result()
 }
 
-/// The sharded topology of [`tasm_batch`](crate::tasm_batch) for
-/// `threads > 1` (already resolved): the calling thread runs the
-/// `O(τ_scan)` ring-buffer scan and hands candidate segments to
-/// `threads` workers through a bounded, recycling pipe (see the
-/// [module docs](self) for the memory bound).
+/// The sharded topology of [`tasm_batch`](crate::tasm_batch) for more
+/// than one thread: the calling thread runs the `O(τ_scan)` ring-buffer
+/// scan and hands candidate segments to `run.threads` workers through
+/// a bounded, recycling pipe (see the [module docs](self) for the
+/// memory bound).
 ///
 /// The producer — the one thread running the unbounded per-candidate
-/// scan loop — polls `deadline` and aborts the whole pass when it
-/// expires. Workers drain the already-published segments and exit;
-/// their partial heaps are discarded. A worker's panic reaches the
-/// caller with its original payload.
-#[allow(clippy::too_many_arguments)]
+/// scan loop — mints the run's deadline poller, polls it and aborts the
+/// whole pass when it expires. Workers drain the already-published
+/// segments and exit; their partial heaps are discarded. A worker's
+/// panic reaches the caller with its original payload.
 pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-    deadline: &Deadline,
+    run: &Run<'_>,
 ) -> Result<BatchOutput, StreamScanError> {
+    let threads = run.workers();
     // The scan must cover the widest lane threshold; the workers build
     // their own lanes, so only the thresholds are computed here.
-    let scan_tau = scan_tau_of(queries, model, c_t);
+    let scan_tau = scan_tau_of(queries, run);
     // The flush budget is capped so a pathological τ (e.g. saturated by
     // a huge k) cannot pre-reserve gigabytes of segments or defer every
     // flush to the end of the stream; an individual candidate larger
@@ -329,7 +316,6 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
     // size on demand, bounded by the actual subtree).
     let budget = (scan_tau as usize).clamp(SEGMENT_MIN_NODES, SEGMENT_MAX_NODES);
     let pipe = Pipe::new(2 * threads + 1, budget);
-    let want_ted_stats = stats.is_some();
 
     let (producer_out, worker_outs) = std::thread::scope(|scope| {
         let pipe = &pipe;
@@ -340,9 +326,7 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
                     // while unwinding; catching here preserves the
                     // payload so the caller re-raises the *original*
                     // panic, not a join shim or a "poisoned" secondary.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        stream_worker(pipe, queries, model, c_t, opts, want_ted_stats)
-                    }))
+                    catch_unwind(AssertUnwindSafe(|| stream_worker(pipe, queries, run)))
                 })
             })
             .collect();
@@ -363,7 +347,7 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
                 current: pipe.take_free(),
                 budget,
             };
-            let scan = engine.scan_with_deadline(queue, &mut sink, deadline);
+            let scan = engine.scan_with_deadline(queue, &mut sink, &Deadline::new(run.deadline));
             let integrity = queue.integrity_error();
             let last = sink.current;
             if scan.is_err() || last.roots.is_empty() {
@@ -427,7 +411,6 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
     Ok(merge_shard_results(
         queries.len(),
         results,
-        stats,
         Some(&producer_scan),
     ))
 }
@@ -437,9 +420,11 @@ mod tests {
     use super::*;
     use crate::batch::tasm_batch;
     use crate::ranking::Match;
+    use crate::tasm_dynamic::TasmOptions;
     use crate::tasm_postorder::tasm_postorder;
     use crate::workspace::TasmWorkspace;
-    use tasm_ted::UnitCost;
+    use std::time::{Duration, Instant};
+    use tasm_ted::{CostModel, UnitCost};
     use tasm_tree::{bracket, LabelDict, PostorderEntry, TreeQueue};
 
     /// One query through the driver at `threads` (`<= 1` runs inline).
@@ -452,17 +437,13 @@ mod tests {
         threads: usize,
     ) -> Result<Vec<Match>, StreamScanError> {
         let queries = [BatchQuery { query, k }];
-        let out = tasm_batch(
-            &queries,
-            queue,
+        let run = Run {
             model,
-            1,
             opts,
             threads,
-            &mut TasmWorkspace::new(),
-            None,
-            &Deadline::none(),
-        )?;
+            ..Run::default()
+        };
+        let out = tasm_batch(&queries, queue, &run, &mut TasmWorkspace::new())?;
         Ok(out.rankings.into_iter().next().expect("one lane"))
     }
 
@@ -514,21 +495,18 @@ mod tests {
         let opts = TasmOptions::default();
         for threads in [2usize, 4, 7] {
             let mut q = TreeQueue::new(&doc);
+            let run = Run {
+                opts,
+                threads,
+                ..Run::default()
+            };
             let BatchOutput {
                 rankings,
                 scan: agg,
                 lanes,
-            } = sharded_scan(
-                &queries,
-                &mut q,
-                &UnitCost,
-                1,
-                opts,
-                threads,
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
+                ted,
+            } = sharded_scan(&queries, &mut q, &run).unwrap();
+            assert!(ted.is_none(), "not asked for");
             assert_eq!(rankings.len(), 3);
             assert_eq!(lanes.len(), 3);
             assert_eq!(agg.nodes_seen as usize, doc.len());
@@ -548,29 +526,28 @@ mod tests {
 
     #[test]
     fn stream_stats_merge_ted_stats() {
+        // 1,000 records fill several 1,024-entry segments, so more than
+        // one worker evaluates.
         let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 40);
+        let doc = wide_doc(&mut dict, 1000);
         let query = bracket::parse("{book{t}}", &mut dict).unwrap();
-        let mut ted = TedStats::new();
         let mut q = TreeQueue::new(&doc);
         let queries = [BatchQuery {
             query: &query,
             k: 2,
         }];
-        let out = sharded_scan(
-            &queries,
-            &mut q,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            3,
-            Some(&mut ted),
-            &Deadline::none(),
-        )
-        .unwrap();
+        let run = Run {
+            threads: 3,
+            ted_stats: true,
+            ..Run::default()
+        };
+        let out = sharded_scan(&queries, &mut q, &run).unwrap();
         assert_eq!(out.rankings[0].len(), 2);
         assert!(out.scan.candidates > 0);
+        // Every worker's DPs are in the merged stats.
+        let ted = out.ted.expect("asked for");
         assert!(ted.ted_calls > 0);
+        assert_eq!(ted.ted_calls, out.scan.evaluated);
     }
 
     #[test]
@@ -816,21 +793,17 @@ mod tests {
             within(std::time::Duration::from_secs(60), move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let threads = rng.gen_range(2..=5usize);
-                let limit = std::time::Duration::from_micros(rng.gen_range(0..3000));
+                let limit = Duration::from_micros(rng.gen_range(0..3000));
                 let queries = [BatchQuery {
                     query: &query,
                     k: 5,
                 }];
-                let got = sharded_scan(
-                    &queries,
-                    &mut TreeQueue::new(&doc),
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
+                let run = Run {
                     threads,
-                    None,
-                    &Deadline::after(limit),
-                );
+                    deadline: Some(Instant::now() + limit),
+                    ..Run::default()
+                };
+                let got = sharded_scan(&queries, &mut TreeQueue::new(&doc), &run);
                 match got {
                     Ok(out) => assert_eq!(out.rankings[0], want, "seed {seed}"),
                     Err(e) => assert!(

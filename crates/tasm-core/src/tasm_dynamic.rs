@@ -9,12 +9,11 @@
 //! TASM-postorder eliminates.
 
 use crate::engine::ScanStats;
+use crate::lane::EvalLane;
 use crate::ranking::{Match, TopKHeap};
-use crate::tasm_postorder::process_candidate_parts;
 use crate::workspace::TasmWorkspace;
 use tasm_ted::{
-    ted_row_with_workspace, Cost, CostModel, LowerBoundCascade, QueryContext, TedKernel, TedStats,
-    TedWorkspace,
+    ted_row_with_workspace, Cost, CostModel, QueryContext, TedKernel, TedStats, TedWorkspace,
 };
 use tasm_tree::{NodeId, Tree, TreeView};
 
@@ -29,9 +28,10 @@ pub struct TasmOptions {
     /// the static Theorem 3 bound — the `ablation-tau` experiment measures
     /// what the refinement buys.
     pub use_tau_prime: bool,
-    /// Run the admissible [`LowerBoundCascade`] (label-histogram deficit,
-    /// then banded substring SED) against the current heap cutoff before
-    /// each exact DP evaluation. Pruning is strict (`bound > max(R)`),
+    /// Run the admissible
+    /// [`LowerBoundCascade`](tasm_ted::LowerBoundCascade)
+    /// (label-histogram deficit, then banded substring SED) against the
+    /// current heap cutoff before each exact DP evaluation. Pruning is strict (`bound > max(R)`),
     /// so the ranking is **identical** with the cascade on or off
     /// (property-tested); disabling it measures what the cascade buys.
     pub use_cascade: bool,
@@ -108,31 +108,24 @@ pub fn tasm_dynamic_with_workspace(
     ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
 ) -> Vec<Match> {
-    let ctx = QueryContext::with_kernel(query, model, opts.kernel);
-    let cascade = LowerBoundCascade::from_context(&ctx);
-    let mut heap = TopKHeap::new(k.max(1));
-    let mut scan = ScanStats {
-        candidates: 1,
-        ..ScanStats::default()
-    };
+    let mut lane = EvalLane::new(query, k, model, 1, opts.kernel);
+    lane.tau = u64::MAX;
     if ws.eval.teds.is_empty() {
         ws.eval.teds.push(TedWorkspace::new());
     }
-    process_candidate_parts(
-        &mut heap,
-        &ctx,
-        &cascade,
+    lane.evaluate(
         doc.view(),
         0,
-        u64::MAX,
         opts,
         &mut ws.eval.lb,
         &mut ws.eval.teds[0],
-        &mut scan,
         stats,
     );
-    ws.last_scan = scan;
-    heap.into_sorted()
+    ws.last_scan = ScanStats {
+        candidates: 1,
+        ..lane.stats
+    };
+    lane.heap.into_sorted()
 }
 
 /// Core of TASM-dynamic, reusable by TASM-postorder: computes the distance

@@ -13,30 +13,26 @@
 //! is `O(m² n)` (Theorem 5).
 //!
 //! On top of Algorithm 3, each maximal in-bound subtree is offered to the
-//! admissible [`LowerBoundCascade`] against the current heap cutoff
+//! admissible [`LowerBoundCascade`](tasm_ted::LowerBoundCascade) against the current heap cutoff
 //! `max(R)` before its DP runs: a refuted subtree (every one of its
 //! subtrees provably beyond the cutoff) is skipped wholesale, and the
-//! surviving ones are evaluated **in place** as [`TreeView`] slices of
+//! surviving ones are evaluated **in place** as
+//! [`TreeView`](tasm_tree::TreeView) slices of
 //! the candidate arena — no scratch-tree copy.
 //!
 //! The scan itself is shared with [`tasm_batch`](crate::tasm_batch): a
 //! single query is a batch of one, so [`tasm_postorder`] runs the
-//! batch's one-thread shared scan with one evaluation lane, and this
-//! module keeps only the per-candidate loop every driver runs,
-//! `process_candidate_parts`.
+//! batch's one-thread shared scan with one evaluation lane, and the
+//! per-candidate loop every driver runs is that lane's
+//! (`EvalLane::evaluate` in the lane module).
 
-use crate::batch::{shared_scan, BatchQuery};
-use crate::deadline::Deadline;
-use crate::engine::ScanStats;
-use crate::ranking::{Match, TopKHeap};
-use crate::tasm_dynamic::{rank_subtrees_into, TasmOptions};
-use crate::threshold::refined_threshold;
+use crate::batch::{fold_ted, shared_scan, BatchQuery};
+use crate::ranking::Match;
+use crate::run::Run;
+use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::TasmWorkspace;
-use tasm_ted::{
-    CascadeDecision, CascadeScratch, CostModel, LowerBoundCascade, QueryContext, TedStats,
-    TedWorkspace,
-};
-use tasm_tree::{NodeId, PostorderQueue, Tree, TreeView};
+use tasm_ted::{CostModel, TedStats};
+use tasm_tree::{PostorderQueue, Tree};
 
 /// Computes the top-`k` ranking of the subtrees of a streamed document
 /// w.r.t. `query`, in a single pass over `queue`.
@@ -66,7 +62,7 @@ pub fn tasm_postorder<Q: PostorderQueue + ?Sized>(
     query: &Tree,
     queue: &mut Q,
     k: usize,
-    model: &dyn CostModel,
+    model: &(dyn CostModel + Sync),
     c_t: u64,
     opts: TasmOptions,
     stats: Option<&mut TedStats>,
@@ -90,111 +86,22 @@ pub fn tasm_postorder_with_workspace<Q: PostorderQueue + ?Sized>(
     query: &Tree,
     queue: &mut Q,
     k: usize,
-    model: &dyn CostModel,
+    model: &(dyn CostModel + Sync),
     c_t: u64,
     opts: TasmOptions,
     ws: &mut TasmWorkspace,
     stats: Option<&mut TedStats>,
 ) -> Vec<Match> {
-    let queries = [BatchQuery { query, k }];
-    let out = shared_scan(
-        &queries,
-        queue,
+    let run = Run {
         model,
         c_t,
         opts,
-        ws,
-        stats,
-        &Deadline::none(),
-    )
-    .expect("Deadline::none() never expires");
+        ted_stats: stats.is_some(),
+        ..Run::default()
+    };
+    let out = shared_scan(&[BatchQuery { query, k }], queue, &run, ws).expect("no deadline");
+    fold_ted(stats, out.ted);
     out.rankings.into_iter().next().expect("one lane")
-}
-
-/// Algorithm 3, lines 7–19: traverse the subtrees of candidate `cand`
-/// in reverse postorder; evaluate each maximal subtree below the current
-/// bound `τ'` with TASM-dynamic — unless the lower-bound `cascade`
-/// refutes it against the current heap cutoff — and skip over its
-/// nodes, descending one node at a time otherwise.
-///
-/// `doc_post_offset` is the document postorder number of the node
-/// preceding the candidate's leftmost node; `tau` is the Theorem 3 bound
-/// used by the Lemma 4 refinement; `scan` accumulates the per-tier
-/// pruning funnel. The candidate is a borrowed [`TreeView`] wherever it
-/// lives — scan arena, stream segment or resident document — so every
-/// driver (the evaluation lanes of the shared scan, the shard workers,
-/// the indexed driver, and [`tasm_dynamic`](crate::tasm_dynamic) with an
-/// unbounded τ) evaluates in place.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_candidate_parts(
-    heap: &mut TopKHeap,
-    ctx: &QueryContext<'_>,
-    cascade: &LowerBoundCascade<'_>,
-    cand: TreeView<'_>,
-    doc_post_offset: u32,
-    tau: u64,
-    opts: TasmOptions,
-    lb: &mut CascadeScratch,
-    ted: &mut TedWorkspace,
-    scan: &mut ScanStats,
-    mut stats: Option<&mut TedStats>,
-) {
-    let m = ctx.len() as u64;
-    let mut r = cand.len() as u32; // local postorder of the current root
-    while r >= 1 {
-        let node = NodeId::new(r);
-        let size = cand.size(node) as u64;
-        let tau_prime = if opts.use_tau_prime && heap.is_full() {
-            refined_threshold(tau, heap.max_distance().expect("full heap"), m)
-        } else {
-            tau
-        };
-        // `<=` (not `<`): both Theorem 3 and Lemma 3 bound answer sizes
-        // *inclusively* (|T_i| <= δ + |Q|), and a subtree of size exactly
-        // τ' can still tie the current maximum on distance and win on
-        // postorder number. Evaluating the boundary keeps the ranking
-        // exact — the batch and parallel paths rely on it for result-set
-        // equality with this sequential path.
-        if !heap.is_full() || size <= tau_prime {
-            // Zero-copy: the subtree (whole candidate included) is a
-            // contiguous slice of the candidate.
-            let doc = cand.subtree_view(node);
-            // The cascade's verdict covers *all* subtrees of `doc` (one
-            // DP would rank them all), so a refuted subtree is skipped
-            // wholesale. Strictness (`bound > max(R)`) keeps the heap
-            // content — and hence every later τ'/cutoff — identical to
-            // a cascade-off run.
-            if opts.use_cascade && heap.is_full() {
-                let cutoff = heap.max_distance().expect("full heap");
-                match cascade.decide(doc, cutoff, lb) {
-                    CascadeDecision::Evaluate => {}
-                    CascadeDecision::PrunedByHistogram => {
-                        scan.pruned_histogram += 1;
-                        r -= size as u32;
-                        continue;
-                    }
-                    CascadeDecision::PrunedBySed => {
-                        scan.pruned_sed += 1;
-                        r -= size as u32;
-                        continue;
-                    }
-                }
-            }
-            scan.evaluated += 1;
-            if ctx.uses_strategy_kernel() {
-                scan.evaluated_strategy += 1;
-            } else {
-                scan.evaluated_zs += 1;
-            }
-            let sub_offset = doc_post_offset + r - size as u32;
-            rank_subtrees_into(heap, ctx, doc, sub_offset, opts, ted, stats.as_deref_mut());
-            // All subtrees of `doc` were ranked as a side effect.
-            r -= size as u32;
-        } else {
-            scan.pruned_size += 1;
-            r -= 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +110,7 @@ mod tests {
     use crate::tasm_dynamic::tasm_dynamic;
     use crate::threshold::threshold;
     use tasm_ted::{Cost, UnitCost};
-    use tasm_tree::{bracket, LabelDict, TreeQueue};
+    use tasm_tree::{bracket, LabelDict, NodeId, TreeQueue};
 
     fn parse(s: &str, dict: &mut LabelDict) -> Tree {
         bracket::parse(s, dict).unwrap()

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use tasm_core::{
-    tasm_corpus_batch, tasm_indexed_batch, BatchQuery, CorpusBatchOutput, CorpusMatch, Deadline,
+    tasm_corpus_batch, tasm_indexed_batch, BatchQuery, CorpusBatchOutput, CorpusMatch, Run,
     ScanStats, TasmOptions, TasmWorkspace, TedKernel,
 };
 use tasm_index::Corpus;
@@ -104,13 +104,8 @@ fn reference(
                     &[BatchQuery { query: q, k }],
                     qdict,
                     doc,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    1,
+                    &Run::default(),
                     &mut TasmWorkspace::new(),
-                    None,
-                    &Deadline::none(),
                 )
                 .expect("no deadline");
                 let hits = out.rankings.into_iter().next().expect("one lane");
@@ -127,7 +122,8 @@ fn reference(
         .collect()
 }
 
-/// The corpus driver with unit costs and no deadline.
+/// The corpus driver with unit costs, no deadline and distance
+/// statistics.
 fn corpus_batch(
     bqs: &[BatchQuery<'_>],
     qdict: &LabelDict,
@@ -135,19 +131,13 @@ fn corpus_batch(
     opts: TasmOptions,
     threads: usize,
 ) -> CorpusBatchOutput {
-    tasm_corpus_batch(
-        bqs,
-        qdict,
-        corpus,
-        &UnitCost,
-        1,
+    let run = Run {
         opts,
         threads,
-        &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
-    )
-    .expect("no deadline")
+        ted_stats: true,
+        ..Run::default()
+    };
+    tasm_corpus_batch(bqs, qdict, corpus, &run, &mut TasmWorkspace::new()).expect("no deadline")
 }
 
 /// Runs the full axis matrix against `corpus` and compares every combo
@@ -268,6 +258,13 @@ fn assert_scheduled_stats(corpus: &Corpus, tag: &str) {
             summed.merge(&s.scan);
         }
         assert_eq!(summed, scheduled.scan, "{tag}: threads={threads}");
+        // Every shard's distance stats reach the output: one DP per
+        // evaluated subtree.
+        let ted = scheduled.ted.as_ref().expect("asked for");
+        assert_eq!(
+            ted.ted_calls, scheduled.scan.evaluated,
+            "{tag}: threads={threads}"
+        );
     }
 }
 
@@ -354,20 +351,14 @@ fn pull_workers_rank_like_one_thread_under_stress() {
             .unwrap();
         assert!(big.candidate_spans(tau as u32).0.len() >= 4 * 128);
         let mut indexed = |doc: &tasm_index::IndexedDocument, threads: usize| {
-            tasm_indexed_batch(
-                &bqs,
-                &qdict,
-                doc,
-                &UnitCost,
-                1,
+            let run = Run {
                 opts,
                 threads,
-                &mut ws,
-                None,
-                &Deadline::none(),
-            )
-            .expect("no deadline")
-            .rankings
+                ..Run::default()
+            };
+            tasm_indexed_batch(&bqs, &qdict, doc, &run, &mut ws)
+                .expect("no deadline")
+                .rankings
         };
         let want_indexed: Vec<_> = docs.iter().map(|doc| indexed(doc, 1)).collect();
         let want_corpus: Vec<_> = corpus_batch(&bqs, &qdict, &corpus, opts, 1)

@@ -38,7 +38,7 @@
 use proptest::prelude::*;
 use tasm_core::{
     tasm_batch, tasm_dynamic, tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_resident_batch,
-    BatchQuery, Deadline, Match, TasmOptions, TasmWorkspace, TedKernel,
+    BatchQuery, Match, Run, TasmOptions, TasmWorkspace, TedKernel,
 };
 use tasm_index::IndexedDocument;
 use tasm_ted::{CostModel, UnitCost};
@@ -117,84 +117,38 @@ fn index_of(doc: &Tree, q_labels: &[LabelId]) -> (IndexedDocument, LabelDict) {
     (idx, dict)
 }
 
-/// The stream/tree driver at `threads`, no deadline: `tasm_batch` over
-/// any queue (a `TreeQueue` for the materialized cells).
+/// The stream/tree driver: `tasm_batch` over any queue (a `TreeQueue`
+/// for the materialized cells).
 fn batch<Q: PostorderQueue + ?Sized>(
     bqs: &[BatchQuery<'_>],
     queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
 ) -> Vec<Vec<Match>> {
-    tasm_batch(
-        bqs,
-        queue,
-        model,
-        c_t,
-        opts,
-        threads,
-        &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
-    )
-    .expect("complete stream")
-    .rankings
+    tasm_batch(bqs, queue, run, &mut TasmWorkspace::new())
+        .expect("complete stream")
+        .rankings
 }
 
 /// Thread counts of the resident rows.
 const RESIDENT_THREADS: [usize; 2] = [1, 3];
 
-/// The resident driver over the materialized `doc` at `threads`, no
-/// deadline.
-fn resident(
-    bqs: &[BatchQuery<'_>],
-    doc: &Tree,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> Vec<Vec<Match>> {
-    tasm_resident_batch(
-        bqs,
-        doc,
-        model,
-        c_t,
-        opts,
-        threads,
-        &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
-    )
-    .expect("no deadline")
-    .rankings
+/// The resident driver over the materialized `doc`.
+fn resident(bqs: &[BatchQuery<'_>], doc: &Tree, run: &Run<'_>) -> Vec<Vec<Match>> {
+    tasm_resident_batch(bqs, doc, run, &mut TasmWorkspace::new())
+        .expect("no deadline")
+        .rankings
 }
 
-/// The indexed driver at `threads`, no deadline.
-#[allow(clippy::too_many_arguments)]
+/// The indexed driver.
 fn indexed(
     bqs: &[BatchQuery<'_>],
     dict: &LabelDict,
     idx: &IndexedDocument,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
+    run: &Run<'_>,
 ) -> Vec<Vec<Match>> {
-    tasm_indexed_batch(
-        bqs,
-        dict,
-        idx,
-        model,
-        c_t,
-        opts,
-        threads,
-        &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
-    )
-    .expect("no deadline")
-    .rankings
+    tasm_indexed_batch(bqs, dict, idx, run, &mut TasmWorkspace::new())
+        .expect("no deadline")
+        .rankings
 }
 
 /// Runs every single-query variant of the matrix against the oracle.
@@ -225,6 +179,11 @@ fn check_single_query_matrix(q: &Tree, doc: &Tree, k: usize) -> Result<(), Strin
             "{kernel}/{}",
             if cascade { "cascade-on" } else { "cascade-off" }
         );
+        let at = |threads| Run {
+            opts,
+            threads,
+            ..Run::default()
+        };
 
         check(
             format!("dynamic/{tag}"),
@@ -241,30 +200,30 @@ fn check_single_query_matrix(q: &Tree, doc: &Tree, k: usize) -> Result<(), Strin
         let bq = [BatchQuery { query: q, k }];
         check(
             format!("batch/materialized/{tag}"),
-            batch(&bq, &mut TreeQueue::new(doc), &UnitCost, 1, opts, 1).remove(0),
+            batch(&bq, &mut TreeQueue::new(doc), &at(1)).remove(0),
         )?;
         check(
             format!("batch/streaming/{tag}"),
-            batch(&bq, &mut stream(doc), &UnitCost, 1, opts, 1).remove(0),
+            batch(&bq, &mut stream(doc), &at(1)).remove(0),
         )?;
         for threads in RESIDENT_THREADS {
             check(
                 format!("resident/t{threads}/{tag}"),
-                resident(&bq, doc, &UnitCost, 1, opts, threads).remove(0),
+                resident(&bq, doc, &at(threads)).remove(0),
             )?;
         }
         for threads in THREADS {
             check(
                 format!("parallel/materialized/t{threads}/{tag}"),
-                batch(&bq, &mut TreeQueue::new(doc), &UnitCost, 1, opts, threads).remove(0),
+                batch(&bq, &mut TreeQueue::new(doc), &at(threads)).remove(0),
             )?;
             check(
                 format!("parallel/streaming/t{threads}/{tag}"),
-                batch(&bq, &mut stream(doc), &UnitCost, 1, opts, threads).remove(0),
+                batch(&bq, &mut stream(doc), &at(threads)).remove(0),
             )?;
             check(
                 format!("indexed/t{threads}/{tag}"),
-                indexed(&bq, &dict, &idx, &UnitCost, 1, opts, threads).remove(0),
+                indexed(&bq, &dict, &idx, &at(threads)).remove(0),
             )?;
         }
     }
@@ -318,32 +277,37 @@ fn check_multi_query_matrix(queries: &[(Tree, usize)], doc: &Tree) -> Result<(),
             "{kernel}/{}",
             if cascade { "cascade-on" } else { "cascade-off" }
         );
+        let at = |threads| Run {
+            opts,
+            threads,
+            ..Run::default()
+        };
         check(
             format!("batch/materialized/{tag}"),
-            batch(&bqs, &mut TreeQueue::new(doc), &UnitCost, 1, opts, 1),
+            batch(&bqs, &mut TreeQueue::new(doc), &at(1)),
         )?;
         check(
             format!("batch/streaming/{tag}"),
-            batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, 1),
+            batch(&bqs, &mut stream(doc), &at(1)),
         )?;
         for threads in RESIDENT_THREADS {
             check(
                 format!("resident×batch/t{threads}/{tag}"),
-                resident(&bqs, doc, &UnitCost, 1, opts, threads),
+                resident(&bqs, doc, &at(threads)),
             )?;
         }
         for threads in THREADS {
             check(
                 format!("batch×parallel/materialized/t{threads}/{tag}"),
-                batch(&bqs, &mut TreeQueue::new(doc), &UnitCost, 1, opts, threads),
+                batch(&bqs, &mut TreeQueue::new(doc), &at(threads)),
             )?;
             check(
                 format!("batch×parallel/streaming/t{threads}/{tag}"),
-                batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, threads),
+                batch(&bqs, &mut stream(doc), &at(threads)),
             )?;
             check(
                 format!("indexed×batch/t{threads}/{tag}"),
-                indexed(&bqs, &dict, &idx, &UnitCost, 1, opts, threads),
+                indexed(&bqs, &dict, &idx, &at(threads)),
             )?;
         }
     }
@@ -467,10 +431,10 @@ fn xml_stream_matches_materialized_dynamic_down_to_ids() {
             let got = batch(
                 &[BatchQuery { query: &query, k }],
                 &mut queue,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
+                &Run {
+                    threads,
+                    ..Run::default()
+                },
             );
             assert!(queue.is_ok());
             assert_eq!(key(&got[0]), want, "k = {k}, threads = {threads}");
@@ -506,10 +470,10 @@ fn xml_stream_matches_materialized_dynamic_down_to_ids() {
         let got = batch(
             &bqs,
             &mut queue,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            threads,
+            &Run {
+                threads,
+                ..Run::default()
+            },
         );
         assert!(queue.is_ok());
         for (lane, (g, want)) in got.iter().zip(&wants).enumerate() {
@@ -559,16 +523,17 @@ proptest! {
             prop_assert_eq!(&kp, &want, "postorder kernel {}", kernel);
         }
         let bq = [BatchQuery { query: &q, k }];
+        let at = |threads, opts| Run { model: &model, c_t, opts, threads, ..Run::default() };
         for threads in [2usize, 7] {
-            let par = key(&batch(&bq, &mut TreeQueue::new(&doc), &model, c_t, opts, threads)[0]);
+            let par = key(&batch(&bq, &mut TreeQueue::new(&doc), &at(threads, opts))[0]);
             prop_assert_eq!(&par, &want);
-            let par_stream = key(&batch(&bq, &mut stream(&doc), &model, c_t, opts, threads)[0]);
+            let par_stream = key(&batch(&bq, &mut stream(&doc), &at(threads, opts))[0]);
             prop_assert_eq!(&par_stream, &want);
         }
         for threads in RESIDENT_THREADS {
             for kernel in KERNELS {
                 let kopts = TasmOptions { kernel, ..opts };
-                let got = key(&resident(&bq, &doc, &model, c_t, kopts, threads)[0]);
+                let got = key(&resident(&bq, &doc, &at(threads, kopts))[0]);
                 prop_assert_eq!(&got, &want, "resident, threads = {}, kernel {}", threads, kernel);
             }
         }
@@ -583,7 +548,8 @@ proptest! {
             }
         }
         for threads in [1usize, 3] {
-            let idxed = key(&indexed(&bq, &dict, &idx, &imodel, c_t, opts, threads)[0]);
+            let run = Run { model: &imodel, c_t, opts, threads, ..Run::default() };
+            let idxed = key(&indexed(&bq, &dict, &idx, &run)[0]);
             prop_assert_eq!(&idxed, &want, "indexed, threads = {}", threads);
         }
     }
@@ -756,6 +722,17 @@ fn query_labels_absent_from_the_document_rank_like_the_oracle() {
         for (tag, oracle_model, doc_model, idx_model, c_t) in models {
             let opts = TasmOptions::default();
             let ctx = |driver: &str| format!("round {round}, {tag} costs, {driver}");
+            // Document-space and index-space runs at `threads`.
+            let on_doc = |threads| Run {
+                model: doc_model,
+                c_t,
+                threads,
+                ..Run::default()
+            };
+            let on_idx = |threads| Run {
+                model: idx_model,
+                ..on_doc(threads)
+            };
             let oracles: Vec<Vec<(u32, u64, u32)>> = queries_u
                 .iter()
                 .map(|q| key(&tasm_naive(q, &doc_u, k, oracle_model, opts, None)))
@@ -776,13 +753,13 @@ fn query_labels_absent_from_the_document_rank_like_the_oracle() {
                 assert_eq!(&key(&got), want, "{}", ctx("postorder"));
             }
             for threads in [1usize, 3] {
-                let got = batch(&ebqs, &mut stream(&doc), doc_model, c_t, opts, threads);
+                let got = batch(&ebqs, &mut stream(&doc), &on_doc(threads));
                 for (lane, want) in got.iter().zip(&oracles) {
                     assert_eq!(&key(lane), want, "{}", ctx(&format!("batch t{threads}")));
                 }
             }
             for threads in RESIDENT_THREADS {
-                let got = resident(&ebqs, &doc, doc_model, c_t, opts, threads);
+                let got = resident(&ebqs, &doc, &on_doc(threads));
                 for (lane, want) in got.iter().zip(&oracles) {
                     assert_eq!(&key(lane), want, "{}", ctx(&format!("resident t{threads}")));
                 }
@@ -790,7 +767,7 @@ fn query_labels_absent_from_the_document_rank_like_the_oracle() {
 
             // Indexed driver: the shard's index, queries in `src` ids.
             for threads in [1usize, 3] {
-                let got = indexed(&bqs, &src, idx, idx_model, c_t, opts, threads);
+                let got = indexed(&bqs, &src, idx, &on_idx(threads));
                 for (lane, want) in got.iter().zip(&oracles) {
                     assert_eq!(&key(lane), want, "{}", ctx(&format!("indexed t{threads}")));
                 }
@@ -803,13 +780,8 @@ fn query_labels_absent_from_the_document_rank_like_the_oracle() {
                     &bqs,
                     &src,
                     &corpus,
-                    idx_model,
-                    c_t,
-                    opts,
-                    threads,
+                    &on_idx(threads),
                     &mut TasmWorkspace::new(),
-                    None,
-                    &Deadline::none(),
                 )
                 .expect("no deadline");
                 for (qi, (q, lane)) in queries_u.iter().zip(&out.rankings).enumerate() {

@@ -235,13 +235,22 @@ enum Request {
     Ping,
     Docs,
     Shutdown,
-    Query {
-        doc: String,
-        k: usize,
-        timeout_ms: Option<u64>,
-        stats: bool,
-        q: String,
-    },
+    Query(QueryRequest),
+}
+
+/// The parameters of one `QUERY` line.
+#[derive(Debug, PartialEq, Eq)]
+struct QueryRequest {
+    /// The document (or corpus) name.
+    doc: String,
+    /// The ranking size; 0 is refused when the request is handled.
+    k: usize,
+    /// The requested timeout, capped by the server's limit.
+    timeout_ms: Option<u64>,
+    /// Whether the answer carries a `STATS` line.
+    stats: bool,
+    /// The query XML.
+    q: String,
 }
 
 /// Finds `q=` at a token boundary; everything after it is the query.
@@ -296,13 +305,13 @@ fn parse_request(line: &str) -> Result<Request, String> {
                 }
             }
             let doc = doc.ok_or_else(|| "QUERY needs doc=<name>".to_string())?;
-            Ok(Request::Query {
+            Ok(Request::Query(QueryRequest {
                 doc,
                 k,
                 timeout_ms,
                 stats,
                 q,
-            })
+            }))
         }
         other => Err(format!(
             "unknown command '{other}' (expected PING, DOCS, QUERY, or SHUTDOWN)"
@@ -445,13 +454,7 @@ pub(crate) fn serve_lines<R: BufRead, W: Write>(mut reader: R, mut writer: W, ct
                 let _ = send(&mut writer, "OK draining");
                 false
             }
-            Request::Query {
-                doc,
-                k,
-                timeout_ms,
-                stats,
-                q,
-            } => handle_query(&mut writer, &ctx, &doc, k, timeout_ms, stats, &q, trimmed).is_ok(),
+            Request::Query(req) => handle_query(&mut writer, &ctx, &req, trimmed).is_ok(),
         };
         if !keep_going {
             return;
@@ -497,17 +500,16 @@ fn prepare_query(doc: &Doc, q: &str) -> Result<PreparedQuery, XmlError> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Answers one `QUERY`: checks it against the document and the server
+/// limits, admits it and writes the worker's response. `raw` is the
+/// request line, logged if the evaluation panics.
 fn handle_query(
     writer: &mut impl Write,
     ctx: &ConnCtx,
-    doc_name: &str,
-    k: usize,
-    timeout_ms: Option<u64>,
-    stats: bool,
-    q: &str,
+    req: &QueryRequest,
     raw: &str,
 ) -> io::Result<()> {
+    let (doc_name, k) = (req.doc.as_str(), req.k);
     let Some(doc) = ctx.store.get(doc_name) else {
         return send(
             writer,
@@ -545,29 +547,30 @@ fn handle_query(
         query,
         dict,
         root_label,
-    } = match prepare_query(doc, q) {
+    } = match prepare_query(doc, &req.q) {
         Ok(prepared) => prepared,
         Err(e) => return send(writer, &format!("ERR parse {e}")),
     };
-    let dur = timeout_ms
+    let dur = req
+        .timeout_ms
         .map(Duration::from_millis)
         .unwrap_or(ctx.cfg.default_deadline)
         .min(ctx.cfg.max_deadline);
     let limit_ms = dur.as_millis() as u64;
     let slot = ResponseSlot::new();
-    let req = PendingRequest {
+    let pending = PendingRequest {
         doc: doc.clone(),
         query,
         dict,
         k,
         timeout_ms: limit_ms,
         deadline_at: Instant::now() + dur,
-        stats,
+        stats: req.stats,
         root_label,
         raw: raw.to_string(),
         slot: slot.clone(),
     };
-    match ctx.admission.submit(req) {
+    match ctx.admission.submit(pending) {
         Err(_) => send(
             writer,
             &format!("{BUSY_HEAD}{}", ctx.cfg.retry_after.as_millis()),
@@ -689,17 +692,17 @@ mod tests {
         let q = parse_request("QUERY doc=dblp k=3 timeout=250 q=<a><b/></a>").unwrap();
         assert_eq!(
             q,
-            Request::Query {
+            Request::Query(QueryRequest {
                 doc: "dblp".into(),
                 k: 3,
                 timeout_ms: Some(250),
                 stats: false,
                 q: "<a><b/></a>".into(),
-            }
+            })
         );
         let q = parse_request("QUERY doc=dblp stats=1 q=<a/>").unwrap();
         match q {
-            Request::Query { stats, .. } => assert!(stats),
+            Request::Query(QueryRequest { stats, .. }) => assert!(stats),
             other => panic!("{other:?}"),
         }
     }
@@ -708,7 +711,7 @@ mod tests {
     fn query_text_runs_to_end_of_line() {
         let q = parse_request("QUERY doc=d q=<a x=\"1\"> spaces </a>").unwrap();
         match q {
-            Request::Query { q, k, .. } => {
+            Request::Query(QueryRequest { q, k, .. }) => {
                 assert_eq!(q, "<a x=\"1\"> spaces </a>");
                 assert_eq!(k, 5, "k defaults");
             }
@@ -721,7 +724,7 @@ mod tests {
         // "doc=myq=weird" must not be mistaken for the query parameter.
         let q = parse_request("QUERY doc=myq=weird q=<a/>").unwrap();
         match q {
-            Request::Query { doc, q, .. } => {
+            Request::Query(QueryRequest { doc, q, .. }) => {
                 assert_eq!(doc, "myq=weird");
                 assert_eq!(q, "<a/>");
             }
@@ -790,13 +793,13 @@ mod tests {
             line.push_str(" stats=1");
         }
         line.push_str(&format!(" q={q}"));
-        let want = Request::Query {
+        let want = Request::Query(QueryRequest {
             doc: format!("d{doc}"),
             k: k as usize,
             timeout_ms: timeout,
             stats,
             q: q.to_string(),
-        };
+        });
         (line, want)
     }
 

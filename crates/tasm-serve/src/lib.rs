@@ -15,9 +15,10 @@
 //!
 //! The robustness contract, layer by layer:
 //!
-//! * **Deadlines** ([`Deadline`]): every request carries an absolute
-//!   expiry; the evaluation loop polls it per candidate and aborts with a
-//!   structured `ERR timeout` — no partial rankings, no wedged workers.
+//! * **Deadlines** ([`Run::deadline`](tasm_core::Run::deadline)): every
+//!   request carries an absolute expiry; the evaluation loop polls it
+//!   per candidate and aborts with a structured `ERR timeout` — no
+//!   partial rankings, no wedged workers.
 //! * **Admission control** (the `admission` module): a bounded queue
 //!   sheds overload with an immediate `BUSY retry-after-ms=…`; requests
 //!   already queued on the same tree document share one sweep.
@@ -58,11 +59,8 @@ use std::time::{Duration, Instant};
 
 use crate::admission::{Admission, PendingRequest};
 use crate::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
-use tasm_core::{
-    tasm_corpus_batch, tasm_resident_batch, BatchQuery, Deadline, Match, TasmOptions, TasmWorkspace,
-};
+use tasm_core::{tasm_corpus_batch, tasm_resident_batch, BatchQuery, Match, Run, TasmWorkspace};
 use tasm_index::Corpus;
-use tasm_ted::UnitCost;
 use tasm_tree::{LabelDict, Tree};
 
 pub use crate::conn::{busy_retry_after_ms, is_multiline};
@@ -490,7 +488,7 @@ fn evaluate_tree_batch(
         .map(|r| r.deadline_at)
         .min()
         .expect("batches are non-empty");
-    if let Some(responses) = scan_tree(ws, batch, tree, &Deadline::at(earliest)) {
+    if let Some(responses) = scan_tree(ws, batch, tree, earliest) {
         return responses;
     }
     // The shared sweep died at the earliest member's deadline. That
@@ -500,9 +498,8 @@ fn evaluate_tree_batch(
         .iter()
         .map(|req| {
             let solo = std::slice::from_ref(req);
-            let deadline = Deadline::at(req.deadline_at);
             if Instant::now() < req.deadline_at {
-                if let Some(mut answer) = scan_tree(ws, solo, tree, &deadline) {
+                if let Some(mut answer) = scan_tree(ws, solo, tree, req.deadline_at) {
                     return answer.pop().expect("one lane");
                 }
             }
@@ -520,7 +517,7 @@ fn scan_tree(
     ws: &mut TasmWorkspace,
     reqs: &[PendingRequest],
     tree: &Tree,
-    deadline: &Deadline,
+    deadline: Instant,
 ) -> Option<Vec<Response>> {
     let queries: Vec<BatchQuery<'_>> = reqs
         .iter()
@@ -529,18 +526,11 @@ fn scan_tree(
             k: r.k,
         })
         .collect();
-    let out = tasm_resident_batch(
-        &queries,
-        tree,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        1,
-        ws,
-        None,
-        deadline,
-    )
-    .ok()?;
+    let run = Run {
+        deadline: Some(deadline),
+        ..Run::default()
+    };
+    let out = tasm_resident_batch(&queries, tree, &run, ws).ok()?;
     let responses = out
         .rankings
         .into_iter()
@@ -567,7 +557,11 @@ fn evaluate_corpus_request(
     corpus: &Arc<Corpus>,
     corpus_threads: usize,
 ) -> Response {
-    let deadline = Deadline::at(req.deadline_at);
+    let run = Run {
+        threads: corpus_threads,
+        deadline: Some(req.deadline_at),
+        ..Run::default()
+    };
     let queries = [BatchQuery {
         query: &req.query,
         k: req.k,
@@ -576,18 +570,7 @@ fn evaluate_corpus_request(
         .dict
         .as_ref()
         .expect("corpus requests carry their request-local dictionary");
-    match tasm_corpus_batch(
-        &queries,
-        dict,
-        corpus,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        corpus_threads,
-        ws,
-        None,
-        &deadline,
-    ) {
+    match tasm_corpus_batch(&queries, dict, corpus, &run, ws) {
         Ok(out) => {
             let (status, scan) = (out.status, out.scan);
             let mut rankings = out.rankings;

@@ -17,9 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasm_core::{
-    tasm_corpus_batch, tasm_postorder, BatchQuery, Deadline, TasmOptions, TasmWorkspace,
-};
+use tasm_core::{tasm_corpus_batch, tasm_postorder, BatchQuery, Run, TasmOptions, TasmWorkspace};
 use tasm_index::Corpus;
 use tasm_serve::{is_multiline, Doc, DocStore, Server, ServerConfig};
 use tasm_ted::UnitCost;
@@ -300,13 +298,8 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
         }],
         &qdict,
         &corpus,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        1,
+        &Run::default(),
         &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
     )
     .unwrap();
     assert!(!out.status.is_degraded());
@@ -411,13 +404,8 @@ fn queries_with_labels_the_document_lacks_match_the_engine() {
         }],
         &qdict,
         &corpus,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        1,
+        &Run::default(),
         &mut TasmWorkspace::new(),
-        None,
-        &Deadline::none(),
     )
     .unwrap();
     let expect = &out.rankings[0];

@@ -70,8 +70,8 @@ pub mod prelude {
     pub use crate::core::{
         prb_pruning, tasm_batch, tasm_corpus_batch, tasm_dynamic, tasm_dynamic_with_workspace,
         tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_postorder_with_workspace,
-        tasm_resident_batch, threshold, BatchOutput, BatchQuery, CandidateSink, Deadline, Match,
-        PrefixRingBuffer, ScanEngine, ScanStats, StreamIntegrityError, StreamScanError,
+        tasm_resident_batch, threshold, BatchOutput, BatchQuery, CandidateSink, Match,
+        PrefixRingBuffer, Run, ScanEngine, ScanStats, StreamIntegrityError, StreamScanError,
         TasmOptions, TasmWorkspace, TopKHeap,
     };
     pub use crate::index::IndexedDocument;
@@ -166,8 +166,11 @@ fn adopt_match_trees(
 /// forwards to a one-query [`TasmBatch`], so both facades run the same
 /// drivers: the [`core::tasm_batch`] scan for a stream,
 /// [`core::tasm_resident_batch`] for an in-memory tree and
-/// [`core::tasm_indexed_batch`] for an index. Uses the unit cost model;
-/// for custom cost models call [`core::tasm_postorder`] directly.
+/// [`core::tasm_indexed_batch`] for an index. Runs them under the
+/// default [`core::Run`] (unit costs, no deadline) with this query's
+/// `k`, threads and `keep_trees`; for custom cost models, deadlines or
+/// distance statistics call the drivers with a [`core::Run`] of your
+/// own.
 #[derive(Debug)]
 pub struct TasmQuery {
     batch: TasmBatch,
@@ -312,7 +315,9 @@ impl TasmQuery {
 /// Ring-buffer maintenance and candidate materialization are paid once
 /// for the whole batch ([`core::tasm_batch`]); each query keeps its own
 /// pruning bound and ranking, and each result is exactly what the
-/// corresponding single [`TasmQuery`] run would return.
+/// corresponding single [`TasmQuery`] run would return. Every run uses
+/// one [`core::Run`]: unit costs, no deadline, no distance statistics,
+/// and the batch's threads and `keep_trees` setting.
 ///
 /// # Examples
 ///
@@ -339,10 +344,9 @@ pub struct TasmBatch {
     dict: LabelDict,
     queries: Vec<Tree>,
     k: usize,
-    options: TasmOptions,
-    /// Worker threads for the sharded streaming scan (1 = one shared
-    /// sequential scan).
-    threads: usize,
+    /// Options and worker threads of every run (unit costs, no deadline,
+    /// no distance statistics).
+    run: core::Run<'static>,
     /// Scan + per-lane workspaces reused across runs.
     workspace: core::TasmWorkspace,
     /// Aggregate stats of the most recent run.
@@ -369,11 +373,13 @@ impl TasmBatch {
             dict,
             queries,
             k: 1,
-            options: TasmOptions {
-                keep_trees: true,
-                ..Default::default()
+            run: core::Run {
+                opts: TasmOptions {
+                    keep_trees: true,
+                    ..Default::default()
+                },
+                ..core::Run::default()
             },
-            threads: 1,
             workspace: core::TasmWorkspace::new(),
             last_scan: ScanStats::default(),
             last_lanes: Vec::new(),
@@ -395,14 +401,14 @@ impl TasmBatch {
     /// query lanes ([`core::tasm_batch`]). Each ranking is identical to
     /// the sequential shared-scan result.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.run.threads = threads;
         self
     }
 
     /// Sets whether matched subtrees are copied into the results
     /// (default `true`).
     pub fn keep_trees(mut self, keep: bool) -> Self {
-        self.options.keep_trees = keep;
+        self.run.opts.keep_trees = keep;
         self
     }
 
@@ -463,26 +469,14 @@ impl TasmBatch {
             .map(|query| core::BatchQuery { query, k: self.k })
             .collect();
         let mut queue = open(&mut self.dict);
-        let result = core::tasm_batch(
-            &batch,
-            &mut queue,
-            &UnitCost,
-            1,
-            self.options,
-            self.threads,
-            &mut self.workspace,
-            None,
-            &core::Deadline::none(),
-        );
+        let result = core::tasm_batch(&batch, &mut queue, &self.run, &mut self.workspace);
         if let Some(err) = parse_error(&mut queue) {
             return Err(err.into());
         }
         let out = match result {
             Ok(out) => out,
             Err(core::StreamScanError::Integrity(e)) => return Err(e.into()),
-            Err(core::StreamScanError::Deadline(_)) => {
-                unreachable!("Deadline::none() never expires")
-            }
+            Err(core::StreamScanError::Deadline(_)) => unreachable!("no deadline"),
         };
         self.last_scan = out.scan;
         self.last_lanes = out.lanes;
@@ -497,18 +491,8 @@ impl TasmBatch {
             .iter()
             .map(|query| core::BatchQuery { query, k: self.k })
             .collect();
-        let out = core::tasm_resident_batch(
-            &batch,
-            doc,
-            &UnitCost,
-            1,
-            self.options,
-            self.threads,
-            &mut self.workspace,
-            None,
-            &core::Deadline::none(),
-        )
-        .expect("Deadline::none() never expires");
+        let out = core::tasm_resident_batch(&batch, doc, &self.run, &mut self.workspace)
+            .expect("no deadline");
         self.last_scan = out.scan;
         self.last_lanes = out.lanes;
         out.rankings
@@ -531,19 +515,8 @@ impl TasmBatch {
             .iter()
             .map(|query| core::BatchQuery { query, k: self.k })
             .collect();
-        let out = core::tasm_indexed_batch(
-            &batch,
-            &self.dict,
-            idx,
-            &UnitCost,
-            1,
-            self.options,
-            self.threads,
-            &mut self.workspace,
-            None,
-            &core::Deadline::none(),
-        )
-        .expect("Deadline::none() never expires");
+        let out = core::tasm_indexed_batch(&batch, &self.dict, idx, &self.run, &mut self.workspace)
+            .expect("no deadline");
         let rankings = out
             .rankings
             .into_iter()
