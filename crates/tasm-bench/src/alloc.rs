@@ -18,12 +18,15 @@ thread_local! {
     /// Bytes requested by this thread. Const-initialized and free of
     /// destructors, so touching it inside the allocator never allocates.
     static THREAD_BYTES: Cell<usize> = const { Cell::new(0) };
+    /// Allocation events of this thread (same properties).
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Adds `bytes` to the calling thread's tally (a no-op while the thread
-/// is being torn down).
-fn count_thread_bytes(bytes: usize) {
+/// Adds one allocation event of `bytes` to the calling thread's tallies
+/// (a no-op while the thread is being torn down).
+fn count_thread_alloc(bytes: usize) {
     let _ = THREAD_BYTES.try_with(|b| b.set(b.get().wrapping_add(bytes)));
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 /// Counting wrapper around the system allocator.
@@ -36,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            count_thread_bytes(layout.size());
+            count_thread_alloc(layout.size());
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
         }
@@ -52,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            count_thread_bytes(new_size);
+            count_thread_alloc(new_size);
             if new_size >= layout.size() {
                 let live = LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
                     - layout.size();
@@ -76,6 +79,15 @@ pub fn live_bytes() -> usize {
 /// test is built on this.
 pub fn alloc_count() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocation events (alloc + realloc calls) of the calling thread
+/// since it started. Monotonic per thread; diff two snapshots taken on
+/// one thread to count what a code region allocated, undisturbed by
+/// other threads (such as concurrently running tests). Work spread
+/// over worker threads needs the process-wide [`alloc_count`].
+pub fn thread_alloc_count() -> usize {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Total bytes the calling thread has requested since it started

@@ -10,7 +10,7 @@
 //! This file intentionally holds a single `#[test]` so no sibling test
 //! can allocate concurrently while the counters are being diffed.
 
-use tasm_bench::alloc::{alloc_count, CountingAlloc};
+use tasm_bench::alloc::{thread_alloc_count, CountingAlloc};
 use tasm_core::{tasm_postorder_with_workspace, TasmOptions, TasmWorkspace, TedKernel};
 use tasm_ted::{QueryContext, UnitCost};
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
@@ -53,9 +53,9 @@ fn assert_stream_allocations_are_length_independent(
     let mut ws = TasmWorkspace::new();
     let mut run = |doc: &Tree| {
         let mut q = TreeQueue::new(doc);
-        let before = alloc_count();
+        let before = thread_alloc_count();
         let m = tasm_postorder_with_workspace(query, &mut q, k, &UnitCost, 1, opts, &mut ws, None);
-        let allocs = alloc_count() - before;
+        let allocs = thread_alloc_count() - before;
         assert_eq!(m.len(), k, "sanity: ranking still filled");
         allocs
     };

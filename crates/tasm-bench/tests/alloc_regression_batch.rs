@@ -7,7 +7,7 @@
 //! `#[test]` so no sibling test can allocate concurrently while the
 //! counters are diffed.
 
-use tasm_bench::alloc::{alloc_count, CountingAlloc};
+use tasm_bench::alloc::{thread_alloc_count, CountingAlloc};
 use tasm_core::{tasm_batch_with_workspace, BatchQuery, TasmOptions, TasmWorkspace};
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
@@ -54,10 +54,10 @@ fn batch_scan_allocations_are_document_independent() {
         let mut ws = TasmWorkspace::new();
         let mut run = |doc: &Tree| {
             let mut q = TreeQueue::new(doc);
-            let before = alloc_count();
+            let before = thread_alloc_count();
             let r = tasm_batch_with_workspace(&batch, &mut q, &UnitCost, 1, opts, &mut ws, None);
             assert_eq!(r.len(), width);
-            alloc_count() - before
+            thread_alloc_count() - before
         };
         run(&short_doc); // warm the workspace
         let short_allocs = run(&short_doc);

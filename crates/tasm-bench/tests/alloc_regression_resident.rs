@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use tasm_bench::alloc::{alloc_count, CountingAlloc};
+use tasm_bench::alloc::{thread_alloc_count, CountingAlloc};
 use tasm_core::{
     tasm_corpus_batch, tasm_indexed_batch, tasm_resident_batch, BatchQuery, Run, TasmWorkspace,
 };
@@ -89,9 +89,9 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
 
         let mut ws = TasmWorkspace::new();
         let mut resident = |tree: &Tree| {
-            let before = alloc_count();
+            let before = thread_alloc_count();
             let out = tasm_resident_batch(&batch, tree, &run, &mut ws).unwrap();
-            let allocs = alloc_count() - before;
+            let allocs = thread_alloc_count() - before;
             assert_eq!(out.rankings.len(), width);
             (allocs, out.scan.candidates)
         };
@@ -111,9 +111,9 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
 
         let mut ws = TasmWorkspace::new();
         let mut indexed = |idx: &IndexedDocument| {
-            let before = alloc_count();
+            let before = thread_alloc_count();
             let out = tasm_indexed_batch(&batch, &dict, idx, &run, &mut ws).unwrap();
-            let allocs = alloc_count() - before;
+            let allocs = thread_alloc_count() - before;
             assert_eq!(out.rankings.len(), width);
             (allocs, out.scan.candidates)
         };
@@ -144,9 +144,9 @@ fn warm_resident_calls_allocate_per_call_not_per_region() {
 
         let mut ws = TasmWorkspace::new();
         let mut corpus = |corpus: &Corpus| {
-            let before = alloc_count();
+            let before = thread_alloc_count();
             let out = tasm_corpus_batch(&batch, &dict, corpus, &run, &mut ws).unwrap();
-            let allocs = alloc_count() - before;
+            let allocs = thread_alloc_count() - before;
             assert_eq!(out.rankings.len(), width);
             allocs
         };

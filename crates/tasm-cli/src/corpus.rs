@@ -66,6 +66,7 @@ fn add_docs(corpus: &mut Corpus, args: &Args) -> Result<usize, CliError> {
 }
 
 fn cmd_build(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["dir", "doc"]).usage()?;
     let dir = args.require("dir").usage()?;
     let mut corpus = Corpus::create(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
     let added = add_docs(&mut corpus, args)?;
@@ -77,6 +78,7 @@ fn cmd_build(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_add(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["dir", "doc"]).usage()?;
     let dir = args.require("dir").usage()?;
     let mut corpus = Corpus::open(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
     let added = add_docs(&mut corpus, args)?;
@@ -94,6 +96,7 @@ fn cmd_add(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_fsck(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["dir", "repair"]).usage()?;
     let dir = args.require("dir").usage()?;
     let repair = args.flag("repair");
     let mut corpus = Corpus::open(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -157,6 +160,17 @@ fn cmd_fsck(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&[
+        "dir",
+        "query",
+        "query-str",
+        "k",
+        "threads",
+        "kernel",
+        "stats",
+        "strict",
+    ])
+    .usage()?;
     let dir = args.require("dir").usage()?;
     // Checked before any file is opened.
     let threads = args.get_threads("threads", 1).usage()?;

@@ -148,7 +148,8 @@ COMMANDS:
                   --corpus <name=dir>    resident corpus served in
                                          degraded mode when shards are
                                          quarantined (repeatable)
-                  --workers <n>          evaluation threads (<= 256) [2]
+                  --workers <n>          evaluation threads (0 = all
+                                         cores, <= 256)         [2]
                   --corpus-threads <n>   shard-scheduler threads per
                                          corpus request (0=cores,
                                          <= 256)                [1]
@@ -256,6 +257,7 @@ fn load_xml(path: &str, dict: &mut LabelDict) -> Result<Tree, CliError> {
 }
 
 fn cmd_convert(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["doc", "out"]).usage()?;
     let doc_path = args.require("doc").usage()?;
     let out = args.require("out").usage()?;
     let mut dict = LabelDict::new();
@@ -271,6 +273,7 @@ fn cmd_convert(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_index(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["doc", "out"]).usage()?;
     let doc_path = args.require("doc").usage()?;
     let out = args.require("out").usage()?;
     let mut dict = LabelDict::new();
@@ -357,6 +360,19 @@ fn ranking_size(args: &Args) -> Result<usize, CliError> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&[
+        "query",
+        "query-str",
+        "doc",
+        "k",
+        "algorithm",
+        "threads",
+        "index",
+        "kernel",
+        "show-xml",
+        "stats",
+    ])
+    .usage()?;
     // Checked before any file is opened.
     let threads = args.get_threads("threads", 1).usage()?;
     let mut dict = LabelDict::new();
@@ -612,6 +628,7 @@ pub(crate) fn print_scan_stats<W: Write>(
 }
 
 fn cmd_ted(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["left", "right"]).usage()?;
     let mut dict = LabelDict::new();
     let left = load_xml(args.require("left").usage()?, &mut dict)?;
     let right = load_xml(args.require("right").usage()?, &mut dict)?;
@@ -629,6 +646,8 @@ fn cmd_ted(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["dataset", "nodes", "seed", "out"])
+        .usage()?;
     let dataset = args.get("dataset").unwrap_or("dblp");
     let nodes: usize = args.get_num("nodes", 10_000).usage()?;
     let seed: u64 = args.get_num("seed", 42).usage()?;
@@ -672,6 +691,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["doc"]).usage()?;
     let mut dict = LabelDict::new();
     let doc = load_xml(args.require("doc").usage()?, &mut dict)?;
     let s = tasm_tree::stats::TreeStats::of(&doc);
@@ -693,6 +713,8 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_candidates(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["doc", "tau", "compare-simple"])
+        .usage()?;
     let mut dict = LabelDict::new();
     let doc = load_xml(args.require("doc").usage()?, &mut dict)?;
     let tau: u32 = args.get_num("tau", 50).usage()?;

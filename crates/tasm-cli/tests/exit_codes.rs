@@ -77,6 +77,82 @@ fn serve_and_client_reject_options_they_do_not_read() {
 }
 
 #[test]
+fn every_subcommand_rejects_options_it_does_not_read() {
+    // Every input is missing (and `/dev/null/x` cannot be created):
+    // were the option accepted, the command would fail at run time
+    // with exit 2 — or, for `gen`, succeed — instead of exiting 1.
+    let cases: [(&[&str], &str); 12] = [
+        (
+            &["query", "--query-str", "<a/>", "--doc", "/no/d.xml"],
+            "--thread",
+        ),
+        (
+            &[
+                "corpus",
+                "query",
+                "--dir",
+                "/dev/null/x",
+                "--query-str",
+                "<a/>",
+            ],
+            "--thread",
+        ),
+        (
+            &[
+                "corpus",
+                "build",
+                "--dir",
+                "/dev/null/x",
+                "--doc",
+                "a=/no/a.xml",
+            ],
+            "--docs",
+        ),
+        (
+            &[
+                "corpus",
+                "add",
+                "--dir",
+                "/dev/null/x",
+                "--doc",
+                "a=/no/a.xml",
+            ],
+            "--docs",
+        ),
+        (&["corpus", "fsck", "--dir", "/dev/null/x"], "--repiar"),
+        (
+            &["index", "--doc", "/no/d.xml", "--out", "/dev/null/x"],
+            "--threads",
+        ),
+        (
+            &["convert", "--doc", "/no/d.xml", "--out", "/dev/null/x"],
+            "--outt",
+        ),
+        (&["gen", "--nodes", "10"], "--sed"),
+        (&["stats", "--doc", "/no/d.xml"], "--tau"),
+        (&["candidates", "--doc", "/no/d.xml"], "--compare-simpel"),
+        (
+            &["ted", "--left", "/no/a.xml", "--right", "/no/b.xml"],
+            "--k",
+        ),
+        (
+            &["query", "--query-str", "<a/>", "--doc", "/no/d.xml"],
+            "--stat",
+        ),
+    ];
+    for (base, extra) in cases {
+        let args: Vec<&str> = base.iter().copied().chain([extra, "4"]).collect();
+        let out = tasm(&args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {extra}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn thread_counts_over_the_limit_are_usage_errors() {
     // No input exists: had the count been accepted, each command would
     // fail at run time opening it (exit 2). A usage error (exit 1)

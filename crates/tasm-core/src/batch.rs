@@ -4,8 +4,7 @@
 //! A production matcher rarely serves one query at a time. The scan
 //! layer's work — ring-buffer maintenance, candidate materialization,
 //! stream decoding — depends only on the document and the size
-//! threshold, so it can be shared: the
-//! [`ScanEngine`](crate::ScanEngine) runs once at
+//! threshold, so it can be shared: the ring-buffer pass runs once at
 //! `τ_scan = max_i τ_i` and every candidate is offered to one
 //! evaluation *lane* per query, each with its own
 //! [`QueryContext`](tasm_ted::QueryContext), its own Theorem 3/Lemma 4
@@ -24,9 +23,10 @@
 //!
 //! [`tasm_batch`] is the one driver for every document that arrives as
 //! a postorder queue: a stream. At one thread it runs the shared scan
-//! inline, with the workspace's lane set as the scan's sink; above one
-//! it hands the candidates to the streaming shard workers, each
-//! evaluating through a lane set of its own. A single query is the
+//! inline, evaluating each candidate through the workspace's lane set
+//! as the scan hands it over; above one it copies the candidates into
+//! segments for the streaming shard workers, each evaluating through a
+//! lane set of its own. A single query is the
 //! batch of one: [`tasm_postorder`](crate::tasm_postorder) runs the
 //! same inline scan with one lane. A materialized tree can still be
 //! replayed through [`TreeQueue`](tasm_tree::TreeQueue) (the paper's
@@ -34,14 +34,16 @@
 //! buffer: [`tasm_resident_batch`](crate::tasm_resident_batch) sweeps
 //! its size column and evaluates the candidates in place.
 
+use std::ops::ControlFlow;
+
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::engine::ScanStats;
 use crate::lane::{merge_shard_results, LaneSet};
 use crate::ranking::Match;
 use crate::run::Run;
+use crate::scan::{scan_candidates, ScanStats};
 use crate::stream_shard::sharded_scan;
 use crate::tasm_dynamic::TasmOptions;
-use crate::workspace::{scratch_fits_cap, TasmWorkspace};
+use crate::workspace::TasmWorkspace;
 use tasm_ted::{CostModel, TedStats};
 use tasm_tree::{PostorderQueue, Tree};
 
@@ -266,9 +268,10 @@ pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
     out.rankings
 }
 
-/// The inline shared scan: one [`ScanEngine`](crate::ScanEngine) pass at
-/// `τ_scan = max_i τ_i` whose sink is a [`LaneSet`] on the scratch of
-/// `ws` (whose [`last_scan_stats`](TasmWorkspace::last_scan_stats) it
+/// The inline shared scan: one [`scan_candidates`] pass at `τ_scan =
+/// max_i τ_i` over the candidate tree of `ws`, evaluating every
+/// candidate in place through a [`LaneSet`] on the scratch of `ws`
+/// (whose [`last_scan_stats`](TasmWorkspace::last_scan_stats) it
 /// records). The only one-thread evaluation of a postorder queue:
 /// [`tasm_batch`] and [`tasm_postorder`](crate::tasm_postorder) both
 /// run it. `run.threads` is not read.
@@ -282,13 +285,17 @@ pub(crate) fn shared_scan<Q: PostorderQueue + ?Sized>(
         return Ok(BatchOutput::empty(run));
     }
     let mut set = LaneSet::new(queries, run, &mut ws.eval);
-    ws.engine.set_tau(set.scan_tau);
-    if scratch_fits_cap(set.scan_tau as usize) {
-        ws.engine.reserve();
-    }
-    let shared = ws
-        .engine
-        .scan_with_deadline(queue, &mut set, &Deadline::new(run.deadline))?;
+    let deadline = Deadline::new(run.deadline);
+    let shared = scan_candidates(
+        queue,
+        set.scan_tau,
+        &mut ws.cand,
+        &deadline,
+        |cand, root| {
+            set.eval(cand.view(), root.post() - cand.len() as u32);
+            ControlFlow::Continue(())
+        },
+    )?;
     // Every lane saw the one shared pass.
     let out = merge_shard_results(queries.len(), vec![set.into_result()], Some(&shared));
     ws.last_scan = out.scan;

@@ -49,11 +49,11 @@ use std::time::Instant;
 
 use crate::batch::{fold_ted, BatchOutput, BatchQuery};
 use crate::deadline::DeadlineExceeded;
-use crate::engine::ScanStats;
 use crate::lane::pull_units;
 use crate::ranking::Match;
 use crate::resident::tasm_indexed_batch;
 use crate::run::Run;
+use crate::scan::ScanStats;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::TasmWorkspace;
 use tasm_index::{Corpus, IndexedDocument};

@@ -11,10 +11,11 @@
 //! [`TasmWorkspace`](crate::TasmWorkspace) it borrows; one thread owns
 //! one set:
 //!
-//! * [`tasm_batch`](crate::tasm_batch) — the set is the sink of **one**
-//!   shared scan (a single [`tasm_postorder`](crate::tasm_postorder)
-//!   query is the one-lane case), or one set per streaming shard
-//!   worker, viewing candidates in its segments;
+//! * [`tasm_batch`](crate::tasm_batch) — one set evaluates every
+//!   candidate of **one** shared scan (a single
+//!   [`tasm_postorder`](crate::tasm_postorder) query is the one-lane
+//!   case), or one set per streaming shard worker, viewing candidates
+//!   in its segments;
 //! * [`tasm_resident_batch`](crate::tasm_resident_batch) and
 //!   [`tasm_indexed_batch`](crate::tasm_indexed_batch) — one set per
 //!   [`pull_units`] worker, viewing the candidates (of a swept block,
@@ -28,14 +29,16 @@
 //! total order, so any composition returns exactly the sequential
 //! per-query rankings (pinned by `tests/differential.rs`).
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
 use crate::batch::{BatchOutput, BatchQuery};
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::engine::{CandidateSink, ScanStats};
 use crate::ranking::TopKHeap;
 use crate::run::Run;
+use crate::scan::ScanStats;
 use crate::tasm_dynamic::{rank_subtrees_into, TasmOptions};
 use crate::threshold::{refined_threshold, threshold};
 use crate::workspace::{matrices_fit_cap, scratch_fits_cap, LaneScratch, TasmWorkspace};
@@ -299,14 +302,6 @@ impl<'a, 'w> LaneSet<'a, 'w> {
     }
 }
 
-/// The set as the sink of a shared [`ScanEngine`](crate::ScanEngine)
-/// pass: every candidate of the arena is evaluated in place.
-impl CandidateSink for LaneSet<'_, '_> {
-    fn consume(&mut self, cand: &Tree, root: NodeId, _scan: &mut ScanStats) {
-        self.eval(cand.view(), root.post() - cand.len() as u32);
-    }
-}
-
 /// The shared cursor of a [`pull_units`] run. Both atomics are
 /// `Relaxed`: they publish no other data (the units are read-only, and
 /// every result travels back through the thread join).
@@ -349,9 +344,11 @@ impl Units {
 /// mints its own [`Deadline`] poller from `expiry` (the poller is
 /// deliberately `!Sync`), and the calling thread checks it before any
 /// work starts. A worker that fails cancels the run: the others fail at
-/// their next pull, and no partial result is returned. At one thread
-/// (or one unit) no thread is spawned, so the loop is exactly the
-/// sequential one. Returns one result per worker, the caller's first.
+/// their next pull, and no partial result is returned. A worker that
+/// panics re-raises its own panic on the calling thread
+/// ([`join_workers`]). At one thread (or one unit) no thread is
+/// spawned, so the loop is exactly the sequential one. Returns one
+/// result per worker, the caller's first.
 pub(crate) fn pull_units<R: Send>(
     units: usize,
     threads: usize,
@@ -386,11 +383,20 @@ pub(crate) fn pull_units<R: Send>(
             .map(|_| scope.spawn(move || run(&mut TasmWorkspace::new(), &Deadline::new(expiry))))
             .collect();
         let mine = run(ws, &deadline);
-        let theirs = handles
-            .into_iter()
-            .map(|h| h.join().expect("pull worker panicked"));
-        std::iter::once(mine).chain(theirs).collect()
+        std::iter::once(mine).chain(join_workers(handles)).collect()
     })
+}
+
+/// Joins scoped workers in order and returns their results. The first
+/// worker (in that order) that panicked has its own payload re-raised
+/// on the calling thread, so the caller sees the worker's message
+/// rather than a join error; the scope still joins the rest before the
+/// panic leaves it.
+pub(crate) fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    handles
+        .into_iter()
+        .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 /// The result one worker hands back: per-lane heaps and funnels plus
@@ -520,5 +526,35 @@ mod tests {
             assert_eq!(got.iter().sum::<usize>(), seen.len());
             assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
         }
+    }
+
+    #[test]
+    fn a_pull_workers_own_panic_reaches_the_caller() {
+        // The caller's worker returns at once; the spawned ones pull a
+        // unit each and panic. A join shim would show the caller only
+        // `Any { .. }`.
+        let caller = std::thread::current().id();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pull_units(
+                8,
+                3,
+                None,
+                &mut TasmWorkspace::new(),
+                |_, units, deadline| {
+                    if std::thread::current().id() != caller {
+                        units.next(deadline)?;
+                        panic!("pull worker exploded");
+                    }
+                    Ok(())
+                },
+            )
+        }))
+        .unwrap_err();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert_eq!(msg, "pull worker exploded");
     }
 }

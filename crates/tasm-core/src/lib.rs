@@ -13,9 +13,7 @@
 //!   TASM algorithm (Algorithm 3);
 //! * [`tasm_dynamic`] — the state-of-the-art baseline (Sec. IV-F) and
 //!   [`tasm_naive`] — the ground-truth oracle;
-//! * [`simple_pruning`] — the O(n)-buffer pruning baseline of Sec. V-B;
-//! * [`ScanEngine`] / [`CandidateSink`] — the streaming scan layer the
-//!   algorithms above are built on, reusable for custom evaluations.
+//! * [`simple_pruning`] — the O(n)-buffer pruning baseline of Sec. V-B.
 //!
 //! Around the paper's algorithms sit four **drivers**, one per kind of
 //! document source. Each takes `(queries, source, &Run, &mut
@@ -89,13 +87,13 @@
 mod batch;
 mod corpus;
 mod deadline;
-mod engine;
 mod lane;
 mod naive;
 mod ranking;
 mod resident;
 mod ring_buffer;
 mod run;
+mod scan;
 mod simple_pruning;
 mod stream_shard;
 mod tasm_dynamic;
@@ -112,7 +110,6 @@ pub use corpus::{
     CorpusShardStats, CorpusStatus,
 };
 pub use deadline::DeadlineExceeded;
-pub use engine::{CandidateSink, ScanEngine, ScanStats};
 pub use naive::tasm_naive;
 pub use ranking::{Match, TopKHeap};
 pub use resident::{tasm_indexed_batch, tasm_resident_batch};
@@ -121,6 +118,7 @@ pub use ring_buffer::{
     PruningStats,
 };
 pub use run::Run;
+pub use scan::ScanStats;
 pub use simple_pruning::simple_pruning;
 pub use tasm_dynamic::{tasm_dynamic, tasm_dynamic_with_workspace, TasmOptions};
 pub use tasm_postorder::{tasm_postorder, tasm_postorder_with_workspace};

@@ -359,8 +359,8 @@ pub fn tasm_indexed_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ScanStats;
     use crate::ranking::Match;
+    use crate::scan::ScanStats;
     use crate::tasm_dynamic::TasmOptions;
     use crate::tasm_postorder::tasm_postorder;
     use std::time::{Duration, Instant};

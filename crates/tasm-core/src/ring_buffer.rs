@@ -8,6 +8,12 @@
 //! slots (Theorem 2): no candidate needs a look-ahead of more than
 //! `τ - |T_i|` nodes (Lemma 1).
 //!
+//! Streams are the one place the drivers run it: both the inline scan
+//! and the streaming sharder of [`tasm_batch`](crate::tasm_batch) take
+//! their candidates from one pass of the crate's candidate loop over
+//! [`PrefixRingBuffer::next_candidate_into`]. A resident tree reads the
+//! same set off its size column instead.
+//!
 //! # Data layout
 //!
 //! Two synchronized rings of `b = τ + 1` slots, as in the paper's
@@ -83,11 +89,10 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
     ///
     /// `tau` must be `>= 1`: `cand(T, 0)` is empty by Def. 9, so a zero
     /// threshold is always a caller bug (typically an unvalidated user
-    /// argument — reject it at the boundary, as [`ScanEngine`] and the
-    /// CLI do). The old behavior of silently clamping `0` to `1` turned
-    /// that bug into a plausible-looking leaf ranking.
-    ///
-    /// [`ScanEngine`]: crate::ScanEngine
+    /// argument — reject it at the boundary, as the CLI does; the
+    /// drivers' thresholds are at least 1). The old behavior of silently
+    /// clamping `0` to `1` turned that bug into a plausible-looking leaf
+    /// ranking.
     pub fn new(queue: &'q mut Q, tau: u32) -> Self {
         debug_assert!(tau >= 1, "PrefixRingBuffer requires tau >= 1, got {tau}");
         let tau = tau.max(1);

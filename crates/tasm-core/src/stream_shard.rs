@@ -2,9 +2,9 @@
 //! [`tasm_batch`](crate::tasm_batch) — batch×parallel TASM over a
 //! postorder **stream**, the document never resident in memory.
 //!
-//! One [`ScanEngine`] pass over the stream (the same `O(τ)` prefix ring
-//! buffer as the sequential path) derives the candidates, and instead
-//! of evaluating them inline it copies each candidate's postorder
+//! One [`scan_candidates`] pass over the stream (the same `O(τ)` prefix
+//! ring buffer as the sequential path) derives the candidates, and
+//! instead of evaluating them inline it copies each candidate's postorder
 //! entries into a **segment** — a flat `(label, size)` buffer holding a
 //! run of complete candidate subtrees plus their document root numbers
 //! — and hands full segments to worker threads over a bounded pipe. It
@@ -41,28 +41,30 @@
 //!
 //! Only `std::thread::scope`, `Mutex` and `Condvar` are used — no
 //! external dependencies, no unbounded channels.
+//!
+//! # Failure
+//!
+//! Each side takes part in the pipe through a drop guard, so neither
+//! ever waits on a peer that is gone. A worker that panics fails the
+//! pipe: the producer stops at its next hand-off, the other workers
+//! stop at their next segment, and the caller sees the worker's own
+//! panic. A producer that panics (a queue that fails) ends the stream:
+//! the workers finish what was sent and exit, and the caller sees the
+//! producer's panic. An expired deadline ends the stream the same way
+//! and the workers' heaps are discarded.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::ops::ControlFlow;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::batch::{BatchOutput, BatchQuery, StreamIntegrityError, StreamScanError};
-use crate::deadline::Deadline;
-use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{merge_shard_results, scan_tau_of, LaneSet, ShardResult};
+use crate::deadline::{Deadline, DeadlineExceeded};
+use crate::lane::{join_workers, merge_shard_results, scan_tau_of, LaneSet, ShardResult};
 use crate::run::Run;
-use crate::workspace::{scratch_fits_cap, LaneScratch};
-use tasm_tree::{LabelId, NodeId, PostorderQueue, Tree, TreeView};
-
-/// Locks `mutex`, recovering the guard if a peer poisoned it while
-/// unwinding: the pipe's abort flag — not poisoning — is the signal
-/// that a side died, and the originating panic payload (preserved by
-/// the workers' `catch_unwind`) must reach the caller instead of a
-/// secondary "poisoned" panic on an innocent thread.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::scan::{scan_candidates, ScanStats};
+use crate::workspace::LaneScratch;
+use tasm_tree::{LabelId, PostorderQueue, Tree, TreeView};
 
 /// Segments are flushed once they hold at least this many entries (a
 /// single candidate larger than the floor still travels whole — the
@@ -111,87 +113,64 @@ impl Segment {
 /// `free` pool. Buffers only ever *move*, so the steady state
 /// synchronizes without allocating.
 struct Pipe {
-    ready: Mutex<ReadyState>,
+    state: Mutex<PipeState>,
+    /// Workers wait here for a ready segment.
     ready_cv: Condvar,
-    free: Mutex<Vec<Segment>>,
+    /// The producer waits here for a free segment.
     free_cv: Condvar,
-    /// Set when either side of the pipe unwinds: both blocking waits
-    /// bail out instead of deadlocking on a peer that will never come
-    /// back (the panic then propagates through `thread::scope`).
-    aborted: AtomicBool,
 }
 
-struct ReadyState {
-    queue: VecDeque<Segment>,
-    done: bool,
+struct PipeState {
+    ready: VecDeque<Segment>,
+    free: Vec<Segment>,
+    /// The producer has left: no more segments will be sent.
+    produced: bool,
+    /// A worker died: the run is lost, and both sides stop.
+    failed: bool,
 }
 
 impl Pipe {
     /// A pipe owning `pool` pre-sized segments.
     fn new(pool: usize, segment_nodes: usize) -> Self {
         Pipe {
-            ready: Mutex::new(ReadyState {
-                queue: VecDeque::with_capacity(pool),
-                done: false,
-            }),
-            ready_cv: Condvar::new(),
-            free: Mutex::new(
-                (0..pool)
+            state: Mutex::new(PipeState {
+                ready: VecDeque::with_capacity(pool),
+                free: (0..pool)
                     .map(|_| Segment::with_capacity(segment_nodes))
                     .collect(),
-            ),
+                produced: false,
+                failed: false,
+            }),
+            ready_cv: Condvar::new(),
             free_cv: Condvar::new(),
-            aborted: AtomicBool::new(false),
         }
     }
 
-    /// Marks the pipe dead and wakes every waiter on both sides.
-    ///
-    /// Each notify happens while holding the matching mutex: a naked
-    /// notify could land in the gap between a waiter's abort check and
-    /// its `wait()`, be lost, and turn the panic this exists for into a
-    /// hang. Lock results are deliberately not `expect`ed — abort runs
-    /// during unwinding, where a poisoned mutex must not double-panic.
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        let ready = self.ready.lock();
-        self.ready_cv.notify_all();
-        drop(ready);
-        let free = self.free.lock();
-        self.free_cv.notify_all();
-        drop(free);
-    }
-
-    fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
+    /// Locks the state. Nothing panics while holding the lock, so the
+    /// state is consistent even if the mutex reports a poisoning.
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Producer: publishes a full segment to the workers.
     fn send(&self, seg: Segment) {
-        lock_recovering(&self.ready).queue.push_back(seg);
+        self.lock().ready.push_back(seg);
         self.ready_cv.notify_one();
     }
 
-    /// Producer: marks the stream exhausted and wakes every worker.
-    fn finish(&self) {
-        lock_recovering(&self.ready).done = true;
-        self.ready_cv.notify_all();
-    }
-
-    /// Worker: takes the next segment, blocking while the stream is
-    /// still live; `None` once the producer finished and the queue
-    /// drained.
+    /// Worker: takes the next segment, blocking while the producer is
+    /// still sending; `None` once it has left and the queue drained, or
+    /// once the pipe failed.
     fn recv(&self) -> Option<Segment> {
-        let mut state = lock_recovering(&self.ready);
+        let mut state = self.lock();
         loop {
-            if self.is_aborted() {
-                // A peer died; exit so its panic can propagate.
+            if state.failed {
                 return None;
             }
-            if let Some(seg) = state.queue.pop_front() {
+            if let Some(seg) = state.ready.pop_front() {
                 return Some(seg);
             }
-            if state.done {
+            if state.produced {
                 return None;
             }
             state = self
@@ -204,73 +183,109 @@ impl Pipe {
     /// Worker: returns a consumed segment to the pool (capacity kept).
     fn recycle(&self, mut seg: Segment) {
         seg.clear();
-        lock_recovering(&self.free).push(seg);
+        self.lock().free.push(seg);
         self.free_cv.notify_one();
     }
 
     /// Producer: acquires an empty segment, blocking until a worker
-    /// recycles one (the backpressure that bounds total memory).
-    ///
-    /// The abort assertion below fires on the producer when a worker
-    /// dies mid-stream; the entry point catches it and re-raises the
-    /// *worker's* payload, so the caller sees the original panic.
-    fn take_free(&self) -> Segment {
-        let mut free = lock_recovering(&self.free);
+    /// recycles one (the backpressure that bounds total memory); `None`
+    /// once the pipe failed.
+    fn take_free(&self) -> Option<Segment> {
+        let mut state = self.lock();
         loop {
-            assert!(
-                !self.is_aborted(),
-                "stream shard worker died; aborting the scan"
-            );
-            if let Some(seg) = free.pop() {
-                return seg;
+            if state.failed {
+                return None;
             }
-            free = self
+            if let Some(seg) = state.free.pop() {
+                return Some(seg);
+            }
+            state = self
                 .free_cv
-                .wait(free)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// Unwind guard held by both sides of the pipe: if its holder panics,
-/// the pipe is aborted so the other side stops waiting and the panic
-/// reaches `thread::scope` instead of deadlocking the scan.
-struct AbortOnPanic<'p>(&'p Pipe);
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort();
-        }
-    }
-}
-
-/// Producer-side [`CandidateSink`]: copies every candidate the scan
-/// emits into the segment in hand and flushes it downstream once the
-/// node budget is reached.
-struct SegmentSink<'p> {
+/// Held by each side of the pipe while it takes part, and dropped
+/// however it leaves, unwinding included: the producer's guard ends the
+/// stream, and a worker's guard fails the pipe if the worker panics.
+/// Either way every waiter wakes up to see it.
+struct Leave<'p> {
     pipe: &'p Pipe,
-    current: Segment,
-    budget: usize,
+    producer: bool,
 }
 
-impl CandidateSink for SegmentSink<'_> {
-    fn consume(&mut self, cand: &Tree, root: NodeId, _stats: &mut ScanStats) {
-        self.current.roots.push((root.post(), cand.len() as u32));
-        self.current.labels.extend_from_slice(cand.labels());
-        self.current.sizes.extend_from_slice(cand.sizes());
-        if self.current.labels.len() >= self.budget {
-            let full = std::mem::replace(&mut self.current, self.pipe.take_free());
-            self.pipe.send(full);
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        if !self.producer && !std::thread::panicking() {
+            return; // a worker that drained the pipe changes nothing
         }
+        let mut state = self.pipe.lock();
+        if self.producer {
+            state.produced = true;
+        } else {
+            state.failed = true;
+        }
+        drop(state);
+        self.pipe.ready_cv.notify_all();
+        self.pipe.free_cv.notify_all();
     }
+}
+
+/// The producer, on the calling thread: one ring-buffer pass over the
+/// stream that copies every candidate into the segment in hand and
+/// sends the segment on once it holds `budget` entries. It mints the
+/// run's deadline poller — it runs the one unbounded per-candidate loop
+/// — and stops early when the pipe fails; the dead worker's panic then
+/// reaches the caller through the join.
+fn produce<Q: PostorderQueue + ?Sized>(
+    pipe: &Pipe,
+    queue: &mut Q,
+    tau: u32,
+    budget: usize,
+    expiry: Option<Instant>,
+) -> Result<ScanStats, DeadlineExceeded> {
+    let _leave = Leave {
+        pipe,
+        producer: true,
+    };
+    let Some(mut seg) = pipe.take_free() else {
+        return Ok(ScanStats::default());
+    };
+    let mut cand = Tree::leaf(LabelId(0));
+    let deadline = Deadline::new(expiry);
+    // On a deadline the segment in hand is dropped: the workers' heaps
+    // are discarded anyway, so feeding them more candidates is waste.
+    let scan = scan_candidates(queue, tau, &mut cand, &deadline, |cand, root| {
+        seg.roots.push((root.post(), cand.len() as u32));
+        seg.labels.extend_from_slice(cand.labels());
+        seg.sizes.extend_from_slice(cand.sizes());
+        if seg.labels.len() < budget {
+            return ControlFlow::Continue(());
+        }
+        match pipe.take_free() {
+            Some(next) => {
+                pipe.send(std::mem::replace(&mut seg, next));
+                ControlFlow::Continue(())
+            }
+            None => ControlFlow::Break(()),
+        }
+    })?;
+    if !seg.roots.is_empty() {
+        pipe.send(seg);
+    }
+    Ok(scan)
 }
 
 /// One streaming shard worker: consumes segments until the pipe drains,
 /// evaluating every candidate in place, as a view of its segment,
 /// through this worker's own [`LaneSet`].
 fn stream_worker(pipe: &Pipe, queries: &[BatchQuery<'_>], run: &Run<'_>) -> ShardResult {
-    let _guard = AbortOnPanic(pipe);
+    let _leave = Leave {
+        pipe,
+        producer: false,
+    };
     let mut scratch = LaneScratch::default();
     let mut set = LaneSet::new(queries, run, &mut scratch);
     while let Some(seg) = pipe.recv() {
@@ -293,13 +308,7 @@ fn stream_worker(pipe: &Pipe, queries: &[BatchQuery<'_>], run: &Run<'_>) -> Shar
 /// than one thread: the calling thread runs the `O(τ_scan)` ring-buffer
 /// scan and hands candidate segments to `run.threads` workers through
 /// a bounded, recycling pipe (see the [module docs](self) for the
-/// memory bound).
-///
-/// The producer — the one thread running the unbounded per-candidate
-/// scan loop — mints the run's deadline poller, polls it and aborts the
-/// whole pass when it expires. Workers drain the already-published
-/// segments and exit; their partial heaps are discarded. A worker's
-/// panic reaches the caller with its original payload.
+/// memory bound and how a run fails).
 pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
@@ -317,102 +326,28 @@ pub(crate) fn sharded_scan<Q: PostorderQueue + ?Sized>(
     let budget = (scan_tau as usize).clamp(SEGMENT_MIN_NODES, SEGMENT_MAX_NODES);
     let pipe = Pipe::new(2 * threads + 1, budget);
 
-    let (producer_out, worker_outs) = std::thread::scope(|scope| {
+    let (scan, results) = std::thread::scope(|scope| {
         let pipe = &pipe;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    // The guard inside `stream_worker` aborts the pipe
-                    // while unwinding; catching here preserves the
-                    // payload so the caller re-raises the *original*
-                    // panic, not a join shim or a "poisoned" secondary.
-                    catch_unwind(AssertUnwindSafe(|| stream_worker(pipe, queries, run)))
-                })
-            })
+        let workers: Vec<_> = (0..threads)
+            .map(|_| scope.spawn(move || stream_worker(pipe, queries, run)))
             .collect();
-
-        // The producer runs on the calling thread: one ring-buffer pass
-        // over the stream, segmenting candidates as they fall out. Its
-        // own panics are caught too — when a worker dies first, the
-        // producer goes down on the `take_free` abort assertion, and
-        // that secondary panic must not shadow the worker's.
-        let producer_out = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = AbortOnPanic(pipe);
-            let mut engine = ScanEngine::new(scan_tau);
-            if scratch_fits_cap(scan_tau as usize) {
-                engine.reserve();
-            }
-            let mut sink = SegmentSink {
-                pipe,
-                current: pipe.take_free(),
-                budget,
-            };
-            let scan = engine.scan_with_deadline(queue, &mut sink, &Deadline::new(run.deadline));
-            let integrity = queue.integrity_error();
-            let last = sink.current;
-            if scan.is_err() || last.roots.is_empty() {
-                // On a deadline abort the partial segment is dropped:
-                // the workers' heaps are discarded anyway, so feeding
-                // them more candidates is pure waste.
-                pipe.recycle(last);
-            } else {
-                pipe.send(last);
-            }
-            pipe.finish();
-            (scan, integrity)
-        }));
-        if producer_out.is_err() {
-            // The guard already aborted inside the closure, but only
-            // after its own unwinding began; make doubly sure no worker
-            // is left waiting on a stream that will never finish.
-            pipe.abort();
-        }
-
-        let worker_outs: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("stream worker died outside catch_unwind"))
-            .collect();
-        (producer_out, worker_outs)
+        let scan = produce(pipe, queue, scan_tau, budget, run.deadline);
+        (scan, join_workers(workers))
     });
-
-    // A worker's own panic outranks whatever the producer reports: the
-    // producer's failure is usually the *consequence* (abort assertion)
-    // of the worker's death, never its cause.
-    let mut results: Vec<ShardResult> = Vec::with_capacity(worker_outs.len());
-    let mut worker_panic = None;
-    for out in worker_outs {
-        match out {
-            Ok(r) => results.push(r),
-            Err(payload) => {
-                worker_panic.get_or_insert(payload);
-            }
-        }
-    }
-    if let Some(payload) = worker_panic {
-        resume_unwind(payload);
-    }
-    let (producer_scan, integrity) = match producer_out {
-        Ok(out) => out,
-        Err(payload) => resume_unwind(payload),
-    };
     // A deadline abort outranks integrity reporting: a scan cancelled
     // mid-stream naturally leaves the queue "incomplete".
-    let producer_scan = producer_scan?;
-    if let Some(msg) = integrity {
+    let scan = scan?;
+    if let Some(msg) = queue.integrity_error() {
         return Err(StreamIntegrityError(msg).into());
     }
 
     debug_assert_eq!(
         results.iter().map(|r| r.scan.candidates).sum::<usize>(),
-        producer_scan.candidates,
+        scan.candidates,
         "every candidate must be evaluated by exactly one worker"
     );
     // Scan-layer truth comes from the producer's single pass.
-    Ok(merge_shard_results(
-        queries.len(),
-        results,
-        Some(&producer_scan),
-    ))
+    Ok(merge_shard_results(queries.len(), results, Some(&scan)))
 }
 
 #[cfg(test)]
@@ -423,9 +358,10 @@ mod tests {
     use crate::tasm_dynamic::TasmOptions;
     use crate::tasm_postorder::tasm_postorder;
     use crate::workspace::TasmWorkspace;
-    use std::time::{Duration, Instant};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::time::Duration;
     use tasm_ted::{CostModel, UnitCost};
-    use tasm_tree::{bracket, LabelDict, PostorderEntry, TreeQueue};
+    use tasm_tree::{bracket, LabelDict, NodeId, PostorderEntry, TreeQueue};
 
     /// One query through the driver at `threads` (`<= 1` runs inline).
     fn solo<Q: PostorderQueue + ?Sized>(
@@ -707,64 +643,83 @@ mod tests {
                 let workers = rng.gen_range(1..=4usize);
                 let pool = rng.gen_range(1..=5usize);
                 let segments = rng.gen_range(0..300u32);
-                // A third of the runs abort once the workers have taken
-                // this many segments, as a dying worker does.
-                let abort_at = rng
+                // In a third of the runs a worker panics while it holds
+                // the segment the workers take this many-th.
+                let die_at = rng
                     .gen_bool(1.0 / 3.0)
                     .then(|| rng.gen_range(1..=segments.max(1)));
                 let pipe = Pipe::new(pool, 4);
                 let taken = Mutex::new(Vec::new());
                 let start = Barrier::new(workers + 1);
-                std::thread::scope(|scope| {
-                    for w in 0..workers as u64 {
-                        let (pipe, taken, start) = (&pipe, &taken, &start);
-                        scope.spawn(move || {
-                            let mut rng = StdRng::seed_from_u64(seed * 31 + w);
+                // The scope returns (or unwinds) only once every worker
+                // has exited.
+                let joined = catch_unwind(AssertUnwindSafe(|| {
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = (0..workers as u64)
+                            .map(|w| {
+                                let (pipe, taken, start) = (&pipe, &taken, &start);
+                                scope.spawn(move || {
+                                    let _leave = Leave {
+                                        pipe,
+                                        producer: false,
+                                    };
+                                    let mut rng = StdRng::seed_from_u64(seed * 31 + w);
+                                    start.wait();
+                                    while let Some(seg) = pipe.recv() {
+                                        let count = {
+                                            let mut taken = taken.lock().unwrap();
+                                            taken.push(seg.roots[0].0);
+                                            taken.len() as u32
+                                        };
+                                        assert_ne!(die_at, Some(count), "worker died");
+                                        if rng.gen_bool(0.25) {
+                                            std::thread::yield_now();
+                                        }
+                                        pipe.recycle(seg);
+                                    }
+                                })
+                            })
+                            .collect();
+                        {
+                            let _leave = Leave {
+                                pipe: &pipe,
+                                producer: true,
+                            };
                             start.wait();
-                            while let Some(seg) = pipe.recv() {
-                                let count = {
-                                    let mut taken = lock_recovering(taken);
-                                    taken.push(seg.roots[0].0);
-                                    taken.len() as u32
+                            for i in 0..segments {
+                                let Some(mut seg) = pipe.take_free() else {
+                                    break;
                                 };
-                                if abort_at == Some(count) {
-                                    pipe.abort();
-                                }
-                                if rng.gen_bool(0.25) {
+                                seg.roots.push((i, 1));
+                                pipe.send(seg);
+                                if rng.gen_bool(0.2) {
                                     std::thread::yield_now();
                                 }
-                                pipe.recycle(seg);
                             }
-                        });
-                    }
-                    start.wait();
-                    for i in 0..segments {
-                        // After an abort the producer dies on its next
-                        // `take_free`, as in the scan.
-                        let Ok(mut seg) = catch_unwind(AssertUnwindSafe(|| pipe.take_free()))
-                        else {
-                            break;
-                        };
-                        seg.roots.push((i, 1));
-                        pipe.send(seg);
-                        if rng.gen_bool(0.2) {
-                            std::thread::yield_now();
                         }
-                    }
-                    pipe.finish();
-                });
-                // Every worker exited (the scope joined them). Every
-                // segment is back in the pool or still queued.
-                let free = lock_recovering(&pipe.free).len();
-                let queued = lock_recovering(&pipe.ready).queue.len();
-                assert_eq!(free + queued, pool, "seed {seed}: a segment was lost");
+                        join_workers(handles).len()
+                    })
+                }));
+                let died = die_at.is_some_and(|n| n <= segments);
+                match joined {
+                    Ok(n) => assert!(!died && n == workers, "seed {seed}"),
+                    Err(_) => assert!(died, "seed {seed}: unexpected panic"),
+                }
+                // Every segment is back in the pool, still queued, or
+                // lost with the dead worker.
+                let state = pipe.lock();
+                assert_eq!(
+                    state.free.len() + state.ready.len() + died as usize,
+                    pool,
+                    "seed {seed}: a segment was lost"
+                );
                 let mut taken = taken.into_inner().unwrap();
                 taken.sort_unstable();
-                if abort_at.is_none() {
-                    assert_eq!(taken, (0..segments).collect::<Vec<_>>(), "seed {seed}");
-                } else {
+                if died {
                     taken.dedup();
                     assert!(taken.iter().all(|&i| i < segments), "seed {seed}");
+                } else {
+                    assert_eq!(taken, (0..segments).collect::<Vec<_>>(), "seed {seed}");
                 }
             });
         }
@@ -836,7 +791,7 @@ mod tests {
         let doc = wide_doc(&mut dict, 50);
         let query = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
         let boom = BoomCost(dict.get("book").unwrap());
-        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let payload = catch_unwind(AssertUnwindSafe(|| {
             let mut q = TreeQueue::new(&doc);
             let _ = solo(&query, &mut q, 2, &boom, TasmOptions::default(), 4);
         }))

@@ -8,9 +8,9 @@
 //! both the document and the matrix must be memory-resident, which is what
 //! TASM-postorder eliminates.
 
-use crate::engine::ScanStats;
 use crate::lane::EvalLane;
 use crate::ranking::{Match, TopKHeap};
+use crate::scan::ScanStats;
 use crate::workspace::TasmWorkspace;
 use tasm_ted::{
     ted_row_with_workspace, Cost, CostModel, QueryContext, TedKernel, TedStats, TedWorkspace,

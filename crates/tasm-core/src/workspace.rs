@@ -13,8 +13,9 @@
 //! perform **zero heap allocations** once the workspace is warm —
 //! verified by the counting-allocator regression tests in `tasm-bench`.
 
-use crate::engine::{ScanEngine, ScanStats};
+use crate::scan::ScanStats;
 use tasm_ted::{CascadeScratch, TedWorkspace};
+use tasm_tree::{LabelId, Tree};
 
 /// Reusable scratch state for every driver: [`tasm_postorder`](crate::tasm_postorder),
 /// [`tasm_batch`](crate::tasm_batch), [`tasm_indexed_batch`](crate::tasm_indexed_batch),
@@ -22,17 +23,17 @@ use tasm_ted::{CascadeScratch, TedWorkspace};
 /// [`tasm_dynamic`](crate::tasm_dynamic).
 ///
 /// Create once (per stream, or per daemon worker) and pass `&mut` to
-/// the drivers. All buffers grow but never shrink. The scan layer — the
-/// [`ScanEngine`] with its candidate arena — lives inside the
+/// the drivers. All buffers grow but never shrink. The scratch tree a
+/// stream scan renumbers its candidates into lives inside the
 /// workspace, so workspace reuse also amortizes the scan warm-up.
 /// Evaluated subtrees are zero-copy [`TreeView`](tasm_tree::TreeView)
-/// slices of that arena or of the resident document. Above one thread,
+/// slices of that tree or of the resident document. Above one thread,
 /// the calling thread's share of the work runs on this workspace and
 /// every other worker on its own.
 #[derive(Debug)]
 pub struct TasmWorkspace {
-    /// The scan layer: ring-buffer pass plus the candidate arena.
-    pub(crate) engine: ScanEngine,
+    /// The tree the inline stream scan renumbers each candidate into.
+    pub(crate) cand: Tree,
     /// What the lanes evaluate with.
     pub(crate) eval: LaneScratch,
     /// Scan + pruning-funnel statistics of the most recent run.
@@ -60,7 +61,7 @@ impl TasmWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         TasmWorkspace {
-            engine: ScanEngine::new(1),
+            cand: Tree::leaf(LabelId(0)),
             eval: LaneScratch::default(),
             last_scan: ScanStats::default(),
         }

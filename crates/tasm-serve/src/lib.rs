@@ -199,7 +199,7 @@ impl DocStore {
 /// and override what the deployment needs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Evaluation worker threads (min 1).
+    /// Evaluation worker threads (`0` = one per available core).
     pub workers: usize,
     /// Bound on queued (admitted, not yet picked up) requests; beyond
     /// it requests are shed with `BUSY`.
@@ -292,7 +292,11 @@ impl Server {
     pub fn new(cfg: ServerConfig, store: DocStore) -> Server {
         let admission = Admission::new(cfg.queue_capacity);
         let corpus_threads = cfg.corpus_threads;
-        let workers = (0..cfg.workers.max(1))
+        let workers = match cfg.workers {
+            0 => thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let workers = (0..workers)
             .map(|i| {
                 let admission = admission.clone();
                 thread::Builder::new()
@@ -597,5 +601,22 @@ fn evaluate_corpus_request(
         Err(_) => Response::Timeout {
             limit_ms: req.timeout_ms,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_workers_means_one_per_core() {
+        let cfg = ServerConfig {
+            workers: 0,
+            ..ServerConfig::default()
+        };
+        let server = Server::new(cfg, DocStore::new());
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(server.workers.len(), cores);
+        assert!(server.drain(), "an idle server drains cleanly");
     }
 }

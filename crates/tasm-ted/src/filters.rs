@@ -29,27 +29,6 @@ use std::collections::HashMap;
 use crate::cost::Cost;
 use tasm_tree::{LabelId, Tree};
 
-/// Reusable dense scratch for [`label_histogram_lower_bound_with`]: one
-/// signed counter per label id, plus the list of touched slots so a pass
-/// resets in `O(distinct labels)` instead of `O(label universe)`.
-///
-/// Grows to the largest label id seen and never shrinks; repeated calls
-/// are allocation-free in steady state.
-#[derive(Debug, Default)]
-pub struct HistogramScratch {
-    /// `counts[label]` = multiplicity in `t1` minus multiplicity in `t2`.
-    counts: Vec<i32>,
-    /// Label ids with a (possibly) non-zero counter this pass.
-    touched: Vec<u32>,
-}
-
-impl HistogramScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        HistogramScratch::default()
-    }
-}
-
 /// Lower bound on the **unit-cost** tree edit distance from label
 /// histograms.
 ///
@@ -59,8 +38,9 @@ impl HistogramScratch {
 ///
 /// This one-shot entry point counts by sort-and-merge —
 /// `O((n1 + n2) log)` time and `O(n1 + n2)` scratch, independent of the
-/// label-id universe. Repeated-evaluation loops should use
-/// [`label_histogram_lower_bound_with`] with a shared scratch instead.
+/// label-id universe. The ranking loops use the allocation-free
+/// histogram tier of [`LowerBoundCascade`](crate::LowerBoundCascade)
+/// instead.
 pub fn label_histogram_lower_bound(t1: &Tree, t2: &Tree) -> Cost {
     let mut a: Vec<LabelId> = t1.labels().to_vec();
     let mut b: Vec<LabelId> = t2.labels().to_vec();
@@ -80,50 +60,6 @@ pub fn label_histogram_lower_bound(t1: &Tree, t2: &Tree) -> Cost {
         }
     }
     let l1 = (a.len() as u64 - common) + (b.len() as u64 - common);
-    let size_diff = (t1.len() as i64 - t2.len() as i64).unsigned_abs();
-    Cost::from_natural((l1 / 2).max(size_diff))
-}
-
-/// As [`label_histogram_lower_bound`], but counting in a reusable dense
-/// `u32`-indexed array instead of a per-call `HashMap` or sort — the
-/// form for repeated-evaluation loops (one scratch, many candidate
-/// pairs, zero steady-state allocation). The scratch grows to the
-/// largest label id seen, so it assumes a reasonably dense label
-/// dictionary (true for interned XML labels); the one-shot entry point
-/// above has no such dependence.
-pub fn label_histogram_lower_bound_with(
-    t1: &Tree,
-    t2: &Tree,
-    scratch: &mut HistogramScratch,
-) -> Cost {
-    let slot_count = t1
-        .labels()
-        .iter()
-        .chain(t2.labels())
-        .map(|l| l.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    if scratch.counts.len() < slot_count {
-        scratch.counts.resize(slot_count, 0);
-    }
-    scratch.touched.clear();
-    for &l in t1.labels() {
-        if scratch.counts[l.0 as usize] == 0 {
-            scratch.touched.push(l.0);
-        }
-        scratch.counts[l.0 as usize] += 1;
-    }
-    for &l in t2.labels() {
-        if scratch.counts[l.0 as usize] == 0 {
-            scratch.touched.push(l.0);
-        }
-        scratch.counts[l.0 as usize] -= 1;
-    }
-    let mut l1: u64 = 0;
-    for &l in &scratch.touched {
-        l1 += scratch.counts[l as usize].unsigned_abs() as u64;
-        scratch.counts[l as usize] = 0;
-    }
     let size_diff = (t1.len() as i64 - t2.len() as i64).unsigned_abs();
     Cost::from_natural((l1 / 2).max(size_diff))
 }
@@ -277,39 +213,6 @@ mod tests {
             let lb = label_histogram_lower_bound(&t1, &t2);
             let d = ted(&t1, &t2, &UnitCost);
             assert!(lb <= d, "{x} vs {y}: lb {lb} > ted {d}");
-        }
-    }
-
-    #[test]
-    fn dense_histogram_matches_hashmap_reference() {
-        let cases = [
-            ("{a{b}{c}}", "{x{a{b}{d}}{a{b}{c}}}"),
-            ("{a}", "{b}"),
-            ("{a{a}{a}}", "{b{b}{b}{b}}"),
-            ("{a{b{c{d}}}}", "{a{b}{c}{d}}"),
-        ];
-        let mut scratch = HistogramScratch::new();
-        for (x, y) in cases {
-            let (t1, t2) = parse2(x, y);
-            // Reference: the straightforward HashMap bag difference.
-            let mut bag: HashMap<LabelId, i64> = HashMap::new();
-            for &l in t1.labels() {
-                *bag.entry(l).or_insert(0) += 1;
-            }
-            for &l in t2.labels() {
-                *bag.entry(l).or_insert(0) -= 1;
-            }
-            let l1: u64 = bag.values().map(|v| v.unsigned_abs()).sum();
-            let size_diff = (t1.len() as i64 - t2.len() as i64).unsigned_abs();
-            let want = Cost::from_natural((l1 / 2).max(size_diff));
-            // Same scratch reused across pairs: counters must come back
-            // clean after every call.
-            assert_eq!(
-                label_histogram_lower_bound_with(&t1, &t2, &mut scratch),
-                want,
-                "{x} vs {y}"
-            );
-            assert_eq!(label_histogram_lower_bound(&t1, &t2), want);
         }
     }
 

@@ -70,9 +70,8 @@ pub mod prelude {
     pub use crate::core::{
         prb_pruning, tasm_batch, tasm_corpus_batch, tasm_dynamic, tasm_dynamic_with_workspace,
         tasm_indexed_batch, tasm_naive, tasm_postorder, tasm_postorder_with_workspace,
-        tasm_resident_batch, threshold, BatchOutput, BatchQuery, CandidateSink, Match,
-        PrefixRingBuffer, Run, ScanEngine, ScanStats, StreamIntegrityError, StreamScanError,
-        TasmOptions, TasmWorkspace, TopKHeap,
+        tasm_resident_batch, threshold, BatchOutput, BatchQuery, Match, PrefixRingBuffer, Run,
+        ScanStats, StreamIntegrityError, StreamScanError, TasmOptions, TasmWorkspace, TopKHeap,
     };
     pub use crate::index::IndexedDocument;
     pub use crate::ted::{
