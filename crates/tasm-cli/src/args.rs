@@ -111,9 +111,14 @@ impl Args {
         self.get(name).is_some()
     }
 
-    /// Fails on the first option not in `known`, so a misspelled or
-    /// retired flag is an error instead of being silently ignored.
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+    /// Fails on a positional word past the first `words` (the ones the
+    /// command reads), or on the first option not in `known`, so a
+    /// stray word or a misspelled or retired flag is an error instead of
+    /// being silently ignored.
+    pub fn reject_unknown(&self, words: usize, known: &[&str]) -> Result<(), String> {
+        if let Some(word) = self.positional.get(words) {
+            return Err(format!("unexpected argument '{word}'"));
+        }
         match self
             .options
             .iter()
@@ -165,6 +170,16 @@ mod tests {
         assert_eq!(a.get_threads("missing", 0).unwrap(), 0);
         let err = a.get_threads("workers", 1).unwrap_err();
         assert!(err.contains("--workers") && err.contains("256"), "{err}");
+    }
+
+    #[test]
+    fn stray_words_and_unknown_options_are_rejected() {
+        let a = parse("corpus query --dir d");
+        assert!(a.reject_unknown(1, &["dir"]).is_ok());
+        let err = a.reject_unknown(0, &["dir"]).unwrap_err();
+        assert_eq!(err, "unexpected argument 'query'");
+        let err = a.reject_unknown(1, &[]).unwrap_err();
+        assert_eq!(err, "unknown option --dir");
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn add_docs(corpus: &mut Corpus, args: &Args) -> Result<usize, CliError> {
 }
 
 fn cmd_build(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["dir", "doc"]).usage()?;
+    args.reject_unknown(1, &["dir", "doc"]).usage()?;
     let dir = args.require("dir").usage()?;
     let mut corpus = Corpus::create(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
     let added = add_docs(&mut corpus, args)?;
@@ -78,7 +78,7 @@ fn cmd_build(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_add(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["dir", "doc"]).usage()?;
+    args.reject_unknown(1, &["dir", "doc"]).usage()?;
     let dir = args.require("dir").usage()?;
     let mut corpus = Corpus::open(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
     let added = add_docs(&mut corpus, args)?;
@@ -96,7 +96,7 @@ fn cmd_add(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_fsck(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["dir", "repair"]).usage()?;
+    args.reject_unknown(1, &["dir", "repair"]).usage()?;
     let dir = args.require("dir").usage()?;
     let repair = args.flag("repair");
     let mut corpus = Corpus::open(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -160,16 +160,19 @@ fn cmd_fsck(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "dir",
-        "query",
-        "query-str",
-        "k",
-        "threads",
-        "kernel",
-        "stats",
-        "strict",
-    ])
+    args.reject_unknown(
+        1,
+        &[
+            "dir",
+            "query",
+            "query-str",
+            "k",
+            "threads",
+            "kernel",
+            "stats",
+            "strict",
+        ],
+    )
     .usage()?;
     let dir = args.require("dir").usage()?;
     // Checked before any file is opened.

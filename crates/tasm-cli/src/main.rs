@@ -148,12 +148,13 @@ COMMANDS:
                   --corpus <name=dir>    resident corpus served in
                                          degraded mode when shards are
                                          quarantined (repeatable)
-                  --workers <n>          evaluation threads (0 = all
-                                         cores, <= 256)         [2]
+                  --workers <n>          queries evaluated at once
+                                         (0 = all cores, <= 256) [2]
                   --corpus-threads <n>   shard-scheduler threads per
                                          corpus request (0=cores,
                                          <= 256)                [1]
-                  --queue <n>            admission queue bound  [64]
+                  --queue <n>            requests waiting for a
+                                         slot at most           [64]
                   --default-timeout-ms <n>  deadline when a request
                                          names none             [2000]
                   --max-timeout-ms <n>   cap on client deadlines [30000]
@@ -257,7 +258,7 @@ fn load_xml(path: &str, dict: &mut LabelDict) -> Result<Tree, CliError> {
 }
 
 fn cmd_convert(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["doc", "out"]).usage()?;
+    args.reject_unknown(0, &["doc", "out"]).usage()?;
     let doc_path = args.require("doc").usage()?;
     let out = args.require("out").usage()?;
     let mut dict = LabelDict::new();
@@ -273,7 +274,7 @@ fn cmd_convert(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_index(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["doc", "out"]).usage()?;
+    args.reject_unknown(0, &["doc", "out"]).usage()?;
     let doc_path = args.require("doc").usage()?;
     let out = args.require("out").usage()?;
     let mut dict = LabelDict::new();
@@ -360,18 +361,21 @@ fn ranking_size(args: &Args) -> Result<usize, CliError> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "query",
-        "query-str",
-        "doc",
-        "k",
-        "algorithm",
-        "threads",
-        "index",
-        "kernel",
-        "show-xml",
-        "stats",
-    ])
+    args.reject_unknown(
+        0,
+        &[
+            "query",
+            "query-str",
+            "doc",
+            "k",
+            "algorithm",
+            "threads",
+            "index",
+            "kernel",
+            "show-xml",
+            "stats",
+        ],
+    )
     .usage()?;
     // Checked before any file is opened.
     let threads = args.get_threads("threads", 1).usage()?;
@@ -628,7 +632,7 @@ pub(crate) fn print_scan_stats<W: Write>(
 }
 
 fn cmd_ted(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["left", "right"]).usage()?;
+    args.reject_unknown(0, &["left", "right"]).usage()?;
     let mut dict = LabelDict::new();
     let left = load_xml(args.require("left").usage()?, &mut dict)?;
     let right = load_xml(args.require("right").usage()?, &mut dict)?;
@@ -646,7 +650,7 @@ fn cmd_ted(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["dataset", "nodes", "seed", "out"])
+    args.reject_unknown(0, &["dataset", "nodes", "seed", "out"])
         .usage()?;
     let dataset = args.get("dataset").unwrap_or("dblp");
     let nodes: usize = args.get_num("nodes", 10_000).usage()?;
@@ -691,7 +695,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["doc"]).usage()?;
+    args.reject_unknown(0, &["doc"]).usage()?;
     let mut dict = LabelDict::new();
     let doc = load_xml(args.require("doc").usage()?, &mut dict)?;
     let s = tasm_tree::stats::TreeStats::of(&doc);
@@ -713,7 +717,7 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_candidates(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["doc", "tau", "compare-simple"])
+    args.reject_unknown(0, &["doc", "tau", "compare-simple"])
         .usage()?;
     let mut dict = LabelDict::new();
     let doc = load_xml(args.require("doc").usage()?, &mut dict)?;

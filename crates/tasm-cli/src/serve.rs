@@ -88,7 +88,7 @@ fn build_config(args: &Args) -> Result<ServerConfig, CliError> {
 /// Exit code 0 means every admitted request's response reached its
 /// socket before the drain deadline; a dirty drain exits 2.
 pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(SERVE_OPTIONS).usage()?;
+    args.reject_unknown(0, SERVE_OPTIONS).usage()?;
     // Checked before any document is loaded or socket bound.
     let cfg = build_config(args)?;
     let mut store = DocStore::new();
@@ -210,7 +210,7 @@ fn finish(clean: bool) -> Result<(), CliError> {
 /// server's hint (capped by `--max-backoff-ms`). Exhausted retries
 /// surface the final `BUSY` line verbatim — still exit 0.
 pub fn cmd_client(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(CLIENT_OPTIONS).usage()?;
+    args.reject_unknown(0, CLIENT_OPTIONS).usage()?;
     let sends: Vec<&str> = args.get_all("send");
     let retries: u32 = args.get_num("retries", 0).usage()?;
     let max_backoff_ms: u64 = args.get_num("max-backoff-ms", 2000).usage()?;

@@ -153,6 +153,61 @@ fn every_subcommand_rejects_options_it_does_not_read() {
 }
 
 #[test]
+fn stray_positional_words_are_usage_errors() {
+    // Every input is missing: were the word ignored, the command would
+    // fail at run time with exit 2 instead of exiting 1.
+    let cases: [(&[&str], &str); 4] = [
+        (&["stats", "d.xml", "--doc", "/no/d.xml"], "d.xml"),
+        (
+            &[
+                "query",
+                "--query-str",
+                "<a/>",
+                "--doc",
+                "/no/d.xml",
+                "--k",
+                "1",
+                "stray.xml",
+            ],
+            "stray.xml",
+        ),
+        // `corpus` reads one action word, and only one.
+        (
+            &[
+                "corpus",
+                "query",
+                "stray",
+                "--dir",
+                "/no/x",
+                "--query-str",
+                "<a/>",
+            ],
+            "stray",
+        ),
+        (
+            &[
+                "ted",
+                "extra",
+                "--left",
+                "/no/a.xml",
+                "--right",
+                "/no/b.xml",
+            ],
+            "extra",
+        ),
+    ];
+    for (args, word) in cases {
+        let out = tasm(args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument '{word}'")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn thread_counts_over_the_limit_are_usage_errors() {
     // No input exists: had the count been accepted, each command would
     // fail at run time opening it (exit 2). A usage error (exit 1)

@@ -22,7 +22,7 @@ use tasm_tree::{LabelId, Tree};
 /// [`tasm_corpus_batch`](crate::tasm_corpus_batch) and
 /// [`tasm_dynamic`](crate::tasm_dynamic).
 ///
-/// Create once (per stream, or per daemon worker) and pass `&mut` to
+/// Create once (per stream, or per daemon evaluation slot) and pass `&mut` to
 /// the drivers. All buffers grow but never shrink. The scratch tree a
 /// stream scan renumbers its candidates into lives inside the
 /// workspace, so workspace reuse also amortizes the scan warm-up.

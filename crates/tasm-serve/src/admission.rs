@@ -1,68 +1,33 @@
-//! Admission control: the bounded request queue between connection
-//! threads and evaluation workers.
+//! Admission control: one FIFO gate in front of evaluation.
 //!
-//! Load shedding happens at the door: a request that would overflow the
-//! queue (or arrive while the daemon drains) is refused with an
-//! immediate `BUSY` instead of being buffered without bound — bounded
-//! latency for everyone beats unbounded queues for no one. Admitted
-//! requests are grouped into **shared batches**: a worker that
-//! picks up a request on a tree document also takes the requests
-//! *already queued* on that same document (up to [`MAX_BATCH`]) and
-//! evaluates the group in ONE sweep of the document through the
-//! resident driver. Nothing
-//! waits for company: batches form only when a backlog does, so an
-//! idle daemon adds no latency. Corpus requests are never grouped —
-//! each carries its own request-local dictionary and is evaluated
-//! alone, so grouping them would only serialize them on one worker.
+//! Each connection thread evaluates its own `QUERY`, after it passes
+//! this gate. At most `slots` evaluations run at once, and at most
+//! `capacity` admitted requests wait for a slot. A request that would
+//! overflow the wait (or arrive while the daemon drains) is refused
+//! with an immediate `BUSY` instead of being buffered without bound —
+//! bounded latency for everyone beats unbounded queues for no one.
+//! Waiting requests start in arrival order: each takes a ticket when it
+//! is admitted, and a free slot goes to the lowest ticket still waiting.
+//!
+//! The gate holds counters and a pool of at most `slots` warm
+//! [`TasmWorkspace`]s, not requests. A running request borrows a
+//! workspace with its [`Slot`] and hands both back when it finishes,
+//! before its response is written, so a slow reader never holds a slot.
 //!
 //! Drain correctness hangs on one counter: `outstanding` is incremented
-//! at submit and decremented only after the connection thread has
+//! at admission and decremented only after the connection thread has
 //! written the response bytes (the [`OutstandingToken`] RAII guard), so
 //! [`Admission::wait_idle`] returning `true` means every admitted
 //! request's answer reached its socket.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::conn::ResponseSlot;
-use crate::Doc;
-use tasm_tree::{LabelDict, Tree};
+use tasm_core::TasmWorkspace;
 
-/// Most requests one worker evaluates under a single shared sweep.
-const MAX_BATCH: usize = 16;
-
-/// One admitted query waiting for (or undergoing) evaluation.
-pub(crate) struct PendingRequest {
-    /// The target document (shared with the store; batch compatibility
-    /// is pointer identity on this Arc).
-    pub(crate) doc: Arc<Doc>,
-    /// The query: encoded into a tree document's dictionary, or, for a
-    /// corpus, in the label space of `dict`.
-    pub(crate) query: Tree,
-    /// Corpus requests: the request-local dictionary `query` was parsed
-    /// into (each shard encodes from it). `None` for tree documents,
-    /// whose request carries only the encoded tree.
-    pub(crate) dict: Option<LabelDict>,
-    /// Ranking size (validated `>= 1` at the connection layer).
-    pub(crate) k: usize,
-    /// The effective deadline duration, for error messages.
-    pub(crate) timeout_ms: u64,
-    /// Absolute expiry instant, fixed at admission.
-    pub(crate) deadline_at: Instant,
-    /// Whether the client asked for the `STATS` line (`stats=1`).
-    pub(crate) stats: bool,
-    /// The query root's label name (fault-injection hook + log line).
-    pub(crate) root_label: String,
-    /// The original request line, logged verbatim when evaluation
-    /// panics.
-    pub(crate) raw: String,
-    /// Where the worker delivers the response.
-    pub(crate) slot: ResponseSlot,
-}
-
-/// The request was shed: queue full or the daemon is draining.
+/// The request was shed: the wait is full or the daemon is draining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Busy;
 
@@ -83,102 +48,141 @@ impl Drop for OutstandingToken {
     }
 }
 
+/// One evaluation slot and the warm workspace that comes with it.
+///
+/// Dropping it frees the slot for the next request in line. The
+/// workspace goes back to the pool, unless the thread is unwinding from
+/// a panic: that workspace was abandoned mid-update and must never be
+/// reused.
+pub(crate) struct Slot {
+    admission: Arc<Admission>,
+    ws: Option<TasmWorkspace>,
+    /// The request's place in arrival order (named in the panic log).
+    pub(crate) ticket: u64,
+}
+
+impl Slot {
+    /// The workspace to evaluate on.
+    pub(crate) fn workspace(&mut self) -> &mut TasmWorkspace {
+        self.ws
+            .as_mut()
+            .expect("a slot holds its workspace until dropped")
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut st = self.admission.lock_state();
+        if !thread::panicking() {
+            st.pool.extend(self.ws.take());
+        }
+        st.running -= 1;
+        if st.started < st.admitted {
+            self.admission.turn_cv.notify_all();
+        }
+    }
+}
+
 struct State {
-    queue: VecDeque<PendingRequest>,
+    /// Tickets handed out: the next admitted request takes this one.
+    admitted: u64,
+    /// Tickets whose evaluation has started; the holder of this ticket
+    /// is the next to start.
+    started: u64,
+    /// Evaluations holding a [`Slot`] now.
+    running: usize,
+    /// Workspaces of finished evaluations, ready for the next.
+    pool: Vec<TasmWorkspace>,
     draining: bool,
     /// Requests admitted whose responses have not hit their sockets yet.
     outstanding: usize,
 }
 
-/// The bounded admission queue shared by connections and workers.
+/// The admission gate shared by every connection thread.
 pub(crate) struct Admission {
     state: Mutex<State>,
-    /// Workers wait here for queue items (and drain wake-ups).
-    work_cv: Condvar,
+    /// Admitted requests wait here for their turn and a free slot.
+    turn_cv: Condvar,
     /// `drain` waits here for `outstanding == 0`.
     idle_cv: Condvar,
+    /// Evaluations allowed at once.
+    pub(crate) slots: usize,
+    /// Admitted requests allowed to wait for a slot.
     capacity: usize,
     /// Requests refused with `BUSY` (overload visibility).
     shed: AtomicUsize,
 }
 
 impl Admission {
-    pub(crate) fn new(capacity: usize) -> Arc<Self> {
+    pub(crate) fn new(slots: usize, capacity: usize) -> Arc<Self> {
         Arc::new(Admission {
             state: Mutex::new(State {
-                queue: VecDeque::new(),
+                admitted: 0,
+                started: 0,
+                running: 0,
+                pool: Vec::new(),
                 draining: false,
                 outstanding: 0,
             }),
-            work_cv: Condvar::new(),
+            turn_cv: Condvar::new(),
             idle_cv: Condvar::new(),
+            slots: slots.max(1),
             capacity: capacity.max(1),
             shed: AtomicUsize::new(0),
         })
     }
 
-    /// The state lock, recovering from poisoning: a panicking worker is
-    /// isolated by design and must not wedge admission for everyone.
+    /// The state lock, recovering from poisoning: every update leaves
+    /// the counters valid, and a panicking request is isolated by
+    /// design and must not wedge admission for everyone.
     fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admits `req` or sheds it ([`Busy`]) when the queue is full or
-    /// the daemon is draining. On success the returned token MUST be
-    /// dropped only after the response has been written.
-    pub(crate) fn submit(self: &Arc<Self>, req: PendingRequest) -> Result<OutstandingToken, Busy> {
+    /// Admits a request and blocks until it may evaluate: its turn in
+    /// arrival order has come and a slot is free. Sheds it ([`Busy`])
+    /// when `capacity` admitted requests already wait or the daemon is
+    /// draining. Drop the [`Slot`] when the evaluation ends, and the
+    /// token only after the response has been written.
+    pub(crate) fn enter(self: &Arc<Self>) -> Result<(OutstandingToken, Slot), Busy> {
         let mut st = self.lock_state();
-        if st.draining || st.queue.len() >= self.capacity {
+        if st.draining || st.admitted - st.started >= self.capacity as u64 {
             drop(st);
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Err(Busy);
         }
-        st.queue.push_back(req);
+        let ticket = st.admitted;
+        st.admitted += 1;
         st.outstanding += 1;
-        self.work_cv.notify_one();
-        Ok(OutstandingToken {
-            admission: self.clone(),
-        })
-    }
-
-    /// Worker entry: blocks for the next batch — the oldest request
-    /// plus the requests already queued on the same tree document —
-    /// or `None` once the daemon drains and the queue is empty, the
-    /// worker's signal to exit.
-    pub(crate) fn next_batch(&self) -> Option<Vec<PendingRequest>> {
-        let mut st = self.lock_state();
-        loop {
-            if let Some(first) = st.queue.pop_front() {
-                let doc = first.doc.clone();
-                let mut batch = vec![first];
-                if doc.tree().is_some() {
-                    let mut i = 0;
-                    while i < st.queue.len() && batch.len() < MAX_BATCH {
-                        if Arc::ptr_eq(&st.queue[i].doc, &doc) {
-                            let req = st.queue.remove(i).expect("index in bounds");
-                            batch.push(req);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                return Some(batch);
-            }
-            if st.draining {
-                return None;
-            }
+        while st.started != ticket || st.running == self.slots {
             st = self
-                .work_cv
+                .turn_cv
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        st.started += 1;
+        st.running += 1;
+        if st.started < st.admitted && st.running < self.slots {
+            // The next ticket may start too.
+            self.turn_cv.notify_all();
+        }
+        let ws = st.pool.pop();
+        drop(st);
+        let token = OutstandingToken {
+            admission: self.clone(),
+        };
+        let slot = Slot {
+            admission: self.clone(),
+            ws: Some(ws.unwrap_or_default()),
+            ticket,
+        };
+        Ok((token, slot))
     }
 
-    /// Stops admitting (everything new is shed with `BUSY`) and wakes
-    /// every waiting worker so the queue drains.
+    /// Stops admitting: everything new is shed with `BUSY`, while the
+    /// requests already admitted still run in turn.
     pub(crate) fn begin_drain(&self) {
         self.lock_state().draining = true;
-        self.work_cv.notify_all();
     }
 
     /// Blocks until every admitted request's response has been written
@@ -209,98 +213,89 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tasm_index::Corpus;
-    use tasm_tree::bracket;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
-    fn doc() -> Arc<Doc> {
-        let mut dict = LabelDict::new();
-        let tree = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-        Arc::new(Doc::new("d", tree, dict))
-    }
-
-    fn request(doc: &Arc<Doc>) -> PendingRequest {
-        let mut dict = LabelDict::new();
-        let query = bracket::parse("{a}", &mut dict).unwrap();
-        PendingRequest {
-            doc: doc.clone(),
-            query,
-            dict: doc.corpus().is_some().then_some(dict),
-            k: 1,
-            timeout_ms: 1000,
-            deadline_at: Instant::now() + Duration::from_secs(1),
-            stats: false,
-            root_label: "a".into(),
-            raw: "QUERY doc=d k=1 q=<a/>".into(),
-            slot: ResponseSlot::new(),
+    /// Blocks until `n` admitted requests wait for a slot.
+    fn await_waiting(adm: &Admission, n: u64) {
+        loop {
+            let st = adm.lock_state();
+            if st.admitted - st.started == n {
+                return;
+            }
+            drop(st);
+            thread::yield_now();
         }
     }
 
     #[test]
     fn overflow_is_shed_with_busy() {
-        let adm = Admission::new(2);
-        let d = doc();
-        let _t1 = adm.submit(request(&d)).unwrap();
-        let _t2 = adm.submit(request(&d)).unwrap();
-        assert!(adm.submit(request(&d)).is_err());
+        let adm = Admission::new(1, 2);
+        let (_t0, held) = adm.enter().unwrap();
+        thread::scope(|scope| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| adm.enter().is_ok()))
+                .collect();
+            await_waiting(&adm, 2);
+            assert_eq!(adm.enter().err(), Some(Busy), "the wait is full");
+            assert_eq!(adm.shed_count(), 1);
+            drop(held);
+            for w in waiters {
+                assert!(w.join().unwrap(), "admitted requests still run");
+            }
+        });
         assert_eq!(adm.shed_count(), 1);
     }
 
     #[test]
-    fn draining_sheds_everything_and_wakes_workers() {
-        let adm = Admission::new(8);
+    fn draining_sheds_everything_but_admitted_requests_still_run() {
+        let adm = Admission::new(1, 8);
+        let (t0, held) = adm.enter().unwrap();
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let (token, slot) = adm.enter().unwrap();
+                drop(slot);
+                drop(token);
+            });
+            await_waiting(&adm, 1);
+            adm.begin_drain();
+            assert_eq!(adm.enter().err(), Some(Busy));
+            drop(held);
+            waiter.join().unwrap();
+        });
+        drop(t0);
+        assert!(adm.wait_idle(Duration::from_secs(5)));
+        assert_eq!(adm.shed_count(), 1);
+    }
+
+    #[test]
+    fn wait_idle_tracks_the_outstanding_tokens() {
+        let adm = Admission::new(2, 8);
+        let (t1, slot) = adm.enter().unwrap();
         adm.begin_drain();
-        assert!(adm.submit(request(&doc())).is_err());
-        assert_eq!(adm.next_batch().map(|b| b.len()), None);
+        assert!(!adm.wait_idle(Duration::from_millis(10)), "t1 is alive");
+        drop(slot); // evaluated; the response is not written yet
+        assert!(!adm.wait_idle(Duration::from_millis(10)));
+        drop(t1); // response written
+        assert!(adm.wait_idle(Duration::from_millis(100)));
     }
 
     #[test]
-    fn compatible_requests_batch_under_one_scan() {
-        let adm = Admission::new(8);
-        let d = doc();
-        let other = doc(); // different Arc: incompatible by identity
-        let _t: Vec<_> = (0..3).map(|_| adm.submit(request(&d)).unwrap()).collect();
-        let _o = adm.submit(request(&other)).unwrap();
-        let batch = adm.next_batch().unwrap();
-        assert_eq!(batch.len(), 3, "same-doc requests share the batch");
-        let batch2 = adm.next_batch().unwrap();
-        assert_eq!(batch2.len(), 1);
-        assert!(Arc::ptr_eq(&batch2[0].doc, &other));
-    }
-
-    #[test]
-    fn max_batch_caps_the_group() {
-        let adm = Admission::new(64);
-        let d = doc();
-        let _t: Vec<_> = (0..MAX_BATCH + 3)
-            .map(|_| adm.submit(request(&d)).unwrap())
-            .collect();
-        assert_eq!(adm.next_batch().unwrap().len(), MAX_BATCH);
-        assert_eq!(adm.next_batch().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn corpus_requests_are_never_grouped() {
-        let dir = std::env::temp_dir().join(format!(
-            "tasm-serve-admission-corpus-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let corpus = Corpus::create(&dir).unwrap();
-        let c = Arc::new(Doc::new_corpus("c", Arc::new(corpus)));
-        let d = doc();
-        let adm = Admission::new(8);
-        let _t: Vec<_> = (0..3)
-            .flat_map(|_| [adm.submit(request(&c)), adm.submit(request(&d))])
-            .map(Result::unwrap)
-            .collect();
-        // Corpus requests are evaluated one by one, so each is its own
-        // batch and another worker can take the next; the interleaved
-        // tree requests still share one scan.
-        assert_eq!(adm.next_batch().unwrap().len(), 1);
-        assert_eq!(adm.next_batch().unwrap().len(), 3);
-        assert_eq!(adm.next_batch().unwrap().len(), 1);
-        assert_eq!(adm.next_batch().unwrap().len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn a_slot_returns_its_workspace_unless_its_thread_panicked() {
+        let adm = Admission::new(2, 8);
+        let (_t, slot) = adm.enter().unwrap();
+        drop(slot);
+        assert_eq!(adm.lock_state().pool.len(), 1);
+        let (_t, slot) = adm.enter().unwrap();
+        assert!(adm.lock_state().pool.is_empty(), "the warm one is reused");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("evaluation failed");
+        }));
+        assert!(caught.is_err());
+        let st = adm.lock_state();
+        assert!(st.pool.is_empty(), "a panicked workspace is dropped");
+        assert_eq!(st.running, 0, "but its slot is freed");
     }
 
     /// A small seeded generator (SplitMix64): the stress runs below
@@ -318,17 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn admission_stress_loses_no_request_wakeup_or_worker() {
-        for seed in 0..24u64 {
+    fn gate_stress_keeps_order_and_bounds_and_loses_no_request_or_wakeup() {
+        for seed in 0..32u64 {
             let (done, finished) = std::sync::mpsc::channel();
-            let runner = std::thread::spawn(move || {
-                admission_stress_run(seed);
+            let runner = thread::spawn(move || {
+                gate_stress_run(seed);
                 let _ = done.send(());
             });
             if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
                 finished.recv_timeout(Duration::from_secs(60))
             {
-                panic!("seed {seed}: hung — a lost wakeup or a worker that never exited");
+                panic!("seed {seed}: hung — a lost wakeup or a leaked slot");
             }
             if let Err(payload) = runner.join() {
                 std::panic::resume_unwind(payload);
@@ -336,96 +331,99 @@ mod tests {
         }
     }
 
-    /// Producers submit numbered requests over two documents into a
-    /// small queue, retrying on `BUSY`; workers take batches until the
-    /// drain. Every admitted request must reach exactly one worker, in
-    /// a batch of one document, every worker must exit, and the drain
-    /// must see every token dropped.
-    fn admission_stress_run(seed: u64) {
+    /// Connection threads enter a gate of 1–4 slots and a wait of 1–6,
+    /// retrying on `BUSY`, and hold their slot for a random spell. No
+    /// more than `slots` evaluations may overlap; they start in ticket
+    /// order; every admitted ticket runs exactly once; a `BUSY` comes
+    /// only when `capacity` others may have been waiting; and the drain
+    /// sees every token.
+    fn gate_stress_run(seed: u64) {
         let mut rng = SplitMix(seed);
-        let producers = 1 + rng.below(3) as usize;
-        let workers = 1 + rng.below(4) as usize;
-        let per_producer = 20 + rng.below(80) as usize;
-        let adm = Admission::new(1 + rng.below(6) as usize);
-        let docs = [doc(), doc()];
-        let taken = Mutex::new(Vec::new());
-        let start = std::sync::Barrier::new(producers + workers);
-        let tokens: Vec<OutstandingToken> = std::thread::scope(|scope| {
-            let worker_handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let (adm, taken, start) = (&adm, &taken, &start);
+        let conns = 1 + rng.below(8) as usize;
+        let slots = 1 + rng.below(4) as usize;
+        let capacity = 1 + rng.below(6) as usize;
+        let per_conn = 20 + rng.below(60) as usize;
+        let adm = Admission::new(slots, capacity);
+        // Test-side ledger: `calls` counts `enter` calls before they
+        // are made, `starts` and `sheds` their outcomes after them.
+        let (calls, starts, sheds) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let running = AtomicUsize::new(0);
+        let started = Mutex::new(Vec::new());
+        let barrier = Barrier::new(conns);
+        let tokens: Vec<OutstandingToken> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..conns as u64)
+                .map(|c| {
+                    let (adm, running, started, barrier) = (&adm, &running, &started, &barrier);
+                    let (calls, starts, sheds) = (&calls, &starts, &sheds);
                     scope.spawn(move || {
-                        let mut rng = SplitMix(seed * 31 + w);
-                        start.wait();
-                        while let Some(batch) = adm.next_batch() {
-                            assert!(batch.len() <= MAX_BATCH);
-                            assert!(batch.iter().all(|r| Arc::ptr_eq(&r.doc, &batch[0].doc)));
-                            let ids = batch.iter().map(|r| r.raw.parse::<usize>().unwrap());
-                            taken.lock().unwrap().extend(ids);
-                            if rng.below(4) == 0 {
-                                std::thread::yield_now();
-                            }
-                        }
-                    })
-                })
-                .collect();
-            let producer_handles: Vec<_> = (0..producers)
-                .map(|p| {
-                    let (adm, docs, start) = (&adm, &docs, &start);
-                    scope.spawn(move || {
-                        let mut rng = SplitMix(seed * 131 + p as u64);
-                        start.wait();
+                        let mut rng = SplitMix(seed * 131 + c);
+                        barrier.wait();
                         let mut tokens = Vec::new();
-                        for i in 0..per_producer {
-                            let doc = &docs[rng.below(2) as usize];
-                            loop {
-                                let mut req = request(doc);
-                                req.raw = (p * 1000 + i).to_string();
-                                match adm.submit(req) {
-                                    Ok(token) => {
-                                        tokens.push(token);
-                                        break;
+                        for _ in 0..per_conn {
+                            let (token, slot) = loop {
+                                let settled =
+                                    starts.load(Ordering::SeqCst) + sheds.load(Ordering::SeqCst);
+                                calls.fetch_add(1, Ordering::SeqCst);
+                                match adm.enter() {
+                                    Ok(entered) => break entered,
+                                    Err(Busy) => {
+                                        sheds.fetch_add(1, Ordering::SeqCst);
+                                        // Every request waiting at the shed
+                                        // was called by now and had not
+                                        // settled before this call.
+                                        let others = calls.load(Ordering::SeqCst) - 1 - settled;
+                                        assert!(
+                                            others >= capacity as u64,
+                                            "seed {seed}: BUSY with at most {others} waiting"
+                                        );
+                                        thread::yield_now();
                                     }
-                                    Err(Busy) => std::thread::yield_now(),
                                 }
+                            };
+                            starts.fetch_add(1, Ordering::SeqCst);
+                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                            assert!(now <= slots, "seed {seed}: {now} evaluations overlap");
+                            assert!(
+                                slot.ticket < adm.lock_state().started,
+                                "seed {seed}: ticket {} started out of turn",
+                                slot.ticket
+                            );
+                            started.lock().unwrap().push(slot.ticket);
+                            for _ in 0..rng.below(3) {
+                                thread::yield_now();
                             }
+                            running.fetch_sub(1, Ordering::SeqCst);
+                            drop(slot);
+                            tokens.push(token);
                         }
                         tokens
                     })
                 })
                 .collect();
-            let tokens: Vec<OutstandingToken> = producer_handles
+            handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("producer"))
-                .collect();
-            adm.begin_drain();
-            for h in worker_handles {
-                h.join().expect("worker");
-            }
-            tokens
+                .flat_map(|h| h.join().expect("connection thread"))
+                .collect()
         });
-        let mut taken = taken.into_inner().unwrap();
-        taken.sort_unstable();
-        let mut want: Vec<usize> = (0..producers)
-            .flat_map(|p| (0..per_producer).map(move |i| p * 1000 + i))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(taken, want, "seed {seed}: a request was lost or doubled");
+        let started = started.into_inner().unwrap();
+        let total = (conns * per_conn) as u64;
+        if slots == 1 {
+            // One slot: the log is the start order itself.
+            assert!(
+                started.iter().copied().eq(0..total),
+                "seed {seed}: out of arrival order"
+            );
+        }
+        let mut tickets = started;
+        tickets.sort_unstable();
+        assert!(
+            tickets.iter().copied().eq(0..total),
+            "seed {seed}: a request was lost or doubled"
+        );
+        adm.begin_drain();
+        assert_eq!(adm.enter().err(), Some(Busy), "draining sheds");
         assert!(!adm.wait_idle(Duration::ZERO), "tokens are still alive");
         drop(tokens);
         assert!(adm.wait_idle(Duration::from_secs(5)), "seed {seed}");
-    }
-
-    #[test]
-    fn wait_idle_tracks_the_outstanding_tokens() {
-        let adm = Admission::new(8);
-        let d = doc();
-        let t1 = adm.submit(request(&d)).unwrap();
-        adm.begin_drain();
-        assert!(!adm.wait_idle(Duration::from_millis(10)), "t1 is alive");
-        let _ = adm.next_batch(); // worker picks it up; still outstanding
-        assert!(!adm.wait_idle(Duration::from_millis(10)));
-        drop(t1); // response written
-        assert!(adm.wait_idle(Duration::from_millis(100)));
     }
 }

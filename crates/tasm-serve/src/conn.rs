@@ -3,8 +3,8 @@
 //! The wire protocol is deliberately boring: newline-delimited ASCII
 //! requests, newline-delimited responses, no framing beyond `\n`, no
 //! dependencies beyond `std`. One thread per connection reads lines,
-//! classifies failures, and blocks on a [`ResponseSlot`] while a worker
-//! evaluates.
+//! classifies failures, and answers each query itself once the
+//! admission gate lets it evaluate.
 //!
 //! Requests:
 //!
@@ -47,12 +47,13 @@ use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::admission::{Admission, PendingRequest};
-use crate::{Doc, DocStore, ServerConfig};
+use crate::admission::Admission;
+use crate::{fault, Doc, DocStore, ServerConfig};
 use tasm_core::ScanStats;
 use tasm_ted::Cost;
 use tasm_tree::{LabelDict, Tree};
@@ -151,7 +152,7 @@ impl WireStats {
     }
 }
 
-/// What a worker hands back for one request.
+/// The answer to one query.
 #[derive(Debug, Clone)]
 pub(crate) enum Response {
     /// A complete ranking (possibly shorter than `k` on small documents).
@@ -170,52 +171,9 @@ pub(crate) enum Response {
         /// The deadline the request was admitted under, for the error text.
         limit_ms: u64,
     },
-    /// Evaluation panicked; the worker recovered and logged the payload.
+    /// Evaluation panicked; the connection thread recovered and logged
+    /// the payload.
     Internal,
-}
-
-/// A one-shot rendezvous: the connection thread waits, the worker
-/// delivers exactly once.
-#[derive(Clone)]
-pub(crate) struct ResponseSlot {
-    cell: Arc<(Mutex<Option<Response>>, Condvar)>,
-}
-
-impl ResponseSlot {
-    pub(crate) fn new() -> Self {
-        ResponseSlot {
-            cell: Arc::new((Mutex::new(None), Condvar::new())),
-        }
-    }
-
-    /// Worker side: publish the response and wake the connection.
-    pub(crate) fn deliver(&self, resp: Response) {
-        let (lock, cv) = &*self.cell;
-        let mut slot = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = Some(resp);
-        cv.notify_all();
-    }
-
-    /// Connection side: block until the worker delivers, or `limit`
-    /// elapses (a worker lost to a wedge — `None`).
-    pub(crate) fn wait(&self, limit: Duration) -> Option<Response> {
-        let end = Instant::now() + limit;
-        let (lock, cv) = &*self.cell;
-        let mut slot = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(resp) = slot.take() {
-                return Some(resp);
-            }
-            let now = Instant::now();
-            if now >= end {
-                return None;
-            }
-            let (s, _) = cv
-                .wait_timeout(slot, end - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = s;
-        }
-    }
 }
 
 /// Everything a connection thread needs, cloneable per accept.
@@ -471,13 +429,13 @@ fn write_docs(writer: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
 }
 
 /// A query made ready for evaluation against its document.
-struct PreparedQuery {
+pub(crate) struct PreparedQuery {
     /// Encoded into a tree document's dictionary, or in `dict`'s label
     /// space for a corpus.
-    query: Tree,
+    pub(crate) query: Tree,
     /// The request-local dictionary, kept for corpus documents only.
-    dict: Option<LabelDict>,
-    /// The query root's label name (fault-injection hook + log line).
+    pub(crate) dict: Option<LabelDict>,
+    /// The query root's label name (the fault-injection hook).
     root_label: String,
 }
 
@@ -501,7 +459,8 @@ fn prepare_query(doc: &Doc, q: &str) -> Result<PreparedQuery, XmlError> {
 }
 
 /// Answers one `QUERY`: checks it against the document and the server
-/// limits, admits it and writes the worker's response. `raw` is the
+/// limits, enters the admission gate, evaluates it under panic
+/// isolation, frees the slot and writes the response. `raw` is the
 /// request line, logged if the evaluation panics.
 fn handle_query(
     writer: &mut impl Write,
@@ -543,11 +502,7 @@ fn handle_query(
             ),
         );
     }
-    let PreparedQuery {
-        query,
-        dict,
-        root_label,
-    } = match prepare_query(doc, &req.q) {
+    let prepared = match prepare_query(doc, &req.q) {
         Ok(prepared) => prepared,
         Err(e) => return send(writer, &format!("ERR parse {e}")),
     };
@@ -556,40 +511,53 @@ fn handle_query(
         .map(Duration::from_millis)
         .unwrap_or(ctx.cfg.default_deadline)
         .min(ctx.cfg.max_deadline);
-    let limit_ms = dur.as_millis() as u64;
-    let slot = ResponseSlot::new();
-    let pending = PendingRequest {
-        doc: doc.clone(),
-        query,
-        dict,
-        k,
-        timeout_ms: limit_ms,
-        deadline_at: Instant::now() + dur,
-        stats: req.stats,
-        root_label,
-        raw: raw.to_string(),
-        slot: slot.clone(),
-    };
-    match ctx.admission.submit(pending) {
-        Err(_) => send(
+    // Fixed at admission: time spent waiting for a slot counts.
+    let deadline = Instant::now() + dur;
+    let Ok((token, slot)) = ctx.admission.enter() else {
+        return send(
             writer,
             &format!("{BUSY_HEAD}{}", ctx.cfg.retry_after.as_millis()),
-        ),
-        Ok(token) => {
-            // Generous upper bound: the request deadline plus slack for
-            // queueing and response delivery. A miss means a worker was
-            // lost in a way panic isolation did not catch.
-            let grace = dur + ctx.cfg.drain_deadline + Duration::from_secs(30);
-            let outcome = match slot.wait(grace) {
-                Some(resp) => write_response(writer, resp),
-                None => send(writer, "ERR internal response lost (worker did not answer)"),
-            };
-            // Only now has the response hit the socket: release the
-            // drain accounting.
-            drop(token);
-            outcome
+        );
+    };
+    let ticket = slot.ticket;
+    // The slot moves into the evaluation and is dropped when it ends,
+    // so it is free before the response is written. A panic drops it
+    // while unwinding, which discards its workspace.
+    let outcome = catch_unwind(AssertUnwindSafe(move || {
+        let mut slot = slot;
+        fault::maybe_inject(&prepared.root_label);
+        let ws = slot.workspace();
+        crate::evaluate(
+            doc,
+            &prepared,
+            k,
+            req.stats,
+            deadline,
+            ctx.cfg.corpus_threads,
+            ws,
+        )
+    }));
+    let resp = match outcome {
+        Ok(Some(resp)) => resp,
+        Ok(None) => Response::Timeout {
+            limit_ms: dur.as_millis() as u64,
+        },
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("<non-string panic payload>");
+            eprintln!("tasm serve: request #{ticket} panicked: {msg}");
+            eprintln!("tasm serve:   request: {raw}");
+            Response::Internal
         }
-    }
+    };
+    let outcome = write_response(writer, resp);
+    // Only now has the response hit the socket: release the drain
+    // accounting.
+    drop(token);
+    outcome
 }
 
 #[cfg(test)]

@@ -2,18 +2,19 @@
 //! `fault-inject` feature.
 //!
 //! The daemon's recovery paths — panic isolation, deadline abort on a
-//! stalled worker — are unreachable from well-formed inputs, so the
+//! stalled evaluation — are unreachable from well-formed inputs, so the
 //! test suite needs a lever to pull. Under `fault-inject`, two magic
-//! query root labels become triggers when the worker picks the request
-//! up (i.e. *inside* the evaluation path the recovery machinery
-//! guards):
+//! query root labels become triggers once the request holds its
+//! evaluation slot (i.e. *inside* the evaluation path the recovery
+//! machinery guards):
 //!
-//! * `__fault_panic__` — panics in the worker, exercising
-//!   `catch_unwind`, workspace replacement, and the `ERR internal`
-//!   response.
-//! * `__fault_sleep_<ms>__` — stalls the worker for `<ms>` milliseconds
-//!   before the scan starts, exercising deadline expiry (`ERR timeout`)
-//!   and drain-deadline overruns.
+//! * `__fault_panic__` — panics the evaluation, exercising
+//!   `catch_unwind`, workspace disposal, slot release, and the
+//!   `ERR internal` response.
+//! * `__fault_sleep_<ms>__` — stalls the evaluation for `<ms>`
+//!   milliseconds before the scan starts, holding its slot, exercising
+//!   deadline expiry (`ERR timeout`), requests waiting for a slot, and
+//!   drain-deadline overruns.
 //!
 //! Without the feature the hook compiles to nothing, so release builds
 //! carry no magic labels.
@@ -22,7 +23,7 @@
 #[cfg(feature = "fault-inject")]
 pub(crate) fn maybe_inject(root_label: &str) {
     if root_label == "__fault_panic__" {
-        panic!("fault-inject: deliberate worker panic requested by query");
+        panic!("fault-inject: deliberate evaluation panic requested by query");
     }
     if let Some(ms) = root_label
         .strip_prefix("__fault_sleep_")

@@ -1,6 +1,6 @@
 //! `tasm-serve` — a resident TASM query daemon: parsed documents stay
-//! warm, requests multiplex onto the batch engine, and failures stay
-//! *contained*.
+//! warm, each connection thread answers its own queries, and failures
+//! stay *contained*.
 //!
 //! One-shot CLI runs re-parse the document and rebuild every workspace
 //! per query — fine for a benchmark, wasteful for a workload. The
@@ -18,17 +18,19 @@
 //! * **Deadlines** ([`Run::deadline`](tasm_core::Run::deadline)): every
 //!   request carries an absolute expiry; the evaluation loop polls it
 //!   per candidate and aborts with a structured `ERR timeout` — no
-//!   partial rankings, no wedged workers.
-//! * **Admission control** (the `admission` module): a bounded queue
-//!   sheds overload with an immediate `BUSY retry-after-ms=…`; requests
-//!   already queued on the same tree document share one sweep.
+//!   partial rankings, no slot held past its budget.
+//! * **Admission control** (the `admission` module): one FIFO gate
+//!   lets at most [`ServerConfig::workers`] evaluations run at once and
+//!   at most [`ServerConfig::queue_capacity`] requests wait, in arrival
+//!   order; beyond that it sheds overload with an immediate
+//!   `BUSY retry-after-ms=…`.
 //! * **Bounded input**: a request line longer than 1 MiB is refused
 //!   with `ERR proto` and the connection dropped, so one client cannot
 //!   make the daemon buffer without bound.
-//! * **Panic isolation**: workers evaluate under `catch_unwind`; a
-//!   panicking request gets `ERR internal`, its workspace is discarded
-//!   and rebuilt (never reused poisoned), the payload is logged, and
-//!   the daemon keeps serving.
+//! * **Panic isolation**: the connection thread evaluates under
+//!   `catch_unwind`; a panicking request gets `ERR internal`, its
+//!   workspace is discarded (never reused poisoned) while its slot is
+//!   freed, the payload is logged, and the daemon keeps serving.
 //! * **Graceful drain**: [`Server::drain`] stops admission, waits for
 //!   in-flight responses to reach their sockets under a drain deadline,
 //!   and reports whether the drain was clean.
@@ -51,15 +53,14 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::admission::{Admission, PendingRequest};
-use crate::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
-use tasm_core::{tasm_corpus_batch, tasm_resident_batch, BatchQuery, Match, Run, TasmWorkspace};
+use crate::admission::Admission;
+use crate::conn::{handle_conn, ConnCtx, ConnStream, PreparedQuery, Response, Row, WireStats};
+use tasm_core::{tasm_corpus_batch, tasm_resident_batch, BatchQuery, Run, TasmWorkspace};
 use tasm_index::Corpus;
 use tasm_tree::{LabelDict, Tree};
 
@@ -109,14 +110,6 @@ impl Doc {
     /// The name clients pass as `doc=<name>`.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The parsed document tree (`None` for a corpus document).
-    pub fn tree(&self) -> Option<&Tree> {
-        match &self.content {
-            DocContent::Tree { tree, .. } => Some(tree),
-            DocContent::Corpus(_) => None,
-        }
     }
 
     /// The opened corpus (`None` for a single-tree document).
@@ -199,10 +192,11 @@ impl DocStore {
 /// and override what the deployment needs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Evaluation worker threads (`0` = one per available core).
+    /// Evaluation slots: how many queries are evaluated at once, each
+    /// on its own connection thread (`0` = one per available core).
     pub workers: usize,
-    /// Bound on queued (admitted, not yet picked up) requests; beyond
-    /// it requests are shed with `BUSY`.
+    /// Bound on admitted requests waiting for a slot; beyond it requests
+    /// are shed with `BUSY`.
     pub queue_capacity: usize,
     /// Deadline applied when a request names none.
     pub default_deadline: Duration,
@@ -277,40 +271,28 @@ impl Acceptor for UnixListener {
     }
 }
 
-/// The resident query daemon: worker pool, admission queue, and the
-/// accept loops that feed it.
+/// The resident query daemon: the accept loops, whose connection
+/// threads answer their own queries, and the admission gate in front
+/// of evaluation.
 pub struct Server {
     cfg: ServerConfig,
     store: Arc<DocStore>,
     admission: Arc<Admission>,
     stop: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Builds the daemon and spawns its evaluation workers.
+    /// Builds the daemon; no thread starts before a connection does.
     pub fn new(cfg: ServerConfig, store: DocStore) -> Server {
-        let admission = Admission::new(cfg.queue_capacity);
-        let corpus_threads = cfg.corpus_threads;
-        let workers = match cfg.workers {
+        let slots = match cfg.workers {
             0 => thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
-        let workers = (0..workers)
-            .map(|i| {
-                let admission = admission.clone();
-                thread::Builder::new()
-                    .name(format!("tasm-worker-{i}"))
-                    .spawn(move || worker_loop(&admission, corpus_threads))
-                    .expect("spawn evaluation worker")
-            })
-            .collect();
         Server {
+            admission: Admission::new(slots, cfg.queue_capacity),
             cfg,
             store: Arc::new(store),
-            admission,
             stop: Arc::new(AtomicBool::new(false)),
-            workers,
         }
     }
 
@@ -385,201 +367,75 @@ impl Server {
         self.accept_loop(listener, external_stop)
     }
 
-    /// Graceful shutdown: stops admitting (late arrivals get `BUSY`),
-    /// waits up to the drain deadline for every in-flight response to
-    /// reach its socket, and joins the workers. Returns `true` for a
-    /// clean drain; `false` means the deadline passed with work still
-    /// in flight (the host should exit nonzero or log loudly).
+    /// Graceful shutdown: stops admitting (late arrivals get `BUSY`)
+    /// and waits up to the drain deadline for every admitted request's
+    /// response to reach its socket. Returns `true` for a clean drain;
+    /// `false` means the deadline passed with work still in flight (the
+    /// host should exit nonzero or log loudly).
     pub fn drain(self) -> bool {
         self.admission.begin_drain();
-        let clean = self.admission.wait_idle(self.cfg.drain_deadline);
-        if clean {
-            // Workers exit once the queue is empty under drain; join is
-            // bounded. On a dirty drain a wedged worker could block
-            // forever, so leave it to process teardown instead.
-            for handle in self.workers {
-                let _ = handle.join();
-            }
-        }
-        clean
+        self.admission.wait_idle(self.cfg.drain_deadline)
     }
 }
 
-/// A worker: pull batches, evaluate under panic isolation, deliver.
-fn worker_loop(admission: &Admission, corpus_threads: usize) {
-    let mut ws = TasmWorkspace::new();
-    while let Some(batch) = admission.next_batch() {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_batch(&mut ws, &batch, corpus_threads)
-        }));
-        match outcome {
-            Ok(responses) => {
-                for (req, resp) in batch.iter().zip(responses) {
-                    req.slot.deliver(resp);
-                }
-            }
-            Err(payload) => {
-                // Panic isolation: log the payload and the offending
-                // request lines, answer ERR internal, and REPLACE the
-                // workspace — its buffers were abandoned mid-update and
-                // must never be reused.
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic payload>");
-                eprintln!(
-                    "tasm serve: worker panicked evaluating {} request(s): {msg}",
-                    batch.len()
-                );
-                for req in &batch {
-                    eprintln!("tasm serve:   request: {}", req.raw);
-                }
-                ws = TasmWorkspace::new();
-                for req in &batch {
-                    req.slot.deliver(Response::Internal);
-                }
-            }
-        }
-    }
-}
-
-fn rows(matches: Vec<Match>) -> Vec<Row> {
-    matches
-        .into_iter()
-        .map(|m| Row {
-            root: m.root.post(),
-            distance: m.distance,
-            size: m.size,
-            doc: None,
-        })
-        .collect()
-}
-
-/// Evaluates one compatible batch (all requests target the same
-/// document). Tree documents run under the earliest member deadline
-/// with solo retries on expiry; corpus documents evaluate per request
-/// under each member's own deadline (every request carries its own
-/// request-local dictionary, so corpus queries cannot share one
-/// encoding).
-fn evaluate_batch(
-    ws: &mut TasmWorkspace,
-    batch: &[PendingRequest],
-    corpus_threads: usize,
-) -> Vec<Response> {
-    for req in batch {
-        fault::maybe_inject(&req.root_label);
-    }
-    let doc = &batch[0].doc;
-    match &doc.content {
-        DocContent::Tree { tree, .. } => evaluate_tree_batch(ws, batch, tree),
-        DocContent::Corpus(corpus) => batch
-            .iter()
-            .map(|req| evaluate_corpus_request(ws, req, corpus, corpus_threads))
-            .collect(),
-    }
-}
-
-/// The tree path: one shared sweep under the earliest member deadline;
-/// on expiry, survivors are retried solo under their own deadlines.
-fn evaluate_tree_batch(
-    ws: &mut TasmWorkspace,
-    batch: &[PendingRequest],
-    tree: &Tree,
-) -> Vec<Response> {
-    let earliest = batch
-        .iter()
-        .map(|r| r.deadline_at)
-        .min()
-        .expect("batches are non-empty");
-    if let Some(responses) = scan_tree(ws, batch, tree, earliest) {
-        return responses;
-    }
-    // The shared sweep died at the earliest member's deadline. That
-    // member is out of time; the others still have budget, so each gets
-    // a solo retry under its own deadline.
-    batch
-        .iter()
-        .map(|req| {
-            let solo = std::slice::from_ref(req);
-            if Instant::now() < req.deadline_at {
-                if let Some(mut answer) = scan_tree(ws, solo, tree, req.deadline_at) {
-                    return answer.pop().expect("one lane");
-                }
-            }
-            Response::Timeout {
-                limit_ms: req.timeout_ms,
-            }
-        })
-        .collect()
-}
-
-/// One resident sweep of `tree` answering every request in `reqs`, or
-/// `None` when `deadline` expires first. One thread per worker: the
-/// daemon's parallelism is its worker pool.
-fn scan_tree(
-    ws: &mut TasmWorkspace,
-    reqs: &[PendingRequest],
-    tree: &Tree,
+/// Answers one admitted query on `ws` under `deadline`, or `None` when
+/// the deadline expires first. A tree document is swept on the calling
+/// thread alone: the daemon's parallelism is its evaluation slots. A
+/// corpus runs cross-document top-k over its healthy shards on
+/// `corpus_threads`, with the degraded marker threaded into the `OK`
+/// line (and `STATS`, when requested).
+pub(crate) fn evaluate(
+    doc: &Doc,
+    prepared: &PreparedQuery,
+    k: usize,
+    stats: bool,
     deadline: Instant,
-) -> Option<Vec<Response>> {
-    let queries: Vec<BatchQuery<'_>> = reqs
-        .iter()
-        .map(|r| BatchQuery {
-            query: &r.query,
-            k: r.k,
-        })
-        .collect();
-    let run = Run {
+    corpus_threads: usize,
+    ws: &mut TasmWorkspace,
+) -> Option<Response> {
+    let queries = [BatchQuery {
+        query: &prepared.query,
+        k,
+    }];
+    let mut run = Run {
         deadline: Some(deadline),
         ..Run::default()
     };
-    let out = tasm_resident_batch(&queries, tree, &run, ws).ok()?;
-    let responses = out
-        .rankings
-        .into_iter()
-        .zip(out.lanes)
-        .zip(reqs)
-        .map(|((ranking, lane), req)| Response::Ranking {
-            rows: rows(ranking),
-            degraded: None,
-            stats: req.stats.then_some(WireStats {
-                scan: lane,
-                shards: None,
-            }),
-        })
-        .collect();
-    Some(responses)
-}
-
-/// The corpus path: cross-document top-k over the healthy shards under
-/// the request's own deadline, with the degraded marker threaded into
-/// the `OK` line (and `STATS`, when requested).
-fn evaluate_corpus_request(
-    ws: &mut TasmWorkspace,
-    req: &PendingRequest,
-    corpus: &Arc<Corpus>,
-    corpus_threads: usize,
-) -> Response {
-    let run = Run {
-        threads: corpus_threads,
-        deadline: Some(req.deadline_at),
-        ..Run::default()
-    };
-    let queries = [BatchQuery {
-        query: &req.query,
-        k: req.k,
-    }];
-    let dict = req
-        .dict
-        .as_ref()
-        .expect("corpus requests carry their request-local dictionary");
-    match tasm_corpus_batch(&queries, dict, corpus, &run, ws) {
-        Ok(out) => {
-            let (status, scan) = (out.status, out.scan);
-            let mut rankings = out.rankings;
-            let ranking = rankings.pop().expect("one lane");
-            let rows = ranking
+    match &doc.content {
+        DocContent::Tree { tree, .. } => {
+            let mut out = tasm_resident_batch(&queries, tree, &run, ws).ok()?;
+            let rows = out
+                .rankings
+                .pop()
+                .expect("one lane")
+                .into_iter()
+                .map(|m| Row {
+                    root: m.root.post(),
+                    distance: m.distance,
+                    size: m.size,
+                    doc: None,
+                })
+                .collect();
+            Some(Response::Ranking {
+                rows,
+                degraded: None,
+                stats: stats.then_some(WireStats {
+                    scan: out.lanes[0],
+                    shards: None,
+                }),
+            })
+        }
+        DocContent::Corpus(corpus) => {
+            run.threads = corpus_threads;
+            let dict = prepared
+                .dict
+                .as_ref()
+                .expect("corpus requests carry their request-local dictionary");
+            let mut out = tasm_corpus_batch(&queries, dict, corpus, &run, ws).ok()?;
+            let rows = out
+                .rankings
+                .pop()
+                .expect("one lane")
                 .into_iter()
                 .map(|cm| Row {
                     root: cm.hit.root.post(),
@@ -588,19 +444,16 @@ fn evaluate_corpus_request(
                     doc: Some(cm.doc),
                 })
                 .collect();
-            let health = (status.healthy, status.total);
-            Response::Ranking {
+            let health = (out.status.healthy, out.status.total);
+            Some(Response::Ranking {
                 rows,
-                degraded: status.is_degraded().then_some(health),
-                stats: req.stats.then_some(WireStats {
-                    scan,
+                degraded: out.status.is_degraded().then_some(health),
+                stats: stats.then_some(WireStats {
+                    scan: out.scan,
                     shards: Some(health),
                 }),
-            }
+            })
         }
-        Err(_) => Response::Timeout {
-            limit_ms: req.timeout_ms,
-        },
     }
 }
 
@@ -616,7 +469,7 @@ mod tests {
         };
         let server = Server::new(cfg, DocStore::new());
         let cores = thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(server.workers.len(), cores);
+        assert_eq!(server.admission.slots, cores);
         assert!(server.drain(), "an idle server drains cleanly");
     }
 }

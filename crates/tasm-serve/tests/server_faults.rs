@@ -1,12 +1,13 @@
 //! Fault-matrix tests for the daemon: every recovery path that needs a
-//! *misbehaving worker* to become reachable. Compiled only with
+//! *misbehaving evaluation* to become reachable. Compiled only with
 //! `--features fault-inject`, which arms the magic query labels
 //! (`__fault_panic__`, `__fault_sleep_<ms>__`) inside the evaluation
 //! path.
 //!
 //! Matrix rows covered here: in-request panic (on a tree and on a
-//! corpus document), stall past deadline, overload burst, SIGTERM-style
-//! drain with a request in flight. The torn-bytes rows (short read,
+//! corpus document, and with one evaluation slot), stall past deadline
+//! (while evaluating and while waiting for a slot), overload burst,
+//! arrival-order backlog, SIGTERM-style drain with a request in flight. The torn-bytes rows (short read,
 //! truncation, corruption) live against the file formats in
 //! `tasm-index`/`tasm-tree` and against the CLI in `tasm-cli`.
 
@@ -17,7 +18,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tasm_core::{tasm_postorder, TasmOptions};
 use tasm_index::Corpus;
@@ -239,38 +240,106 @@ fn drain_waits_for_the_in_flight_request() {
 }
 
 #[test]
-fn a_backlog_shares_one_scan_and_each_answer_matches_the_engine() {
+fn a_request_that_times_out_waiting_for_a_slot_gets_err_timeout() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let daemon = Daemon::start("wait-timeout", cfg);
+
+    // Stall the only slot for 300 ms…
+    let (mut wrd, mut wwr) = daemon.connect();
+    wwr.write_all(b"QUERY doc=dblp k=1 timeout=5000 q=<__fault_sleep_300__/>\n")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(60)); // it holds the slot now
+
+    // …so a 50 ms budget runs out while the request waits its turn.
+    let (mut rd, mut wr) = daemon.connect();
+    let resp = roundtrip(
+        &mut rd,
+        &mut wr,
+        "QUERY doc=dblp k=1 timeout=50 q=<article/>",
+    );
+    assert!(resp[0].starts_with("ERR timeout "), "{resp:?}");
+    assert!(resp[0].contains("50 ms"), "{resp:?}");
+    assert!(read_line(&mut wrd).starts_with("OK "), "stall answer");
+
+    assert!(daemon.shutdown());
+}
+
+#[test]
+fn a_panic_frees_the_only_slot() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let daemon = Daemon::start("panic-one-slot", cfg);
+    let (mut rd, mut wr) = daemon.connect();
+    // A leaked slot would block the next request forever: bound the
+    // wait, so the test fails instead of hanging.
+    wr.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<__fault_panic__/>");
+    assert!(resp[0].starts_with("ERR internal "), "{resp:?}");
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=dblp k=1 q=<article/>");
+    assert_eq!(resp[0], "OK 1", "{resp:?}");
+
+    assert!(daemon.shutdown());
+}
+
+#[test]
+fn a_backlog_is_answered_in_arrival_order_and_each_answer_matches_the_engine() {
     let cfg = ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     };
     let daemon = Daemon::start("backlog", cfg);
 
-    // Stall the only worker so the next requests queue up behind it…
+    // Stall the only slot so the next requests wait behind it…
     let (mut wrd, mut wwr) = daemon.connect();
     wwr.write_all(b"QUERY doc=dblp k=1 timeout=5000 q=<__fault_sleep_300__/>\n")
         .unwrap();
-    std::thread::sleep(Duration::from_millis(60)); // worker holds it now
+    std::thread::sleep(Duration::from_millis(60)); // it holds the slot now
 
-    // …then queue three different queries on the same tree document:
-    // the worker takes them as one batch once the stall ends.
+    // …then queue three different queries on the same tree document,
+    // ~30 ms apart. Each stalls 40 ms when its turn comes, so the order
+    // in which they finish shows through client-side clocks.
     let queries = [
-        ("<article><auth/><title/></article>", 3),
-        ("<book><title>X2</title></book>", 2),
-        ("<auth>John</auth>", 4),
+        (
+            "<__fault_sleep_40__><article><auth/><title/></article></__fault_sleep_40__>",
+            3,
+        ),
+        (
+            "<__fault_sleep_40__><book><title>X2</title></book></__fault_sleep_40__>",
+            2,
+        ),
+        (
+            "<__fault_sleep_40__><auth>John</auth></__fault_sleep_40__>",
+            4,
+        ),
     ];
     let handles: Vec<_> = queries
         .iter()
         .map(|&(q, k)| {
             let (mut rd, mut wr) = daemon.connect();
             let req = format!("QUERY doc=dblp k={k} timeout=5000 q={q}");
-            std::thread::spawn(move || roundtrip(&mut rd, &mut wr, &req))
+            let handle = std::thread::spawn(move || {
+                let resp = roundtrip(&mut rd, &mut wr, &req);
+                (resp, Instant::now())
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            handle
         })
         .collect();
-    let answers: Vec<Vec<String>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let answers: Vec<(Vec<String>, Instant)> =
+        handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert!(read_line(&mut wrd).starts_with("OK "), "stall answer");
+    assert!(
+        answers.windows(2).all(|w| w[0].1 < w[1].1),
+        "the backlog finished out of arrival order"
+    );
 
-    for ((q, k), resp) in queries.iter().zip(&answers) {
+    for ((q, k), (resp, _)) in queries.iter().zip(&answers) {
         let mut dict = LabelDict::new();
         let doc = bracket::parse(DOC, &mut dict).unwrap();
         let query = parse_tree_str(q, &mut dict).unwrap();
