@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tasm_core::{
-    prb_pruning_stats, tasm_batch, tasm_batch_with_workspace, tasm_dynamic, tasm_naive,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, Run, TasmOptions,
-    TasmWorkspace,
+    tasm_batch, tasm_batch_with_workspace, tasm_dynamic, tasm_naive, tasm_postorder,
+    tasm_postorder_with_workspace, BatchQuery, Run, TasmOptions, TasmWorkspace,
 };
 use tasm_data::{dblp_tree, random_query, xmark_tree, DblpConfig, XMarkConfig};
 use tasm_ted::UnitCost;
@@ -59,72 +58,6 @@ fn bench_algorithms(c: &mut Criterion) {
         b.iter(|| tasm_naive(&query, &doc, k, &UnitCost, TasmOptions::default(), None));
     });
     group.finish();
-}
-
-/// Times the postorder hot path directly (the criterion shim has no
-/// result API) and appends a `BENCH_tasm.json` perf-trajectory snapshot
-/// at the workspace root — the same file `experiments -- bench --json`
-/// maintains. Opt-in via `TASM_BENCH_JSON=1` so a plain `cargo bench`
-/// has no write side effects.
-fn bench_emit_summary(_c: &mut Criterion) {
-    use std::time::Instant;
-    if std::env::var_os("TASM_BENCH_JSON").is_none() {
-        return;
-    }
-    let mut dict = LabelDict::new();
-    let doc = dblp_tree(&mut dict, &DblpConfig::new(1, 20_000));
-    let (query, _) = random_query(&doc, 8, 3);
-    let k = 5;
-    let tau = threshold(query.len() as u64, 1, 1, k as u64);
-    let mut q = TreeQueue::new(&doc);
-    let candidates =
-        prb_pruning_stats(&mut q, u32::try_from(tau).unwrap_or(u32::MAX), None).candidates;
-
-    let mut ws = TasmWorkspace::new();
-    let mut run = || {
-        let mut q = TreeQueue::new(&doc);
-        let m = tasm_postorder_with_workspace(
-            &query,
-            &mut q,
-            k,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            &mut ws,
-            None,
-        );
-        criterion::black_box(m.len());
-    };
-    run(); // warm-up
-    let seconds = (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-
-    let record = tasm_bench::report::BenchRecord {
-        name: "criterion dblp q8 k5".into(),
-        nodes: doc.len(),
-        query_size: query.len(),
-        k,
-        tau,
-        candidates,
-        seconds,
-        peak_heap_bytes: 0, // no counting allocator in the bench harness
-        ..Default::default()
-    }
-    .with_scan_stats(&ws.last_scan_stats());
-    // cargo bench runs with CWD = the package dir; anchor the trajectory
-    // file at the workspace root where `experiments` writes it.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(tasm_bench::report::BENCH_JSON);
-    let rate = record.candidates_per_sec();
-    tasm_bench::report::write_json(&path, "criterion tasm bench", 0, &[record])
-        .expect("write bench json");
-    println!("bench: wrote {} ({rate:.0} candidates/s)", path.display());
 }
 
 /// Multi-query batching: one shared scan for N queries vs N independent
@@ -300,7 +233,6 @@ criterion_group!(
     bench_parallel_threads,
     bench_postorder_k,
     bench_pruning_cascade,
-    bench_tau_prime_ablation,
-    bench_emit_summary
+    bench_tau_prime_ablation
 );
 criterion_main!(benches);

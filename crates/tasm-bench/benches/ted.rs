@@ -71,10 +71,9 @@ fn deep_query(doc: &Tree, depth: usize) -> Tree {
     b.finish().expect("single root")
 }
 
-/// Full TASM-postorder scans under each kernel selection, on the same
-/// workload shapes the BENCH snapshot tracks (dblp-q11, xmark-q8,
-/// xmark-q16) plus a right-deep query where the decompositions differ
-/// most. `auto` must track the better of the two pinned kernels.
+/// Full TASM-postorder scans under each kernel selection, on random
+/// query shapes (dblp-q11, xmark-q8, xmark-q16) plus a right-deep query
+/// where the decompositions differ most. `auto` must track the better of the two pinned kernels.
 fn bench_ted_kernel(c: &mut Criterion) {
     let nodes = 10_000;
     let mut dict = LabelDict::new();

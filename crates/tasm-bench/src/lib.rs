@@ -5,9 +5,11 @@
 //!   `experiments` binary.
 //! * [`alloc`] — a counting global allocator for the Fig. 10 memory
 //!   experiment and the zero-allocation regression tests.
-//! * [`report`] — the `BENCH_tasm.json` perf-trajectory summary.
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Criterion micro-benchmarks live in `benches/`. End-to-end speed is
+//! measured by `perfbench/` (daemon workloads with checked answers); its
+//! snapshots are appended to `BENCH_tasm.json` by
+//! `scripts/bench_record.py`.
 
 // `alloc` wraps the system allocator, which requires `unsafe`; everything
 // else in the workspace forbids it.
@@ -15,4 +17,3 @@
 
 pub mod alloc;
 pub mod harness;
-pub mod report;

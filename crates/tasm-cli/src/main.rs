@@ -43,7 +43,7 @@ use tasm_data::{
     XMarkConfig,
 };
 use tasm_index::IndexedDocument;
-use tasm_ted::{ted, TedKernel, TedStats, UnitCost};
+use tasm_ted::{dp_bytes, ted, TedKernel, TedStats, UnitCost, DP_BYTES_LIMIT};
 use tasm_tree::postfile::{save_tree, PostFileReader};
 use tasm_tree::{LabelDict, LabelId, PostorderQueue, Tree, TreeQueue};
 use tasm_xml::{parse_tree, tree_to_xml, XmlPostorderQueue};
@@ -636,6 +636,17 @@ fn cmd_ted(args: &Args) -> Result<(), CliError> {
     let mut dict = LabelDict::new();
     let left = load_xml(args.require("left").usage()?, &mut dict)?;
     let right = load_xml(args.require("right").usage()?, &mut dict)?;
+    let bytes = dp_bytes(left.len(), right.len());
+    if bytes > DP_BYTES_LIMIT {
+        return Err(CliError::Runtime(format!(
+            "a {}-node left tree and a {}-node right tree need {} MiB of distance matrices, \
+             over the limit of {} MiB",
+            left.len(),
+            right.len(),
+            bytes >> 20,
+            DP_BYTES_LIMIT >> 20
+        )));
+    }
     let t0 = Instant::now();
     let d = ted(&left, &right, &UnitCost);
     let mut out = output::stdout();

@@ -337,6 +337,22 @@ fn runtime_errors_exit_2() {
 }
 
 #[test]
+fn ted_over_the_matrix_budget_exits_2() {
+    // Two 10 k-node trees need 2 · 10,001² · 8 bytes (1.5 GiB) of
+    // distance matrices: refused up front, where the allocation would
+    // otherwise abort the process.
+    let doc = tmp("ted_budget.xml");
+    let path = doc.to_str().unwrap();
+    let gen = tasm(&["gen", "--nodes", "10000", "--out", path]);
+    assert_eq!(code(&gen), 0);
+    let out = tasm(&["ted", "--left", path, "--right", path]);
+    assert_eq!(code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("MiB of distance matrices"), "{stderr}");
+    let _ = std::fs::remove_file(&doc);
+}
+
+#[test]
 fn oversized_pq_label_count_exits_2() {
     // A 24-byte header whose dictionary count no file could hold: the
     // reader must fail on the short read, not abort on the allocation

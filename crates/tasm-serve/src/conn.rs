@@ -54,8 +54,8 @@ use std::time::{Duration, Instant};
 
 use crate::admission::Admission;
 use crate::{fault, Doc, DocStore, ServerConfig};
-use tasm_core::ScanStats;
-use tasm_ted::Cost;
+use tasm_core::{threshold, ScanStats};
+use tasm_ted::{dp_bytes, Cost, DP_BYTES_LIMIT};
 use tasm_tree::{LabelDict, Tree};
 use tasm_xml::XmlError;
 
@@ -218,6 +218,15 @@ fn find_query_param(rest: &str) -> Option<usize> {
         .find(|&i| b[i] == b'q' && b[i + 1] == b'=' && (i == 0 || b[i - 1].is_ascii_whitespace()))
 }
 
+/// Stores a `QUERY` parameter's value, refusing a second one: a
+/// repeated `k=` must not silently win over the first.
+fn set_once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), String> {
+    match slot.replace(value) {
+        Some(_) => Err(format!("duplicate QUERY parameter '{key}'")),
+        None => Ok(()),
+    }
+}
+
 fn parse_request(line: &str) -> Result<Request, String> {
     let mut words = line.split_whitespace();
     let verb = words.next().ok_or_else(|| "empty request".to_string())?;
@@ -235,29 +244,31 @@ fn parse_request(line: &str) -> Result<Request, String> {
                 return Err("QUERY needs a non-empty query after q=".to_string());
             }
             let mut doc = None;
-            let mut k = 5usize;
+            let mut k = None;
             let mut timeout_ms = None;
-            let mut stats = false;
+            let mut stats = None;
             for tok in head.split_whitespace() {
                 match tok.split_once('=') {
-                    Some(("doc", v)) if !v.is_empty() => doc = Some(v.to_string()),
+                    Some(("doc", v)) if !v.is_empty() => set_once(&mut doc, "doc", v.to_string())?,
                     Some(("k", v)) => {
-                        k = v
+                        let n = v
                             .parse()
                             .map_err(|_| format!("k must be a positive integer, got '{v}'"))?;
+                        set_once(&mut k, "k", n)?;
                     }
                     Some(("timeout", v)) => {
-                        let ms: u64 = v
+                        let ms = v
                             .parse()
                             .map_err(|_| format!("timeout must be milliseconds, got '{v}'"))?;
-                        timeout_ms = Some(ms);
+                        set_once(&mut timeout_ms, "timeout", ms)?;
                     }
                     Some(("stats", v)) => {
-                        stats = match v {
+                        let on = match v {
                             "1" => true,
                             "0" => false,
                             _ => return Err(format!("stats must be 0 or 1, got '{v}'")),
                         };
+                        set_once(&mut stats, "stats", on)?;
                     }
                     _ => return Err(format!("unknown QUERY parameter '{tok}'")),
                 }
@@ -265,9 +276,9 @@ fn parse_request(line: &str) -> Result<Request, String> {
             let doc = doc.ok_or_else(|| "QUERY needs doc=<name>".to_string())?;
             Ok(Request::Query(QueryRequest {
                 doc,
-                k,
+                k: k.unwrap_or(5),
                 timeout_ms,
-                stats,
+                stats: stats.unwrap_or(false),
                 q,
             }))
         }
@@ -506,6 +517,23 @@ fn handle_query(
         Ok(prepared) => prepared,
         Err(e) => return send(writer, &format!("ERR parse {e}")),
     };
+    // No candidate is larger than τ or the tree, so this bounds every
+    // distance matrix the evaluation fills; a larger one would abort
+    // the daemon on its allocation.
+    let (m, n) = (prepared.query.len(), doc.largest_tree());
+    let tau = threshold(m as u64, 1, 1, k as u64);
+    let cols = usize::try_from(tau).map_or(n, |tau| tau.min(n));
+    if dp_bytes(m, cols) > DP_BYTES_LIMIT {
+        return send(
+            writer,
+            &format!(
+                "ERR parse a {m}-node query over a {n}-node document needs {} MiB \
+                 of distance matrices, over the server limit of {} MiB",
+                dp_bytes(m, cols) >> 20,
+                DP_BYTES_LIMIT >> 20
+            ),
+        );
+    }
     let dur = req
         .timeout_ms
         .map(Duration::from_millis)
@@ -733,6 +761,19 @@ mod tests {
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn repeated_query_parameters_are_refused() {
+        for (line, key) in [
+            ("QUERY doc=d k=1 k=2 q=<a/>", "k"),
+            ("QUERY doc=d doc=e q=<a/>", "doc"),
+            ("QUERY doc=d timeout=5 timeout=5 q=<a/>", "timeout"),
+            ("QUERY stats=0 doc=d stats=1 q=<a/>", "stats"),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err, format!("duplicate QUERY parameter '{key}'"), "{line}");
         }
     }
 

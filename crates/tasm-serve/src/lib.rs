@@ -130,6 +130,19 @@ impl Doc {
         }
     }
 
+    /// Node count of the largest tree one evaluation runs over: the
+    /// tree's size, or the largest healthy corpus shard's.
+    pub(crate) fn largest_tree(&self) -> usize {
+        match &self.content {
+            DocContent::Tree { tree, .. } => tree.len(),
+            DocContent::Corpus(corpus) => corpus
+                .healthy()
+                .map(|(_, _, doc)| doc.tree().len())
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
     /// Node count reported by `DOCS`: the tree's size, or the summed
     /// size of the corpus's healthy shards.
     pub fn node_count(&self) -> u64 {

@@ -21,7 +21,7 @@ use tasm_core::{tasm_corpus_batch, tasm_postorder, BatchQuery, Run, TasmOptions,
 use tasm_index::Corpus;
 use tasm_serve::{is_multiline, Doc, DocStore, Server, ServerConfig};
 use tasm_ted::UnitCost;
-use tasm_tree::{bracket, LabelDict, TreeQueue};
+use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 use tasm_xml::parse_tree_str;
 
 const DOC: &str =
@@ -211,6 +211,36 @@ fn an_oversized_request_line_is_refused_and_dropped() {
     assert_eq!(read_line(&mut rd), "", "connection closed");
     let (mut rd2, mut wr2) = daemon.connect();
     assert_eq!(roundtrip(&mut rd2, &mut wr2, "PING"), ["PONG"]);
+
+    assert!(daemon.shutdown());
+}
+
+#[test]
+fn a_query_over_the_matrix_budget_is_refused_and_the_daemon_keeps_serving() {
+    // A flat 20,001-node document and a 6,001-node query: at k = 1,
+    // τ = 12,003, so its two distance matrices would take
+    // 2 · 6,002 · 12,004 · 8 bytes (1.07 GiB), over the 1 GiB budget.
+    let mut dict = LabelDict::new();
+    let (a, r) = (dict.intern("a"), dict.intern("r"));
+    let mut entries = vec![(a, 1); 20_000];
+    entries.push((r, 20_001));
+    let tree = Tree::from_postorder(entries).unwrap();
+    let mut store = DocStore::new();
+    store.insert(Doc::new("flat", tree, dict));
+    let daemon = Daemon::start_with_store("budget", ServerConfig::default(), store);
+    let (mut rd, mut wr) = daemon.connect();
+
+    let q = format!("<r>{}</r>", "<a/>".repeat(6_000));
+    let resp = roundtrip(&mut rd, &mut wr, &format!("QUERY doc=flat k=1 q={q}"));
+    assert_eq!(resp.len(), 1, "{resp:?}");
+    assert!(
+        resp[0].starts_with("ERR parse a 6001-node query over a 20001-node document"),
+        "{resp:?}"
+    );
+    // The same connection, and the daemon, keep answering.
+    assert_eq!(roundtrip(&mut rd, &mut wr, "PING"), ["PONG"]);
+    let resp = roundtrip(&mut rd, &mut wr, "QUERY doc=flat k=1 q=<a/>");
+    assert_eq!(resp, ["OK 1", "1 1 0 1", "END"]);
 
     assert!(daemon.shutdown());
 }

@@ -47,6 +47,7 @@ pub use stats::TedStats;
 pub use strategy::TedKernel;
 pub use workspace::{QueryContext, TedWorkspace};
 pub use zhang_shasha::{
-    ted, ted_full, ted_full_with_costs, ted_full_with_workspace, ted_row_with_workspace,
+    dp_bytes, ted, ted_full, ted_full_with_costs, ted_full_with_workspace, ted_row_with_workspace,
     ted_view_with_workspace, ted_with_kernel, ted_with_workspace, TreeDistances, TreeDistancesView,
+    DP_BYTES_LIMIT,
 };

@@ -95,6 +95,20 @@ impl<'a> TreeDistancesView<'a> {
     }
 }
 
+/// The largest DP footprint, in bytes, that callers reading their trees
+/// from untrusted input (the daemon's `QUERY`, the CLI's `ted`) accept
+/// before refusing the request: 1 GiB. A larger matrix is not an error
+/// of the algorithm, but its allocation failure aborts the process,
+/// which no unwinding can catch.
+pub const DP_BYTES_LIMIT: u64 = 1 << 30;
+
+/// Bytes of the two `(m+1) × (n+1)` matrices (`td` and `fd`) one
+/// distance between an `m`-node and an `n`-node tree fills, saturating.
+pub fn dp_bytes(m: usize, n: usize) -> u64 {
+    let cells = (m as u64 + 1).saturating_mul(n as u64 + 1);
+    cells.saturating_mul(2 * std::mem::size_of::<Cost>() as u64)
+}
+
 /// Computes the tree edit distance `δ(Q, T)` (Def. 6).
 ///
 /// # Examples
